@@ -1,13 +1,18 @@
 """Tests for the generator and the check harness itself."""
 
+import hashlib
+
 import pytest
 
 from solidus.checks import (
+    ALIASES,
     AXIOM_GROUPS,
+    REGISTRY,
     catalog_ids,
     check,
     exit_code,
     format_report,
+    format_reports,
     minkowski_oracle,
     run_catalog,
 )
@@ -173,6 +178,22 @@ class TestHarness:
         not_ok = [r.check_id for r in reports if not r.ok]
         assert not_ok == []
         assert exit_code(reports) == 0
+        # golden digest: every status, sample count and shrunk counterexample
+        digest = hashlib.sha256(format_reports(reports).encode()).hexdigest()
+        assert digest == "ee3822fe41ec38d62bff2d98b4093afc4d5d7c4b050445f9185960d19e4d938c"
+
+    def test_registry_declarations_pinned(self):
+        # covers what the catalog output never shows: the input names of
+        # passing checks, the single flags, the notes and the aliases
+        declared = (
+            [
+                (c.check_id, c.group, c.names, c.single, c.expect_failures, c.note)
+                for c in REGISTRY.values()
+            ],
+            sorted(ALIASES.items()),
+        )
+        digest = hashlib.sha256(repr(declared).encode()).hexdigest()
+        assert digest == "92ffdd5b0ee7ba0ea7c3214b2dd0953459592f6545bcb11ac8564ceac682b411"
 
 
 class TestMinkowskiOracle:
