@@ -39,8 +39,6 @@ from .field import (
     as_polynomial,
     compare_precise,
     degree,
-    poly_arith,
-    precise_arith,
     series_expand,
 )
 from .neutrix import (
@@ -74,7 +72,6 @@ from .external import (
     ext_compare,
     ext_div,
     ext_inv,
-    ext_le,
     ext_member,
     ext_mul,
     ext_neg,

@@ -1,11 +1,15 @@
 """Executable encodings of the axioms and theorems, with counterexample reports.
 
-Every entry in the registry evaluates one law on randomly generated instances
-(or once, for exact identities).  Failures are shrunk toward fewer terms,
-simpler exponents and smaller coefficients, and rendered in the canonical
-expression syntax.  Two deliberately wrong entries (naive distributivity and a
-corrupted magnitude product table) are registered as expected failures to
-demonstrate that the harness discriminates.
+Each law is declared once, by a ``@law`` line directly above its verdict: the
+verdict returns None when the law holds and a message when it does not, and
+its parameter names label the drawn inputs in reports.  A law with a draw is
+evaluated on randomly generated instances; a law without one is an exact
+identity, evaluated once.  The catalog order is the declaration order.
+Failures are shrunk toward fewer terms, simpler exponents and smaller
+coefficients, and rendered in the canonical expression syntax.  Two
+deliberately wrong entries (naive distributivity and a corrupted magnitude
+product table) are declared as expected failures to demonstrate that the
+harness discriminates.
 
 Evaluation is sequential; reports are keyed by sample index, so the output is
 deterministic for a given (check id, config, count).
@@ -119,9 +123,13 @@ class Check:
     draw: Callable[[Sampler], tuple]
     verdict: Callable[..., Optional[str]]
     expected: str
-    single: bool = False
     expect_failures: bool = False
     note: str = ""
+
+    @property
+    def single(self) -> bool:
+        """A law without a draw is an exact identity, evaluated once."""
+        return self.draw is _d_nothing
 
 
 REGISTRY: dict[str, Check] = {}
@@ -137,12 +145,32 @@ AXIOM_GROUPS = (
 )
 
 
-def _register(check: Check, *aliases: str) -> None:
-    if check.check_id in REGISTRY:
-        raise ValueError(f"duplicate check id {check.check_id}")
-    REGISTRY[check.check_id] = check
-    for alias in aliases:
-        ALIASES[alias] = check.check_id
+def _d_nothing(s: Sampler) -> tuple:
+    return ()
+
+
+def law(
+    check_id: str, group: str, description: str, expected: str, draw: Callable[[Sampler], tuple] = _d_nothing,
+    *, expect_failures: bool = False, note: str = "", alias: str | None = None,
+):
+    """Register the decorated verdict as a check, in declaration order.
+
+    The verdict's parameter names label the drawn inputs in reports.
+    """
+
+    def register(verdict: Callable[..., Optional[str]]):
+        if check_id in REGISTRY:
+            raise ValueError(f"duplicate check id {check_id}")
+        code = verdict.__code__
+        names = code.co_varnames[: code.co_argcount]
+        REGISTRY[check_id] = Check(
+            check_id, group, description, names, draw, verdict, expected, expect_failures, note
+        )
+        if alias is not None:
+            ALIASES[alias] = check_id
+        return verdict
+
+    return register
 
 
 def resolve_check_id(check_id: str) -> str:
@@ -315,10 +343,6 @@ def _d_zeroless(k: int):
     return draw
 
 
-def _d_nothing(s: Sampler) -> tuple:
-    return ()
-
-
 def _d_absorbable(s: Sampler) -> tuple:
     x = s.external()
     if s.rng.random() < 0.6:
@@ -476,14 +500,17 @@ def _d_sup_consistency(s: Sampler) -> tuple:
 # 1. addition
 
 
+@law("axiom.add.assoc", "addition", "x+(y+z) = (x+y)+z", "associativity of addition", _d_ext(3))
 def _v_add_assoc(x, y, z):
     return _neq(ext_add(ext_add(x, y), z), ext_add(x, ext_add(y, z)))
 
 
+@law("axiom.add.comm", "addition", "x+y = y+x", "commutativity of addition", _d_ext(2))
 def _v_add_comm(x, y):
     return _neq(ext_add(x, y), ext_add(y, x))
 
 
+@law("axiom.add.neutral", "addition", "x+e(x) = x, minimally", "individualized neutral element", _d_absorbable)
 def _v_add_neutral(x, f):
     e = magnitude(x)
     if ext_add(x, e) != x:
@@ -493,6 +520,7 @@ def _v_add_neutral(x, f):
     return None
 
 
+@law("axiom.add.symmetric", "addition", "x+(-x) = e(x) with e(-x) = e(x)", "individualized symmetric element", _d_ext(1))
 def _v_add_symmetric(x):
     s = ext_neg(x)
     if ext_add(x, s) != magnitude(x):
@@ -502,6 +530,7 @@ def _v_add_symmetric(x):
     return None
 
 
+@law("axiom.add.magnitude_linear", "addition", "e(x+y) is e(x) or e(y)", "magnitude of a sum", _d_ext(2))
 def _v_add_magnitude_linear(x, y):
     e = magnitude(ext_add(x, y))
     if e != magnitude(x) and e != magnitude(y):
@@ -512,14 +541,17 @@ def _v_add_magnitude_linear(x, y):
 # 2. multiplication
 
 
+@law("axiom.mul.assoc", "multiplication", "x(yz) = (xy)z", "associativity of multiplication", _d_ext(3))
 def _v_mul_assoc(x, y, z):
     return _neq(ext_mul(ext_mul(x, y), z), ext_mul(x, ext_mul(y, z)))
 
 
+@law("axiom.mul.comm", "multiplication", "xy = yx", "commutativity of multiplication", _d_ext(2))
 def _v_mul_comm(x, y):
     return _neq(ext_mul(x, y), ext_mul(y, x))
 
 
+@law("axiom.mul.unity", "multiplication", "x*u(x) = x, minimally", "individualized unity", _d_unity_minimality)
 def _v_mul_unity(x, v):
     u = unity(x)
     if ext_mul(x, u) != x:
@@ -529,6 +561,7 @@ def _v_mul_unity(x, v):
     return None
 
 
+@law("axiom.mul.inverse", "multiplication", "x*d(x) = u(x) with u(d) = u(x)", "individualized division", _d_zeroless(1))
 def _v_mul_inverse(x):
     d = ext_inv(x)
     if ext_mul(x, d) != unity(x):
@@ -538,6 +571,7 @@ def _v_mul_inverse(x):
     return None
 
 
+@law("axiom.mul.unity_product", "multiplication", "u(xy) is u(x) or u(y)", "unity of a product", _d_zeroless(2))
 def _v_mul_unity_product(x, y):
     u = unity(ext_mul(x, y))
     if u != unity(x) and u != unity(y):
@@ -548,18 +582,21 @@ def _v_mul_unity_product(x, y):
 # 3. order
 
 
+@law("axiom.order.reflexive", "order", "x <= x", "reflexivity", _d_ext(1))
 def _v_order_reflexive(x):
     if ext_compare(x, x) is not EQ:
         return f"compare(x, x) = {ext_compare(x, x).name}"
     return None
 
 
+@law("axiom.order.antisymmetric", "order", "x<=y and y<=x imply x=y", "antisymmetry", _d_often_equal_pair)
 def _v_order_antisymmetric(x, y):
     if ext_compare(x, y) is not GT and ext_compare(y, x) is not GT and x != y:
         return "x <= y and y <= x but x != y"
     return None
 
 
+@law("axiom.order.transitive", "order", "x<=y<=z implies x<=z", "transitivity", _d_ext(3))
 def _v_order_transitive(x, y, z):
     if ext_compare(x, y) is not GT and ext_compare(y, z) is not GT:
         if ext_compare(x, z) is GT:
@@ -567,6 +604,7 @@ def _v_order_transitive(x, y, z):
     return None
 
 
+@law("axiom.order.total", "order", "compare is total and antitone under swap", "totality", _d_ext(2))
 def _v_order_total(x, y):
     ab, ba = ext_compare(x, y), ext_compare(y, x)
     if ab.value != -ba.value:
@@ -574,12 +612,14 @@ def _v_order_total(x, y):
     return None
 
 
+@law("axiom.order.add_compatible", "order", "x<=y implies x+z<=y+z", "compatibility with addition", _d_ext(3))
 def _v_order_add_compatible(x, y, z):
     if ext_compare(x, y) is not GT and ext_compare(ext_add(x, z), ext_add(y, z)) is GT:
         return f"x + z = {ext_add(x, z)} > y + z = {ext_add(y, z)}"
     return None
 
 
+@law("axiom.order.absorbed_below", "order", "y+e(x)=e(x) implies y<=e(x) and -y<=e(x)", "absorbed elements are small", _d_absorbable)
 def _v_order_absorbed_below(x, y):
     e = magnitude(x)
     if ext_add(y, e) == e:
@@ -590,6 +630,7 @@ def _v_order_absorbed_below(x, y):
     return None
 
 
+@law("axiom.order.mul_compatible", "order", "e(x)<x and y<=z imply xy<=xz", "compatibility with positive multiplication", _d_positive_mul)
 def _v_order_mul_compatible(x, y, z):
     if ext_compare(magnitude(x), x) is LT and ext_compare(y, z) is not GT:
         if ext_compare(ext_mul(x, y), ext_mul(x, z)) is GT:
@@ -597,6 +638,7 @@ def _v_order_mul_compatible(x, y, z):
     return None
 
 
+@law("axiom.order.amplification", "order", "e(y)<=y<=z implies e(x)y<=e(x)z", "amplification by magnitudes", _d_amplification)
 def _v_order_amplification(x, y, z):
     e = magnitude(x)
     if ext_compare(magnitude(y), y) is not GT and ext_compare(y, z) is not GT:
@@ -608,6 +650,7 @@ def _v_order_amplification(x, y, z):
 # 4. mixed
 
 
+@law("axiom.mixed.scale", "mixed", "e(x)*y is a magnitude", "products with magnitudes are magnitudes", _d_ext(2))
 def _v_mixed_scale(x, y):
     product = ext_mul(magnitude(x), y)
     if not product.rep.is_zero():
@@ -615,18 +658,21 @@ def _v_mixed_scale(x, y):
     return None
 
 
+@law("axiom.mixed.product_magnitude", "mixed", "e(xy) = e(x)y + e(y)x", "magnitude of a product", _d_ext(2))
 def _v_mixed_product_magnitude(x, y):
     lhs = magnitude(ext_mul(x, y))
     rhs = ext_add(ext_mul(magnitude(x), y), ext_mul(magnitude(y), x))
     return _neq(rhs, lhs)
 
 
+@law("axiom.mixed.unity_magnitude", "mixed", "e(u(x)) = e(x)/x", "magnitude of the unity", _d_zeroless(1))
 def _v_mixed_unity_magnitude(x):
     lhs = magnitude(unity(x))
     rhs = ext_div(magnitude(x), x)
     return _neq(rhs, lhs)
 
 
+@law("axiom.mixed.distributivity", "mixed", "xy+xz = x(y+z)+e(x)y+e(x)z", "distributivity with magnitude correction", _d_ext(3), alias="axiom.distributivity")
 def _v_distributivity(x, y, z):
     lhs = ext_add(ext_mul(x, y), ext_mul(x, z))
     e = magnitude(x)
@@ -636,6 +682,7 @@ def _v_distributivity(x, y, z):
     return _neq(rhs, lhs)
 
 
+@law("axiom.mixed.negation", "mixed", "-(xy) = (-x)y", "negation of a product", _d_ext(2))
 def _v_mixed_negation(x, y):
     return _neq(ext_mul(ext_neg(x), y), ext_neg(ext_mul(x, y)))
 
@@ -643,18 +690,22 @@ def _v_mixed_negation(x, y):
 # 5. existence
 
 
+@law("axiom.exist.zero_min", "existence", "0 + x = x", "minimal magnitude", _d_ext(1))
 def _v_exist_zero_min(x):
     return _neq(x, ext_add(canonicalize(0), x))
 
 
+@law("axiom.exist.one_unity", "existence", "1 * x = x", "minimal unity", _d_ext(1))
 def _v_exist_one_unity(x):
     return _neq(x, ext_mul(canonicalize(1), x))
 
 
+@law("axiom.exist.max_absorbs", "existence", "e(x) + M = M", "maximal magnitude", _d_ext(1))
 def _v_exist_max_absorbs(x):
     return _neq(pure(FULL), ext_add(magnitude(x), pure(FULL)))
 
 
+@law("axiom.exist.intermediate_magnitude", "existence", "a magnitude strictly between 0 and M exists", "intermediate magnitudes")
 def _v_exist_intermediate():
     o = pure(INFINITESIMALS)
     if not (canonicalize(0) < o < pure(FULL)):
@@ -662,6 +713,7 @@ def _v_exist_intermediate():
     return None
 
 
+@law("axiom.exist.decomposition", "existence", "x = a + e(x) with a precise", "representative decomposition", _d_ext(1))
 def _v_exist_decomposition(x):
     a = canonicalize(x.rep)
     if magnitude(a) != canonicalize(0):
@@ -669,11 +721,12 @@ def _v_exist_decomposition(x):
     return _neq(x, ext_add(a, magnitude(x)))
 
 
-def _v_exist_separation(a, b):
-    order = nx_compare(a, b)
+@law("axiom.exist.separation", "existence", "distinct magnitudes are separated by a zeroless element", "separation of magnitudes", _d_neutrix_pair)
+def _v_exist_separation(A, B):
+    order = nx_compare(A, B)
     if order is EQ:
         return None
-    lo, hi = (a, b) if order is LT else (b, a)
+    lo, hi = (A, B) if order is LT else (B, A)
     z = separate_precise(pure(lo), pure(hi))
     zx = canonicalize(z)
     if z.is_zero():
@@ -686,6 +739,7 @@ def _v_exist_separation(a, b):
 # 6. magnitude products
 
 
+@law("axiom.magprod.maximal_ideal", "magnitude-product", "I*J = I for the maximal ideal I of J", "maximal ideal absorption")
 def _v_magprod_maximal_ideal():
     problems = []
     for j in (LIMITED, FULL):
@@ -701,15 +755,16 @@ def _v_magprod_maximal_ideal():
     return "; ".join(problems) or None
 
 
-def _v_magprod_scale_to_idempotent(a):
-    p, i = decompose(a)
+@law("axiom.magprod.scale_to_idempotent", "magnitude-product", "every magnitude is precise * idempotent", "scaling to an idempotent", _d_magnitude)
+def _v_magprod_scale_to_idempotent(A):
+    p, i = decompose(A)
     if not is_idempotent(i):
         return f"decomposed idempotent {i} is not idempotent"
     if p.is_zero():
         return "decomposed scalar is zero"
-    if a.kind in (NeutrixKind.ZERO, NeutrixKind.FULL):
-        return None if i == a else f"expected {a}, got {i}"
-    if nx_scale(p, i) != a:
+    if A.kind in (NeutrixKind.ZERO, NeutrixKind.FULL):
+        return None if i == A else f"expected {A}, got {i}"
+    if nx_scale(p, i) != A:
         return f"p*I = {nx_scale(p, i)}"
     return None
 
@@ -727,6 +782,7 @@ def _probe_points(b: ExternalNum) -> list[ExternalNum]:
     return points
 
 
+@law("axiom.scheme.dedekind", "scheme", "represented halflines have weak bounds of the right kind", "generalized completeness on represented halflines", _d_halfline)
 def _v_scheme_dedekind(h: Halfline):
     b = zup(h)
     points = _probe_points(b)
@@ -750,7 +806,8 @@ def _v_scheme_dedekind(h: Halfline):
     return None
 
 
-def _v_arith_naturals(x, y, mid_offset):
+@law("axiom.arith.naturals", "arithmetical", "naturals are discrete, closed and nonnegative", "natural number axiom", _d_naturals)
+def _v_arith_naturals(x, y, offset):
     if not is_natural(PreciseNum.of(0)):
         return "0 is not natural"
     if is_natural(-(x + 1)):
@@ -759,12 +816,13 @@ def _v_arith_naturals(x, y, mid_offset):
     for v in (x, y, x + y, x * y, x + one):
         if not is_natural(v):
             return f"{v} escapes the natural family"
-    mid = x + mid_offset
+    mid = x + offset
     if x < mid < x + one and is_natural(mid):
         return f"natural strictly between {x} and its successor: {mid}"
     return None
 
 
+@law("axiom.arith.induction", "arithmetical", "curated induction battery", "induction spot checks", note="full induction provably fails for computable interpretations; see even_or_odd")
 def _v_arith_induction():
     problems = []
     for fid in INDUCTION_CATALOG:
@@ -774,6 +832,7 @@ def _v_arith_induction():
     return "; ".join(problems) or None
 
 
+@law("axiom.arith.induction_even_odd", "arithmetical", "the even-or-odd induction instance fails at nonstandard points", "documented expected failure", expect_failures=True, note=INDUCTION_CATALOG["even_or_odd"].explanation)
 def _v_arith_induction_even_odd():
     report = induction_spotcheck("even_or_odd", bound=25)
     if report.status == "expected-fail":
@@ -782,6 +841,7 @@ def _v_arith_induction_even_odd():
     return None
 
 
+@law("axiom.arith.archimedean", "arithmetical", "some natural multiple of x exceeds y", "Archimedean witness", _d_archimedean)
 def _v_arith_archimedean(x, y):
     witness = archimedean_witness(x, y)
     z = witness.as_precise()
@@ -795,6 +855,7 @@ def _v_arith_archimedean(x, y):
 # theorems
 
 
+@law("thm.chain", "theorem", "0 < o < 1 < L < M", "the canonical chain")
 def _v_thm_chain():
     chain = [canonicalize(0), pure(INFINITESIMALS), canonicalize(1), pure(LIMITED), pure(FULL)]
     for a, b in zip(chain, chain[1:]):
@@ -803,12 +864,14 @@ def _v_thm_chain():
     return None
 
 
-def _v_thm_no_magnitude_between(a):
-    if nx_compare(INFINITESIMALS, a) is LT and nx_compare(a, LIMITED) is LT:
-        return f"{a} lies strictly between the two canonical magnitudes"
+@law("thm.no_magnitude_between", "theorem", "no magnitude strictly between o and L", "extremality of o and L", _d_magnitude)
+def _v_thm_no_magnitude_between(A):
+    if nx_compare(INFINITESIMALS, A) is LT and nx_compare(A, LIMITED) is LT:
+        return f"{A} lies strictly between the two canonical magnitudes"
     return None
 
 
+@law("thm.reciprocal_pound", "theorem", "L < p iff 1/p < o", "reciprocal across L", _d_positive_precise)
 def _v_thm_reciprocal_pound(p):
     lhs = ext_compare(pure(LIMITED), canonicalize(p)) is LT
     rhs = ext_compare(canonicalize(1 / p), pure(INFINITESIMALS)) is LT
@@ -817,6 +880,7 @@ def _v_thm_reciprocal_pound(p):
     return None
 
 
+@law("thm.reciprocal_oslash", "theorem", "o < p iff 1/p < L", "reciprocal across o", _d_positive_precise)
 def _v_thm_reciprocal_oslash(p):
     lhs = ext_compare(pure(INFINITESIMALS), canonicalize(p)) is LT
     rhs = ext_compare(canonicalize(1 / p), pure(LIMITED)) is LT
@@ -825,6 +889,7 @@ def _v_thm_reciprocal_oslash(p):
     return None
 
 
+@law("thm.sqrt_below_oslash", "theorem", "p < o implies sqrt(p) < o (power witnesses)", "roots stay infinitesimal", _d_square_root_pair)
 def _v_thm_sqrt_below(s):
     p = s * s
     if ext_compare(canonicalize(p), pure(INFINITESIMALS)) is LT:
@@ -833,6 +898,7 @@ def _v_thm_sqrt_below(s):
     return None
 
 
+@law("thm.sqrt_above_pound", "theorem", "L < p implies L < sqrt(p) (power witnesses)", "roots stay large", _d_square_root_pair)
 def _v_thm_sqrt_above(s):
     p = s * s
     if ext_compare(pure(LIMITED), canonicalize(p)) is LT:
@@ -841,6 +907,7 @@ def _v_thm_sqrt_above(s):
     return None
 
 
+@law("thm.square_between", "theorem", "o < p < L implies o < p^2 < L", "squares stay appreciable", _d_degree_zero_positive)
 def _v_thm_square_between(p):
     o, limited = pure(INFINITESIMALS), pure(LIMITED)
     if o < canonicalize(p) < limited:
@@ -850,6 +917,7 @@ def _v_thm_square_between(p):
     return None
 
 
+@law("thm.sup_inf_characterization", "theorem", "o = sup of reciprocals of large elements; L = inf of their inverses", "sup/inf characterization", lambda s: _d_sup_consistency(s)[2:])
 def _v_thm_sup_inf_characterization(below, above):
     # below < o: exhibit p with below < p < o and L < 1/p
     s = below.q if below.kind is not NeutrixKind.ZERO else Fraction(-2)
@@ -874,21 +942,25 @@ def _v_thm_sup_inf_characterization(below, above):
     return None
 
 
+@law("thm.oslash_oslash", "theorem", "o*o = o", "idempotency of o")
 def _v_thm_oslash_oslash():
     got = nx_mul(INFINITESIMALS, INFINITESIMALS)
     return None if got == INFINITESIMALS else f"o*o = {got}"
 
 
+@law("thm.pound_pound", "theorem", "L*L = L", "idempotency of L")
 def _v_thm_pound_pound():
     got = nx_mul(LIMITED, LIMITED)
     return None if got == LIMITED else f"L*L = {got}"
 
 
+@law("thm.oslash_pound", "theorem", "o*L = o", "mixed product collapses down")
 def _v_thm_oslash_pound():
     got = nx_mul(INFINITESIMALS, LIMITED)
     return None if got == INFINITESIMALS else f"o*L = {got}"
 
 
+@law("thm.max_ideal", "theorem", "maximal ideals match their sup characterization", "sup characterization of maximal ideals", lambda s: (s.nonzero_precise(),))
 def _v_thm_max_ideal_sup(omega):
     # J = LIMITED: every precise omega with L < |omega| has 1/omega below o,
     # and the family climbs past any magnitude below o.
@@ -903,6 +975,7 @@ def _v_thm_max_ideal_sup(omega):
     return None
 
 
+@law("thm.product_idempotents", "theorem", "product of idempotents follows the trichotomy", "idempotent product trichotomy")
 def _v_thm_product_idempotents():
     problems = []
     for e in IDEMPOTENTS:
@@ -927,33 +1000,35 @@ _UNIT_SCALARS = (
 )
 
 
-def _v_thm_idempotent_unique(a):
-    if a.kind is NeutrixKind.ZERO:
+@law("thm.idempotent_unique", "theorem", "the idempotent factor of a magnitude is unique", "uniqueness of the idempotent part", _d_magnitude)
+def _v_thm_idempotent_unique(A):
+    if A.kind is NeutrixKind.ZERO:
         return None
-    _, i = decompose(a)
+    _, i = decompose(A)
     for scalar in _UNIT_SCALARS:
-        rescaled = nx_scale(scalar, a)
+        rescaled = nx_scale(scalar, A)
         if decompose(rescaled)[1] != i:
             return f"idempotent part changed under scaling by {scalar}: {decompose(rescaled)[1]}"
     for other in IDEMPOTENTS:
         if other == i:
             continue
-        if any(nx_scale(scalar, other) == a for scalar in _UNIT_SCALARS):
-            return f"{a} also decomposes over the idempotent {other}"
+        if any(nx_scale(scalar, other) == A for scalar in _UNIT_SCALARS):
+            return f"{A} also decomposes over the idempotent {other}"
     return None
 
 
-def _v_thm_linearization(e, f):
-    product = nx_mul(e, f)
+@law("thm.linearization", "theorem", "e*f = p*e or p*f for a positive precise p", "linearization of magnitude products", _d_neutrix_pair)
+def _v_thm_linearization(A, B):
+    product = nx_mul(A, B)
     candidates: list[tuple[PreciseNum, Neutrix]] = []
-    for base in (e, f):
+    for base in (A, B):
         if base.kind is NeutrixKind.ZERO or base.kind is NeutrixKind.FULL:
             if product == base:
                 candidates.append((PreciseNum.of(1), base))
         elif product.kind == base.kind:
             candidates.append((PreciseNum.of(RhoPoly.rho_power(product.q - base.q)), base))
     if product.kind is NeutrixKind.ZERO:
-        zero_side = e if e.kind is NeutrixKind.ZERO else f
+        zero_side = A if A.kind is NeutrixKind.ZERO else B
         candidates.append((PreciseNum.of(1), zero_side))
     for p, base in candidates:
         if p.sign() > 0 and nx_scale(p, base) == product:
@@ -961,6 +1036,7 @@ def _v_thm_linearization(e, f):
     return f"no positive precise p with e*f = p*e or p*f (e*f = {product})"
 
 
+@law("thm.order_consistency", "theorem", "magnitude products sit where the order demands", "consistency with the order", _d_order_consistency)
 def _v_thm_order_consistency(p, q):
     i, j = INFINITESIMALS, LIMITED
     ij = nx_mul(i, j)
@@ -982,6 +1058,7 @@ def _v_thm_order_consistency(p, q):
     return None
 
 
+@law("thm.sup_consistency", "theorem", "I*J is approachable from below but not from above", "consistency with suprema", _d_sup_consistency)
 def _v_thm_sup_consistency(p, q, below, above):
     i, j = INFINITESIMALS, LIMITED
     ij = nx_mul(i, j)
@@ -1012,6 +1089,12 @@ def _v_thm_sup_consistency(p, q, below, above):
     return None
 
 
+@law("thm.distributivity_total", "theorem", "xy+xz = x(y+z) + e(x)y + e(x)z exactly", "total distributivity formula", _d_ext(3))
+def _v_thm_distributivity_total(x, y, z):
+    return _v_distributivity(x, y, z)
+
+
+@law("thm.subdistributivity", "theorem", "x(y+z) lands inside xy+xz for sampled members", "subdistributivity as sets", _d_ext(3))
 def _v_thm_subdistributivity(x, y, z):
     target = ext_add(ext_mul(x, y), ext_mul(x, z))
     for a in _representative_menu(x, 3):
@@ -1022,6 +1105,7 @@ def _v_thm_subdistributivity(x, y, z):
     return None
 
 
+@law("thm.trichotomy", "theorem", "disjoint, subset or superset, consistent with compare", "set trichotomy", _d_ext(2))
 def _v_thm_trichotomy(x, y):
     disjoint = ext_disjoint(x, y)
     sub = ext_subset(x, y)
@@ -1042,6 +1126,7 @@ def _v_thm_trichotomy(x, y):
     return None
 
 
+@law("thm.three_cases", "theorem", "the three halfline kinds are mutually exclusive", "three cases are exclusive", _d_nonprecise_pair)
 def _v_thm_three_cases(b1: ExternalNum, b2: ExternalNum):
     # pairwise separation of the three kinds at a common non-precise bound
     closed, open_, so = (lower(k, b1) for k in HalflineKind)
@@ -1085,6 +1170,7 @@ def _so_distinguisher(lo: ExternalNum, hi: ExternalNum) -> ExternalNum | None:
     return None
 
 
+@law("thm.dedekind_precise", "theorem", "open and strongly open coincide at precise bounds", "precise collapse", lambda s: (s.precise(),))
 def _v_thm_dedekind_precise_collapse(p: PreciseNum):
     b = canonicalize(p)
     points = [canonicalize(p + d) for d in (PreciseNum.of(-1), PreciseNum.of(0), PreciseNum.of(1), PreciseNum.of(RhoPoly.rho_power(-1)))]
@@ -1097,17 +1183,19 @@ def _v_thm_dedekind_precise_collapse(p: PreciseNum):
     return None
 
 
-def _v_thm_rational_form(alpha: ExternalNum):
-    if not alpha.rep.is_polynomial():
-        return f"canonical representative {alpha.rep} is not polynomial"
-    if canonicalize(alpha.rep, alpha.nx) != alpha:
+@law("thm.rational_form", "theorem", "non-precise values canonicalize to polynomial + magnitude", "canonical rational form", _d_nonprecise)
+def _v_thm_rational_form(x: ExternalNum):
+    if not x.rep.is_polynomial():
+        return f"canonical representative {x.rep} is not polynomial"
+    if canonicalize(x.rep, x.nx) != x:
         return "canonical form does not reconstruct"
-    for y in _representative_menu(alpha, 4):
-        if canonicalize(y, alpha.nx) != alpha:
-            return f"representative {y} reconstructs to {canonicalize(y, alpha.nx)}"
+    for y in _representative_menu(x, 4):
+        if canonicalize(y, x.nx) != x:
+            return f"representative {y} reconstructs to {canonicalize(y, x.nx)}"
     return None
 
 
+@law("thm.shadow_field", "theorem", "shadows of limited precise elements form a field", "shadow field laws", _d_limited_triple)
 def _v_thm_shadow_field(a, b, c):
     sh = lambda v: shadow(canonicalize(v))
     x, y, z = sh(a), sh(b), sh(c)
@@ -1133,6 +1221,7 @@ def _v_thm_shadow_field(a, b, c):
     return None
 
 
+@law("thm.unity_multiplicative", "theorem", "u(xy) = u(x)u(y)", "multiplicativity of unities", _d_zeroless(2))
 def _v_thm_unity_multiplicative(x, y):
     return _neq(ext_mul(unity(x), unity(y)), unity(ext_mul(x, y)))
 
@@ -1172,6 +1261,7 @@ def minkowski_oracle(
     return report
 
 
+@law("oracle.minkowski", "oracle", "sampled member sums/products land in the computed value", "Minkowski soundness", _d_ext(2))
 def _v_oracle_minkowski(x, y):
     for op in ("add", "mul"):
         sub = minkowski_oracle(x, y, op, 20)
@@ -1181,6 +1271,7 @@ def _v_oracle_minkowski(x, y):
     return None
 
 
+@law("oracle.order", "oracle", "the order decision matches the member-sampling definition", "order oracle agreement", _d_ext(2))
 def _v_oracle_order(x, y):
     cmp = ext_compare(x, y)
     if cmp is not GT:
@@ -1212,6 +1303,7 @@ def _d_distributivity_stress(s: Sampler) -> tuple:
     return (x, y, z)
 
 
+@law("mutant.distributivity_naive", "mutant", "the naive law xy+xz = x(y+z) must fail", "naive distributivity (deliberately wrong)", _d_distributivity_stress, expect_failures=True, note="kept failing on purpose: the harness must refute the naive law", alias="axiom.distributivity_naive")
 def _v_mutant_distributivity(x, y, z):
     lhs = ext_add(ext_mul(x, y), ext_mul(x, z))
     rhs = ext_mul(x, ext_add(y, z))
@@ -1224,127 +1316,10 @@ def _mutant_nx_mul(a: Neutrix, b: Neutrix) -> Neutrix:
     return nx_mul(a, b)
 
 
+@law("mutant.oslash_pound_wrong", "mutant", "a corrupted o*L = L table must fail the ideal axiom", "corrupted magnitude product (deliberately wrong)", expect_failures=True, note="kept failing on purpose: o*L = L contradicts maximal-ideal absorption")
 def _v_mutant_oslash_pound():
     i, j = INFINITESIMALS, LIMITED
     got = _mutant_nx_mul(i, j)
     if got != maximal_ideal(j):
         return f"corrupted table gives o*L = {got}, breaking I*J = I"
     return None
-
-
-# --- registry -----------------------------------------------------------------
-
-
-def _build_registry() -> None:
-    ext_names = ("x", "y", "z")
-
-    # 1. addition
-    _register(Check("axiom.add.assoc", "addition", "x+(y+z) = (x+y)+z", ext_names, _d_ext(3), _v_add_assoc, "associativity of addition"))
-    _register(Check("axiom.add.comm", "addition", "x+y = y+x", ("x", "y"), _d_ext(2), _v_add_comm, "commutativity of addition"))
-    _register(Check("axiom.add.neutral", "addition", "x+e(x) = x, minimally", ("x", "f"), _d_absorbable, _v_add_neutral, "individualized neutral element"))
-    _register(Check("axiom.add.symmetric", "addition", "x+(-x) = e(x) with e(-x) = e(x)", ("x",), _d_ext(1), _v_add_symmetric, "individualized symmetric element"))
-    _register(Check("axiom.add.magnitude_linear", "addition", "e(x+y) is e(x) or e(y)", ("x", "y"), _d_ext(2), _v_add_magnitude_linear, "magnitude of a sum"))
-
-    # 2. multiplication
-    _register(Check("axiom.mul.assoc", "multiplication", "x(yz) = (xy)z", ext_names, _d_ext(3), _v_mul_assoc, "associativity of multiplication"))
-    _register(Check("axiom.mul.comm", "multiplication", "xy = yx", ("x", "y"), _d_ext(2), _v_mul_comm, "commutativity of multiplication"))
-    _register(Check("axiom.mul.unity", "multiplication", "x*u(x) = x, minimally", ("x", "v"), _d_unity_minimality, _v_mul_unity, "individualized unity"))
-    _register(Check("axiom.mul.inverse", "multiplication", "x*d(x) = u(x) with u(d) = u(x)", ("x",), _d_zeroless(1), _v_mul_inverse, "individualized division"))
-    _register(Check("axiom.mul.unity_product", "multiplication", "u(xy) is u(x) or u(y)", ("x", "y"), _d_zeroless(2), _v_mul_unity_product, "unity of a product"))
-
-    # 3. order
-    _register(Check("axiom.order.reflexive", "order", "x <= x", ("x",), _d_ext(1), _v_order_reflexive, "reflexivity"))
-    _register(Check("axiom.order.antisymmetric", "order", "x<=y and y<=x imply x=y", ("x", "y"), _d_often_equal_pair, _v_order_antisymmetric, "antisymmetry"))
-    _register(Check("axiom.order.transitive", "order", "x<=y<=z implies x<=z", ext_names, _d_ext(3), _v_order_transitive, "transitivity"))
-    _register(Check("axiom.order.total", "order", "compare is total and antitone under swap", ("x", "y"), _d_ext(2), _v_order_total, "totality"))
-    _register(Check("axiom.order.add_compatible", "order", "x<=y implies x+z<=y+z", ext_names, _d_ext(3), _v_order_add_compatible, "compatibility with addition"))
-    _register(Check("axiom.order.absorbed_below", "order", "y+e(x)=e(x) implies y<=e(x) and -y<=e(x)", ("x", "y"), _d_absorbable, _v_order_absorbed_below, "absorbed elements are small"))
-    _register(Check("axiom.order.mul_compatible", "order", "e(x)<x and y<=z imply xy<=xz", ext_names, _d_positive_mul, _v_order_mul_compatible, "compatibility with positive multiplication"))
-    _register(Check("axiom.order.amplification", "order", "e(y)<=y<=z implies e(x)y<=e(x)z", ext_names, _d_amplification, _v_order_amplification, "amplification by magnitudes"))
-
-    # 4. mixed
-    _register(Check("axiom.mixed.scale", "mixed", "e(x)*y is a magnitude", ("x", "y"), _d_ext(2), _v_mixed_scale, "products with magnitudes are magnitudes"))
-    _register(Check("axiom.mixed.product_magnitude", "mixed", "e(xy) = e(x)y + e(y)x", ("x", "y"), _d_ext(2), _v_mixed_product_magnitude, "magnitude of a product"))
-    _register(Check("axiom.mixed.unity_magnitude", "mixed", "e(u(x)) = e(x)/x", ("x",), _d_zeroless(1), _v_mixed_unity_magnitude, "magnitude of the unity"))
-    _register(
-        Check("axiom.mixed.distributivity", "mixed", "xy+xz = x(y+z)+e(x)y+e(x)z", ext_names, _d_ext(3), _v_distributivity, "distributivity with magnitude correction"),
-        "axiom.distributivity",
-    )
-    _register(Check("axiom.mixed.negation", "mixed", "-(xy) = (-x)y", ("x", "y"), _d_ext(2), _v_mixed_negation, "negation of a product"))
-
-    # 5. existence
-    _register(Check("axiom.exist.zero_min", "existence", "0 + x = x", ("x",), _d_ext(1), _v_exist_zero_min, "minimal magnitude"))
-    _register(Check("axiom.exist.one_unity", "existence", "1 * x = x", ("x",), _d_ext(1), _v_exist_one_unity, "minimal unity"))
-    _register(Check("axiom.exist.max_absorbs", "existence", "e(x) + M = M", ("x",), _d_ext(1), _v_exist_max_absorbs, "maximal magnitude"))
-    _register(Check("axiom.exist.intermediate_magnitude", "existence", "a magnitude strictly between 0 and M exists", (), _d_nothing, _v_exist_intermediate, "intermediate magnitudes", single=True))
-    _register(Check("axiom.exist.decomposition", "existence", "x = a + e(x) with a precise", ("x",), _d_ext(1), _v_exist_decomposition, "representative decomposition"))
-    _register(Check("axiom.exist.separation", "existence", "distinct magnitudes are separated by a zeroless element", ("A", "B"), _d_neutrix_pair, _v_exist_separation, "separation of magnitudes"))
-
-    # 6. magnitude products
-    _register(Check("axiom.magprod.maximal_ideal", "magnitude-product", "I*J = I for the maximal ideal I of J", (), _d_nothing, _v_magprod_maximal_ideal, "maximal ideal absorption", single=True))
-    _register(Check("axiom.magprod.scale_to_idempotent", "magnitude-product", "every magnitude is precise * idempotent", ("A",), _d_magnitude, _v_magprod_scale_to_idempotent, "scaling to an idempotent"))
-
-    # schemes / arithmetical
-    _register(Check("axiom.scheme.dedekind", "scheme", "represented halflines have weak bounds of the right kind", ("h",), _d_halfline, _v_scheme_dedekind, "generalized completeness on represented halflines"))
-    _register(Check("axiom.arith.naturals", "arithmetical", "naturals are discrete, closed and nonnegative", ("x", "y", "offset"), _d_naturals, _v_arith_naturals, "natural number axiom"))
-    _register(Check("axiom.arith.induction", "arithmetical", "curated induction battery", (), _d_nothing, _v_arith_induction, "induction spot checks", single=True, note="full induction provably fails for computable interpretations; see even_or_odd"))
-    _register(
-        Check(
-            "axiom.arith.induction_even_odd",
-            "arithmetical",
-            "the even-or-odd induction instance fails at nonstandard points",
-            (),
-            _d_nothing,
-            _v_arith_induction_even_odd,
-            "documented expected failure",
-            single=True,
-            expect_failures=True,
-            note=INDUCTION_CATALOG["even_or_odd"].explanation,
-        )
-    )
-    _register(Check("axiom.arith.archimedean", "arithmetical", "some natural multiple of x exceeds y", ("x", "y"), _d_archimedean, _v_arith_archimedean, "Archimedean witness"))
-
-    # theorems
-    _register(Check("thm.chain", "theorem", "0 < o < 1 < L < M", (), _d_nothing, _v_thm_chain, "the canonical chain", single=True))
-    _register(Check("thm.no_magnitude_between", "theorem", "no magnitude strictly between o and L", ("A",), _d_magnitude, _v_thm_no_magnitude_between, "extremality of o and L"))
-    _register(Check("thm.reciprocal_pound", "theorem", "L < p iff 1/p < o", ("p",), _d_positive_precise, _v_thm_reciprocal_pound, "reciprocal across L"))
-    _register(Check("thm.reciprocal_oslash", "theorem", "o < p iff 1/p < L", ("p",), _d_positive_precise, _v_thm_reciprocal_oslash, "reciprocal across o"))
-    _register(Check("thm.sqrt_below_oslash", "theorem", "p < o implies sqrt(p) < o (power witnesses)", ("s",), _d_square_root_pair, _v_thm_sqrt_below, "roots stay infinitesimal"))
-    _register(Check("thm.sqrt_above_pound", "theorem", "L < p implies L < sqrt(p) (power witnesses)", ("s",), _d_square_root_pair, _v_thm_sqrt_above, "roots stay large"))
-    _register(Check("thm.square_between", "theorem", "o < p < L implies o < p^2 < L", ("p",), _d_degree_zero_positive, _v_thm_square_between, "squares stay appreciable"))
-    _register(Check("thm.sup_inf_characterization", "theorem", "o = sup of reciprocals of large elements; L = inf of their inverses", ("below", "above"), lambda s: _d_sup_consistency(s)[2:], _v_thm_sup_inf_characterization, "sup/inf characterization"))
-    _register(Check("thm.oslash_oslash", "theorem", "o*o = o", (), _d_nothing, _v_thm_oslash_oslash, "idempotency of o", single=True))
-    _register(Check("thm.pound_pound", "theorem", "L*L = L", (), _d_nothing, _v_thm_pound_pound, "idempotency of L", single=True))
-    _register(Check("thm.oslash_pound", "theorem", "o*L = o", (), _d_nothing, _v_thm_oslash_pound, "mixed product collapses down", single=True))
-    _register(Check("thm.max_ideal", "theorem", "maximal ideals match their sup characterization", ("omega",), lambda s: (s.nonzero_precise(),), _v_thm_max_ideal_sup, "sup characterization of maximal ideals"))
-    _register(Check("thm.product_idempotents", "theorem", "product of idempotents follows the trichotomy", (), _d_nothing, _v_thm_product_idempotents, "idempotent product trichotomy", single=True))
-    _register(Check("thm.idempotent_unique", "theorem", "the idempotent factor of a magnitude is unique", ("A",), _d_magnitude, _v_thm_idempotent_unique, "uniqueness of the idempotent part"))
-    _register(Check("thm.linearization", "theorem", "e*f = p*e or p*f for a positive precise p", ("A", "B"), _d_neutrix_pair, _v_thm_linearization, "linearization of magnitude products"))
-    _register(Check("thm.order_consistency", "theorem", "magnitude products sit where the order demands", ("p", "q"), _d_order_consistency, _v_thm_order_consistency, "consistency with the order"))
-    _register(Check("thm.sup_consistency", "theorem", "I*J is approachable from below but not from above", ("p", "q", "below", "above"), _d_sup_consistency, _v_thm_sup_consistency, "consistency with suprema"))
-    _register(
-        Check("thm.distributivity_total", "theorem", "xy+xz = x(y+z) + e(x)y + e(x)z exactly", ext_names, _d_ext(3), _v_distributivity, "total distributivity formula")
-    )
-    _register(Check("thm.subdistributivity", "theorem", "x(y+z) lands inside xy+xz for sampled members", ext_names, _d_ext(3), _v_thm_subdistributivity, "subdistributivity as sets"))
-    _register(Check("thm.trichotomy", "theorem", "disjoint, subset or superset, consistent with compare", ("x", "y"), _d_ext(2), _v_thm_trichotomy, "set trichotomy"))
-    _register(Check("thm.three_cases", "theorem", "the three halfline kinds are mutually exclusive", ("b1", "b2"), _d_nonprecise_pair, _v_thm_three_cases, "three cases are exclusive"))
-    _register(Check("thm.dedekind_precise", "theorem", "open and strongly open coincide at precise bounds", ("p",), lambda s: (s.precise(),), _v_thm_dedekind_precise_collapse, "precise collapse"))
-    _register(Check("thm.rational_form", "theorem", "non-precise values canonicalize to polynomial + magnitude", ("x",), _d_nonprecise, _v_thm_rational_form, "canonical rational form"))
-    _register(Check("thm.shadow_field", "theorem", "shadows of limited precise elements form a field", ("a", "b", "c"), _d_limited_triple, _v_thm_shadow_field, "shadow field laws"))
-    _register(Check("thm.unity_multiplicative", "theorem", "u(xy) = u(x)u(y)", ("x", "y"), _d_zeroless(2), _v_thm_unity_multiplicative, "multiplicativity of unities"))
-
-    # oracles
-    _register(Check("oracle.minkowski", "oracle", "sampled member sums/products land in the computed value", ("x", "y"), _d_ext(2), _v_oracle_minkowski, "Minkowski soundness"))
-    _register(Check("oracle.order", "oracle", "the order decision matches the member-sampling definition", ("x", "y"), _d_ext(2), _v_oracle_order, "order oracle agreement"))
-
-    # mutants (expected failures, demonstrating discrimination)
-    _register(
-        Check("mutant.distributivity_naive", "mutant", "the naive law xy+xz = x(y+z) must fail", ext_names, _d_distributivity_stress, _v_mutant_distributivity, "naive distributivity (deliberately wrong)", expect_failures=True, note="kept failing on purpose: the harness must refute the naive law"),
-        "axiom.distributivity_naive",
-    )
-    _register(
-        Check("mutant.oslash_pound_wrong", "mutant", "a corrupted o*L = L table must fail the ideal axiom", (), _d_nothing, _v_mutant_oslash_pound, "corrupted magnitude product (deliberately wrong)", single=True, expect_failures=True, note="kept failing on purpose: o*L = L contradicts maximal-ideal absorption"),
-    )
-
-
-_build_registry()

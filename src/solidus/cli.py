@@ -51,21 +51,40 @@ def _values(arg_text: str, expected: Optional[int] = None):
     return values
 
 
-def _run_checks_from_args(tokens: list[str]) -> tuple[str, int]:
-    parser = argparse.ArgumentParser(prog=":check", add_help=False)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--count", type=int, default=200)
-    parser.add_argument("--only", type=str, default=None)
+def _positive_int(text: str) -> int:
     try:
-        ns = parser.parse_args(tokens)
-    except SystemExit:
-        return "usage: :check [--seed S] [--count N] [--only ID]", 2
-    cfg = GeneratorConfig(seed=ns.seed)
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def _add_check_options(parser: argparse.ArgumentParser) -> None:
+    """The options shared by `solidus --check` and `:check`."""
+    parser.add_argument("--seed", type=int, default=0, help="generator seed for --check")
+    parser.add_argument("--count", type=_positive_int, default=200, help="samples per check for --check")
+    parser.add_argument("--only", type=str, default=None, help="check id or prefix filter for --check")
+
+
+def _run_checks(ns: argparse.Namespace) -> tuple[str, int]:
+    """Run the selected checks; an unknown id is a usage error (exit code 2)."""
     try:
-        reports = run_catalog(cfg, n=ns.count, only=ns.only)
+        reports = run_catalog(GeneratorConfig(seed=ns.seed), n=ns.count, only=ns.only)
     except UnknownCheckError as exc:
         return f"error: unknown check id {exc.args[0]!r}", 2
     return format_reports(reports), exit_code(reports)
+
+
+def _check_command(tokens: list[str]) -> str:
+    parser = argparse.ArgumentParser(prog=":check", add_help=False)
+    _add_check_options(parser)
+    try:
+        ns = parser.parse_args(tokens)
+    except SystemExit:
+        return "usage: :check [--seed S] [--count N] [--only ID]"
+    return _run_checks(ns)[0]
 
 
 def run_command(line: str) -> str:
@@ -111,8 +130,7 @@ def _dispatch(line: str) -> str:
         witness = archimedean_witness(x, y)
         return str(witness)
     if command == ":check":
-        output, _ = _run_checks_from_args(shlex.split(rest))
-        return output
+        return _check_command(shlex.split(rest))
     raise SolidusError(f"unknown command {command!r}")
 
 
@@ -138,20 +156,13 @@ def repl(stdin=None, stdout=None) -> int:
 
 
 def run_batch(path: str, stdout=None) -> int:
-    stdout = stdout or sys.stdout
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
+        handle = open(path, "r", encoding="utf-8")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for line in lines:
-        out = run_command(line)
-        if out == ":quit":
-            break
-        if out:
-            print(out, file=stdout)
-    return 0
+    with handle:
+        return repl(handle, stdout)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -161,20 +172,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     parser.add_argument("--batch", metavar="FILE", help="execute commands from FILE line by line")
     parser.add_argument("--check", action="store_true", help="run the check suite headlessly")
-    parser.add_argument("--seed", type=int, default=0, help="generator seed for --check")
-    parser.add_argument("--count", type=int, default=200, help="samples per check for --check")
-    parser.add_argument("--only", type=str, default=None, help="check id or prefix filter for --check")
+    _add_check_options(parser)
     ns = parser.parse_args(argv)
 
     if ns.check:
-        cfg = GeneratorConfig(seed=ns.seed)
-        try:
-            reports = run_catalog(cfg, n=ns.count, only=ns.only)
-        except UnknownCheckError as exc:
-            print(f"error: unknown check id {exc.args[0]!r}", file=sys.stderr)
-            return 2
-        print(format_reports(reports))
-        return exit_code(reports)
+        output, code = _run_checks(ns)
+        print(output, file=sys.stderr if code == 2 else sys.stdout)
+        return code
     if ns.batch:
         return run_batch(ns.batch)
     return repl()

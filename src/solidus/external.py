@@ -211,10 +211,6 @@ def ext_compare(a: ExternalNum, b: ExternalNum) -> Ordering:
     return Ordering.from_sign(delta.sign())
 
 
-def ext_le(a: ExternalNum, b: ExternalNum) -> bool:
-    return ext_compare(a, b) is not Ordering.GT
-
-
 def ext_member(y: PreciseLike, alpha: ExternalNum) -> bool:
     """Whether the precise element y belongs to the set alpha."""
     return nx_contains(alpha.nx, PreciseNum.of(y) - alpha.rep)

@@ -169,21 +169,6 @@ ONE_POLY = RhoPoly.constant(1)
 RHO = RhoPoly.rho_power(1)
 
 
-def compare_poly(a: RhoPoly, b: RhoPoly) -> Ordering:
-    return Ordering.from_sign((a - b).sign())
-
-
-def poly_arith(a: RhoPoly, b: RhoPoly, op: str) -> RhoPoly:
-    """Formal sum/difference/product; invariants restored (zero terms dropped)."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown polynomial operation {op!r}")
-
-
 def _exponent_step(exponents: Iterable[Fraction]) -> Fraction:
     """Generator of the cyclic subgroup of Q spanned by the given exponents.
 
@@ -321,7 +306,6 @@ class PreciseNum:
 PreciseLike = Union[PreciseNum, RhoPoly, int, Fraction]
 
 PRECISE_ZERO = PreciseNum(ZERO_POLY)
-PRECISE_ONE = PreciseNum(ONE_POLY)
 
 
 def degree(x: PreciseNum) -> Fraction | float:
@@ -333,17 +317,35 @@ def compare_precise(a: PreciseLike, b: PreciseLike) -> Ordering:
     return Ordering.from_sign((PreciseNum.of(a) - PreciseNum.of(b)).sign())
 
 
-def precise_arith(a: PreciseNum, b: PreciseNum, op: str) -> PreciseNum:
-    """Exact field arithmetic on ratios of RhoPolys."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown precise operation {op!r}")
+def _long_division(
+    num: RhoPoly, den: RhoPoly, floor: Fraction, strict: bool
+) -> tuple[RhoPoly, RhoPoly]:
+    """Long division with descending quotient exponents, stopped at ``floor``.
+
+    Returns ``(quotient, remainder)`` with num = quotient*den + remainder,
+    where the quotient holds the expansion terms with exponent > floor
+    (``strict``) or >= floor (not ``strict``).  This terminates because all
+    exponents live in the cyclic subgroup delta*Z of the rationals spanned by
+    the exponents of num, den and the floor, so every division step lowers the
+    remainder's degree by at least delta.  The step-count guard failing means
+    a bug, not bad input.
+    """
+    step = _exponent_step([e for e, _ in num.terms] + [e for e, _ in den.terms] + [floor])
+    span = num.degree() - den.degree() - floor
+    max_steps = int(span / step) + len(num.terms) + len(den.terms) + 8
+
+    out: list[tuple[Fraction, Fraction]] = []
+    rem = num
+    while not rem.is_zero():
+        e = rem.degree() - den.degree()
+        if e < floor or (strict and e == floor):
+            break
+        c = rem.leading_coeff() / den.leading_coeff()
+        out.append((e, c))
+        rem = rem - den.shift(e).scale(c)
+        if len(out) > max_steps:
+            raise InternalError("long division exceeded its termination bound")
+    return RhoPoly(tuple(out)), rem
 
 
 def series_expand(x: PreciseLike, cutoff: RationalLike, strict: bool) -> RhoPoly:
@@ -351,43 +353,16 @@ def series_expand(x: PreciseLike, cutoff: RationalLike, strict: bool) -> RhoPoly
 
     Returns the polynomial ``p`` whose terms are exactly the expansion terms
     with exponent > cutoff (``strict``) or >= cutoff (not ``strict``), so that
-    degree(x - p) falls below that threshold.  Computed by long division with
-    descending exponents; this terminates because all exponents live in the
-    cyclic subgroup delta*Z of the rationals spanned by the exponents of num,
-    den and the cutoff, so every division step lowers the remainder's degree
-    by at least delta.  The step-count guard failing means a bug, not bad
-    input.
+    degree(x - p) falls below that threshold.
     """
     x = PreciseNum.of(x)
     cutoff = _as_fraction(cutoff)
     if x.is_zero():
         return ZERO_POLY
-    num, den = x.num, x.den
-    keep = (lambda e: e > cutoff) if strict else (lambda e: e >= cutoff)
-
-    if den == ONE_POLY:
-        return RhoPoly(tuple((e, c) for e, c in num.terms if keep(e)))
-
-    step = _exponent_step(
-        [e for e, _ in num.terms] + [e for e, _ in den.terms] + [cutoff]
-    )
-    span = num.degree() - den.degree() - cutoff
-    max_steps = int(span / step) + len(num.terms) + len(den.terms) + 8
-
-    out: list[tuple[Fraction, Fraction]] = []
-    rem = num
-    steps = 0
-    while not rem.is_zero():
-        e = rem.degree() - den.degree()
-        if not keep(e):
-            break
-        c = rem.leading_coeff() / den.leading_coeff()
-        out.append((e, c))
-        rem = rem - den.shift(e).scale(c)
-        steps += 1
-        if steps > max_steps:
-            raise InternalError("series expansion exceeded its termination bound")
-    return RhoPoly(tuple(out))
+    if x.den == ONE_POLY:
+        keep = (lambda e: e > cutoff) if strict else (lambda e: e >= cutoff)
+        return RhoPoly(tuple((e, c) for e, c in x.num.terms if keep(e)))
+    return _long_division(x.num, x.den, cutoff, strict)[0]
 
 
 def as_polynomial(x: PreciseNum) -> RhoPoly | None:
@@ -401,18 +376,9 @@ def as_polynomial(x: PreciseNum) -> RhoPoly | None:
         return x.num
     if x.num.is_zero():
         return ZERO_POLY
-    num, den = x.num, x.den
-    floor_exp = num.min_exponent() - den.min_exponent()
-    out: list[tuple[Fraction, Fraction]] = []
-    rem = num
-    while not rem.is_zero():
-        e = rem.degree() - den.degree()
-        if e < floor_exp:
-            return None
-        c = rem.leading_coeff() / den.leading_coeff()
-        out.append((e, c))
-        rem = rem - den.shift(e).scale(c)
-    return RhoPoly(tuple(out))
+    floor = x.num.min_exponent() - x.den.min_exponent()
+    quotient, rem = _long_division(x.num, x.den, floor, strict=False)
+    return quotient if rem.is_zero() else None
 
 
 def _render_exponent(q: Fraction) -> str:

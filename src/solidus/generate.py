@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
@@ -42,12 +42,6 @@ class GeneratorConfig:
             raise ValueError("empty exponent range")
         if self.neutrix_q_range[0] > self.neutrix_q_range[1]:
             raise ValueError("empty neutrix threshold range")
-
-    def with_seed(self, seed: int) -> "GeneratorConfig":
-        return replace(self, seed=seed)
-
-
-DEFAULT_CONFIG = GeneratorConfig()
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -180,23 +174,6 @@ class Sampler:
         if d > 0:
             x = x * PreciseNum.of(RhoPoly.rho_power(-d))
         return x
-
-
-def gen_precise(cfg: GeneratorConfig) -> PreciseNum:
-    """First precise element of the cfg-seeded stream (see Sampler for sequences)."""
-    return Sampler(cfg, "gen_precise").precise()
-
-
-def gen_neutrix(cfg: GeneratorConfig) -> Neutrix:
-    return Sampler(cfg, "gen_neutrix").neutrix()
-
-
-def gen_external(cfg: GeneratorConfig) -> ExternalNum:
-    return Sampler(cfg, "gen_external").external()
-
-
-def gen_zeroless(cfg: GeneratorConfig) -> ExternalNum:
-    return Sampler(cfg, "gen_zeroless").zeroless()
 
 
 # --- counterexample shrinking -------------------------------------------------

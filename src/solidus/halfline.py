@@ -80,19 +80,16 @@ def _below_every_representative(x: ExternalNum, b: ExternalNum) -> bool:
 
 
 def hl_member(h: Halfline, x: ExternalNum) -> bool:
+    if h.side is Side.UPPER:
+        # an upper halfline is the exact complement of its lower counterpart
+        side, kind = _COMPLEMENT[(h.side, h.kind)]
+        return not hl_member(Halfline(side, kind, h.bound), x)
     b = h.bound
-    if h.side is Side.LOWER:
-        if h.kind is HalflineKind.CLOSED:
-            return ext_compare(x, b) is not Ordering.GT
-        if h.kind is HalflineKind.OPEN:
-            return ext_compare(x, b) is Ordering.LT
-        return _below_every_representative(x, b)
     if h.kind is HalflineKind.CLOSED:
-        return ext_compare(b, x) is not Ordering.GT
+        return ext_compare(x, b) is not Ordering.GT
     if h.kind is HalflineKind.OPEN:
-        return ext_compare(b, x) is Ordering.LT
-    # some representative of b lies at or below x
-    return not _below_every_representative(x, b)
+        return ext_compare(x, b) is Ordering.LT
+    return _below_every_representative(x, b)
 
 
 def is_full_domain(h: Halfline) -> bool:

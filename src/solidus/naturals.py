@@ -138,10 +138,6 @@ class InductionReport:
         return self.holds != self.expected_fail
 
 
-def _eq(a: PreciseNum, b: PreciseNum) -> bool:
-    return a == b
-
-
 def _even_or_odd(x: PreciseNum) -> bool:
     return is_natural(x / 2) or is_natural((x - 1) / 2)
 
@@ -153,29 +149,29 @@ def _predecessor(x: PreciseNum) -> bool:
 def _catalog() -> dict[str, InductionFormula]:
     two, three, four, five, six = (PreciseNum.of(n) for n in (2, 3, 4, 5, 6))
     formulas = [
-        InductionFormula("add_zero", "x + 0 = x", lambda x: _eq(x + 0, x)),
-        InductionFormula("add_comm", "x + 3 = 3 + x", lambda x: _eq(x + three, three + x)),
+        InductionFormula("add_zero", "x + 0 = x", lambda x: x + 0 == x),
+        InductionFormula("add_comm", "x + 3 = 3 + x", lambda x: x + three == three + x),
         InductionFormula(
-            "add_assoc", "(x + 2) + 5 = x + (2 + 5)", lambda x: _eq((x + two) + five, x + (two + five))
+            "add_assoc", "(x + 2) + 5 = x + (2 + 5)", lambda x: (x + two) + five == x + (two + five)
         ),
-        InductionFormula("mul_one", "x * 1 = x", lambda x: _eq(x * 1, x)),
-        InductionFormula("mul_zero", "x * 0 = 0", lambda x: _eq(x * 0, PreciseNum.of(0))),
+        InductionFormula("mul_one", "x * 1 = x", lambda x: x * 1 == x),
+        InductionFormula("mul_zero", "x * 0 = 0", lambda x: x * 0 == PreciseNum.of(0)),
         InductionFormula(
-            "mul_succ", "x * (4 + 1) = x * 4 + x", lambda x: _eq(x * (four + 1), x * four + x)
+            "mul_succ", "x * (4 + 1) = x * 4 + x", lambda x: x * (four + 1) == x * four + x
         ),
-        InductionFormula("mul_comm", "x * 6 = 6 * x", lambda x: _eq(x * six, six * x)),
+        InductionFormula("mul_comm", "x * 6 = 6 * x", lambda x: x * six == six * x),
         InductionFormula(
-            "mul_assoc", "x * (2 * 3) = (x * 2) * 3", lambda x: _eq(x * (two * three), (x * two) * three)
+            "mul_assoc", "x * (2 * 3) = (x * 2) * 3", lambda x: x * (two * three) == (x * two) * three
         ),
         InductionFormula(
-            "distrib", "x * (2 + 5) = x * 2 + x * 5", lambda x: _eq(x * (two + five), x * two + x * five)
+            "distrib", "x * (2 + 5) = x * 2 + x * 5", lambda x: x * (two + five) == x * two + x * five
         ),
         InductionFormula(
             "square_expand",
             "(x + 1) * (x + 1) = x * x + 2 * x + 1",
-            lambda x: _eq((x + 1) * (x + 1), x * x + two * x + 1),
+            lambda x: (x + 1) * (x + 1) == x * x + two * x + 1,
         ),
-        InductionFormula("double", "x + x = 2 * x", lambda x: _eq(x + x, two * x)),
+        InductionFormula("double", "x + x = 2 * x", lambda x: x + x == two * x),
         InductionFormula("predecessor", "x = 0 or exists y with x = y + 1", _predecessor),
         InductionFormula(
             "even_or_odd",

@@ -26,7 +26,9 @@ from .field import (
     PreciseLike,
     PreciseNum,
     RationalLike,
+    RhoPoly,
     _as_fraction,
+    _render_exponent,
 )
 
 
@@ -62,9 +64,6 @@ class Neutrix:
         if self.kind is NeutrixKind.CLOSED_CUT:
             return (1, self.q, 1)
         return (2, Fraction(0), 0)
-
-    def is_idempotent(self) -> bool:
-        return is_idempotent(self)
 
     def __str__(self) -> str:
         return render_neutrix(self)
@@ -169,9 +168,9 @@ def decompose(a: Neutrix) -> tuple[PreciseNum, Neutrix]:
     and the canonical choice is the pure power rho^q.
     """
     if a.kind is NeutrixKind.OPEN_CUT:
-        return PreciseNum.of(_rho_power(a.q)), INFINITESIMALS
+        return PreciseNum.of(RhoPoly.rho_power(a.q)), INFINITESIMALS
     if a.kind is NeutrixKind.CLOSED_CUT:
-        return PreciseNum.of(_rho_power(a.q)), LIMITED
+        return PreciseNum.of(RhoPoly.rho_power(a.q)), LIMITED
     return PreciseNum.of(1), a
 
 
@@ -190,12 +189,6 @@ def is_ideal_of(e: Neutrix, j: Neutrix) -> bool:
     return e in (NX_ZERO, FULL)
 
 
-def _rho_power(q: Fraction):
-    from .field import RhoPoly
-
-    return RhoPoly.rho_power(q)
-
-
 def render_neutrix(a: Neutrix) -> str:
     if a.kind is NeutrixKind.ZERO:
         return "0"
@@ -204,6 +197,4 @@ def render_neutrix(a: Neutrix) -> str:
     letter = "o" if a.kind is NeutrixKind.OPEN_CUT else "L"
     if a.q == 0:
         return letter
-    from .field import _render_exponent
-
     return f"{_render_exponent(a.q)}*{letter}"

@@ -21,8 +21,6 @@ from solidus.field import (
     as_polynomial,
     compare_precise,
     degree,
-    poly_arith,
-    precise_arith,
     render_poly,
     series_expand,
 )
@@ -85,14 +83,6 @@ class TestRhoPoly:
         exps = [e for e, _ in p.terms]
         assert exps == sorted(exps, reverse=True)
         assert all(c != 0 for _, c in p.terms)
-
-    def test_poly_arith_dispatch(self):
-        a, b = poly((1, 2)), poly((0, 5))
-        assert poly_arith(a, b, "add") == a + b
-        assert poly_arith(a, b, "sub") == a - b
-        assert poly_arith(a, b, "mul") == a * b
-        with pytest.raises(ValueError):
-            poly_arith(a, b, "pow")
 
 
 class TestPreciseNum:
@@ -226,15 +216,6 @@ class TestOrderedFieldLaws:
         assert ds <= max(da, db)
         if da != db:
             assert ds == max(da, db)
-
-    def test_precise_arith_dispatch(self):
-        a, b = PreciseNum.of(3), PreciseNum.of(RHO)
-        for op in ("add", "sub", "mul", "div"):
-            precise_arith(a, b, op)
-        with pytest.raises(ValueError):
-            precise_arith(a, b, "mod")
-        with pytest.raises(ZeroDivisionError):
-            precise_arith(a, PreciseNum.of(0), "div")
 
 
 class TestSeriesExpand:

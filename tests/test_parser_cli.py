@@ -145,6 +145,11 @@ class TestCommands:
         out = run_command(":check --count 3 --only thm.oslash_pound")
         assert out.splitlines()[0] == "thm.oslash_pound\tpass\t1\t0"
 
+    def test_check_rejects_non_positive_count(self):
+        for count in ("0", "-1", "-2"):
+            out = run_command(f":check --count {count} --only thm.oslash_pound")
+            assert out == "usage: :check [--seed S] [--count N] [--only ID]"
+
 
 class TestMainEntry:
     def test_batch_mode(self, tmp_path, capsys):
@@ -163,6 +168,15 @@ class TestMainEntry:
         out = capsys.readouterr().out
         assert code == 0
         assert "thm.chain\tpass" in out
+
+    def test_check_mode_rejects_non_positive_count(self, capsys):
+        for count in ("0", "-2"):
+            with pytest.raises(SystemExit) as exc:
+                main(["--check", "--count", count, "--only", "axiom.add.comm"])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "--count: must be positive" in captured.err
 
     def test_check_mode_unknown_id(self, capsys):
         code = main(["--check", "--only", "thm.nonexistent"])
