@@ -41,7 +41,7 @@ from .external import (
     unity,
 )
 from .field import Ordering, PreciseNum, RhoPoly
-from .generate import GeneratorConfig, Sampler, shrink
+from .generate import COEFF_BOUND, GeneratorConfig, Sampler, shrink
 from .halfline import (
     Halfline,
     HalflineKind,
@@ -459,7 +459,7 @@ def _d_naturals(s: Sampler) -> tuple:
     def nat_poly() -> RhoPoly:
         n = s.rng.randint(0, 2)
         p = RhoPoly.from_terms(
-            (s.rng.randint(0, 2), s.rng.randint(-s.cfg.coeff_bound, s.cfg.coeff_bound))
+            (s.rng.randint(0, 2), s.rng.randint(-COEFF_BOUND, COEFF_BOUND))
             for _ in range(n)
         )
         return -p if p.sign() < 0 else p

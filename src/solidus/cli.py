@@ -19,7 +19,7 @@ from .generate import GeneratorConfig
 from .halfline import zup_finite
 from .naturals import archimedean_witness, is_natural
 from .neutrix import NeutrixKind
-from .parser import EvalError, ParseError, evaluate, parse, parse_expr_list
+from .parser import evaluate, parse, parse_expr_list
 
 
 HELP_TEXT = """\
@@ -91,8 +91,10 @@ def run_command(line: str) -> str:
     """Execute one REPL line and return the rendered output (never raises)."""
     try:
         return _dispatch(line)
-    except (ParseError, EvalError, SolidusError) as exc:
+    except SolidusError as exc:  # ParseError and EvalError included
         return f"error: {exc}"
+    except RecursionError:
+        return "error: expression nested too deeply"
 
 
 def _dispatch(line: str) -> str:

@@ -88,6 +88,9 @@ class ExternalNum:
             return self.nx == other.nx and self.rep == other.rep
         return NotImplemented
 
+    def __hash__(self) -> int:
+        return hash((self.rep, self.nx))
+
     def __lt__(self, other: "ExternalLike") -> bool:
         return ext_compare(self, as_external(other)) is Ordering.LT
 

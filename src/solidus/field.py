@@ -52,6 +52,12 @@ def _as_fraction(x: RationalLike) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
+def _value_hash(degree: Fraction | float, lead: Fraction) -> int:
+    """Hash of a precise value from its leading term, shared by RhoPoly and
+    PreciseNum, which compare equal by value; constants hash like numbers."""
+    return hash(lead) if degree == 0 or not lead else hash((degree, lead))
+
+
 @dataclass(frozen=True)
 class RhoPoly:
     """Finite formal sum of rational powers of rho.
@@ -156,6 +162,9 @@ class RhoPoly:
         return RhoPoly.from_terms(
             (e1 + e2, c1 * c2) for e1, c1 in self.terms for e2, c2 in other.terms
         )
+
+    def __hash__(self) -> int:
+        return _value_hash(self.degree(), self.leading_coeff())
 
     def __str__(self) -> str:
         return render_poly(self)
@@ -283,6 +292,10 @@ class PreciseNum:
         if isinstance(other, (PreciseNum, RhoPoly, int, Fraction)):
             return (self - PreciseNum.of(other)).is_zero()
         return NotImplemented
+
+    def __hash__(self) -> int:
+        # den is monic of degree zero, so num's leading term is the value's
+        return _value_hash(self.num.degree(), self.num.leading_coeff())
 
     def __lt__(self, other: "PreciseLike") -> bool:
         return (self - PreciseNum.of(other)).sign() < 0

@@ -3,7 +3,8 @@
 Sampling is seeded per check id, so reports are reproducible bit for bit.  The
 distributions are not dictated by anything except usefulness: exponents are
 drawn on a coarse grid and group members are clustered near the neutrix
-threshold, where absorption bugs live.  All knobs sit in GeneratorConfig.
+threshold, where absorption bugs live.  The bounds are module constants;
+GeneratorConfig carries only the seed.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import random
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 from .external import Classification, ExternalNum, canonicalize, classify
 from .field import ONE_POLY, PreciseNum, RhoPoly
@@ -26,22 +27,17 @@ from .neutrix import (
 )
 
 
+MAX_TERMS = 3
+COEFF_BOUND = 9
+EXPONENT_DENOMINATOR_BOUND = 2
+EXPONENT_RANGE = (Fraction(-2), Fraction(2))
+NEUTRIX_Q_RANGE = (Fraction(-2), Fraction(2))
+SHRINK_MAX_ROUNDS = 200
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     seed: int = 0
-    max_terms: int = 3
-    coeff_bound: int = 9
-    exponent_denominator_bound: int = 2
-    exponent_range: tuple[Fraction, Fraction] = (Fraction(-2), Fraction(2))
-    neutrix_q_range: tuple[Fraction, Fraction] = (Fraction(-2), Fraction(2))
-
-    def __post_init__(self):
-        if self.max_terms <= 0 or self.coeff_bound <= 0 or self.exponent_denominator_bound <= 0:
-            raise ValueError("generator bounds must be positive")
-        if self.exponent_range[0] > self.exponent_range[1]:
-            raise ValueError("empty exponent range")
-        if self.neutrix_q_range[0] > self.neutrix_q_range[1]:
-            raise ValueError("empty neutrix threshold range")
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -50,10 +46,9 @@ def derive_seed(seed: int, label: str) -> int:
 
 
 class Sampler:
-    """Random source bound to one GeneratorConfig."""
+    """Random source seeded from one GeneratorConfig and a label."""
 
     def __init__(self, cfg: GeneratorConfig, label: str = ""):
-        self.cfg = cfg
         self.rng = random.Random(derive_seed(cfg.seed, label))
 
     # -- scalars ---------------------------------------------------------
@@ -61,13 +56,13 @@ class Sampler:
     def coefficient(self) -> Fraction:
         c = 0
         while c == 0:
-            c = self.rng.randint(-self.cfg.coeff_bound, self.cfg.coeff_bound)
+            c = self.rng.randint(-COEFF_BOUND, COEFF_BOUND)
         if self.rng.random() < 0.25:
             return Fraction(c, self.rng.randint(2, 4))
         return Fraction(c)
 
     def _grid(self, lo: Fraction, hi: Fraction) -> Fraction:
-        den = self.rng.randint(1, self.cfg.exponent_denominator_bound)
+        den = self.rng.randint(1, EXPONENT_DENOMINATOR_BOUND)
         lo_n = -(-lo.numerator * den // lo.denominator)  # ceil(lo*den)
         hi_n = hi.numerator * den // hi.denominator      # floor(hi*den)
         if lo_n > hi_n:
@@ -75,16 +70,15 @@ class Sampler:
         return Fraction(self.rng.randint(lo_n, hi_n), den)
 
     def exponent(self) -> Fraction:
-        return self._grid(*self.cfg.exponent_range)
+        return self._grid(*EXPONENT_RANGE)
 
     def threshold(self) -> Fraction:
-        return self._grid(*self.cfg.neutrix_q_range)
+        return self._grid(*NEUTRIX_Q_RANGE)
 
     # -- field elements ----------------------------------------------------
 
-    def rhopoly(self, max_terms: Optional[int] = None, allow_zero: bool = True) -> RhoPoly:
-        n_max = self.cfg.max_terms if max_terms is None else max_terms
-        n = self.rng.randint(0 if allow_zero else 1, n_max)
+    def rhopoly(self, max_terms: int = MAX_TERMS, allow_zero: bool = True) -> RhoPoly:
+        n = self.rng.randint(0 if allow_zero else 1, max_terms)
         # distinct exponents, so merging never pushes coefficients past the bound
         exponents: set = set()
         attempts = 0
@@ -96,7 +90,7 @@ class Sampler:
             return RhoPoly.constant(self.coefficient())
         return p
 
-    def nonzero_rhopoly(self, max_terms: Optional[int] = None) -> RhoPoly:
+    def nonzero_rhopoly(self, max_terms: int = MAX_TERMS) -> RhoPoly:
         return self.rhopoly(max_terms, allow_zero=False)
 
     def precise(self, ratio_probability: float = 0.2) -> PreciseNum:
@@ -157,7 +151,7 @@ class Sampler:
             if classify(alpha) is not Classification.PURE_NEUTRIX:
                 return alpha
         # Ensure a representative with degree above any threshold we can draw.
-        hi = self.cfg.neutrix_q_range[1] + 1
+        hi = NEUTRIX_Q_RANGE[1] + 1
         return canonicalize(RhoPoly.rho_power(hi), self.neutrix())
 
     def positive_zeroless(self) -> ExternalNum:
@@ -240,10 +234,10 @@ def _candidates(value) -> Iterator:
         yield from _neutrix_candidates(value)
 
 
-def shrink(values: tuple, still_fails: Callable[[tuple], bool], max_rounds: int = 200) -> tuple:
+def shrink(values: tuple, still_fails: Callable[[tuple], bool]) -> tuple:
     """Greedy minimization: keep any single-component simplification that still fails."""
     current = tuple(values)
-    for _ in range(max_rounds):
+    for _ in range(SHRINK_MAX_ROUNDS):
         improved = False
         for i, value in enumerate(current):
             for candidate in _candidates(value):

@@ -20,9 +20,10 @@ integer.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
 from .errors import ParseError, SolidusError
 from .external import (
@@ -62,7 +63,7 @@ class Sym:
 
 @dataclass(frozen=True)
 class Unary:
-    op: str  # neg | e | u | inv | abs | shadow
+    op: str  # - | e | u | inv | abs | shadow
     arg: "Expr"
     pos: int
 
@@ -103,48 +104,47 @@ class Token:
     pos: int  # 1-based column
 
 
-_PUNCT = ("<=", "+", "-", "*", "/", "^", "(", ")", ",", "=", "<")
+# ASCII digits and identifiers only: str.isdigit would admit '²', which int() rejects
+_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op><=|[-+*/^(),=<])|\s+")
 
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
     i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            tokens.append(Token("int", source[i:j], i + 1))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(Token("name", source[i:j], i + 1))
-            i = j
-            continue
-        for punct in _PUNCT:
-            if source.startswith(punct, i):
-                tokens.append(Token("op", punct, i + 1))
-                i += len(punct)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i + 1)
-    tokens.append(Token("end", "", n + 1))
+    while i < len(source):
+        match = _TOKEN.match(source, i)
+        if match is None:
+            raise ParseError(f"unexpected character {source[i]!r}", i + 1)
+        if match.lastgroup:
+            tokens.append(Token(match.lastgroup, match.group(), i + 1))
+        i = match.end()
+    tokens.append(Token("end", "", len(source) + 1))
     return tokens
 
 
+# --- operator tables --------------------------------------------------------------
+
+
+_SYMBOLS = {
+    "rho": canonicalize(RhoPoly.rho_power(1)),
+    "o": pure(INFINITESIMALS),
+    "L": pure(LIMITED),
+    "M": pure(FULL),
+}
+# '-' is prefix negation; every other key is also a function name in the grammar
+_FUNCTIONS = {
+    "-": ext_neg,
+    "e": magnitude,
+    "u": unity,
+    "inv": ext_inv,
+    "abs": ext_abs,
+    "shadow": shadow,
+}
+_BINARY = {"+": ext_add, "-": ext_sub, "*": ext_mul, "/": ext_div}
+_COMPARISONS = {"=": {Ordering.EQ}, "<": {Ordering.LT}, "<=": {Ordering.LT, Ordering.EQ}}
+
+
 # --- parser ---------------------------------------------------------------------
-
-
-_SYMBOLS = {"rho", "o", "L", "M"}
-_FUNCTIONS = {"e", "u", "inv", "abs", "shadow"}
 
 
 class Parser:
@@ -172,27 +172,24 @@ class Parser:
 
     def parse_compare(self) -> Expr:
         left = self.parse_expr()
-        if self.at_op("=", "<", "<="):
+        if self.at_op(*_COMPARISONS):
             tok = self.advance()
             right = self.parse_expr()
             return Cmp(tok.text, left, right, tok.pos)
         return left
 
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while self.at_op("+", "-"):
+    def parse_left_assoc(self, operand: Callable[[], Expr], *ops: str) -> Expr:
+        node = operand()
+        while self.at_op(*ops):
             tok = self.advance()
-            right = self.parse_term()
-            node = BinOp(tok.text, node, right, tok.pos)
+            node = BinOp(tok.text, node, operand(), tok.pos)
         return node
 
+    def parse_expr(self) -> Expr:
+        return self.parse_left_assoc(self.parse_term, "+", "-")
+
     def parse_term(self) -> Expr:
-        node = self.parse_factor()
-        while self.at_op("*", "/"):
-            tok = self.advance()
-            right = self.parse_factor()
-            node = BinOp(tok.text, node, right, tok.pos)
-        return node
+        return self.parse_left_assoc(self.parse_factor, "*", "/")
 
     def parse_factor(self) -> Expr:
         node = self.parse_atom()
@@ -239,7 +236,7 @@ class Parser:
         if tok.kind == "op" and tok.text == "-":
             # binds looser than '^' so canonical text like -rho^2 means -(rho^2)
             self.advance()
-            return Unary("neg", self.parse_factor(), tok.pos)
+            return Unary("-", self.parse_factor(), tok.pos)
         if tok.kind == "op" and tok.text == "(":
             self.advance()
             inner = self.parse_expr()
@@ -257,30 +254,27 @@ class Parser:
             raise ParseError(f"unknown identifier {tok.text!r}", tok.pos)
         raise ParseError("expected a value", tok.pos)
 
-    def parse_full(self) -> Expr:
-        node = self.parse_compare()
-        tok = self.current
-        if tok.kind != "end":
-            raise ParseError(f"unexpected {tok.text!r}", tok.pos)
-        return node
 
-
-def parse(source: str) -> Expr:
-    """Parse one expression or comparison; raises ParseError with a column."""
-    return Parser(source).parse_full()
-
-
-def parse_expr_list(source: str) -> list[Expr]:
-    """Parse a comma-separated list of expressions."""
+def _parse_items(source: str, many: bool) -> list[Expr]:
     parser = Parser(source)
     items = [parser.parse_compare()]
-    while parser.at_op(","):
+    while many and parser.at_op(","):
         parser.advance()
         items.append(parser.parse_compare())
     tok = parser.current
     if tok.kind != "end":
         raise ParseError(f"unexpected {tok.text!r}", tok.pos)
     return items
+
+
+def parse(source: str) -> Expr:
+    """Parse one expression or comparison; raises ParseError with a column."""
+    return _parse_items(source, many=False)[0]
+
+
+def parse_expr_list(source: str) -> list[Expr]:
+    """Parse a comma-separated list of expressions."""
+    return _parse_items(source, many=True)
 
 
 # --- evaluator --------------------------------------------------------------------
@@ -292,13 +286,6 @@ class EvalError(SolidusError):
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (column {pos})")
         self.pos = pos
-
-
-_SYMBOL_VALUES = {
-    "o": INFINITESIMALS,
-    "L": LIMITED,
-    "M": FULL,
-}
 
 
 def _as_rho_power(value: ExternalNum, pos: int) -> Fraction:
@@ -329,41 +316,7 @@ def evaluate(expr: Expr) -> ExternalNum | bool:
     if isinstance(expr, Lit):
         return canonicalize(expr.value)
     if isinstance(expr, Sym):
-        if expr.name == "rho":
-            return canonicalize(RhoPoly.rho_power(1))
-        return pure(_SYMBOL_VALUES[expr.name])
-    if isinstance(expr, Unary):
-        arg = _value(expr.arg)
-        try:
-            if expr.op == "neg":
-                return ext_neg(arg)
-            if expr.op == "e":
-                return magnitude(arg)
-            if expr.op == "u":
-                return unity(arg)
-            if expr.op == "inv":
-                return ext_inv(arg)
-            if expr.op == "abs":
-                return ext_abs(arg)
-            if expr.op == "shadow":
-                return shadow(arg)
-        except SolidusError as exc:
-            raise EvalError(str(exc), expr.pos) from None
-        raise EvalError(f"unknown operator {expr.op!r}", expr.pos)
-    if isinstance(expr, BinOp):
-        left, right = _value(expr.left), _value(expr.right)
-        try:
-            if expr.op == "+":
-                return ext_add(left, right)
-            if expr.op == "-":
-                return ext_sub(left, right)
-            if expr.op == "*":
-                return ext_mul(left, right)
-            if expr.op == "/":
-                return ext_div(left, right)
-        except SolidusError as exc:
-            raise EvalError(str(exc), expr.pos) from None
-        raise EvalError(f"unknown operator {expr.op!r}", expr.pos)
+        return _SYMBOLS[expr.name]
     if isinstance(expr, Pow):
         base = _value(expr.base)
         if expr.exponent.denominator == 1:
@@ -371,14 +324,17 @@ def evaluate(expr: Expr) -> ExternalNum | bool:
         q = _as_rho_power(base, expr.pos)
         return canonicalize(RhoPoly.rho_power(q * expr.exponent))
     if isinstance(expr, Cmp):
-        left, right = _value(expr.left), _value(expr.right)
-        order = ext_compare(left, right)
-        if expr.op == "=":
-            return order is Ordering.EQ
-        if expr.op == "<":
-            return order is Ordering.LT
-        return order is not Ordering.GT
-    raise EvalError("unknown expression node", getattr(expr, "pos", 1))
+        return ext_compare(_value(expr.left), _value(expr.right)) in _COMPARISONS[expr.op]
+    if isinstance(expr, Unary):
+        op, args = _FUNCTIONS[expr.op], (_value(expr.arg),)
+    elif isinstance(expr, BinOp):
+        op, args = _BINARY[expr.op], (_value(expr.left), _value(expr.right))
+    else:
+        raise EvalError("unknown expression node", getattr(expr, "pos", 1))
+    try:
+        return op(*args)
+    except SolidusError as exc:
+        raise EvalError(str(exc), expr.pos) from None
 
 
 def _value(expr: Expr) -> ExternalNum:

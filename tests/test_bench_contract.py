@@ -9,7 +9,7 @@ import importlib
 import sys
 from pathlib import Path
 
-from solidus.checks import REGISTRY
+from solidus.checks import REGISTRY, format_reports, run_catalog
 from solidus.generate import GeneratorConfig, Sampler
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -52,3 +52,12 @@ def test_registry_entries_expose_what_the_bench_reads():
             assert values == (), chk.check_id
         else:
             assert len(values) == len(chk.names), chk.check_id
+
+
+def test_bench_replay_matches_run_catalog():
+    # pins GeneratorConfig(seed=), Sampler(cfg, label) and shrink(values, still_fails)
+    tracing = _import_bench("tracing")
+    ids = ["mutant.distributivity_naive"]
+    cfg = GeneratorConfig(seed=3)
+    replayed = tracing.replay_catalog(tracing.Tracer(), ids, cfg, 5, [])
+    assert format_reports(replayed) == format_reports(run_catalog(cfg, 5, ids[0]))

@@ -19,7 +19,14 @@ from solidus.checks import (
 from solidus.errors import UnknownCheckError
 from solidus.external import Classification, canonicalize, classify, ext_member
 from solidus.field import PreciseNum, RhoPoly
-from solidus.generate import GeneratorConfig, Sampler, shrink
+from solidus.generate import (
+    COEFF_BOUND,
+    EXPONENT_RANGE,
+    MAX_TERMS,
+    GeneratorConfig,
+    Sampler,
+    shrink,
+)
 from solidus.neutrix import (
     INFINITESIMALS,
     LIMITED,
@@ -67,16 +74,10 @@ class TestGenerators:
         s = Sampler(CFG, "bounds")
         for _ in range(200):
             p = s.rhopoly()
-            assert len(p.terms) <= CFG.max_terms
+            assert len(p.terms) <= MAX_TERMS
             for e, c in p.terms:
-                assert abs(c.numerator) <= CFG.coeff_bound * c.denominator
-                assert CFG.exponent_range[0] <= e <= CFG.exponent_range[1]
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            GeneratorConfig(max_terms=0)
-        with pytest.raises(ValueError):
-            GeneratorConfig(coeff_bound=-1)
+                assert abs(c.numerator) <= COEFF_BOUND * c.denominator
+                assert EXPONENT_RANGE[0] <= e <= EXPONENT_RANGE[1]
 
 
 class TestShrink:

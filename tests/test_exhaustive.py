@@ -43,9 +43,8 @@ def _enumerate_values():
     seen = set()
     for p, nx in itertools.product(polys, neutrices):
         v = canonicalize(p, nx)
-        key = (v.nx, v.rep.num.terms, v.rep.den.terms)
-        if key not in seen:
-            seen.add(key)
+        if v not in seen:
+            seen.add(v)
             values.append(v)
     return values
 

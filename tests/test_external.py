@@ -38,6 +38,8 @@ from solidus.external import (
     unity,
 )
 from solidus.field import ONE_POLY, Ordering, PreciseNum, RHO, RhoPoly
+from solidus.generate import GeneratorConfig, Sampler
+from solidus.halfline import HalflineKind, lower
 from solidus.neutrix import (
     FULL,
     INFINITESIMALS,
@@ -99,6 +101,31 @@ class TestCanonicalize:
     def test_equal_iff_same_parts(self):
         assert canonicalize(3 + 0, LIMITED) == canonicalize(5, LIMITED)
         assert canonicalize(rp(1), LIMITED) != canonicalize(rp(1), INFINITESIMALS)
+
+
+class TestHashing:
+    def test_equal_values_hash_equal(self):
+        s = Sampler(GeneratorConfig(seed=5), "hash")
+        r = PreciseNum.of(RhoPoly.from_terms([(1, 1), (0, 1)]))
+        for _ in range(200):
+            y = s.precise()
+            pairs = [((y * r) / r, y), (PreciseNum.of(y.num), y.num)]
+            x = s.external()
+            pairs.append((canonicalize(s.representative_of(x), x.nx), x))
+            for a, b in pairs:
+                assert a == b and hash(a) == hash(b), (a, b)
+
+    def test_constants_hash_like_numbers(self):
+        assert hash(PreciseNum.of(3)) == hash(3)
+        assert hash(PreciseNum.of(F(1, 2))) == hash(F(1, 2))
+        assert hash(PreciseNum.of(0)) == hash(RhoPoly()) == hash(0)
+        assert hash(RhoPoly.constant(2)) == hash(PreciseNum.of(2))
+        assert len({PreciseNum.of(2), 2, F(4, 2)}) == 1
+
+    def test_values_and_halflines_are_hashable(self):
+        one = canonicalize(1)
+        assert hash(lower(HalflineKind.CLOSED, one)) == hash(lower(HalflineKind.CLOSED, canonicalize(1)))
+        assert len({one, canonicalize(F(2, 2)), canonicalize(1, LIMITED), canonicalize(3, LIMITED)}) == 2
 
 
 class TestAddSub:

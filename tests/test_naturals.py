@@ -12,7 +12,6 @@ from solidus.naturals import (
     archimedean_witness,
     induction_spotcheck,
     is_natural,
-    natural,
     run_induction_battery,
 )
 from solidus.neutrix import FULL, INFINITESIMALS, LIMITED
@@ -57,12 +56,6 @@ class TestIsNatural:
             for mid in (x + F(1, 2), x + F(1, 3), x + PreciseNum.of(rp(-1))):
                 assert x < mid < x + 1
                 assert not is_natural(mid)
-
-    def test_witness_constructor(self):
-        w = natural(RhoPoly.from_terms([(1, 1), (0, 2)]))
-        assert str(w) == "rho + 2"
-        with pytest.raises(PreconditionFailedError):
-            natural(F(1, 2))
 
 
 class TestArchimedeanWitness:

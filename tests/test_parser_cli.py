@@ -49,6 +49,15 @@ class TestParse:
                 parse(text)
             assert err.value.column == col, text
 
+    def test_ascii_only(self):
+        # '²' and '٣' are digits to str.isdigit but not to the grammar
+        cases = {"²": 1, "1²": 2, "1 + ٣": 5, "rhoé": 4, "é": 1}
+        for text, col in cases.items():
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert err.value.column == col, text
+            assert run_command(text).startswith("error: unexpected character"), text
+
     def test_comparison_nodes(self):
         tree = parse("1 + o <= 1 + L")
         assert isinstance(tree, Cmp) and tree.op == "<="
@@ -136,6 +145,12 @@ class TestCommands:
         assert run_command(":cmp 1").startswith("error:")
         assert run_command(":wibble 1").startswith("error:")
         assert run_command("rho^").startswith("error:")
+
+    def test_deep_nesting_is_an_error(self):
+        for text in ("1" + "+1" * 2000, "(" * 1500 + "1" + ")" * 1500, "-" * 3000 + "1"):
+            assert run_command(text) == "error: expression nested too deeply"
+            assert run_command(f":cmp {text} , 1") == "error: expression nested too deeply"
+        assert run_command("1 + 1") == "2"
 
     def test_blank_and_comment_lines(self):
         assert run_command("") == ""
