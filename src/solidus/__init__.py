@@ -104,7 +104,6 @@ from .halfline import (
 from .naturals import (
     INDUCTION_CATALOG,
     InductionReport,
-    NaturalWitness,
     archimedean_witness,
     induction_spotcheck,
     is_natural,
@@ -114,12 +113,12 @@ from .generate import GeneratorConfig, Sampler
 from .checks import (
     CheckFailure,
     CheckReport,
-    check,
     exit_code,
     format_report,
     format_reports,
     minkowski_oracle,
     run_catalog,
+    run_check,
 )
 from .parser import evaluate, parse
 

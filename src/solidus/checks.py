@@ -58,6 +58,7 @@ from .naturals import (
     archimedean_witness,
     induction_spotcheck,
     is_natural,
+    run_induction_battery,
 )
 from .neutrix import (
     FULL,
@@ -181,9 +182,10 @@ def resolve_check_id(check_id: str) -> str:
     raise UnknownCheckError(check_id)
 
 
-def run_check(check_id: str, cfg: GeneratorConfig, n: int) -> CheckReport:
+def run_check(check_id: str, cfg: GeneratorConfig | None = None, n: int = 1000) -> CheckReport:
+    """Evaluate one registered law; raises UnknownCheckError for bad ids."""
     chk = REGISTRY[resolve_check_id(check_id)]
-    sampler = Sampler(cfg, chk.check_id)
+    sampler = Sampler(cfg or GeneratorConfig(), chk.check_id)
     count = 1 if chk.single else n
     report = CheckReport(chk.check_id, count, expect_failures=chk.expect_failures)
     if chk.note:
@@ -215,11 +217,6 @@ def run_check(check_id: str, cfg: GeneratorConfig, n: int) -> CheckReport:
     return report
 
 
-def check(check_id: str, cfg: GeneratorConfig | None = None, n: int = 1000) -> CheckReport:
-    """Evaluate one registered law; raises UnknownCheckError for bad ids."""
-    return run_check(check_id, cfg or GeneratorConfig(), n)
-
-
 def catalog_ids(groups: tuple[str, ...] | None = None) -> list[str]:
     return [cid for cid, chk in REGISTRY.items() if groups is None or chk.group in groups]
 
@@ -229,7 +226,6 @@ def run_catalog(
     n: int = 1000,
     only: str | None = None,
 ) -> list[CheckReport]:
-    cfg = cfg or GeneratorConfig()
     if only is not None:
         resolved = resolve_check_id(only) if (only in REGISTRY or only in ALIASES) else None
         ids = [resolved] if resolved else [cid for cid in REGISTRY if cid.startswith(only)]
@@ -329,16 +325,10 @@ def _witness_above(a: ExternalNum, b: ExternalNum) -> PreciseNum:
 # --- draws ---------------------------------------------------------------------
 
 
-def _d_ext(k: int):
+def _d(method: Callable[[Sampler], object], k: int = 1):
+    """Draw k values by k calls of ``method(sampler)``, e.g. ``_d(Sampler.neutrix, 2)``."""
     def draw(s: Sampler) -> tuple:
-        return tuple(s.external() for _ in range(k))
-
-    return draw
-
-
-def _d_zeroless(k: int):
-    def draw(s: Sampler) -> tuple:
-        return tuple(s.zeroless() for _ in range(k))
+        return tuple(method(s) for _ in range(k))
 
     return draw
 
@@ -395,14 +385,6 @@ def _d_amplification(s: Sampler) -> tuple:
     return (x, y, z)
 
 
-def _d_neutrix_pair(s: Sampler) -> tuple:
-    return (s.neutrix(), s.neutrix())
-
-
-def _d_magnitude(s: Sampler) -> tuple:
-    return (s.neutrix(),)
-
-
 def _d_archimedean(s: Sampler) -> tuple:
     for _ in range(64):
         x = ext_abs(s.zeroless()) if s.rng.random() < 0.7 else pure(s.scaled_neutrix())
@@ -420,24 +402,12 @@ def _d_halfline(s: Sampler) -> tuple:
     return (lower(kind, s.external()),)
 
 
-def _d_nonprecise(s: Sampler) -> tuple:
+def _nonprecise(s: Sampler) -> ExternalNum:
     for _ in range(64):
         alpha = s.external()
         if alpha.nx.kind is not NeutrixKind.ZERO:
-            return (alpha,)
-    return (canonicalize(0, LIMITED),)
-
-
-def _d_nonprecise_pair(s: Sampler) -> tuple:
-    return (_d_nonprecise(s)[0], _d_nonprecise(s)[0])
-
-
-def _d_limited_triple(s: Sampler) -> tuple:
-    return (s.limited_precise(), s.limited_precise(), s.limited_precise())
-
-
-def _d_positive_precise(s: Sampler) -> tuple:
-    return (s.positive_precise(),)
+            return alpha
+    return canonicalize(0, LIMITED)
 
 
 def _d_square_root_pair(s: Sampler) -> tuple:
@@ -447,12 +417,12 @@ def _d_square_root_pair(s: Sampler) -> tuple:
     return (PreciseNum.of(RhoPoly.rho_power(q, c)),)
 
 
-def _d_degree_zero_positive(s: Sampler) -> tuple:
+def _degree_zero_positive(s: Sampler) -> PreciseNum:
     x = abs(s.limited_precise())
     d = x.degree()
     if d < 0:
         x = x * PreciseNum.of(RhoPoly.rho_power(-d))
-    return (x,)
+    return x
 
 
 def _d_naturals(s: Sampler) -> tuple:
@@ -477,7 +447,7 @@ def _d_naturals(s: Sampler) -> tuple:
 
 def _d_order_consistency(s: Sampler) -> tuple:
     p = abs(s.member_of(INFINITESIMALS, allow_zero=False))
-    q = abs(_d_degree_zero_positive(s)[0]) * PreciseNum.of(
+    q = abs(_degree_zero_positive(s)) * PreciseNum.of(
         RhoPoly.rho_power(Fraction(s.rng.randint(0, 4), 2))
     )
     return (p, q)
@@ -485,7 +455,7 @@ def _d_order_consistency(s: Sampler) -> tuple:
 
 def _d_sup_consistency(s: Sampler) -> tuple:
     p = abs(s.member_of(INFINITESIMALS, allow_zero=False))
-    q = _d_degree_zero_positive(s)[0]
+    q = _degree_zero_positive(s)
     below = s.scaled_neutrix()
     while nx_compare(below, INFINITESIMALS) is not LT:
         below = s.scaled_neutrix()
@@ -500,12 +470,12 @@ def _d_sup_consistency(s: Sampler) -> tuple:
 # 1. addition
 
 
-@law("axiom.add.assoc", "addition", "x+(y+z) = (x+y)+z", "associativity of addition", _d_ext(3))
+@law("axiom.add.assoc", "addition", "x+(y+z) = (x+y)+z", "associativity of addition", _d(Sampler.external, 3))
 def _v_add_assoc(x, y, z):
     return _neq(ext_add(ext_add(x, y), z), ext_add(x, ext_add(y, z)))
 
 
-@law("axiom.add.comm", "addition", "x+y = y+x", "commutativity of addition", _d_ext(2))
+@law("axiom.add.comm", "addition", "x+y = y+x", "commutativity of addition", _d(Sampler.external, 2))
 def _v_add_comm(x, y):
     return _neq(ext_add(x, y), ext_add(y, x))
 
@@ -520,7 +490,7 @@ def _v_add_neutral(x, f):
     return None
 
 
-@law("axiom.add.symmetric", "addition", "x+(-x) = e(x) with e(-x) = e(x)", "individualized symmetric element", _d_ext(1))
+@law("axiom.add.symmetric", "addition", "x+(-x) = e(x) with e(-x) = e(x)", "individualized symmetric element", _d(Sampler.external))
 def _v_add_symmetric(x):
     s = ext_neg(x)
     if ext_add(x, s) != magnitude(x):
@@ -530,7 +500,7 @@ def _v_add_symmetric(x):
     return None
 
 
-@law("axiom.add.magnitude_linear", "addition", "e(x+y) is e(x) or e(y)", "magnitude of a sum", _d_ext(2))
+@law("axiom.add.magnitude_linear", "addition", "e(x+y) is e(x) or e(y)", "magnitude of a sum", _d(Sampler.external, 2))
 def _v_add_magnitude_linear(x, y):
     e = magnitude(ext_add(x, y))
     if e != magnitude(x) and e != magnitude(y):
@@ -541,12 +511,12 @@ def _v_add_magnitude_linear(x, y):
 # 2. multiplication
 
 
-@law("axiom.mul.assoc", "multiplication", "x(yz) = (xy)z", "associativity of multiplication", _d_ext(3))
+@law("axiom.mul.assoc", "multiplication", "x(yz) = (xy)z", "associativity of multiplication", _d(Sampler.external, 3))
 def _v_mul_assoc(x, y, z):
     return _neq(ext_mul(ext_mul(x, y), z), ext_mul(x, ext_mul(y, z)))
 
 
-@law("axiom.mul.comm", "multiplication", "xy = yx", "commutativity of multiplication", _d_ext(2))
+@law("axiom.mul.comm", "multiplication", "xy = yx", "commutativity of multiplication", _d(Sampler.external, 2))
 def _v_mul_comm(x, y):
     return _neq(ext_mul(x, y), ext_mul(y, x))
 
@@ -561,7 +531,7 @@ def _v_mul_unity(x, v):
     return None
 
 
-@law("axiom.mul.inverse", "multiplication", "x*d(x) = u(x) with u(d) = u(x)", "individualized division", _d_zeroless(1))
+@law("axiom.mul.inverse", "multiplication", "x*d(x) = u(x) with u(d) = u(x)", "individualized division", _d(Sampler.zeroless))
 def _v_mul_inverse(x):
     d = ext_inv(x)
     if ext_mul(x, d) != unity(x):
@@ -571,7 +541,7 @@ def _v_mul_inverse(x):
     return None
 
 
-@law("axiom.mul.unity_product", "multiplication", "u(xy) is u(x) or u(y)", "unity of a product", _d_zeroless(2))
+@law("axiom.mul.unity_product", "multiplication", "u(xy) is u(x) or u(y)", "unity of a product", _d(Sampler.zeroless, 2))
 def _v_mul_unity_product(x, y):
     u = unity(ext_mul(x, y))
     if u != unity(x) and u != unity(y):
@@ -582,7 +552,7 @@ def _v_mul_unity_product(x, y):
 # 3. order
 
 
-@law("axiom.order.reflexive", "order", "x <= x", "reflexivity", _d_ext(1))
+@law("axiom.order.reflexive", "order", "x <= x", "reflexivity", _d(Sampler.external))
 def _v_order_reflexive(x):
     if ext_compare(x, x) is not EQ:
         return f"compare(x, x) = {ext_compare(x, x).name}"
@@ -596,7 +566,7 @@ def _v_order_antisymmetric(x, y):
     return None
 
 
-@law("axiom.order.transitive", "order", "x<=y<=z implies x<=z", "transitivity", _d_ext(3))
+@law("axiom.order.transitive", "order", "x<=y<=z implies x<=z", "transitivity", _d(Sampler.external, 3))
 def _v_order_transitive(x, y, z):
     if ext_compare(x, y) is not GT and ext_compare(y, z) is not GT:
         if ext_compare(x, z) is GT:
@@ -604,7 +574,7 @@ def _v_order_transitive(x, y, z):
     return None
 
 
-@law("axiom.order.total", "order", "compare is total and antitone under swap", "totality", _d_ext(2))
+@law("axiom.order.total", "order", "compare is total and antitone under swap", "totality", _d(Sampler.external, 2))
 def _v_order_total(x, y):
     ab, ba = ext_compare(x, y), ext_compare(y, x)
     if ab.value != -ba.value:
@@ -612,7 +582,7 @@ def _v_order_total(x, y):
     return None
 
 
-@law("axiom.order.add_compatible", "order", "x<=y implies x+z<=y+z", "compatibility with addition", _d_ext(3))
+@law("axiom.order.add_compatible", "order", "x<=y implies x+z<=y+z", "compatibility with addition", _d(Sampler.external, 3))
 def _v_order_add_compatible(x, y, z):
     if ext_compare(x, y) is not GT and ext_compare(ext_add(x, z), ext_add(y, z)) is GT:
         return f"x + z = {ext_add(x, z)} > y + z = {ext_add(y, z)}"
@@ -650,7 +620,7 @@ def _v_order_amplification(x, y, z):
 # 4. mixed
 
 
-@law("axiom.mixed.scale", "mixed", "e(x)*y is a magnitude", "products with magnitudes are magnitudes", _d_ext(2))
+@law("axiom.mixed.scale", "mixed", "e(x)*y is a magnitude", "products with magnitudes are magnitudes", _d(Sampler.external, 2))
 def _v_mixed_scale(x, y):
     product = ext_mul(magnitude(x), y)
     if not product.rep.is_zero():
@@ -658,21 +628,21 @@ def _v_mixed_scale(x, y):
     return None
 
 
-@law("axiom.mixed.product_magnitude", "mixed", "e(xy) = e(x)y + e(y)x", "magnitude of a product", _d_ext(2))
+@law("axiom.mixed.product_magnitude", "mixed", "e(xy) = e(x)y + e(y)x", "magnitude of a product", _d(Sampler.external, 2))
 def _v_mixed_product_magnitude(x, y):
     lhs = magnitude(ext_mul(x, y))
     rhs = ext_add(ext_mul(magnitude(x), y), ext_mul(magnitude(y), x))
     return _neq(rhs, lhs)
 
 
-@law("axiom.mixed.unity_magnitude", "mixed", "e(u(x)) = e(x)/x", "magnitude of the unity", _d_zeroless(1))
+@law("axiom.mixed.unity_magnitude", "mixed", "e(u(x)) = e(x)/x", "magnitude of the unity", _d(Sampler.zeroless))
 def _v_mixed_unity_magnitude(x):
     lhs = magnitude(unity(x))
     rhs = ext_div(magnitude(x), x)
     return _neq(rhs, lhs)
 
 
-@law("axiom.mixed.distributivity", "mixed", "xy+xz = x(y+z)+e(x)y+e(x)z", "distributivity with magnitude correction", _d_ext(3), alias="axiom.distributivity")
+@law("axiom.mixed.distributivity", "mixed", "xy+xz = x(y+z)+e(x)y+e(x)z", "distributivity with magnitude correction", _d(Sampler.external, 3), alias="axiom.distributivity")
 def _v_distributivity(x, y, z):
     lhs = ext_add(ext_mul(x, y), ext_mul(x, z))
     e = magnitude(x)
@@ -682,7 +652,7 @@ def _v_distributivity(x, y, z):
     return _neq(rhs, lhs)
 
 
-@law("axiom.mixed.negation", "mixed", "-(xy) = (-x)y", "negation of a product", _d_ext(2))
+@law("axiom.mixed.negation", "mixed", "-(xy) = (-x)y", "negation of a product", _d(Sampler.external, 2))
 def _v_mixed_negation(x, y):
     return _neq(ext_mul(ext_neg(x), y), ext_neg(ext_mul(x, y)))
 
@@ -690,17 +660,17 @@ def _v_mixed_negation(x, y):
 # 5. existence
 
 
-@law("axiom.exist.zero_min", "existence", "0 + x = x", "minimal magnitude", _d_ext(1))
+@law("axiom.exist.zero_min", "existence", "0 + x = x", "minimal magnitude", _d(Sampler.external))
 def _v_exist_zero_min(x):
     return _neq(x, ext_add(canonicalize(0), x))
 
 
-@law("axiom.exist.one_unity", "existence", "1 * x = x", "minimal unity", _d_ext(1))
+@law("axiom.exist.one_unity", "existence", "1 * x = x", "minimal unity", _d(Sampler.external))
 def _v_exist_one_unity(x):
     return _neq(x, ext_mul(canonicalize(1), x))
 
 
-@law("axiom.exist.max_absorbs", "existence", "e(x) + M = M", "maximal magnitude", _d_ext(1))
+@law("axiom.exist.max_absorbs", "existence", "e(x) + M = M", "maximal magnitude", _d(Sampler.external))
 def _v_exist_max_absorbs(x):
     return _neq(pure(FULL), ext_add(magnitude(x), pure(FULL)))
 
@@ -713,7 +683,7 @@ def _v_exist_intermediate():
     return None
 
 
-@law("axiom.exist.decomposition", "existence", "x = a + e(x) with a precise", "representative decomposition", _d_ext(1))
+@law("axiom.exist.decomposition", "existence", "x = a + e(x) with a precise", "representative decomposition", _d(Sampler.external))
 def _v_exist_decomposition(x):
     a = canonicalize(x.rep)
     if magnitude(a) != canonicalize(0):
@@ -721,7 +691,7 @@ def _v_exist_decomposition(x):
     return _neq(x, ext_add(a, magnitude(x)))
 
 
-@law("axiom.exist.separation", "existence", "distinct magnitudes are separated by a zeroless element", "separation of magnitudes", _d_neutrix_pair)
+@law("axiom.exist.separation", "existence", "distinct magnitudes are separated by a zeroless element", "separation of magnitudes", _d(Sampler.neutrix, 2))
 def _v_exist_separation(A, B):
     order = nx_compare(A, B)
     if order is EQ:
@@ -755,7 +725,7 @@ def _v_magprod_maximal_ideal():
     return "; ".join(problems) or None
 
 
-@law("axiom.magprod.scale_to_idempotent", "magnitude-product", "every magnitude is precise * idempotent", "scaling to an idempotent", _d_magnitude)
+@law("axiom.magprod.scale_to_idempotent", "magnitude-product", "every magnitude is precise * idempotent", "scaling to an idempotent", _d(Sampler.neutrix))
 def _v_magprod_scale_to_idempotent(A):
     p, i = decompose(A)
     if not is_idempotent(i):
@@ -824,11 +794,7 @@ def _v_arith_naturals(x, y, offset):
 
 @law("axiom.arith.induction", "arithmetical", "curated induction battery", "induction spot checks", note="full induction provably fails for computable interpretations; see even_or_odd")
 def _v_arith_induction():
-    problems = []
-    for fid in INDUCTION_CATALOG:
-        report = induction_spotcheck(fid, bound=25)
-        if not report.ok:
-            problems.append(f"{fid}: {report.status}")
+    problems = [f"{r.formula_id}: {r.status}" for r in run_induction_battery(bound=25) if not r.ok]
     return "; ".join(problems) or None
 
 
@@ -843,8 +809,7 @@ def _v_arith_induction_even_odd():
 
 @law("axiom.arith.archimedean", "arithmetical", "some natural multiple of x exceeds y", "Archimedean witness", _d_archimedean)
 def _v_arith_archimedean(x, y):
-    witness = archimedean_witness(x, y)
-    z = witness.as_precise()
+    z = PreciseNum.of(archimedean_witness(x, y))
     if not is_natural(z):
         return f"witness {z} is not natural"
     if ext_compare(ext_mul(canonicalize(z), x), y) is not GT:
@@ -864,14 +829,14 @@ def _v_thm_chain():
     return None
 
 
-@law("thm.no_magnitude_between", "theorem", "no magnitude strictly between o and L", "extremality of o and L", _d_magnitude)
+@law("thm.no_magnitude_between", "theorem", "no magnitude strictly between o and L", "extremality of o and L", _d(Sampler.neutrix))
 def _v_thm_no_magnitude_between(A):
     if nx_compare(INFINITESIMALS, A) is LT and nx_compare(A, LIMITED) is LT:
         return f"{A} lies strictly between the two canonical magnitudes"
     return None
 
 
-@law("thm.reciprocal_pound", "theorem", "L < p iff 1/p < o", "reciprocal across L", _d_positive_precise)
+@law("thm.reciprocal_pound", "theorem", "L < p iff 1/p < o", "reciprocal across L", _d(Sampler.positive_precise))
 def _v_thm_reciprocal_pound(p):
     lhs = ext_compare(pure(LIMITED), canonicalize(p)) is LT
     rhs = ext_compare(canonicalize(1 / p), pure(INFINITESIMALS)) is LT
@@ -880,7 +845,7 @@ def _v_thm_reciprocal_pound(p):
     return None
 
 
-@law("thm.reciprocal_oslash", "theorem", "o < p iff 1/p < L", "reciprocal across o", _d_positive_precise)
+@law("thm.reciprocal_oslash", "theorem", "o < p iff 1/p < L", "reciprocal across o", _d(Sampler.positive_precise))
 def _v_thm_reciprocal_oslash(p):
     lhs = ext_compare(pure(INFINITESIMALS), canonicalize(p)) is LT
     rhs = ext_compare(canonicalize(1 / p), pure(LIMITED)) is LT
@@ -907,7 +872,7 @@ def _v_thm_sqrt_above(s):
     return None
 
 
-@law("thm.square_between", "theorem", "o < p < L implies o < p^2 < L", "squares stay appreciable", _d_degree_zero_positive)
+@law("thm.square_between", "theorem", "o < p < L implies o < p^2 < L", "squares stay appreciable", _d(_degree_zero_positive))
 def _v_thm_square_between(p):
     o, limited = pure(INFINITESIMALS), pure(LIMITED)
     if o < canonicalize(p) < limited:
@@ -960,7 +925,7 @@ def _v_thm_oslash_pound():
     return None if got == INFINITESIMALS else f"o*L = {got}"
 
 
-@law("thm.max_ideal", "theorem", "maximal ideals match their sup characterization", "sup characterization of maximal ideals", lambda s: (s.nonzero_precise(),))
+@law("thm.max_ideal", "theorem", "maximal ideals match their sup characterization", "sup characterization of maximal ideals", _d(Sampler.nonzero_precise))
 def _v_thm_max_ideal_sup(omega):
     # J = LIMITED: every precise omega with L < |omega| has 1/omega below o,
     # and the family climbs past any magnitude below o.
@@ -1000,7 +965,7 @@ _UNIT_SCALARS = (
 )
 
 
-@law("thm.idempotent_unique", "theorem", "the idempotent factor of a magnitude is unique", "uniqueness of the idempotent part", _d_magnitude)
+@law("thm.idempotent_unique", "theorem", "the idempotent factor of a magnitude is unique", "uniqueness of the idempotent part", _d(Sampler.neutrix))
 def _v_thm_idempotent_unique(A):
     if A.kind is NeutrixKind.ZERO:
         return None
@@ -1017,7 +982,7 @@ def _v_thm_idempotent_unique(A):
     return None
 
 
-@law("thm.linearization", "theorem", "e*f = p*e or p*f for a positive precise p", "linearization of magnitude products", _d_neutrix_pair)
+@law("thm.linearization", "theorem", "e*f = p*e or p*f for a positive precise p", "linearization of magnitude products", _d(Sampler.neutrix, 2))
 def _v_thm_linearization(A, B):
     product = nx_mul(A, B)
     candidates: list[tuple[PreciseNum, Neutrix]] = []
@@ -1089,12 +1054,10 @@ def _v_thm_sup_consistency(p, q, below, above):
     return None
 
 
-@law("thm.distributivity_total", "theorem", "xy+xz = x(y+z) + e(x)y + e(x)z exactly", "total distributivity formula", _d_ext(3))
-def _v_thm_distributivity_total(x, y, z):
-    return _v_distributivity(x, y, z)
+law("thm.distributivity_total", "theorem", "xy+xz = x(y+z) + e(x)y + e(x)z exactly", "total distributivity formula", _d(Sampler.external, 3))(_v_distributivity)
 
 
-@law("thm.subdistributivity", "theorem", "x(y+z) lands inside xy+xz for sampled members", "subdistributivity as sets", _d_ext(3))
+@law("thm.subdistributivity", "theorem", "x(y+z) lands inside xy+xz for sampled members", "subdistributivity as sets", _d(Sampler.external, 3))
 def _v_thm_subdistributivity(x, y, z):
     target = ext_add(ext_mul(x, y), ext_mul(x, z))
     for a in _representative_menu(x, 3):
@@ -1105,7 +1068,7 @@ def _v_thm_subdistributivity(x, y, z):
     return None
 
 
-@law("thm.trichotomy", "theorem", "disjoint, subset or superset, consistent with compare", "set trichotomy", _d_ext(2))
+@law("thm.trichotomy", "theorem", "disjoint, subset or superset, consistent with compare", "set trichotomy", _d(Sampler.external, 2))
 def _v_thm_trichotomy(x, y):
     disjoint = ext_disjoint(x, y)
     sub = ext_subset(x, y)
@@ -1126,7 +1089,7 @@ def _v_thm_trichotomy(x, y):
     return None
 
 
-@law("thm.three_cases", "theorem", "the three halfline kinds are mutually exclusive", "three cases are exclusive", _d_nonprecise_pair)
+@law("thm.three_cases", "theorem", "the three halfline kinds are mutually exclusive", "three cases are exclusive", _d(_nonprecise, 2))
 def _v_thm_three_cases(b1: ExternalNum, b2: ExternalNum):
     # pairwise separation of the three kinds at a common non-precise bound
     closed, open_, so = (lower(k, b1) for k in HalflineKind)
@@ -1170,7 +1133,7 @@ def _so_distinguisher(lo: ExternalNum, hi: ExternalNum) -> ExternalNum | None:
     return None
 
 
-@law("thm.dedekind_precise", "theorem", "open and strongly open coincide at precise bounds", "precise collapse", lambda s: (s.precise(),))
+@law("thm.dedekind_precise", "theorem", "open and strongly open coincide at precise bounds", "precise collapse", _d(Sampler.precise))
 def _v_thm_dedekind_precise_collapse(p: PreciseNum):
     b = canonicalize(p)
     points = [canonicalize(p + d) for d in (PreciseNum.of(-1), PreciseNum.of(0), PreciseNum.of(1), PreciseNum.of(RhoPoly.rho_power(-1)))]
@@ -1183,7 +1146,7 @@ def _v_thm_dedekind_precise_collapse(p: PreciseNum):
     return None
 
 
-@law("thm.rational_form", "theorem", "non-precise values canonicalize to polynomial + magnitude", "canonical rational form", _d_nonprecise)
+@law("thm.rational_form", "theorem", "non-precise values canonicalize to polynomial + magnitude", "canonical rational form", _d(_nonprecise))
 def _v_thm_rational_form(x: ExternalNum):
     if not x.rep.is_polynomial():
         return f"canonical representative {x.rep} is not polynomial"
@@ -1195,7 +1158,7 @@ def _v_thm_rational_form(x: ExternalNum):
     return None
 
 
-@law("thm.shadow_field", "theorem", "shadows of limited precise elements form a field", "shadow field laws", _d_limited_triple)
+@law("thm.shadow_field", "theorem", "shadows of limited precise elements form a field", "shadow field laws", _d(Sampler.limited_precise, 3))
 def _v_thm_shadow_field(a, b, c):
     sh = lambda v: shadow(canonicalize(v))
     x, y, z = sh(a), sh(b), sh(c)
@@ -1221,7 +1184,7 @@ def _v_thm_shadow_field(a, b, c):
     return None
 
 
-@law("thm.unity_multiplicative", "theorem", "u(xy) = u(x)u(y)", "multiplicativity of unities", _d_zeroless(2))
+@law("thm.unity_multiplicative", "theorem", "u(xy) = u(x)u(y)", "multiplicativity of unities", _d(Sampler.zeroless, 2))
 def _v_thm_unity_multiplicative(x, y):
     return _neq(ext_mul(unity(x), unity(y)), unity(ext_mul(x, y)))
 
@@ -1261,7 +1224,7 @@ def minkowski_oracle(
     return report
 
 
-@law("oracle.minkowski", "oracle", "sampled member sums/products land in the computed value", "Minkowski soundness", _d_ext(2))
+@law("oracle.minkowski", "oracle", "sampled member sums/products land in the computed value", "Minkowski soundness", _d(Sampler.external, 2))
 def _v_oracle_minkowski(x, y):
     for op in ("add", "mul"):
         sub = minkowski_oracle(x, y, op, 20)
@@ -1271,7 +1234,7 @@ def _v_oracle_minkowski(x, y):
     return None
 
 
-@law("oracle.order", "oracle", "the order decision matches the member-sampling definition", "order oracle agreement", _d_ext(2))
+@law("oracle.order", "oracle", "the order decision matches the member-sampling definition", "order oracle agreement", _d(Sampler.external, 2))
 def _v_oracle_order(x, y):
     cmp = ext_compare(x, y)
     if cmp is not GT:

@@ -91,10 +91,8 @@ def run_command(line: str) -> str:
     """Execute one REPL line and return the rendered output (never raises)."""
     try:
         return _dispatch(line)
-    except SolidusError as exc:  # ParseError and EvalError included
+    except SolidusError as exc:  # ParseError, EvalError and nesting too deep included
         return f"error: {exc}"
-    except RecursionError:
-        return "error: expression nested too deeply"
 
 
 def _dispatch(line: str) -> str:
@@ -129,8 +127,7 @@ def _dispatch(line: str) -> str:
         return "true" if is_natural(value.rep) else "false"
     if command == ":arch":
         x, y = _values(rest, 2)
-        witness = archimedean_witness(x, y)
-        return str(witness)
+        return str(archimedean_witness(x, y))
     if command == ":check":
         return _check_command(shlex.split(rest))
     raise SolidusError(f"unknown command {command!r}")

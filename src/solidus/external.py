@@ -211,7 +211,7 @@ def ext_compare(a: ExternalNum, b: ExternalNum) -> Ordering:
     combined = nx_add(a.nx, b.nx)
     if nx_contains(combined, delta):
         return nx_compare(a.nx, b.nx)
-    return Ordering.from_sign(delta.sign())
+    return Ordering(delta.sign())
 
 
 def ext_member(y: PreciseLike, alpha: ExternalNum) -> bool:

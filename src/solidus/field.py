@@ -35,14 +35,6 @@ class Ordering(Enum):
     EQ = 0
     GT = 1
 
-    @staticmethod
-    def from_sign(s: int) -> "Ordering":
-        if s < 0:
-            return Ordering.LT
-        if s > 0:
-            return Ordering.GT
-        return Ordering.EQ
-
 
 def _as_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, Fraction):
@@ -76,11 +68,9 @@ class RhoPoly:
         for exponent, coeff in pairs:
             e = _as_fraction(exponent)
             c = _as_fraction(coeff)
-            acc[e] = acc.get(e, Fraction(0)) + c
-        cleaned = tuple(
-            (e, c) for e, c in sorted(acc.items(), key=lambda t: t[0], reverse=True) if c != 0
-        )
-        return RhoPoly(cleaned)
+            acc[e] = acc[e] + c if e in acc else c
+        # exponents are distinct keys, so the pairs sort by exponent alone
+        return RhoPoly(tuple((e, c) for e, c in sorted(acc.items(), reverse=True) if c))
 
     @staticmethod
     def constant(c: RationalLike) -> "RhoPoly":
@@ -162,6 +152,12 @@ class RhoPoly:
         return RhoPoly.from_terms(
             (e1 + e2, c1 * c2) for e1, c1 in self.terms for e2, c2 in other.terms
         )
+
+    def __eq__(self, other: object) -> bool:
+        # numbers compare as constants; PreciseNum answers by reflection
+        if isinstance(other, RhoPoly):
+            return self.terms == other.terms
+        return self == RhoPoly.constant(other) if isinstance(other, (int, Fraction)) else NotImplemented
 
     def __hash__(self) -> int:
         return _value_hash(self.degree(), self.leading_coeff())
@@ -327,7 +323,7 @@ def degree(x: PreciseNum) -> Fraction | float:
 
 def compare_precise(a: PreciseLike, b: PreciseLike) -> Ordering:
     """Sign of a - b, computed exactly from leading terms."""
-    return Ordering.from_sign((PreciseNum.of(a) - PreciseNum.of(b)).sign())
+    return Ordering((PreciseNum.of(a) - PreciseNum.of(b)).sign())
 
 
 def _long_division(

@@ -234,25 +234,25 @@ def _candidates(value) -> Iterator:
         yield from _neutrix_candidates(value)
 
 
+def _trials(current: tuple) -> Iterator[tuple]:
+    """Every single-component simplification of ``current``, in shrink order."""
+    for i, value in enumerate(current):
+        for candidate in _candidates(value):
+            if candidate != value:
+                yield current[:i] + (candidate,) + current[i + 1 :]
+
+
 def shrink(values: tuple, still_fails: Callable[[tuple], bool]) -> tuple:
     """Greedy minimization: keep any single-component simplification that still fails."""
     current = tuple(values)
     for _ in range(SHRINK_MAX_ROUNDS):
-        improved = False
-        for i, value in enumerate(current):
-            for candidate in _candidates(value):
-                if candidate == value:
-                    continue
-                trial = current[:i] + (candidate,) + current[i + 1 :]
-                try:
-                    if still_fails(trial):
-                        current = trial
-                        improved = True
-                        break
-                except Exception:
-                    continue
-            if improved:
-                break
-        if not improved:
+        for trial in _trials(current):
+            try:
+                if still_fails(trial):
+                    current = trial
+                    break
+            except Exception:
+                continue
+        else:
             return current
     return current

@@ -133,28 +133,26 @@ def winf(h: Halfline) -> ExternalNum:
     return h.bound
 
 
-def zup_finite(items: Iterable[ExternalNum]) -> ExternalNum:
-    """Maximum of a nonempty finite set; a magnitude when all items are magnitudes."""
+def _first_extremum(items: Iterable[ExternalNum], beats: Ordering, name: str) -> ExternalNum:
+    """The first item that no later item beats in the order ``beats``."""
     items = list(items)
     if not items:
-        raise EmptySetError("zup of an empty set")
+        raise EmptySetError(f"{name} of an empty set")
     best = items[0]
     for x in items[1:]:
-        if ext_compare(x, best) is Ordering.GT:
+        if ext_compare(x, best) is beats:
             best = x
     return best
+
+
+def zup_finite(items: Iterable[ExternalNum]) -> ExternalNum:
+    """Maximum of a nonempty finite set; a magnitude when all items are magnitudes."""
+    return _first_extremum(items, Ordering.GT, "zup")
 
 
 def winf_finite(items: Iterable[ExternalNum]) -> ExternalNum:
     """Minimum of a nonempty finite set."""
-    items = list(items)
-    if not items:
-        raise EmptySetError("winf of an empty set")
-    best = items[0]
-    for x in items[1:]:
-        if ext_compare(x, best) is Ordering.LT:
-            best = x
-    return best
+    return _first_extremum(items, Ordering.LT, "winf")
 
 
 def magnitude_gap_witness(a: Neutrix, b: Neutrix) -> PreciseNum:

@@ -25,19 +25,6 @@ from .field import Ordering, PreciseLike, PreciseNum, RhoPoly, as_polynomial
 from .neutrix import NeutrixKind
 
 
-@dataclass(frozen=True)
-class NaturalWitness:
-    """A natural number in this interpretation, kept in polynomial form."""
-
-    value: RhoPoly
-
-    def as_precise(self) -> PreciseNum:
-        return PreciseNum.of(self.value)
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
 def is_natural(p: PreciseLike) -> bool:
     """Membership in the natural-number family.
 
@@ -62,8 +49,8 @@ def _upper_degree(alpha: ExternalNum):
     return d
 
 
-def archimedean_witness(x: ExternalNum, y: ExternalNum) -> NaturalWitness:
-    """A natural z with z*x > y, given 0 < x < y.
+def archimedean_witness(x: ExternalNum, y: ExternalNum) -> RhoPoly:
+    """A natural z, in polynomial form, with z*x > y, given 0 < x < y.
 
     The candidate C*rho^k starts from the degree gap and the leading
     coefficient ratio and escalates until the comparison confirms it, so the
@@ -87,7 +74,7 @@ def archimedean_witness(x: ExternalNum, y: ExternalNum) -> NaturalWitness:
     for k in range(k0, k0 + 64):
         z = RhoPoly.rho_power(k, c)
         if ext_compare(ext_mul(as_external(z), x), y) is Ordering.GT:
-            return NaturalWitness(z)
+            return z
         c *= 2
     raise InternalError("archimedean witness escalation failed to terminate")
 

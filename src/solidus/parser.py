@@ -147,6 +147,9 @@ _COMPARISONS = {"=": {Ordering.EQ}, "<": {Ordering.LT}, "<=": {Ordering.LT, Orde
 # --- parser ---------------------------------------------------------------------
 
 
+_TOO_DEEP = "expression nested too deeply"
+
+
 class Parser:
     def __init__(self, source: str):
         self.tokens = tokenize(source)
@@ -257,10 +260,13 @@ class Parser:
 
 def _parse_items(source: str, many: bool) -> list[Expr]:
     parser = Parser(source)
-    items = [parser.parse_compare()]
-    while many and parser.at_op(","):
-        parser.advance()
-        items.append(parser.parse_compare())
+    try:
+        items = [parser.parse_compare()]
+        while many and parser.at_op(","):
+            parser.advance()
+            items.append(parser.parse_compare())
+    except RecursionError:
+        raise SolidusError(_TOO_DEEP) from None
     tok = parser.current
     if tok.kind != "end":
         raise ParseError(f"unexpected {tok.text!r}", tok.pos)
@@ -313,6 +319,13 @@ def _integer_power(value: ExternalNum, n: int, pos: int) -> ExternalNum:
 
 def evaluate(expr: Expr) -> ExternalNum | bool:
     """Bottom-up evaluation to a canonical external number (or a comparison bool)."""
+    try:
+        return _evaluate(expr)
+    except RecursionError:
+        raise SolidusError(_TOO_DEEP) from None
+
+
+def _evaluate(expr: Expr) -> ExternalNum | bool:
     if isinstance(expr, Lit):
         return canonicalize(expr.value)
     if isinstance(expr, Sym):
@@ -338,7 +351,7 @@ def evaluate(expr: Expr) -> ExternalNum | bool:
 
 
 def _value(expr: Expr) -> ExternalNum:
-    result = evaluate(expr)
+    result = _evaluate(expr)
     if isinstance(result, bool):
         raise EvalError("comparison used as a value", expr.pos)
     return result

@@ -203,8 +203,8 @@ def test_10_arithmetic_axioms():
             continue
         produced += 1
         z = archimedean_witness(x, y)
-        arch_ok = arch_ok and is_natural(z.as_precise())
-        arch_ok = arch_ok and ext_mul(canonicalize(z.value), x) > y
+        arch_ok = arch_ok and is_natural(z)
+        arch_ok = arch_ok and ext_mul(canonicalize(z), x) > y
     battery = [induction_spotcheck(fid, bound=50) for fid in INDUCTION_CATALOG]
     passing = [r for r in battery if r.status == "pass"]
     expected_fail = [r for r in battery if r.status == "expected-fail"]

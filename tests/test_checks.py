@@ -9,12 +9,12 @@ from solidus.checks import (
     AXIOM_GROUPS,
     REGISTRY,
     catalog_ids,
-    check,
     exit_code,
     format_report,
     format_reports,
     minkowski_oracle,
     run_catalog,
+    run_check,
 )
 from solidus.errors import UnknownCheckError
 from solidus.external import Classification, canonicalize, classify, ext_member
@@ -105,28 +105,49 @@ class TestShrink:
         (small,) = shrink((start,), fails)
         assert ext_member(RhoPoly.rho_power(1), small)
 
+    def test_skips_candidates_the_predicate_raises_on(self):
+        start = PreciseNum.of(RhoPoly.from_terms([(2, 3), (1, -7), (0, 5)]))
+        raised = []
+
+        def fails(values):
+            (x,) = values
+            return x.degree() == 2
+
+        def fails_or_raises(values):
+            # crashes instead of answering False on candidates that lost degree 2
+            (x,) = values
+            if x.degree() < 2:
+                raised.append(x)
+                raise ValueError("predicate crashed")
+            return fails(values)
+
+        small = shrink((start,), fails_or_raises)
+        assert raised
+        assert small == shrink((start,), fails)
+        assert small[0] == PreciseNum.of(RhoPoly.rho_power(2))
+
 
 class TestHarness:
     def test_unknown_check(self):
         with pytest.raises(UnknownCheckError):
-            check("axiom.nonsense", CFG, 1)
+            run_check("axiom.nonsense", CFG, 1)
 
     def test_alias(self):
-        r = check("axiom.distributivity", CFG, 25)
+        r = run_check("axiom.distributivity", CFG, 25)
         assert r.check_id == "axiom.mixed.distributivity"
         assert r.passed
 
     def test_reports_reproducible(self):
-        a = check("axiom.mixed.product_magnitude", CFG, 50)
-        b = check("axiom.mixed.product_magnitude", CFG, 50)
+        a = run_check("axiom.mixed.product_magnitude", CFG, 50)
+        b = run_check("axiom.mixed.product_magnitude", CFG, 50)
         assert format_report(a) == format_report(b)
 
     def test_single_checks_ignore_n(self):
-        r = check("thm.oslash_pound", CFG, 500)
+        r = run_check("thm.oslash_pound", CFG, 500)
         assert r.samples == 1 and r.passed
 
     def test_mutant_distributivity_fails_with_counterexample(self):
-        r = check("mutant.distributivity_naive", CFG, 200)
+        r = run_check("mutant.distributivity_naive", CFG, 200)
         assert r.status == "expected-fail"
         assert r.ok
         assert r.failures
@@ -135,20 +156,20 @@ class TestHarness:
         assert names == ["x", "y", "z"]
 
     def test_mutant_magnitude_table_fails(self):
-        r = check("mutant.oslash_pound_wrong", CFG, 1)
+        r = run_check("mutant.oslash_pound_wrong", CFG, 1)
         assert r.status == "expected-fail" and r.ok
 
     def test_exit_code_semantics(self):
-        good = check("thm.chain", CFG, 1)
+        good = run_check("thm.chain", CFG, 1)
         assert exit_code([good]) == 0
-        mutant = check("mutant.oslash_pound_wrong", CFG, 1)
+        mutant = run_check("mutant.oslash_pound_wrong", CFG, 1)
         assert exit_code([good, mutant]) == 0  # expected failure is OK
-        broken = check("thm.chain", CFG, 1)
+        broken = run_check("thm.chain", CFG, 1)
         broken.expect_failures = True  # a passing check marked expect-fail is NOT ok
         assert exit_code([broken]) == 1
 
     def test_report_format(self):
-        r = check("thm.oslash_pound", CFG, 1)
+        r = run_check("thm.oslash_pound", CFG, 1)
         line = format_report(r).splitlines()[0]
         assert line.split("\t") == ["thm.oslash_pound", "pass", "1", "0"]
 

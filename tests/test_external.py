@@ -121,6 +121,11 @@ class TestHashing:
         assert hash(PreciseNum.of(0)) == hash(RhoPoly()) == hash(0)
         assert hash(RhoPoly.constant(2)) == hash(PreciseNum.of(2))
         assert len({PreciseNum.of(2), 2, F(4, 2)}) == 1
+        # equality across the numeric types is transitive, in any set order
+        assert RhoPoly.constant(2) == 2 and RhoPoly.constant(F(1, 2)) == F(1, 2) and RhoPoly() == 0
+        assert RhoPoly.constant(2) != 3 and RhoPoly.rho_power(1) != 1
+        assert len({RhoPoly.constant(2), 2, PreciseNum.of(2)}) == 1
+        assert len({PreciseNum.of(2), RhoPoly.constant(2), 2}) == 1
 
     def test_values_and_halflines_are_hashable(self):
         one = canonicalize(1)

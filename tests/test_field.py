@@ -205,7 +205,7 @@ class TestOrderedFieldLaws:
     def test_compare_agrees_with_cross_multiplication(self, a, b):
         # den is normalized positive, so a/b < c/d iff ad < cb as polynomials
         cross = (a.num * b.den - b.num * a.den).sign()
-        assert compare_precise(a, b) is Ordering.from_sign(cross)
+        assert compare_precise(a, b) is Ordering(cross)
 
     @settings(max_examples=60, deadline=None)
     @given(precise_values, precise_values)

@@ -61,24 +61,24 @@ class TestIsNatural:
 class TestArchimedeanWitness:
     def test_standard_pair(self):
         z = archimedean_witness(canonicalize(1), canonicalize(2))
-        assert z.value == RhoPoly.constant(3)
+        assert z == RhoPoly.constant(3)
 
     def test_infinite_target(self):
         z = archimedean_witness(canonicalize(1), canonicalize(rp(1)))
-        assert is_natural(z.as_precise())
-        assert ext_compare(ext_mul(canonicalize(z.value), canonicalize(1)), canonicalize(rp(1))) is Ordering.GT
+        assert is_natural(z)
+        assert ext_compare(ext_mul(canonicalize(z), canonicalize(1)), canonicalize(rp(1))) is Ordering.GT
 
     def test_infinitesimal_base(self):
         x = canonicalize(rp(-1))
         y = canonicalize(1, INFINITESIMALS)
         z = archimedean_witness(x, y)
-        assert ext_compare(ext_mul(canonicalize(z.value), x), y) is Ordering.GT
+        assert ext_compare(ext_mul(canonicalize(z), x), y) is Ordering.GT
 
     def test_pure_neutrix_operands(self):
         x = pure(INFINITESIMALS)
         y = pure(LIMITED)
         z = archimedean_witness(x, y)
-        assert ext_compare(ext_mul(canonicalize(z.value), x), y) is Ordering.GT
+        assert ext_compare(ext_mul(canonicalize(z), x), y) is Ordering.GT
 
     def test_postcondition_on_many_pairs(self):
         pairs = [
@@ -88,8 +88,8 @@ class TestArchimedeanWitness:
         ]
         for x, y in pairs:
             z = archimedean_witness(x, y)
-            assert is_natural(z.as_precise())
-            assert ext_compare(ext_mul(canonicalize(z.value), x), y) is Ordering.GT
+            assert is_natural(z)
+            assert ext_compare(ext_mul(canonicalize(z), x), y) is Ordering.GT
 
     def test_preconditions(self):
         with pytest.raises(PreconditionFailedError):

@@ -7,12 +7,12 @@ from fractions import Fraction as F
 import pytest
 
 from solidus.cli import main, run_command
-from solidus.errors import ParseError
+from solidus.errors import ParseError, SolidusError
 from solidus.external import canonicalize, ext_compare, pure
 from solidus.field import Ordering, RhoPoly
 from solidus.generate import GeneratorConfig, Sampler
 from solidus.neutrix import INFINITESIMALS, closed_cut
-from solidus.parser import BinOp, Cmp, Lit, Pow, Sym, Unary, eval_text, parse
+from solidus.parser import BinOp, Cmp, Lit, Pow, Sym, Unary, eval_text, evaluate, parse
 
 rp = RhoPoly.rho_power
 
@@ -137,13 +137,13 @@ class TestCommands:
         assert run_command(":nat rho + o") == "false"
 
     def test_arch(self):
-        out = run_command(":arch 1 , rho")
-        assert "rho" in out
+        assert run_command(":arch 1 , rho") == "2*rho"
+        assert run_command(":arch 1/rho , 1 + o") == "2*rho"
 
     def test_errors_do_not_abort(self):
         assert run_command("u(o)").startswith("error:")
-        assert run_command(":cmp 1").startswith("error:")
-        assert run_command(":wibble 1").startswith("error:")
+        assert run_command(":cmp 1") == "error: expected 2 comma-separated expressions"
+        assert run_command(":wibble 1") == "error: unknown command ':wibble'"
         assert run_command("rho^").startswith("error:")
 
     def test_deep_nesting_is_an_error(self):
@@ -151,6 +151,10 @@ class TestCommands:
             assert run_command(text) == "error: expression nested too deeply"
             assert run_command(f":cmp {text} , 1") == "error: expression nested too deeply"
         assert run_command("1 + 1") == "2"
+        with pytest.raises(SolidusError, match="nested too deeply"):
+            parse("(" * 300 + "1" + ")" * 300)
+        with pytest.raises(SolidusError, match="nested too deeply"):
+            evaluate(parse("1" + "+1" * 2000))
 
     def test_blank_and_comment_lines(self):
         assert run_command("") == ""
