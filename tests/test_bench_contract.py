@@ -5,11 +5,13 @@ so removing or renaming one of them breaks the benchmark.  This test makes
 such a change fail here as well.
 """
 
+import hashlib
 import importlib
 import sys
 from pathlib import Path
 
 from solidus.checks import REGISTRY, format_reports, run_catalog
+from solidus.cli import run_command
 from solidus.generate import GeneratorConfig, Sampler
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -61,3 +63,21 @@ def test_bench_replay_matches_run_catalog():
     cfg = GeneratorConfig(seed=3)
     replayed = tracing.replay_catalog(tracing.Tracer(), ids, cfg, 5, [])
     assert format_reports(replayed) == format_reports(run_catalog(cfg, 5, ids[0]))
+
+
+def test_repl_output_pinned():
+    # the REPL renderings of one benchmark script block and of large powers,
+    # ratios and neutrices; a change of any rendered line changes the digest
+    script = _import_bench("script")
+    lines = [text for text, _ in script.block(0, 0)] + [
+        "(rho+1)^200",
+        "((rho+1)/(rho+2))^17",
+        "(rho - 1 + rho^(-1)*L)^(-9)",
+        "(1/(1+rho^(-1/3)) + rho^(-4)*o)^25",
+        "(rho^(1/2) - 2)^(-5)",
+        "o^0",
+        "0^0",
+    ]
+    text = "\n".join(run_command(line) for line in lines)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "fb659e18cea9460b4c7be64e5dcecccff9d3fc8a54304752e6baeefd531239ab"
