@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import shlex
 import sys
-from typing import Optional
+from typing import NoReturn, Optional
 
 from .checks import exit_code, format_reports, run_catalog
 from .errors import SolidusError, UnknownCheckError
@@ -77,14 +77,24 @@ def _run_checks(ns: argparse.Namespace) -> tuple[str, int]:
     return format_reports(reports), exit_code(reports)
 
 
-def _check_command(tokens: list[str]) -> str:
-    parser = argparse.ArgumentParser(prog=":check", add_help=False)
+_CHECK_USAGE = "usage: :check [--seed S] [--count N] [--only ID]"
+
+
+class _CheckParser(argparse.ArgumentParser):
+    """The `:check` options; a usage error raises instead of writing to stderr and exiting."""
+
+    def error(self, message: str) -> NoReturn:
+        raise SolidusError(f"{message}\n{_CHECK_USAGE}")
+
+
+def _check_command(rest: str) -> str:
+    parser = _CheckParser(prog=":check", add_help=False)
     _add_check_options(parser)
     try:
-        ns = parser.parse_args(tokens)
-    except SystemExit:
-        return "usage: :check [--seed S] [--count N] [--only ID]"
-    return _run_checks(ns)[0]
+        tokens = shlex.split(rest)
+    except ValueError as exc:  # unbalanced quote or trailing escape
+        parser.error(str(exc))
+    return _run_checks(parser.parse_args(tokens))[0]
 
 
 def run_command(line: str) -> str:
@@ -129,7 +139,7 @@ def _dispatch(line: str) -> str:
         x, y = _values(rest, 2)
         return str(archimedean_witness(x, y))
     if command == ":check":
-        return _check_command(shlex.split(rest))
+        return _check_command(rest)
     raise SolidusError(f"unknown command {command!r}")
 
 

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Union
 
 from .errors import InternalError
@@ -64,13 +65,17 @@ class RhoPoly:
     @staticmethod
     def from_terms(pairs: Iterable[tuple[RationalLike, RationalLike]]) -> "RhoPoly":
         """Build a polynomial from (exponent, coefficient) pairs, merging duplicates."""
+        return RhoPoly._collect((_as_fraction(e), _as_fraction(c)) for e, c in pairs)
+
+    @staticmethod
+    def _collect(pairs: Iterable[tuple[Fraction, Fraction]]) -> "RhoPoly":
+        """``from_terms`` for pairs that are already ``Fraction``s, in any order."""
         acc: dict[Fraction, Fraction] = {}
-        for exponent, coeff in pairs:
-            e = _as_fraction(exponent)
-            c = _as_fraction(coeff)
-            acc[e] = acc[e] + c if e in acc else c
-        # exponents are distinct keys, so the pairs sort by exponent alone
-        return RhoPoly(tuple((e, c) for e, c in sorted(acc.items(), reverse=True) if c))
+        for e, c in pairs:
+            old = acc.get(e)  # Fraction recomputes its hash on every lookup
+            acc[e] = c if old is None else old + c
+        ordered = sorted(acc.items(), key=itemgetter(0), reverse=True)
+        return RhoPoly(tuple((e, c) for e, c in ordered if c))
 
     @staticmethod
     def constant(c: RationalLike) -> "RhoPoly":
@@ -130,11 +135,30 @@ class RhoPoly:
     def __add__(self, other: "RhoPoly") -> "RhoPoly":
         if not isinstance(other, RhoPoly):
             return NotImplemented
-        if not self.terms:
+        a, b = self.terms, other.terms
+        if not a:
             return other
-        if not other.terms:
+        if not b:
             return self
-        return RhoPoly.from_terms(self.terms + other.terms)
+        # both term tuples are sorted by decreasing exponent: merge them in one pass
+        out: list[tuple[Fraction, Fraction]] = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            ea, eb = a[i][0], b[j][0]
+            if ea > eb:
+                out.append(a[i])
+                i += 1
+            elif ea < eb:
+                out.append(b[j])
+                j += 1
+            else:
+                c = a[i][1] + b[j][1]
+                if c:
+                    out.append((ea, c))
+                i += 1
+                j += 1
+        out += a[i:] or b[j:]
+        return RhoPoly(tuple(out))
 
     def __neg__(self) -> "RhoPoly":
         return RhoPoly(tuple((e, -c) for e, c in self.terms))
@@ -149,7 +173,7 @@ class RhoPoly:
             return NotImplemented
         if not self.terms or not other.terms:
             return RhoPoly()
-        return RhoPoly.from_terms(
+        return RhoPoly._collect(
             (e1 + e2, c1 * c2) for e1, c1 in self.terms for e2, c2 in other.terms
         )
 
@@ -285,9 +309,13 @@ class PreciseNum:
         return -self if self.sign() < 0 else self
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (PreciseNum, RhoPoly, int, Fraction)):
-            return (self - PreciseNum.of(other)).is_zero()
-        return NotImplemented
+        if not isinstance(other, (PreciseNum, RhoPoly, int, Fraction)):
+            return NotImplemented
+        other = PreciseNum.of(other)
+        if self.den == other.den:
+            # canonical terms: over one denominator, equal values have equal numerators
+            return self.num == other.num
+        return (self - other).is_zero()
 
     def __hash__(self) -> int:
         # den is monic of degree zero, so num's leading term is the value's

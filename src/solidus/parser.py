@@ -311,9 +311,15 @@ def _integer_power(value: ExternalNum, n: int, pos: int) -> ExternalNum:
         except SolidusError as exc:
             raise EvalError(str(exc), pos) from None
         n = -n
+    # binary exponentiation: the product is associative and canonical forms are
+    # unique, so O(log n) products give the same form as n of them
     result = canonicalize(1)
-    for _ in range(n):
-        result = ext_mul(result, value)
+    while n:
+        if n & 1:
+            result = ext_mul(result, value)
+        n >>= 1
+        if n:
+            value = ext_mul(value, value)
     return result
 
 

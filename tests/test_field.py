@@ -24,6 +24,7 @@ from solidus.field import (
     render_poly,
     series_expand,
 )
+from solidus.generate import GeneratorConfig, Sampler
 
 
 def poly(*pairs):
@@ -32,6 +33,14 @@ def poly(*pairs):
 
 def prec(num, den=ONE_POLY):
     return PreciseNum(RhoPoly.from_terms(num) if isinstance(num, list) else num, den)
+
+
+def reference_terms(pairs):
+    """Oracle for the term kernel: merge duplicates in a dict, then sort."""
+    acc = {}
+    for e, c in pairs:
+        acc[e] = acc[e] + c if e in acc else c
+    return tuple((e, c) for e, c in sorted(acc.items(), reverse=True) if c)
 
 
 def brute_mul(a: RhoPoly, b: RhoPoly) -> RhoPoly:
@@ -76,6 +85,22 @@ class TestRhoPoly:
     def test_mul_matches_brute_force(self, ta, tb):
         a, b = RhoPoly.from_terms(ta), RhoPoly.from_terms(tb)
         assert a * b == brute_mul(a, b)
+
+    def test_merge_and_product_match_the_dict_reference(self):
+        sampler = Sampler(GeneratorConfig(seed=5), "merge-reference")
+        pairs = []
+        for _ in range(60):
+            a, b = sampler.rhopoly(), sampler.rhopoly()
+            half = RhoPoly.from_terms((e, -c) for e, c in a.terms[::2])
+            pairs += [(a, b), (a, -a), (a, half + b), (a, b.shift(F(1, 997))), (a, ZERO_POLY)]
+        assert any(not a.is_zero() and (a + b).is_zero() for a, b in pairs)
+        for a, b in pairs:
+            negated = tuple((e, -c) for e, c in b.terms)
+            assert (a + b).terms == reference_terms(a.terms + b.terms)
+            assert (b + a).terms == reference_terms(b.terms + a.terms)
+            assert (a - b).terms == reference_terms(a.terms + negated)
+            product = [(e1 + e2, c1 * c2) for e1, c1 in a.terms for e2, c2 in b.terms]
+            assert (a * b).terms == reference_terms(product)
 
     def test_invariants_restored(self):
         p = RhoPoly.from_terms([(1, 1), (1, -1), (0, 3)])

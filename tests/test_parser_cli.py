@@ -8,11 +8,11 @@ import pytest
 
 from solidus.cli import main, run_command
 from solidus.errors import ParseError, SolidusError
-from solidus.external import canonicalize, ext_compare, pure
+from solidus.external import canonicalize, ext_compare, ext_inv, ext_mul, is_zeroless, pure
 from solidus.field import Ordering, RhoPoly
 from solidus.generate import GeneratorConfig, Sampler
-from solidus.neutrix import INFINITESIMALS, closed_cut
-from solidus.parser import BinOp, Cmp, Lit, Pow, Sym, Unary, eval_text, evaluate, parse
+from solidus.neutrix import INFINITESIMALS, NeutrixKind, closed_cut
+from solidus.parser import BinOp, Cmp, Lit, Pow, Sym, Unary, _integer_power, eval_text, evaluate, parse
 
 rp = RhoPoly.rho_power
 
@@ -94,6 +94,21 @@ class TestEval:
         assert eval_text("(1 + 1/rho)^2") == eval_text("1 + 2/rho + 1/rho^2")
         assert eval_text("(rho + 1)^(-1)") == eval_text("1/(rho + 1)")
 
+    def test_power_by_squaring_matches_repeated_product(self):
+        # str, not only ==: a representative over a ZERO neutrix is kept as a ratio
+        sampler = Sampler(GeneratorConfig(seed=9), "power-reference")
+        values = [sampler.external() for _ in range(24)]
+        values += [canonicalize(sampler.precise(ratio_probability=1)) for _ in range(4)]
+        assert {x.nx.kind for x in values} == set(NeutrixKind)
+        assert any(not x.rep.is_polynomial() for x in values)
+        for x in values:
+            runs = [(x, 24, 1)] + ([(ext_inv(x), 4, -1)] if is_zeroless(x) else [])
+            for base, top, sign in runs:
+                power = canonicalize(1)  # the left-to-right product, one factor per step
+                for k in range(top + 1):
+                    assert str(_integer_power(x, sign * k, 1)) == str(power), (str(x), sign * k)
+                    power = ext_mul(power, base)
+
     def test_comparisons_evaluate_to_bool(self):
         assert eval_text("o < L") is True
         assert eval_text("1 + o = 1 + o") is True
@@ -164,10 +179,16 @@ class TestCommands:
         out = run_command(":check --count 3 --only thm.oslash_pound")
         assert out.splitlines()[0] == "thm.oslash_pound\tpass\t1\t0"
 
-    def test_check_rejects_non_positive_count(self):
+    def test_check_rejects_non_positive_count(self, capsys):
+        usage = "usage: :check [--seed S] [--count N] [--only ID]"
         for count in ("0", "-1", "-2"):
             out = run_command(f":check --count {count} --only thm.oslash_pound")
-            assert out == "usage: :check [--seed S] [--count N] [--only ID]"
+            assert out.splitlines() == [f"error: argument --count: must be positive, got {count}", usage]
+        out = run_command(":check --count x")
+        assert out.splitlines() == ["error: argument --count: invalid int value: 'x'", usage]
+        assert run_command(':check --only "thm').splitlines() == ["error: No closing quotation", usage]
+        assert run_command(":check --wibble").splitlines() == ["error: unrecognized arguments: --wibble", usage]
+        assert capsys.readouterr().err == ""
 
 
 class TestMainEntry:
