@@ -92,7 +92,9 @@ class TestRhoPoly:
         for _ in range(60):
             a, b = sampler.rhopoly(), sampler.rhopoly()
             half = RhoPoly.from_terms((e, -c) for e, c in a.terms[::2])
+            lead, rest = RhoPoly(a.terms[:1]), RhoPoly(a.terms[1:])
             pairs += [(a, b), (a, -a), (a, half + b), (a, b.shift(F(1, 997))), (a, ZERO_POLY)]
+            pairs.append((lead + rest, lead - rest))  # the product's cross terms cancel
         assert any(not a.is_zero() and (a + b).is_zero() for a, b in pairs)
         for a, b in pairs:
             negated = tuple((e, -c) for e, c in b.terms)
@@ -125,6 +127,18 @@ class TestPreciseNum:
         b = PreciseNum.of(poly((1, 1), (0, 1)))
         assert a.num * b.den == b.num * a.den
         assert a == b
+
+    def test_equality_matches_the_difference_reference(self):
+        sampler = Sampler(GeneratorConfig(seed=6), "equality-reference")
+        pairs = []
+        for _ in range(60):
+            p, q, d = sampler.rhopoly(), sampler.rhopoly(), sampler.nonzero_rhopoly(max_terms=2)
+            x = PreciseNum(p, d)
+            pairs += [(x, PreciseNum(q, d)), (x, PreciseNum(p, d)), (x, PreciseNum(p * d, d * d)),
+                      (x, sampler.precise()), (x, p), (x, 0)]
+        assert any(a == b for a, b in pairs) and not all(a == b for a, b in pairs)
+        for a, b in pairs:
+            assert (a == b) == (a - PreciseNum.of(b)).is_zero(), (str(a), str(b))
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
