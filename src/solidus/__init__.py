@@ -38,7 +38,6 @@ from .field import (
     ZERO_POLY,
     as_polynomial,
     compare_precise,
-    degree,
     series_expand,
 )
 from .neutrix import (
@@ -81,7 +80,6 @@ from .external import (
     is_limited,
     is_zeroless,
     magnitude,
-    neutrix_part,
     pure,
     shadow,
     unity,
@@ -116,7 +114,7 @@ from .checks import (
     exit_code,
     format_report,
     format_reports,
-    minkowski_oracle,
+    minkowski_escapes,
     run_catalog,
     run_check,
 )

@@ -17,6 +17,7 @@ deterministic for a given (check id, config, count).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -1192,45 +1193,29 @@ def _v_thm_unity_multiplicative(x, y):
 # oracles
 
 
-def minkowski_oracle(
-    alpha: ExternalNum, beta: ExternalNum, op: str, k: int
-) -> CheckReport:
-    """Sampled representatives of both operands land inside the computed result."""
+def minkowski_escapes(
+    alpha: ExternalNum, beta: ExternalNum, ext_op: Callable, op: Callable, k: int
+) -> list[tuple[PreciseNum, PreciseNum, PreciseNum]]:
+    """The sampled ``(x, y, op(x, y))``, over up to ``k`` member pairs, that
+    escape ``ext_op(alpha, beta)``; empty when the operation is sound."""
     if k < 1:
         raise ValueError("need at least one representative")
-    if op == "add":
-        result = ext_add(alpha, beta)
-        combine = lambda x, y: x + y
-    elif op == "mul":
-        result = ext_mul(alpha, beta)
-        combine = lambda x, y: x * y
-    else:
-        raise ValueError(f"unknown Minkowski operation {op!r}")
-    report = CheckReport(f"oracle.minkowski.{op}", samples=0)
-    xs = _representative_menu(alpha)
-    ys = _representative_menu(beta)
-    pairs = [(x, y) for x in xs for y in ys][: max(k, 1)]
-    report.samples = len(pairs)
-    for x, y in pairs:
-        value = combine(x, y)
-        if not ext_member(value, result):
-            report.failures.append(
-                CheckFailure(
-                    inputs=(("alpha", str(alpha)), ("beta", str(beta)), ("x", str(x)), ("y", str(y))),
-                    expected=f"x {op} y lands in {result}",
-                    observed=str(value),
-                )
-            )
-    return report
+    result = ext_op(alpha, beta)
+    pairs = [(x, y) for x in _representative_menu(alpha) for y in _representative_menu(beta)][:k]
+    values = [(x, y, op(x, y)) for x, y in pairs]
+    return [(x, y, v) for x, y, v in values if not ext_member(v, result)]
+
+
+MINKOWSKI_OPS = (("add", ext_add, operator.add), ("mul", ext_mul, operator.mul))
 
 
 @law("oracle.minkowski", "oracle", "sampled member sums/products land in the computed value", "Minkowski soundness", _d(Sampler.external, 2))
 def _v_oracle_minkowski(x, y):
-    for op in ("add", "mul"):
-        sub = minkowski_oracle(x, y, op, 20)
-        if sub.failures:
-            f = sub.failures[0]
-            return f"{op}: {f.observed} escapes (x={dict(f.inputs)['x']}, y={dict(f.inputs)['y']})"
+    for name, ext_op, op in MINKOWSKI_OPS:
+        escapes = minkowski_escapes(x, y, ext_op, op, 20)
+        if escapes:
+            a, b, value = escapes[0]
+            return f"{name}: {value} escapes (x={a}, y={b})"
     return None
 
 

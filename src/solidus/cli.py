@@ -97,6 +97,16 @@ def _check_command(rest: str) -> str:
     return _run_checks(parser.parse_args(tokens))[0]
 
 
+# value commands: name -> (number of expressions, None for any; render)
+_COMMANDS = {
+    ":classify": (1, lambda value: classify(value).value),
+    ":cmp": (2, lambda a, b: ext_compare(a, b).name),
+    ":zup": (None, lambda *values: render_external(zup_finite(values))),
+    ":nat": (1, lambda v: "true" if v.nx.kind is NeutrixKind.ZERO and is_natural(v.rep) else "false"),
+    ":arch": (2, lambda x, y: str(archimedean_witness(x, y))),
+}
+
+
 def run_command(line: str) -> str:
     """Execute one REPL line and return the rendered output (never raises)."""
     try:
@@ -121,23 +131,10 @@ def _dispatch(line: str) -> str:
         return ":quit"
     if command == ":help":
         return HELP_TEXT
-    if command == ":classify":
-        (value,) = _values(rest, 1)
-        return classify(value).value
-    if command == ":cmp":
-        a, b = _values(rest, 2)
-        return ext_compare(a, b).name
-    if command == ":zup":
-        values = _values(rest)
-        return render_external(zup_finite(values))
-    if command == ":nat":
-        (value,) = _values(rest, 1)
-        if value.nx.kind is not NeutrixKind.ZERO:
-            return "false"
-        return "true" if is_natural(value.rep) else "false"
-    if command == ":arch":
-        x, y = _values(rest, 2)
-        return str(archimedean_witness(x, y))
+    entry = _COMMANDS.get(command)
+    if entry is not None:
+        arity, render = entry
+        return render(*_values(rest, arity))
     if command == ":check":
         return _check_command(rest)
     raise SolidusError(f"unknown command {command!r}")

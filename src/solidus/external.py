@@ -86,10 +86,12 @@ class ExternalNum:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ExternalNum):
             return self.nx == other.nx and self.rep == other.rep
-        return NotImplemented
+        # a number equals its precise value; a Neutrix never equals its pure(...): 0 != NX_ZERO
+        return self == canonicalize(other) if isinstance(other, PreciseLike) else NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.rep, self.nx))
+        # precise values hash like the numbers they equal
+        return hash(self.rep) if self.nx.kind is NeutrixKind.ZERO else hash((self.rep, self.nx))
 
     def __lt__(self, other: "ExternalLike") -> bool:
         return ext_compare(self, as_external(other)) is Ordering.LT
@@ -134,10 +136,6 @@ def as_external(value: ExternalLike) -> ExternalNum:
 
 EXT_ZERO = canonicalize(0)
 EXT_ONE = canonicalize(1)
-
-
-def neutrix_part(alpha: ExternalNum) -> Neutrix:
-    return alpha.nx
 
 
 def pure(nx: Neutrix) -> ExternalNum:

@@ -14,6 +14,7 @@ exponent group is what makes the idempotency laws of the magnitude lattice
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -106,15 +107,6 @@ class RhoPoly:
         """Sign of the value: rho is positive infinite, so the leading term decides."""
         c = self.leading_coeff()
         return (c > 0) - (c < 0)
-
-    def coefficient(self, q: RationalLike) -> Fraction:
-        q = _as_fraction(q)
-        for e, c in self.terms:
-            if e == q:
-                return c
-            if e < q:
-                break
-        return Fraction(0)
 
     def shift(self, dq: RationalLike) -> "RhoPoly":
         """Multiply by rho^(dq): add dq to every exponent."""
@@ -218,6 +210,7 @@ def _exponent_step(exponents: Iterable[Fraction]) -> Fraction:
     return Fraction(num_gcd, den_lcm)
 
 
+@functools.total_ordering
 @dataclass(frozen=True, eq=False)
 class PreciseNum:
     """Element of the precise ordered field: a ratio of two RhoPolys.
@@ -322,16 +315,8 @@ class PreciseNum:
         return _value_hash(self.num.degree(), self.num.leading_coeff())
 
     def __lt__(self, other: "PreciseLike") -> bool:
-        return (self - PreciseNum.of(other)).sign() < 0
-
-    def __le__(self, other: "PreciseLike") -> bool:
-        return (self - PreciseNum.of(other)).sign() <= 0
-
-    def __gt__(self, other: "PreciseLike") -> bool:
-        return (self - PreciseNum.of(other)).sign() > 0
-
-    def __ge__(self, other: "PreciseLike") -> bool:
-        return (self - PreciseNum.of(other)).sign() >= 0
+        # total_ordering derives <=, > and >= from this and __eq__
+        return compare_precise(self, other) is Ordering.LT
 
     def __str__(self) -> str:
         return render_precise(self)
@@ -343,10 +328,6 @@ class PreciseNum:
 PreciseLike = Union[PreciseNum, RhoPoly, int, Fraction]
 
 PRECISE_ZERO = PreciseNum(ZERO_POLY)
-
-
-def degree(x: PreciseNum) -> Fraction | float:
-    return x.degree()
 
 
 def compare_precise(a: PreciseLike, b: PreciseLike) -> Ordering:

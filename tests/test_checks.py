@@ -1,23 +1,25 @@
 """Tests for the generator and the check harness itself."""
 
 import hashlib
+import operator
 
 import pytest
 
 from solidus.checks import (
     ALIASES,
     AXIOM_GROUPS,
+    MINKOWSKI_OPS,
     REGISTRY,
     catalog_ids,
     exit_code,
     format_report,
     format_reports,
-    minkowski_oracle,
+    minkowski_escapes,
     run_catalog,
     run_check,
 )
 from solidus.errors import UnknownCheckError
-from solidus.external import Classification, canonicalize, classify, ext_member
+from solidus.external import Classification, canonicalize, classify, ext_add, ext_member, ext_mul
 from solidus.field import PreciseNum, RhoPoly
 from solidus.generate import (
     COEFF_BOUND,
@@ -216,21 +218,20 @@ class TestMinkowskiOracle:
         s = Sampler(CFG, "minkowski")
         for _ in range(40):
             a, b = s.external(), s.external()
-            for op in ("add", "mul"):
-                assert minkowski_oracle(a, b, op, 20).passed
+            for _name, ext_op, op in MINKOWSKI_OPS:
+                assert minkowski_escapes(a, b, ext_op, op, 20) == []
 
     def test_rejects_bad_inputs(self):
         a = canonicalize(1, INFINITESIMALS)
         with pytest.raises(ValueError):
-            minkowski_oracle(a, a, "sub", 5)
-        with pytest.raises(ValueError):
-            minkowski_oracle(a, a, "add", 0)
+            minkowski_escapes(a, a, ext_add, operator.add, 0)
 
     def test_member_products_escape_a_wrongly_narrow_result(self):
         a = canonicalize(1, INFINITESIMALS)
-        report = minkowski_oracle(a, a, "mul", 20)
-        assert report.passed
-        # the same sampled products do NOT fit a result stripped of its neutrix
-        wrong = canonicalize(1)
-        member = a.rep + PreciseNum.of(RhoPoly.rho_power(-1))
-        assert not ext_member(member * member, wrong)
+        assert minkowski_escapes(a, a, ext_mul, operator.mul, 20) == []
+        # a product that drops the neutrix is caught by the member products
+        narrow = lambda u, v: canonicalize(u.rep * v.rep)
+        escapes = minkowski_escapes(a, a, narrow, operator.mul, 20)
+        assert escapes
+        for x, y, value in escapes:
+            assert value == x * y and not ext_member(value, canonicalize(1))

@@ -5,6 +5,7 @@ representative-sampling oracle: members of alpha are rep + g with g drawn from
 the neutrix near its threshold.
 """
 
+import operator
 from fractions import Fraction as F
 
 import pytest
@@ -31,7 +32,6 @@ from solidus.external import (
     is_limited,
     is_zeroless,
     magnitude,
-    neutrix_part,
     pure,
     render_external,
     shadow,
@@ -45,6 +45,8 @@ from solidus.neutrix import (
     INFINITESIMALS,
     LIMITED,
     NX_ZERO,
+    Neutrix,
+    NeutrixKind,
     closed_cut,
     nx_add,
     nx_scale,
@@ -126,6 +128,16 @@ class TestHashing:
         assert RhoPoly.constant(2) != 3 and RhoPoly.rho_power(1) != 1
         assert len({RhoPoly.constant(2), 2, PreciseNum.of(2)}) == 1
         assert len({PreciseNum.of(2), RhoPoly.constant(2), 2}) == 1
+        # precise external numbers join them, in both directions and hashes
+        two = canonicalize(2)
+        for n in (2, F(2), PreciseNum.of(2), RhoPoly.constant(2)):
+            assert two == n and n == two and hash(two) == hash(n)
+        assert canonicalize(1) == PreciseNum.of(1) and canonicalize(2) <= 2 and canonicalize(2) >= 2
+        values = [two, 2, PreciseNum.of(2), RhoPoly.constant(2), F(2)]
+        assert len(set(values)) == 1 and len(set(reversed(values))) == 1
+        # a nonzero neutrix equals no number, and a magnitude is not its Neutrix
+        assert canonicalize(2, INFINITESIMALS) != 2 and 2 != canonicalize(2, INFINITESIMALS)
+        assert pure(LIMITED) != LIMITED and LIMITED != pure(LIMITED) and pure(LIMITED) <= LIMITED
 
     def test_values_and_halflines_are_hashable(self):
         one = canonicalize(1)
@@ -188,7 +200,7 @@ class TestMul:
             nx_add(nx_scale(a.rep, b.nx), nx_scale(b.rep, a.nx)),
             nx_scale(PreciseNum.of(1), INFINITESIMALS),
         )
-        assert neutrix_part(prod) == expected == open_cut(1)
+        assert prod.nx == expected == open_cut(1)
 
 
 class TestInverse:
@@ -239,6 +251,51 @@ class TestCompare:
         assert canonicalize(rp(5), closed_cut(2)) < m
         assert ext_compare(m, m) is Ordering.EQ
 
+    def test_six_operators_agree_with_ext_compare(self):
+        # all four neutrix kinds, equal values rebuilt from another member, and
+        # number and Neutrix operands on either side
+        s = Sampler(GeneratorConfig(seed=19), "six-operators")
+        pairs = []
+        for _ in range(100):
+            x, y, c = s.external(), s.external(), s.coefficient()
+            rebuilt = canonicalize(s.representative_of(x), x.nx)
+            pairs += [(x, y), (rebuilt, x), (x, c), (c, x), (canonicalize(c), c),
+                      (c.numerator, canonicalize(c.numerator)), (x, y.nx), (y.nx, x), (pure(x.nx), x.nx)]
+        assert {a.nx.kind for a, _ in pairs[::9]} == set(NeutrixKind)
+        assert {ext_compare(as_external(a), as_external(b)) for a, b in pairs} == set(Ordering)
+        for a, b in pairs:
+            cmp = ext_compare(as_external(a), as_external(b))
+            # the order reads a Neutrix as its pure(...), equality does not
+            equal = cmp is Ordering.EQ and not isinstance(a, Neutrix) and not isinstance(b, Neutrix)
+            got = (a < b, a <= b, a > b, a >= b, a == b, a != b)
+            want = (cmp is Ordering.LT, cmp is not Ordering.GT, cmp is Ordering.GT,
+                    cmp is not Ordering.LT, equal, not equal)
+            assert got == want, (str(a), str(b))
+
+
+class TestOperators:
+    def test_operators_match_the_named_operations(self):
+        def outcome(op, *args):
+            try:
+                return op(*args)
+            except NotZerolessError as exc:
+                return f"NotZerolessError: {exc}"
+
+        s = Sampler(GeneratorConfig(seed=23), "operators")
+        raised = 0
+        for i in range(100):
+            x = s.zeroless() if i % 2 else s.external()
+            y = s.zeroless() if i % 3 else s.external()
+            assert -x == ext_neg(x)
+            assert x - y == ext_sub(x, y)
+            assert 3 - x == ext_sub(canonicalize(3), x)
+            assert x * y == ext_mul(x, y)
+            for args in ((x, y), (1, x)):
+                want = outcome(ext_div, *map(as_external, args))
+                assert outcome(operator.truediv, *args) == want
+                raised += isinstance(want, str)
+        assert 0 < raised < 200
+
 
 class TestSetPredicates:
     def test_member(self):
@@ -270,7 +327,7 @@ class TestSetPredicates:
 
 class TestClassifyUnity:
     def test_neutrix_part(self):
-        assert neutrix_part(canonicalize(3, INFINITESIMALS)) == INFINITESIMALS
+        assert canonicalize(3, INFINITESIMALS).nx == INFINITESIMALS
         assert magnitude(canonicalize(3, INFINITESIMALS)) == pure(INFINITESIMALS)
 
     def test_unity_of_rho_plus_limited(self):

@@ -20,7 +20,6 @@ from solidus.field import (
     ZERO_POLY,
     as_polynomial,
     compare_precise,
-    degree,
     render_poly,
     series_expand,
 )
@@ -140,6 +139,13 @@ class TestPreciseNum:
         for a, b in pairs:
             assert (a == b) == (a - PreciseNum.of(b)).is_zero(), (str(a), str(b))
 
+    def test_numbers_subtract_from_the_left(self):
+        s = Sampler(GeneratorConfig(seed=29), "rsub")
+        for _ in range(50):
+            p, c = s.precise(ratio_probability=0.5), s.coefficient()
+            assert 1 - p == PreciseNum.of(1) - p and isinstance(1 - p, PreciseNum)
+            assert c - p == -(p - c)
+
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             PreciseNum.of(1) / PreciseNum.of(0)
@@ -156,20 +162,20 @@ class TestPreciseNum:
 
 class TestDegree:
     def test_leading_exponent(self):
-        assert degree(prec([(2, 3), (1, 1)])) == 2
+        assert prec([(2, 3), (1, 1)]).degree() == 2
 
     def test_zero(self):
-        assert degree(PreciseNum.of(0)) == NEG_INFINITY
+        assert PreciseNum.of(0).degree() == NEG_INFINITY
 
     def test_ratio(self):
         x = PreciseNum(poly((1, 1), (0, 1)), poly((3, 1)))
-        assert degree(x) == 1 - 3 == -2
+        assert x.degree() == 1 - 3 == -2
 
     @given(st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 9), st.integers(1, 9))
     def test_valuation_of_products(self, e1, e2, c1, c2):
         a = PreciseNum.of(RhoPoly.rho_power(e1, c1))
         b = PreciseNum.of(RhoPoly.rho_power(e2, c2))
-        assert degree(a * b) == degree(a) + degree(b)
+        assert (a * b).degree() == a.degree() + b.degree()
 
 
 class TestComparePrecise:
@@ -189,6 +195,24 @@ class TestComparePrecise:
     def test_sign_from_leading_terms(self):
         assert prec([(2, -1), (0, 100)]).sign() == -1
         assert prec([(F(1, 2), 1), (0, -100)]).sign() == 1
+
+    def test_six_operators_agree_with_compare_precise(self):
+        # ratios, equal values over another denominator, and numbers on either side
+        s = Sampler(GeneratorConfig(seed=17), "six-operators")
+        r = PreciseNum.of(RHO + ONE_POLY)
+        pairs = []
+        for _ in range(100):
+            a, b, c = s.precise(ratio_probability=0.5), s.precise(ratio_probability=0.5), s.coefficient()
+            pairs += [(a, b), (a, a * r / r), (a, c), (c, a), (c, PreciseNum.of(c)),
+                      (PreciseNum.of(c.numerator), c.numerator)]
+        assert any(not a.is_polynomial() for a, _ in pairs[::6])
+        assert {compare_precise(a, b) for a, b in pairs} == set(Ordering)
+        for a, b in pairs:
+            cmp = compare_precise(a, b)
+            got = (a < b, a <= b, a > b, a >= b, a == b, a != b)
+            want = (cmp is Ordering.LT, cmp is not Ordering.GT, cmp is Ordering.GT,
+                    cmp is not Ordering.LT, cmp is Ordering.EQ, cmp is not Ordering.EQ)
+            assert got == want, (str(a), str(b))
 
 
 small_polys = st.lists(
@@ -249,9 +273,9 @@ class TestOrderedFieldLaws:
     @settings(max_examples=60, deadline=None)
     @given(precise_values, precise_values)
     def test_degree_valuation(self, a, b):
-        da, db = degree(a), degree(b)
-        assert degree(a * b) == da + db
-        ds = degree(a + b)
+        da, db = a.degree(), b.degree()
+        assert (a * b).degree() == da + db
+        ds = (a + b).degree()
         assert ds <= max(da, db)
         if da != db:
             assert ds == max(da, db)
@@ -286,16 +310,16 @@ class TestSeriesExpand:
             assert e > cutoff if strict else e >= cutoff
         rem = x - PreciseNum.of(p)
         if strict:
-            assert degree(rem) <= cutoff
+            assert rem.degree() <= cutoff
         else:
-            assert degree(rem) < cutoff
+            assert rem.degree() < cutoff
 
     def test_terminates_well_below_degree(self):
         x = self.geometric()
         p = series_expand(x, -6, strict=False)
         assert p.terms[0] == (F(0), F(1))
         assert len(p.terms) == 7  # exponents 0 .. -6
-        assert degree(x - PreciseNum.of(p)) < -6
+        assert (x - PreciseNum.of(p)).degree() < -6
 
 
 class TestAsPolynomial:
