@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .errors import InternalError, UnknownCheckError
+from .errors import UnknownCheckError
 from .external import (
     ExternalNum,
     canonicalize,
@@ -73,7 +73,6 @@ from .neutrix import (
     is_ideal_of,
     is_idempotent,
     maximal_ideal,
-    nx_add,
     nx_compare,
     nx_contains,
     nx_mul,
@@ -295,32 +294,7 @@ def _representative_menu(alpha: ExternalNum, k: int | None = None) -> list[Preci
 
 def _witness_above(a: ExternalNum, b: ExternalNum) -> PreciseNum:
     """A precise member of ``a`` strictly above ``b``; requires a > b."""
-    delta = a.rep - b.rep
-    combined = nx_add(a.nx, b.nx)
-    if not nx_contains(combined, delta):
-        return a.rep
-    # inclusion case: b.nx is a proper subset of a.nx; climb inside a.nx
-    big, small = a.nx, b.nx
-    floors: list[Fraction] = []
-    if small.kind in (NeutrixKind.OPEN_CUT, NeutrixKind.CLOSED_CUT):
-        floors.append(small.q)
-    d = delta.degree()
-    if isinstance(d, Fraction):
-        floors.append(d)
-    if big.kind is NeutrixKind.FULL:
-        t = max(floors, default=Fraction(0)) + 1
-    elif big.kind is NeutrixKind.CLOSED_CUT:
-        t = big.q
-    else:
-        floor = max([f for f in floors if f < big.q], default=big.q - 1)
-        t = (big.q + floor) / 2
-    coeff = 1
-    for _ in range(64):
-        candidate = a.rep + PreciseNum.of(RhoPoly.rho_power(t, coeff))
-        if ext_member(candidate, a) and ext_compare(canonicalize(candidate), b) is GT:
-            return candidate
-        coeff *= 2
-    raise InternalError("failed to climb above the smaller external number")
+    return a.rep if ext_disjoint(a, b) else separate_precise(b, a)
 
 
 # --- draws ---------------------------------------------------------------------

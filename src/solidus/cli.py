@@ -2,12 +2,14 @@
 
 Bare lines evaluate expressions and print canonical forms; colon commands
 expose classification, comparison, weak suprema, naturals and the check suite.
-Exit codes: 0 success, 1 check failures (in --check mode), 2 usage errors.
+Exit codes: 0 success, 1 check failures (in --check mode), 2 usage errors,
+141 (128 + SIGPIPE) when standard output is closed early, as by ``| head``.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import shlex
 import sys
 from typing import NoReturn, Optional
@@ -181,13 +183,20 @@ def main(argv: Optional[list[str]] = None) -> int:
     _add_check_options(parser)
     ns = parser.parse_args(argv)
 
-    if ns.check:
-        output, code = _run_checks(ns)
-        print(output, file=sys.stderr if code == 2 else sys.stdout)
-        return code
-    if ns.batch:
-        return run_batch(ns.batch)
-    return repl()
+    try:
+        if ns.check:
+            output, code = _run_checks(ns)
+            print(output, file=sys.stderr if code == 2 else sys.stdout)
+        else:
+            code = run_batch(ns.batch) if ns.batch else repl()
+        # flush here, so a closed pipe is met inside this block
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the recipe of the signal module docs: the interpreter flushes stdout
+        # again at exit, so point it at devnull first
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

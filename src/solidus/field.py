@@ -201,8 +201,6 @@ def _exponent_step(exponents: Iterable[Fraction]) -> Fraction:
     num_gcd = 0
     den_lcm = 1
     for q in exponents:
-        if q == 0:
-            continue
         num_gcd = math.gcd(num_gcd, abs(q.numerator))
         den_lcm = den_lcm * q.denominator // math.gcd(den_lcm, q.denominator)
     if num_gcd == 0:
@@ -261,13 +259,12 @@ class PreciseNum:
         return self.num.sign()
 
     def degree(self) -> Fraction | float:
-        """The valuation: degree(num) - degree(den); NEG_INFINITY for zero."""
-        if self.num.is_zero():
-            return NEG_INFINITY
-        return self.num.degree() - self.den.degree()
+        """The valuation; den has degree zero, and zero's numerator gives NEG_INFINITY."""
+        return self.num.degree()
 
     def __add__(self, other: "PreciseLike") -> "PreciseNum":
-        other = PreciseNum.of(other)
+        if not isinstance(other, PreciseNum) and (other := _operand(other)) is NotImplemented:
+            return NotImplemented
         if self.den == other.den:
             return PreciseNum(self.num + other.num, self.den)
         return PreciseNum(self.num * other.den + other.num * self.den, self.den * other.den)
@@ -278,33 +275,38 @@ class PreciseNum:
         return PreciseNum(-self.num, self.den)
 
     def __sub__(self, other: "PreciseLike") -> "PreciseNum":
-        return self + (-PreciseNum.of(other))
+        if not isinstance(other, PreciseNum) and (other := _operand(other)) is NotImplemented:
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other: "PreciseLike") -> "PreciseNum":
-        return PreciseNum.of(other) + (-self)
+        other = _operand(other)
+        return NotImplemented if other is NotImplemented else other - self
 
     def __mul__(self, other: "PreciseLike") -> "PreciseNum":
-        other = PreciseNum.of(other)
+        if not isinstance(other, PreciseNum) and (other := _operand(other)) is NotImplemented:
+            return NotImplemented
         return PreciseNum(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "PreciseLike") -> "PreciseNum":
-        other = PreciseNum.of(other)
+        if not isinstance(other, PreciseNum) and (other := _operand(other)) is NotImplemented:
+            return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by the zero element")
         return PreciseNum(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other: "PreciseLike") -> "PreciseNum":
-        return PreciseNum.of(other) / self
+        other = _operand(other)
+        return NotImplemented if other is NotImplemented else other / self
 
     def __abs__(self) -> "PreciseNum":
         return -self if self.sign() < 0 else self
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (PreciseNum, RhoPoly, int, Fraction)):
+        if not isinstance(other, PreciseNum) and (other := _operand(other)) is NotImplemented:
             return NotImplemented
-        other = PreciseNum.of(other)
         if self.den == other.den:
             # canonical terms: over one denominator, equal values have equal numerators
             return self.num == other.num
@@ -315,7 +317,9 @@ class PreciseNum:
         return _value_hash(self.num.degree(), self.num.leading_coeff())
 
     def __lt__(self, other: "PreciseLike") -> bool:
-        # total_ordering derives <=, > and >= from this and __eq__
+        # total_ordering derives <=, > and >= from this and __eq__, passing NotImplemented on
+        if not isinstance(other, PreciseNum) and (other := _operand(other)) is NotImplemented:
+            return NotImplemented
         return compare_precise(self, other) is Ordering.LT
 
     def __str__(self) -> str:
@@ -325,7 +329,16 @@ class PreciseNum:
         return f"PreciseNum({render_precise(self)})"
 
 
-PreciseLike = Union[PreciseNum, RhoPoly, int, Fraction]
+#: The operand types ``PreciseNum.of`` accepts.
+_PRECISE_TYPES = (PreciseNum, RhoPoly, int, Fraction)
+PreciseLike = Union[_PRECISE_TYPES]
+
+
+def _operand(value: object) -> PreciseNum:
+    """``PreciseNum.of(value)``, or NotImplemented for a type it rejects, so that
+    Python tries the other operand's reflected method (an ExternalNum's, say)."""
+    return PreciseNum.of(value) if isinstance(value, _PRECISE_TYPES) else NotImplemented
+
 
 PRECISE_ZERO = PreciseNum(ZERO_POLY)
 
@@ -342,23 +355,24 @@ def _long_division(
 
     Returns ``(quotient, remainder)`` with num = quotient*den + remainder,
     where the quotient holds the expansion terms with exponent > floor
-    (``strict``) or >= floor (not ``strict``).  This terminates because all
+    (``strict``) or >= floor (not ``strict``).  ``den`` must be a ``PreciseNum``
+    denominator, monic of degree zero, so each quotient term is the
+    remainder's leading term.  This terminates because all
     exponents live in the cyclic subgroup delta*Z of the rationals spanned by
     the exponents of num, den and the floor, so every division step lowers the
     remainder's degree by at least delta.  The step-count guard failing means
     a bug, not bad input.
     """
     step = _exponent_step([e for e, _ in num.terms] + [e for e, _ in den.terms] + [floor])
-    span = num.degree() - den.degree() - floor
+    span = num.degree() - floor
     max_steps = int(span / step) + len(num.terms) + len(den.terms) + 8
 
     out: list[tuple[Fraction, Fraction]] = []
     rem = num
     while not rem.is_zero():
-        e = rem.degree() - den.degree()
+        e, c = rem.terms[0]
         if e < floor or (strict and e == floor):
             break
-        c = rem.leading_coeff() / den.leading_coeff()
         out.append((e, c))
         rem = rem - den.shift(e).scale(c)
         if len(out) > max_steps:
@@ -375,8 +389,6 @@ def series_expand(x: PreciseLike, cutoff: RationalLike, strict: bool) -> RhoPoly
     """
     x = PreciseNum.of(x)
     cutoff = _as_fraction(cutoff)
-    if x.is_zero():
-        return ZERO_POLY
     if x.den == ONE_POLY:
         keep = (lambda e: e > cutoff) if strict else (lambda e: e >= cutoff)
         return RhoPoly(tuple((e, c) for e, c in x.num.terms if keep(e)))
@@ -392,8 +404,6 @@ def as_polynomial(x: PreciseNum) -> RhoPoly | None:
     """
     if x.den == ONE_POLY:
         return x.num
-    if x.num.is_zero():
-        return ZERO_POLY
     floor = x.num.min_exponent() - x.den.min_exponent()
     quotient, rem = _long_division(x.num, x.den, floor, strict=False)
     return quotient if rem.is_zero() else None

@@ -228,8 +228,6 @@ def _candidates(value) -> Iterator:
             yield canonicalize(value.rep, nx2)
     elif isinstance(value, PreciseNum):
         yield from _precise_candidates(value)
-    elif isinstance(value, RhoPoly):
-        yield from _poly_candidates(value)
     elif isinstance(value, Neutrix):
         yield from _neutrix_candidates(value)
 

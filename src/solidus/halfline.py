@@ -201,18 +201,14 @@ def separate_precise(x: ExternalNum, y: ExternalNum) -> PreciseNum:
 def separate_from_hole(x: ExternalNum, tau: ExternalNum) -> PreciseNum:
     """A precise p with x < p and p below every representative of tau.
 
-    Requires x + e(tau) < tau.  Shift by the representative of x; the shifted
-    bound is zeroless and half its representative is the witness.
+    Requires x + e(tau) < tau.  Then x < tau and tau - x.rep is zeroless, so
+    ``separate_precise`` takes its halving branch, x.rep + (tau.rep - x.rep)/2,
+    which stays below every representative of tau.
     """
     if not _below_every_representative(x, tau):
         raise PreconditionFailedError(f"{x} is not below every representative of {tau}")
-    a = x.rep
-    shifted = ext_sub(tau, canonicalize(a))
-    if classify(shifted) is Classification.PURE_NEUTRIX:
-        raise InternalError("hole bound degenerated to a magnitude despite the precondition")
-    p = a + shifted.rep / 2
-    witness = canonicalize(p)
-    if not (x < witness and _below_every_representative(witness, tau)):
+    p = separate_precise(x, tau)
+    if not _below_every_representative(canonicalize(p), tau):
         raise InternalError("hole-separation witness failed its postcondition")
     return p
 

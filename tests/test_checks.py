@@ -5,6 +5,7 @@ import operator
 
 import pytest
 
+import solidus.checks
 from solidus.checks import (
     ALIASES,
     AXIOM_GROUPS,
@@ -19,8 +20,17 @@ from solidus.checks import (
     run_check,
 )
 from solidus.errors import UnknownCheckError
-from solidus.external import Classification, canonicalize, classify, ext_add, ext_member, ext_mul
-from solidus.field import PreciseNum, RhoPoly
+from solidus.external import (
+    Classification,
+    canonicalize,
+    classify,
+    ext_add,
+    ext_compare,
+    ext_disjoint,
+    ext_member,
+    ext_mul,
+)
+from solidus.field import Ordering, PreciseNum, RhoPoly
 from solidus.generate import (
     COEFF_BOUND,
     EXPONENT_RANGE,
@@ -33,6 +43,7 @@ from solidus.neutrix import (
     INFINITESIMALS,
     LIMITED,
     NeutrixKind,
+    nx_compare,
     nx_contains,
 )
 
@@ -211,6 +222,24 @@ class TestHarness:
         )
         digest = hashlib.sha256(repr(declared).encode()).hexdigest()
         assert digest == "92ffdd5b0ee7ba0ea7c3214b2dd0953459592f6545bcb11ac8564ceac682b411"
+
+
+def _overlap_is_equal(a, b):
+    return Ordering.EQ if not ext_disjoint(a, b) else ext_compare(a, b)
+
+
+def _inclusion_swapped(a, b):
+    return nx_compare(b.nx, a.nx) if not ext_disjoint(a, b) else ext_compare(a, b)
+
+
+class TestOrderOracle:
+    @pytest.mark.parametrize("wrong_order", [_overlap_is_equal, _inclusion_swapped])
+    def test_catches_a_wrong_order(self, monkeypatch, wrong_order):
+        # only the verdict's own order decision is wrong: the witness it asks
+        # for is still built by halfline.separate_precise under the right order
+        monkeypatch.setattr(solidus.checks, "ext_compare", wrong_order)
+        report = run_check("oracle.order", GeneratorConfig(seed=0), 50)
+        assert report.failures, wrong_order.__name__
 
 
 class TestMinkowskiOracle:

@@ -253,15 +253,16 @@ class TestCompare:
 
     def test_six_operators_agree_with_ext_compare(self):
         # all four neutrix kinds, equal values rebuilt from another member, and
-        # number and Neutrix operands on either side
+        # number, PreciseNum and Neutrix operands on either side
         s = Sampler(GeneratorConfig(seed=19), "six-operators")
         pairs = []
         for _ in range(100):
             x, y, c = s.external(), s.external(), s.coefficient()
             rebuilt = canonicalize(s.representative_of(x), x.nx)
             pairs += [(x, y), (rebuilt, x), (x, c), (c, x), (canonicalize(c), c),
-                      (c.numerator, canonicalize(c.numerator)), (x, y.nx), (y.nx, x), (pure(x.nx), x.nx)]
-        assert {a.nx.kind for a, _ in pairs[::9]} == set(NeutrixKind)
+                      (c.numerator, canonicalize(c.numerator)), (x, y.nx), (y.nx, x), (pure(x.nx), x.nx),
+                      (x.rep, y), (x.rep, x), (PreciseNum.of(c), canonicalize(c))]
+        assert {a.nx.kind for a, _ in pairs[::12]} == set(NeutrixKind)
         assert {ext_compare(as_external(a), as_external(b)) for a, b in pairs} == set(Ordering)
         for a, b in pairs:
             cmp = ext_compare(as_external(a), as_external(b))
@@ -290,11 +291,16 @@ class TestOperators:
             assert x - y == ext_sub(x, y)
             assert 3 - x == ext_sub(canonicalize(3), x)
             assert x * y == ext_mul(x, y)
-            for args in ((x, y), (1, x)):
+            # a PreciseNum on the left hands the operation to the ExternalNum
+            p = x.rep
+            assert p + y == ext_add(canonicalize(p), y)
+            assert p - y == ext_sub(canonicalize(p), y)
+            assert p * y == ext_mul(canonicalize(p), y)
+            for args in ((x, y), (1, x), (p, y)):
                 want = outcome(ext_div, *map(as_external, args))
                 assert outcome(operator.truediv, *args) == want
                 raised += isinstance(want, str)
-        assert 0 < raised < 200
+        assert 0 < raised < 300
 
 
 class TestSetPredicates:

@@ -237,3 +237,20 @@ class TestMainEntry:
         )
         assert proc.returncode == 0
         assert "1/2 + o" in proc.stdout
+
+    def test_closed_stdout_exits_141_without_traceback(self, tmp_path):
+        # about 700 KB of help text, more than a pipe holds, so a later write
+        # meets the closed pipe
+        script = tmp_path / "help.txt"
+        script.write_text(":help\n" * 1000)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "solidus.cli", "--batch", str(script)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        assert proc.stdout.readline() == "commands:\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 141
+        assert "Traceback" not in err
