@@ -46,7 +46,6 @@ from .neutrix import (
     INFINITESIMALS,
     LIMITED,
     Neutrix,
-    NeutrixKind,
     NX_ZERO,
     closed_cut,
     decompose,

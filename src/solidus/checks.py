@@ -67,7 +67,6 @@ from .neutrix import (
     INFINITESIMALS,
     LIMITED,
     Neutrix,
-    NeutrixKind,
     NX_ZERO,
     decompose,
     is_ideal_of,
@@ -184,6 +183,8 @@ def resolve_check_id(check_id: str) -> str:
 
 def run_check(check_id: str, cfg: GeneratorConfig | None = None, n: int = 1000) -> CheckReport:
     """Evaluate one registered law; raises UnknownCheckError for bad ids."""
+    if n < 1:
+        raise ValueError("need at least one sample")
     chk = REGISTRY[resolve_check_id(check_id)]
     sampler = Sampler(cfg or GeneratorConfig(), chk.check_id)
     count = 1 if chk.single else n
@@ -269,9 +270,9 @@ def _neq(expected: ExternalNum, got: ExternalNum) -> Optional[str]:
 
 def _member_menu(nx: Neutrix) -> list[PreciseNum]:
     """Deterministic group elements hugging the threshold, for oracles."""
-    if nx.kind is NeutrixKind.ZERO:
+    if nx == NX_ZERO:
         return [PreciseNum.of(0)]
-    if nx.kind is NeutrixKind.FULL:
+    if nx == FULL:
         return [PreciseNum.of(v) for v in (0, 1, -1, RhoPoly.rho_power(2), RhoPoly.rho_power(-2, -3))]
     q = nx.q
     rp = RhoPoly.rho_power
@@ -282,7 +283,7 @@ def _member_menu(nx: Neutrix) -> list[PreciseNum]:
         PreciseNum.of(rp(q - 1, 3)),
         PreciseNum.of(rp(q - 1, -1) + rp(q - 2, 1)),
     ]
-    if nx.kind is NeutrixKind.CLOSED_CUT:
+    if nx.closed:
         menu += [PreciseNum.of(rp(q)), PreciseNum.of(rp(q, -3)), PreciseNum.of(rp(q, 2) + rp(q - 1))]
     return menu
 
@@ -365,7 +366,7 @@ def _d_archimedean(s: Sampler) -> tuple:
         x = ext_abs(s.zeroless()) if s.rng.random() < 0.7 else pure(s.scaled_neutrix())
         step = ext_abs(s.external())
         y = ext_add(ext_add(x, step), canonicalize(1))
-        if y.nx.kind is NeutrixKind.FULL:
+        if y.nx == FULL:
             continue
         if canonicalize(0) < x and ext_compare(x, y) is LT:
             return (x, y)
@@ -380,7 +381,7 @@ def _d_halfline(s: Sampler) -> tuple:
 def _nonprecise(s: Sampler) -> ExternalNum:
     for _ in range(64):
         alpha = s.external()
-        if alpha.nx.kind is not NeutrixKind.ZERO:
+        if alpha.nx != NX_ZERO:
             return alpha
     return canonicalize(0, LIMITED)
 
@@ -435,7 +436,7 @@ def _d_sup_consistency(s: Sampler) -> tuple:
     while nx_compare(below, INFINITESIMALS) is not LT:
         below = s.scaled_neutrix()
     above = FULL if s.rng.random() < 0.2 else s.scaled_neutrix()
-    while above.kind is not NeutrixKind.FULL and nx_compare(above, LIMITED) is not GT:
+    while above != FULL and nx_compare(above, LIMITED) is not GT:
         above = s.scaled_neutrix()
     return (p, q, below, above)
 
@@ -707,7 +708,7 @@ def _v_magprod_scale_to_idempotent(A):
         return f"decomposed idempotent {i} is not idempotent"
     if p.is_zero():
         return "decomposed scalar is zero"
-    if A.kind in (NeutrixKind.ZERO, NeutrixKind.FULL):
+    if A in (NX_ZERO, FULL):
         return None if i == A else f"expected {A}, got {i}"
     if nx_scale(p, i) != A:
         return f"p*I = {nx_scale(p, i)}"
@@ -860,7 +861,7 @@ def _v_thm_square_between(p):
 @law("thm.sup_inf_characterization", "theorem", "o = sup of reciprocals of large elements; L = inf of their inverses", "sup/inf characterization", lambda s: _d_sup_consistency(s)[2:])
 def _v_thm_sup_inf_characterization(below, above):
     # below < o: exhibit p with below < p < o and L < 1/p
-    s = below.q if below.kind is not NeutrixKind.ZERO else Fraction(-2)
+    s = below.q if below != NX_ZERO else Fraction(-2)
     w = PreciseNum.of(RhoPoly.rho_power(s / 2))
     if not (pure(below) < canonicalize(w)):
         return f"cofinal witness {w} not above {below}"
@@ -869,7 +870,7 @@ def _v_thm_sup_inf_characterization(below, above):
     if not (pure(LIMITED) < canonicalize(1 / w)):
         return f"1/w = {1 / w} not above L"
     # above > L: exhibit 1/p with p < o and 1/p < above
-    if above.kind is NeutrixKind.FULL:
+    if above == FULL:
         inv = PreciseNum.of(RhoPoly.rho_power(1))
     else:
         inv = PreciseNum.of(RhoPoly.rho_power(above.q / 2))
@@ -942,7 +943,7 @@ _UNIT_SCALARS = (
 
 @law("thm.idempotent_unique", "theorem", "the idempotent factor of a magnitude is unique", "uniqueness of the idempotent part", _d(Sampler.neutrix))
 def _v_thm_idempotent_unique(A):
-    if A.kind is NeutrixKind.ZERO:
+    if A == NX_ZERO:
         return None
     _, i = decompose(A)
     for scalar in _UNIT_SCALARS:
@@ -962,14 +963,11 @@ def _v_thm_linearization(A, B):
     product = nx_mul(A, B)
     candidates: list[tuple[PreciseNum, Neutrix]] = []
     for base in (A, B):
-        if base.kind is NeutrixKind.ZERO or base.kind is NeutrixKind.FULL:
+        if base in (NX_ZERO, FULL):
             if product == base:
                 candidates.append((PreciseNum.of(1), base))
-        elif product.kind == base.kind:
+        elif product not in (NX_ZERO, FULL) and product.closed == base.closed:
             candidates.append((PreciseNum.of(RhoPoly.rho_power(product.q - base.q)), base))
-    if product.kind is NeutrixKind.ZERO:
-        zero_side = A if A.kind is NeutrixKind.ZERO else B
-        candidates.append((PreciseNum.of(1), zero_side))
     for p, base in candidates:
         if p.sign() > 0 and nx_scale(p, base) == product:
             return None
@@ -1019,7 +1017,7 @@ def _v_thm_sup_consistency(p, q, below, above):
     r = PreciseNum.of(RhoPoly.rho_power(1))
     if nx_compare(j, nx_scale(r, i)) is not LT:
         return f"r*I = {nx_scale(r, i)} not above J"
-    if above.kind is NeutrixKind.FULL:
+    if above == FULL:
         r2 = PreciseNum.of(RhoPoly.rho_power(1))
     else:
         r2 = PreciseNum.of(RhoPoly.rho_power(above.q / 2))

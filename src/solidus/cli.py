@@ -20,7 +20,7 @@ from .external import classify, ext_compare, render_external
 from .generate import GeneratorConfig
 from .halfline import zup_finite
 from .naturals import archimedean_witness, is_natural
-from .neutrix import NeutrixKind
+from .neutrix import NX_ZERO
 from .parser import evaluate, parse, parse_expr_list
 
 
@@ -104,7 +104,7 @@ _COMMANDS = {
     ":classify": (1, lambda value: classify(value).value),
     ":cmp": (2, lambda a, b: ext_compare(a, b).name),
     ":zup": (None, lambda *values: render_external(zup_finite(values))),
-    ":nat": (1, lambda v: "true" if v.nx.kind is NeutrixKind.ZERO and is_natural(v.rep) else "false"),
+    ":nat": (1, lambda v: "true" if v.nx == NX_ZERO and is_natural(v.rep) else "false"),
     ":arch": (2, lambda x, y: str(archimedean_witness(x, y))),
 }
 

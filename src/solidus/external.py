@@ -4,11 +4,11 @@ An external number denotes the set rep + N = {rep + n : n in N}.  The
 canonical form keeps, of the representative's expansion, exactly the terms the
 neutrix cannot absorb:
 
-    CLOSED_CUT(q) contains rho^q, so it absorbs every term of exponent <= q;
-    OPEN_CUT(q) does not contain rho^q, so terms of exponent >= q survive.
+    a closed cut at q contains rho^q, so it absorbs every term of exponent <= q;
+    an open cut at q does not contain rho^q, so terms of exponent >= q survive.
 
-With a ZERO neutrix the representative is kept verbatim (any ratio); with FULL
-the representative collapses to 0.  Two canonical forms denote the same set
+With NX_ZERO the representative is kept verbatim (any ratio); with FULL the
+representative collapses to 0.  Two canonical forms denote the same set
 exactly when their neutrices are equal and their representatives are equal.
 """
 
@@ -28,10 +28,10 @@ from .field import (
     series_expand,
 )
 from .neutrix import (
+    FULL,
     INFINITESIMALS,
     LIMITED,
     Neutrix,
-    NeutrixKind,
     NX_ZERO,
     nx_add,
     nx_compare,
@@ -91,7 +91,7 @@ class ExternalNum:
 
     def __hash__(self) -> int:
         # precise values hash like the numbers they equal
-        return hash(self.rep) if self.nx.kind is NeutrixKind.ZERO else hash((self.rep, self.nx))
+        return hash(self.rep) if self.nx == NX_ZERO else hash((self.rep, self.nx))
 
     def __lt__(self, other: "ExternalLike") -> bool:
         return ext_compare(self, as_external(other)) is Ordering.LT
@@ -118,12 +118,11 @@ ExternalLike = Union[ExternalNum, PreciseLike]
 def canonicalize(rep: PreciseLike, nx: Neutrix = NX_ZERO) -> ExternalNum:
     """Canonical form of rep + nx; the result denotes the same set."""
     rep = PreciseNum.of(rep)
-    if nx.kind is NeutrixKind.ZERO:
+    if nx == NX_ZERO:
         return ExternalNum(rep, nx)
-    if nx.kind is NeutrixKind.FULL:
+    if nx == FULL:
         return ExternalNum(PRECISE_ZERO, nx)
-    strict = nx.kind is NeutrixKind.CLOSED_CUT
-    return ExternalNum(PreciseNum(series_expand(rep, nx.q, strict=strict)), nx)
+    return ExternalNum(PreciseNum(series_expand(rep, nx.q, strict=nx.closed)), nx)
 
 
 def as_external(value: ExternalLike) -> ExternalNum:
@@ -218,7 +217,7 @@ def ext_member(y: PreciseLike, alpha: ExternalNum) -> bool:
 
 
 def classify(alpha: ExternalNum) -> Classification:
-    if alpha.nx.kind is NeutrixKind.ZERO:
+    if alpha.nx == NX_ZERO:
         return Classification.PRECISE
     if nx_contains(alpha.nx, alpha.rep):
         return Classification.PURE_NEUTRIX
@@ -258,7 +257,7 @@ def ext_subset(a: ExternalNum, b: ExternalNum) -> bool:
 
 
 def render_external(alpha: ExternalNum) -> str:
-    if alpha.nx.kind is NeutrixKind.ZERO:
+    if alpha.nx == NX_ZERO:
         return render_precise(alpha.rep)
     if alpha.rep.is_zero():
         return render_neutrix(alpha.nx)

@@ -20,7 +20,6 @@ from .field import ONE_POLY, PreciseNum, RhoPoly
 from .neutrix import (
     FULL,
     Neutrix,
-    NeutrixKind,
     NX_ZERO,
     closed_cut,
     open_cut,
@@ -125,13 +124,13 @@ class Sampler:
 
     def member_of(self, nx: Neutrix, allow_zero: bool = True) -> PreciseNum:
         """A precise element of nx, clustered near the threshold."""
-        if nx.kind is NeutrixKind.ZERO:
+        if nx == NX_ZERO:
             return PreciseNum.of(0)
-        if nx.kind is NeutrixKind.FULL:
+        if nx == FULL:
             return self.precise() if allow_zero else self.nonzero_precise()
         if allow_zero and self.rng.random() < 0.1:
             return PreciseNum.of(0)
-        if nx.kind is NeutrixKind.CLOSED_CUT:
+        if nx.closed:
             drop = self.rng.choice([Fraction(0), Fraction(0), Fraction(1, 2), Fraction(1)])
         else:
             drop = self.rng.choice([Fraction(1, 2), Fraction(1, 2), Fraction(1), Fraction(2)])
@@ -215,9 +214,9 @@ def _precise_candidates(x: PreciseNum) -> Iterator[PreciseNum]:
 
 
 def _neutrix_candidates(nx: Neutrix) -> Iterator[Neutrix]:
-    if nx.kind in (NeutrixKind.OPEN_CUT, NeutrixKind.CLOSED_CUT) and nx.q != 0:
+    if nx not in (NX_ZERO, FULL) and nx.q != 0:
         for q2 in _fraction_candidates(nx.q):
-            yield Neutrix(nx.kind, q2)
+            yield Neutrix(q2, nx.closed)
 
 
 def _candidates(value) -> Iterator:

@@ -33,7 +33,7 @@ from .errors import (
     PreconditionFailedError,
 )
 from .field import Ordering, PreciseNum, RhoPoly
-from .neutrix import Neutrix, NeutrixKind, nx_compare
+from .neutrix import FULL, NX_ZERO, Neutrix
 from .external import (
     ExternalNum,
     canonicalize,
@@ -93,7 +93,7 @@ def hl_member(h: Halfline, x: ExternalNum) -> bool:
 
 
 def is_full_domain(h: Halfline) -> bool:
-    if h.bound.nx.kind is not NeutrixKind.FULL:
+    if h.bound.nx != FULL:
         return False
     return (h.side, h.kind) in (
         (Side.LOWER, HalflineKind.CLOSED),
@@ -157,21 +157,21 @@ def winf_finite(items: Iterable[ExternalNum]) -> ExternalNum:
 
 def magnitude_gap_witness(a: Neutrix, b: Neutrix) -> PreciseNum:
     """A precise element strictly between two magnitudes a < b."""
-    if nx_compare(a, b) is not Ordering.LT:
+    if a >= b:
         raise InternalError("magnitude witness requested for a non-increasing pair")
-    if a.kind is NeutrixKind.ZERO:
-        if b.kind is NeutrixKind.FULL:
+    if a == NX_ZERO:
+        if b == FULL:
             return PreciseNum.of(1)
-        q = b.q - 1 if b.kind is NeutrixKind.OPEN_CUT else b.q
-        return PreciseNum.of(RhoPoly.rho_power(q))
-    if b.kind is NeutrixKind.FULL:
-        return PreciseNum.of(RhoPoly.rho_power(a.q + 1))
-    if a.kind is NeutrixKind.OPEN_CUT:
+        q = b.q if b.closed else b.q - 1
+    elif b == FULL:
+        q = a.q + 1
+    elif not a.closed:
         # rho^(a.q) escapes a; it stays inside b whether b is open above a.q
         # or closed at a.q or beyond.
-        return PreciseNum.of(RhoPoly.rho_power(a.q))
-    # a closed at a.q: the witness degree must exceed a.q
-    q = (a.q + b.q) / 2 if b.kind is NeutrixKind.OPEN_CUT else b.q
+        q = a.q
+    else:
+        # a closed at a.q: the witness degree must exceed a.q
+        q = b.q if b.closed else (a.q + b.q) / 2
     return PreciseNum.of(RhoPoly.rho_power(q))
 
 

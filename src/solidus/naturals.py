@@ -22,7 +22,7 @@ from typing import Callable
 from .errors import InternalError, PreconditionFailedError, UnknownFormulaError
 from .external import ExternalNum, as_external, canonicalize, ext_compare, ext_mul
 from .field import Ordering, PreciseLike, PreciseNum, RhoPoly, as_polynomial
-from .neutrix import NeutrixKind
+from .neutrix import FULL
 
 
 def is_natural(p: PreciseLike) -> bool:
@@ -43,10 +43,7 @@ def is_natural(p: PreciseLike) -> bool:
 
 
 def _upper_degree(alpha: ExternalNum):
-    d = alpha.rep.degree()
-    if alpha.nx.kind in (NeutrixKind.OPEN_CUT, NeutrixKind.CLOSED_CUT):
-        d = max(d, alpha.nx.q)
-    return d
+    return max(alpha.rep.degree(), alpha.nx.q)
 
 
 def archimedean_witness(x: ExternalNum, y: ExternalNum) -> RhoPoly:
@@ -61,7 +58,7 @@ def archimedean_witness(x: ExternalNum, y: ExternalNum) -> RhoPoly:
     zero = canonicalize(0)
     if not (zero < x and ext_compare(x, y) is Ordering.LT):
         raise PreconditionFailedError("requires 0 < x < y")
-    if y.nx.kind is NeutrixKind.FULL:
+    if y.nx == FULL:
         raise PreconditionFailedError("no natural multiple exceeds the whole-field magnitude")
 
     gap = _upper_degree(y) - _upper_degree(x)
@@ -193,6 +190,8 @@ def induction_spotcheck(formula_id: str, bound: int = 50) -> InductionReport:
     samples; the conclusion on the same sets (the expected failure shows up
     only at the nonstandard points).
     """
+    if bound < 0:
+        raise PreconditionFailedError("the standard range 0..bound needs bound >= 0")
     try:
         formula = INDUCTION_CATALOG[formula_id]
     except KeyError:

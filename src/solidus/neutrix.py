@@ -1,12 +1,16 @@
 """The lattice of magnitudes (neutrices) and magnitude-level operations.
 
-A neutrix is a convex additive subgroup of the precise field.  The computable
-family implemented here has four shapes, all cut out by the degree valuation:
+A neutrix is a convex additive subgroup of the precise field.  Every one
+implemented here is a cut of the degree valuation, ``Neutrix(q, closed)``:
 
-    ZERO         {0}
-    OPEN_CUT(q)  {x : degree(x) < q}    -- rho^q times the infinitesimals
-    CLOSED_CUT(q){x : degree(x) <= q}   -- rho^q times the limited numbers
-    FULL         the entire precise field
+    Neutrix(q, False)   {x : degree(x) < q}    -- rho^q times the infinitesimals
+    Neutrix(q, True)    {x : degree(x) <= q}   -- rho^q times the limited numbers
+
+The two ends of the lattice are cuts at infinite thresholds: ``NX_ZERO`` is
+the closed cut at -inf (the zero element has degree -inf) and ``FULL`` is the
+open cut at +inf.  The field order (q, closed) is set inclusion, so the four
+shapes {0} < rho^q*o < rho^q*L < M need no case analysis: test a shape with
+``== NX_ZERO``, ``== FULL`` or ``.closed``.
 
 This family is closed under addition (= maximum), multiplication and scaling,
 contains every idempotent the axioms force, and supplies witnesses for all the
@@ -16,12 +20,13 @@ scope.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from .errors import NotAboveUnityError, NotIdempotentError, ZeroScalarError
 from .field import (
+    NEG_INFINITY,
     Ordering,
     PreciseLike,
     PreciseNum,
@@ -32,38 +37,24 @@ from .field import (
 )
 
 
-class NeutrixKind(Enum):
-    ZERO = "zero"
-    OPEN_CUT = "open_cut"
-    CLOSED_CUT = "closed_cut"
-    FULL = "full"
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Neutrix:
-    """A magnitude: one of the four degree-cut shapes above.
+    """A magnitude: the degree cut below ``q``, including ``q`` when ``closed``.
 
-    ``q`` is the threshold exponent; it is 0 (and meaningless) for ZERO and
-    FULL.  Immutable and hashable.
+    ``q`` is an exact rational, or -inf for ``NX_ZERO`` and +inf for ``FULL``.
+    The ordering compares (q, closed), which is set inclusion.  Immutable and
+    hashable.
     """
 
-    kind: NeutrixKind
-    q: Fraction = Fraction(0)
+    q: Fraction | float
+    closed: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "q", _as_fraction(self.q))
-        if self.kind in (NeutrixKind.ZERO, NeutrixKind.FULL) and self.q != 0:
-            raise ValueError(f"{self.kind.name} carries no threshold exponent")
-
-    def sort_key(self) -> tuple:
-        # ZERO below all cuts; OPEN_CUT(q) directly below CLOSED_CUT(q); FULL on top.
-        if self.kind is NeutrixKind.ZERO:
-            return (0, Fraction(0), 0)
-        if self.kind is NeutrixKind.OPEN_CUT:
-            return (1, self.q, 0)
-        if self.kind is NeutrixKind.CLOSED_CUT:
-            return (1, self.q, 1)
-        return (2, Fraction(0), 0)
+        if isinstance(self.q, float) and math.isinf(self.q):
+            if self.closed != (self.q < 0):
+                raise ValueError("the cuts at infinity are NX_ZERO (-inf, closed) and FULL (+inf, open)")
+        else:
+            object.__setattr__(self, "q", _as_fraction(self.q))
 
     def __str__(self) -> str:
         return render_neutrix(self)
@@ -73,51 +64,46 @@ class Neutrix:
 
 
 def open_cut(q: RationalLike) -> Neutrix:
-    return Neutrix(NeutrixKind.OPEN_CUT, _as_fraction(q))
+    return Neutrix(_as_fraction(q), False)
 
 
 def closed_cut(q: RationalLike) -> Neutrix:
-    return Neutrix(NeutrixKind.CLOSED_CUT, _as_fraction(q))
+    return Neutrix(_as_fraction(q), True)
 
 
-NX_ZERO = Neutrix(NeutrixKind.ZERO)
+NX_ZERO = Neutrix(NEG_INFINITY, True)
 #: The maximal magnitude below 1: all elements of negative degree.
 INFINITESIMALS = open_cut(0)
 #: The minimal magnitude above 1: all elements of degree at most zero.
 LIMITED = closed_cut(0)
-FULL = Neutrix(NeutrixKind.FULL)
+FULL = Neutrix(math.inf, False)
 
 IDEMPOTENTS = (NX_ZERO, INFINITESIMALS, LIMITED, FULL)
 
 
 def nx_compare(a: Neutrix, b: Neutrix) -> Ordering:
-    """Total order by set inclusion; EQ only for identical shape and threshold."""
-    ka, kb = a.sort_key(), b.sort_key()
-    if ka == kb:
+    """Total order by set inclusion; EQ only for identical threshold and closure."""
+    if a == b:
         return Ordering.EQ
-    return Ordering.LT if ka < kb else Ordering.GT
+    return Ordering.LT if a < b else Ordering.GT
 
 
 def nx_add(a: Neutrix, b: Neutrix) -> Neutrix:
     """Sum of magnitudes: the larger of the two."""
-    return b if nx_compare(a, b) is Ordering.LT else a
+    return b if a < b else a
 
 
 def nx_mul(a: Neutrix, b: Neutrix) -> Neutrix:
     """Product of magnitudes.
 
-    Zero annihilates; FULL absorbs everything else; between the cuts the
-    thresholds add, with an open cut on either side forcing an open cut (the
+    Zero annihilates; otherwise the thresholds add (FULL's +inf absorbs every
+    finite one), and an open cut on either side forces an open cut (the
     product of something below rho^q and something at or below rho^r stays
     below rho^(q+r)).
     """
-    if a.kind is NeutrixKind.ZERO or b.kind is NeutrixKind.ZERO:
+    if a == NX_ZERO or b == NX_ZERO:
         return NX_ZERO
-    if a.kind is NeutrixKind.FULL or b.kind is NeutrixKind.FULL:
-        return FULL
-    if a.kind is NeutrixKind.CLOSED_CUT and b.kind is NeutrixKind.CLOSED_CUT:
-        return closed_cut(a.q + b.q)
-    return open_cut(a.q + b.q)
+    return Neutrix(a.q + b.q, a.closed and b.closed)
 
 
 def nx_scale(p: PreciseLike, a: Neutrix) -> Neutrix:
@@ -128,20 +114,13 @@ def nx_scale(p: PreciseLike, a: Neutrix) -> Neutrix:
     p = PreciseNum.of(p)
     if p.is_zero():
         raise ZeroScalarError("cannot scale a neutrix by zero")
-    if a.kind in (NeutrixKind.ZERO, NeutrixKind.FULL):
-        return a
-    return Neutrix(a.kind, a.q + p.degree())
+    return Neutrix(a.q + p.degree(), a.closed)
 
 
 def nx_contains(a: Neutrix, p: PreciseLike) -> bool:
     """Membership of a precise element, decided by the degree valuation."""
-    p = PreciseNum.of(p)
-    if a.kind is NeutrixKind.ZERO:
-        return p.is_zero()
-    if a.kind is NeutrixKind.FULL:
-        return True
-    d = p.degree()
-    return d < a.q if a.kind is NeutrixKind.OPEN_CUT else d <= a.q
+    d = PreciseNum.of(p).degree()
+    return d <= a.q if a.closed else d < a.q
 
 
 def is_idempotent(a: Neutrix) -> bool:
@@ -167,11 +146,9 @@ def decompose(a: Neutrix) -> tuple[PreciseNum, Neutrix]:
     The idempotent part is unique; the scalar is only determined up to degree,
     and the canonical choice is the pure power rho^q.
     """
-    if a.kind is NeutrixKind.OPEN_CUT:
-        return PreciseNum.of(RhoPoly.rho_power(a.q)), INFINITESIMALS
-    if a.kind is NeutrixKind.CLOSED_CUT:
-        return PreciseNum.of(RhoPoly.rho_power(a.q)), LIMITED
-    return PreciseNum.of(1), a
+    if a in (NX_ZERO, FULL):
+        return PreciseNum.of(1), a
+    return PreciseNum.of(RhoPoly.rho_power(a.q)), LIMITED if a.closed else INFINITESIMALS
 
 
 def is_ideal_of(e: Neutrix, j: Neutrix) -> bool:
@@ -185,16 +162,16 @@ def is_ideal_of(e: Neutrix, j: Neutrix) -> bool:
     """
     _require_idempotent_above_unity(j)
     if j == LIMITED:
-        return e == LIMITED or nx_compare(e, INFINITESIMALS) is not Ordering.GT
+        return e == LIMITED or e <= INFINITESIMALS
     return e in (NX_ZERO, FULL)
 
 
 def render_neutrix(a: Neutrix) -> str:
-    if a.kind is NeutrixKind.ZERO:
+    if a == NX_ZERO:
         return "0"
-    if a.kind is NeutrixKind.FULL:
+    if a == FULL:
         return "M"
-    letter = "o" if a.kind is NeutrixKind.OPEN_CUT else "L"
+    letter = "L" if a.closed else "o"
     if a.q == 0:
         return letter
     return f"{_render_exponent(a.q)}*{letter}"

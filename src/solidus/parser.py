@@ -43,7 +43,7 @@ from .external import (
     unity,
 )
 from .field import Ordering, RhoPoly
-from .neutrix import FULL, INFINITESIMALS, LIMITED, NeutrixKind
+from .neutrix import FULL, INFINITESIMALS, LIMITED, NX_ZERO
 
 
 # --- syntax tree ---------------------------------------------------------------
@@ -296,7 +296,7 @@ class EvalError(SolidusError):
 
 def _as_rho_power(value: ExternalNum, pos: int) -> Fraction:
     rep = value.rep
-    if value.nx.kind is not NeutrixKind.ZERO or not rep.is_polynomial():
+    if value.nx != NX_ZERO or not rep.is_polynomial():
         raise EvalError("power base must be a pure power of rho", pos)
     terms = rep.num.terms
     if len(terms) != 1 or terms[0][1] != 1:

@@ -42,7 +42,6 @@ from solidus.generate import (
 from solidus.neutrix import (
     INFINITESIMALS,
     LIMITED,
-    NeutrixKind,
     nx_compare,
     nx_contains,
 )
@@ -64,8 +63,8 @@ class TestGenerators:
 
     def test_neutrix_tag_coverage(self):
         s = Sampler(CFG, "tags")
-        kinds = {s.neutrix().kind for _ in range(10_000)}
-        assert kinds == set(NeutrixKind)
+        shapes = {str(s.neutrix())[-1] for _ in range(10_000)}
+        assert shapes == set("0oLM")
 
     def test_sign_coverage(self):
         s = Sampler(CFG, "signs")
@@ -144,6 +143,15 @@ class TestHarness:
     def test_unknown_check(self):
         with pytest.raises(UnknownCheckError):
             run_check("axiom.nonsense", CFG, 1)
+
+    @pytest.mark.parametrize("check_id", ["axiom.add.assoc", "mutant.distributivity_naive"])
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_sample_count_below_one_rejected(self, check_id, n):
+        # an empty run would report pass, or unexpected-pass for a mutant
+        with pytest.raises(ValueError):
+            run_check(check_id, CFG, n)
+        with pytest.raises(ValueError):
+            run_catalog(CFG, n=n, only=check_id)
 
     def test_alias(self):
         r = run_check("axiom.distributivity", CFG, 25)

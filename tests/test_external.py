@@ -46,7 +46,6 @@ from solidus.neutrix import (
     LIMITED,
     NX_ZERO,
     Neutrix,
-    NeutrixKind,
     closed_cut,
     nx_add,
     nx_scale,
@@ -262,7 +261,7 @@ class TestCompare:
             pairs += [(x, y), (rebuilt, x), (x, c), (c, x), (canonicalize(c), c),
                       (c.numerator, canonicalize(c.numerator)), (x, y.nx), (y.nx, x), (pure(x.nx), x.nx),
                       (x.rep, y), (x.rep, x), (PreciseNum.of(c), canonicalize(c))]
-        assert {a.nx.kind for a, _ in pairs[::12]} == set(NeutrixKind)
+        assert {str(a.nx)[-1] for a, _ in pairs[::12]} == set("0oLM")
         assert {ext_compare(as_external(a), as_external(b)) for a, b in pairs} == set(Ordering)
         for a, b in pairs:
             cmp = ext_compare(as_external(a), as_external(b))

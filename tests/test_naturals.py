@@ -129,6 +129,14 @@ class TestInduction:
         with pytest.raises(UnknownFormulaError):
             induction_spotcheck("no_such_formula")
 
+    def test_negative_bound_rejected(self):
+        # a negative bound would take the base case at a nonstandard sample
+        with pytest.raises(PreconditionFailedError):
+            induction_spotcheck("even_or_odd", bound=-3)
+        with pytest.raises(PreconditionFailedError):
+            run_induction_battery(bound=-1)
+        assert induction_spotcheck("even_or_odd", bound=0).base_ok
+
     def test_full_battery(self):
         reports = run_induction_battery(bound=20)
         assert all(r.ok for r in reports)

@@ -5,12 +5,16 @@ the set of precise elements its degree test admits, so order and arithmetic
 claims reduce to sampled membership.
 """
 
+import itertools
+import math
+from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction as F
 
 import pytest
 
 from solidus.errors import NotAboveUnityError, NotIdempotentError, ZeroScalarError
-from solidus.field import Ordering, PreciseNum, RhoPoly
+from solidus.field import NEG_INFINITY, Ordering, PreciseNum, RhoPoly, _render_exponent
 from solidus.neutrix import (
     FULL,
     IDEMPOTENTS,
@@ -273,3 +277,141 @@ class TestRendering:
 
     def test_idempotent_tuple(self):
         assert set(IDEMPOTENTS) == {NX_ZERO, INFINITESIMALS, LIMITED, FULL}
+
+
+# --- reference: the four-shape algebra that the (q, closed) cut replaced ------
+
+
+class RefKind(Enum):
+    ZERO = "zero"
+    OPEN_CUT = "open_cut"
+    CLOSED_CUT = "closed_cut"
+    FULL = "full"
+
+
+@dataclass(frozen=True)
+class RefNeutrix:
+    kind: RefKind
+    q: F = F(0)
+
+    def sort_key(self) -> tuple:
+        if self.kind is RefKind.ZERO:
+            return (0, F(0), 0)
+        if self.kind is RefKind.OPEN_CUT:
+            return (1, self.q, 0)
+        if self.kind is RefKind.CLOSED_CUT:
+            return (1, self.q, 1)
+        return (2, F(0), 0)
+
+    def new(self) -> Neutrix:
+        if self.kind is RefKind.ZERO:
+            return NX_ZERO
+        if self.kind is RefKind.FULL:
+            return FULL
+        return closed_cut(self.q) if self.kind is RefKind.CLOSED_CUT else open_cut(self.q)
+
+
+REF_ZERO, REF_FULL = RefNeutrix(RefKind.ZERO), RefNeutrix(RefKind.FULL)
+REF_INFINITESIMALS = RefNeutrix(RefKind.OPEN_CUT, F(0))
+REF_LIMITED = RefNeutrix(RefKind.CLOSED_CUT, F(0))
+
+
+def ref_mul(a: RefNeutrix, b: RefNeutrix) -> RefNeutrix:
+    if a.kind is RefKind.ZERO or b.kind is RefKind.ZERO:
+        return REF_ZERO
+    if a.kind is RefKind.FULL or b.kind is RefKind.FULL:
+        return REF_FULL
+    if a.kind is RefKind.CLOSED_CUT and b.kind is RefKind.CLOSED_CUT:
+        return RefNeutrix(RefKind.CLOSED_CUT, a.q + b.q)
+    return RefNeutrix(RefKind.OPEN_CUT, a.q + b.q)
+
+
+def ref_scale(p, a: RefNeutrix) -> RefNeutrix:
+    p = PreciseNum.of(p)
+    if a.kind in (RefKind.ZERO, RefKind.FULL):
+        return a
+    return RefNeutrix(a.kind, a.q + p.degree())
+
+
+def ref_contains(a: RefNeutrix, p) -> bool:
+    p = PreciseNum.of(p)
+    if a.kind is RefKind.ZERO:
+        return p.is_zero()
+    if a.kind is RefKind.FULL:
+        return True
+    d = p.degree()
+    return d < a.q if a.kind is RefKind.OPEN_CUT else d <= a.q
+
+
+def ref_decompose(a: RefNeutrix) -> tuple[PreciseNum, RefNeutrix]:
+    if a.kind is RefKind.OPEN_CUT:
+        return PreciseNum.of(rp(a.q)), REF_INFINITESIMALS
+    if a.kind is RefKind.CLOSED_CUT:
+        return PreciseNum.of(rp(a.q)), REF_LIMITED
+    return PreciseNum.of(1), a
+
+
+def ref_render(a: RefNeutrix) -> str:
+    if a.kind is RefKind.ZERO:
+        return "0"
+    if a.kind is RefKind.FULL:
+        return "M"
+    letter = "o" if a.kind is RefKind.OPEN_CUT else "L"
+    if a.q == 0:
+        return letter
+    return f"{_render_exponent(a.q)}*{letter}"
+
+
+GRID = [REF_ZERO, REF_FULL] + [
+    RefNeutrix(kind, F(k, 2)) for k in range(-4, 5) for kind in (RefKind.OPEN_CUT, RefKind.CLOSED_CUT)
+]
+SCALARS = [
+    PreciseNum.of(7),
+    PreciseNum.of(rp(2)),
+    PreciseNum.of(rp(F(-3, 2), -4)),
+    (PreciseNum.of(rp(1)) + 1) / (PreciseNum.of(rp(F(1, 2))) - 2),
+]
+PROBES = [PreciseNum.of(0), PreciseNum.of(3)] + [
+    PreciseNum.of(rp(F(k, 2), c)) for k in range(-6, 7) for c in (1, -5)
+] + [(PreciseNum.of(rp(1)) + 1) / (PreciseNum.of(rp(2)) - 3)]
+
+
+class TestAgainstFourShapeReference:
+    def test_order_equality_and_hash(self):
+        for a, b in itertools.product(GRID, repeat=2):
+            na, nb = a.new(), b.new()
+            ka, kb = a.sort_key(), b.sort_key()
+            expected = Ordering.EQ if ka == kb else Ordering.LT if ka < kb else Ordering.GT
+            assert nx_compare(na, nb) is expected, (a, b)
+            assert (na < nb) == (expected is Ordering.LT)
+            assert (na == nb) == (expected is Ordering.EQ)
+            if na == nb:
+                assert hash(na) == hash(nb)
+            assert nx_add(na, nb) == (b if ka < kb else a).new()
+
+    def test_mul(self):
+        for a, b in itertools.product(GRID, repeat=2):
+            assert nx_mul(a.new(), b.new()) == ref_mul(a, b).new(), (a, b)
+
+    def test_scale(self):
+        for a, p in itertools.product(GRID, SCALARS):
+            assert nx_scale(p, a.new()) == ref_scale(p, a).new(), (a, p)
+
+    def test_contains(self):
+        for a, p in itertools.product(GRID, PROBES):
+            assert nx_contains(a.new(), p) == ref_contains(a, p), (a, p)
+
+    def test_decompose_and_render(self):
+        for a in GRID:
+            p, i = decompose(a.new())
+            ref_p, ref_i = ref_decompose(a)
+            assert p == ref_p and i == ref_i.new()
+            assert render_neutrix(a.new()) == str(a.new()) == ref_render(a)
+
+    def test_extra_spellings_rejected(self):
+        with pytest.raises(ValueError):
+            Neutrix(NEG_INFINITY, False)  # the empty set
+        with pytest.raises(ValueError):
+            Neutrix(math.inf, True)  # a second spelling of FULL
+        assert Neutrix(NEG_INFINITY, True) == NX_ZERO
+        assert Neutrix(math.inf, False) == FULL

@@ -11,7 +11,7 @@ from solidus.errors import ParseError, SolidusError
 from solidus.external import canonicalize, ext_compare, ext_inv, ext_mul, is_zeroless, pure
 from solidus.field import Ordering, RhoPoly
 from solidus.generate import GeneratorConfig, Sampler
-from solidus.neutrix import INFINITESIMALS, NeutrixKind, closed_cut
+from solidus.neutrix import INFINITESIMALS, closed_cut
 from solidus.parser import BinOp, Cmp, Lit, Pow, Sym, Unary, _integer_power, eval_text, evaluate, parse
 
 rp = RhoPoly.rho_power
@@ -99,7 +99,7 @@ class TestEval:
         sampler = Sampler(GeneratorConfig(seed=9), "power-reference")
         values = [sampler.external() for _ in range(24)]
         values += [canonicalize(sampler.precise(ratio_probability=1)) for _ in range(4)]
-        assert {x.nx.kind for x in values} == set(NeutrixKind)
+        assert {str(x.nx)[-1] for x in values} == set("0oLM")
         assert any(not x.rep.is_polynomial() for x in values)
         for x in values:
             runs = [(x, 24, 1)] + ([(ext_inv(x), 4, -1)] if is_zeroless(x) else [])
