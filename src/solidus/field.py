@@ -10,16 +10,27 @@ coefficient of its largest exponent.
 Rational exponents (rather than integer ones) matter: the divisibility of the
 exponent group is what makes the idempotency laws of the magnitude lattice
 (``neutrix``) come out true in this model.
+
+Term kernel.  The exponents of one sum lie in the cyclic group ``(1/grid)*Z``
+and its coefficients share a denominator, so a ``RhoPoly`` is stored as
+``(grid, den, ks)``: ``ks`` holds Python-int pairs ``(k, c)`` and the value is
+``sum (c/den) * rho^(k/grid)``.  This is the sparse layout of Johnson ("Sparse
+polynomial arithmetic", SIGSAM 1974) with the content split off as in von zur
+Gathen & Gerhard, *Modern Computer Algebra*, ch. 6.  Sums and products put
+both operands on a common grid and denominator, work on ints, and reduce by
+gcd.  ``Fraction`` appears only at the boundary: construction from
+``(exponent, coefficient)`` pairs (``RhoPoly(terms)``, ``from_terms``,
+``constant``, ``rho_power``), the ``terms`` property, ``degree()``,
+``min_exponent()``, ``leading_coeff()``, hashing and rendering.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from operator import itemgetter
+from math import gcd, lcm
 from typing import Iterable, Union
 
 from .errors import InternalError
@@ -46,114 +57,132 @@ def _as_fraction(x: RationalLike) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
-def _value_hash(degree: Fraction | float, lead: Fraction) -> int:
-    """Hash of a precise value from its leading term, shared by RhoPoly and
-    PreciseNum, which compare equal by value; constants hash like numbers."""
-    return hash(lead) if degree == 0 or not lead else hash((degree, lead))
+def _ratio(x: RationalLike) -> tuple[int, int]:
+    """``x`` as a reduced ``(numerator, denominator)`` pair of ints, denominator > 0."""
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
+    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
 class RhoPoly:
     """Finite formal sum of rational powers of rho.
 
-    ``terms`` holds ``(exponent, coefficient)`` pairs with strictly decreasing
-    exponents and no zero coefficients; the zero polynomial is the empty tuple.
-    Instances are immutable and hashable, safe to share between threads.
+    Stored as ``(grid, den, ks)``, the value ``sum (c/den) * rho^(k/grid)``, in
+    canonical form: ``ks`` is a tuple of int pairs ``(k, c)`` with strictly
+    decreasing ``k`` and no zero ``c``; ``den > 0`` and ``gcd(den, all c) = 1``;
+    ``grid`` is minimal, ``gcd(grid, all k) = 1``; zero is ``(1, 1, ())``.  So
+    equal values have equal fields and equality is structural.
+
+    ``RhoPoly(terms)`` accepts ``(exponent, coefficient)`` pairs of rationals in
+    any order, merging duplicates; ``terms`` gives them back as ``Fraction``
+    pairs with strictly decreasing exponents.  Instances are immutable (no
+    method changes an instance's fields) and hashable, safe to share between
+    threads.
     """
 
-    terms: tuple[tuple[Fraction, Fraction], ...] = ()
+    __slots__ = ("grid", "den", "ks")
+
+    def __init__(self, terms: Iterable[tuple[RationalLike, RationalLike]] = ()):
+        pairs = [(_as_fraction(e), _as_fraction(c)) for e, c in terms]
+        grid = lcm(1, *(e.denominator for e, _ in pairs))
+        den = lcm(1, *(c.denominator for _, c in pairs))
+        acc: dict[int, int] = {}
+        for e, c in pairs:
+            k = e.numerator * (grid // e.denominator)
+            acc[k] = acc.get(k, 0) + c.numerator * (den // c.denominator)
+        p = _poly(grid, den, sorted(((k, c) for k, c in acc.items() if c), reverse=True))
+        self.grid, self.den, self.ks = p.grid, p.den, p.ks
 
     @staticmethod
     def from_terms(pairs: Iterable[tuple[RationalLike, RationalLike]]) -> "RhoPoly":
         """Build a polynomial from (exponent, coefficient) pairs, merging duplicates."""
-        return RhoPoly._collect((_as_fraction(e), _as_fraction(c)) for e, c in pairs)
-
-    @staticmethod
-    def _collect(pairs: Iterable[tuple[Fraction, Fraction]]) -> "RhoPoly":
-        """``from_terms`` for pairs that are already ``Fraction``s, in any order."""
-        acc: dict[Fraction, Fraction] = {}
-        for e, c in pairs:
-            old = acc.get(e)  # Fraction recomputes its hash on every lookup
-            acc[e] = c if old is None else old + c
-        ordered = sorted(acc.items(), key=itemgetter(0), reverse=True)
-        return RhoPoly(tuple((e, c) for e, c in ordered if c))
+        return RhoPoly(pairs)
 
     @staticmethod
     def constant(c: RationalLike) -> "RhoPoly":
-        c = _as_fraction(c)
-        return RhoPoly(((Fraction(0), c),)) if c else RhoPoly()
+        n, d = _ratio(c)
+        return _make(1, d, ((0, n),)) if n else ZERO_POLY
 
     @staticmethod
     def rho_power(q: RationalLike, coeff: RationalLike = 1) -> "RhoPoly":
-        c = _as_fraction(coeff)
-        return RhoPoly(((_as_fraction(q), c),)) if c else RhoPoly()
+        k, grid = _ratio(q)
+        n, d = _ratio(coeff)
+        return _make(grid, d, ((k, n),)) if n else ZERO_POLY
+
+    @property
+    def terms(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """``(exponent, coefficient)`` pairs as ``Fraction``s, exponents strictly decreasing."""
+        grid, den = self.grid, self.den
+        return tuple((Fraction(k, grid), Fraction(c, den)) for k, c in self.ks)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.ks
 
     def degree(self) -> Fraction | float:
         """Largest exponent; NEG_INFINITY for the zero polynomial."""
-        return self.terms[0][0] if self.terms else NEG_INFINITY
+        return Fraction(self.ks[0][0], self.grid) if self.ks else NEG_INFINITY
 
     def min_exponent(self) -> Fraction | float:
-        return self.terms[-1][0] if self.terms else NEG_INFINITY
+        return Fraction(self.ks[-1][0], self.grid) if self.ks else NEG_INFINITY
 
     def leading_coeff(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        return self.terms[0][1]
+        return Fraction(self.ks[0][1], self.den) if self.ks else Fraction(0)
+
+    def compare_degree(self, q: RationalLike) -> int:
+        """Sign of ``degree() - q`` for a rational ``q``, on ints: -1 for zero."""
+        if not self.ks:
+            return -1
+        n, d = _ratio(q)
+        k, bound = self.ks[0][0] * d, n * self.grid
+        return (k > bound) - (k < bound)
 
     def sign(self) -> int:
         """Sign of the value: rho is positive infinite, so the leading term decides."""
-        c = self.leading_coeff()
-        return (c > 0) - (c < 0)
+        if not self.ks:
+            return 0
+        return 1 if self.ks[0][1] > 0 else -1
+
+    def _times_term(self, k: int, grid: int, n: int, d: int) -> "RhoPoly":
+        """Multiply by the nonzero term ``(n/d) * rho^(k/grid)``, ``grid > 0``."""
+        if d < 0:
+            n, d = -n, -d
+        g = self.grid if grid == self.grid else lcm(self.grid, grid)
+        m, s = g // self.grid, k * (g // grid)
+        return _poly(g, self.den * d, [(e * m + s, c * n) for e, c in self.ks])
 
     def shift(self, dq: RationalLike) -> "RhoPoly":
         """Multiply by rho^(dq): add dq to every exponent."""
-        dq = _as_fraction(dq)
-        if dq == 0:
-            return self
-        return RhoPoly(tuple((e + dq, c) for e, c in self.terms))
+        k, grid = _ratio(dq)
+        return self._times_term(k, grid, 1, 1) if k and self.ks else self
 
     def scale(self, factor: RationalLike) -> "RhoPoly":
         """Multiply every coefficient by a rational factor."""
-        f = _as_fraction(factor)
-        if f == 0:
-            return RhoPoly()
-        if f == 1:
-            return self
-        return RhoPoly(tuple((e, c * f) for e, c in self.terms))
+        n, d = _ratio(factor)
+        if n == 0:
+            return ZERO_POLY
+        return self._times_term(0, 1, n, d) if n != d and self.ks else self
 
     def __add__(self, other: "RhoPoly") -> "RhoPoly":
         if not isinstance(other, RhoPoly):
             return NotImplemented
-        a, b = self.terms, other.terms
-        if not a:
+        if not self.ks:
             return other
-        if not b:
+        if not other.ks:
             return self
-        # both term tuples are sorted by decreasing exponent: merge them in one pass
-        out: list[tuple[Fraction, Fraction]] = []
-        i = j = 0
-        while i < len(a) and j < len(b):
-            ea, eb = a[i][0], b[j][0]
-            if ea > eb:
-                out.append(a[i])
-                i += 1
-            elif ea < eb:
-                out.append(b[j])
-                j += 1
-            else:
-                c = a[i][1] + b[j][1]
-                if c:
-                    out.append((ea, c))
-                i += 1
-                j += 1
-        out += a[i:] or b[j:]
-        return RhoPoly(tuple(out))
+        # common grid and denominator, then one merge of the sorted int pairs
+        a, b, g, d = self.ks, other.ks, self.grid, self.den
+        if other.grid != g:
+            g = lcm(g, other.grid)
+            a, b = _regrid(a, g // self.grid), _regrid(b, g // other.grid)
+        if other.den != d:
+            d = lcm(d, other.den)
+            a, b = _rescale(a, d // self.den), _rescale(b, d // other.den)
+        out, combined = _merge(a, b)
+        # with no two terms combined, the content and the grid are already reduced
+        return _poly(g, d, out) if combined else _make(g, d, tuple(out))
 
     def __neg__(self) -> "RhoPoly":
-        return RhoPoly(tuple((e, -c) for e, c in self.terms))
+        return _make(self.grid, self.den, tuple([(k, -c) for k, c in self.ks]))
 
     def __sub__(self, other: "RhoPoly") -> "RhoPoly":
         if not isinstance(other, RhoPoly):
@@ -163,20 +192,42 @@ class RhoPoly:
     def __mul__(self, other: "RhoPoly") -> "RhoPoly":
         if not isinstance(other, RhoPoly):
             return NotImplemented
-        if not self.terms or not other.terms:
-            return RhoPoly()
-        return RhoPoly._collect(
-            (e1 + e2, c1 * c2) for e1, c1 in self.terms for e2, c2 in other.terms
-        )
+        a, b = self.ks, other.ks
+        if not a or not b:
+            return ZERO_POLY
+        if len(b) == 1:
+            return self._times_term(b[0][0], other.grid, b[0][1], other.den)
+        if len(a) == 1:
+            return other._times_term(a[0][0], self.grid, a[0][1], self.den)
+        g = self.grid
+        if other.grid != g:
+            g = lcm(g, other.grid)
+            a, b = _regrid(a, g // self.grid), _regrid(b, g // other.grid)
+        acc: dict[int, int] = {}
+        for ka, ca in a:
+            for kb, cb in b:
+                k = ka + kb
+                acc[k] = acc.get(k, 0) + ca * cb
+        return _poly(g, self.den * other.den, sorted([kc for kc in acc.items() if kc[1]], reverse=True))
 
     def __eq__(self, other: object) -> bool:
         # numbers compare as constants; PreciseNum answers by reflection
         if isinstance(other, RhoPoly):
-            return self.terms == other.terms
-        return self == RhoPoly.constant(other) if isinstance(other, (int, Fraction)) else NotImplemented
+            return self.ks == other.ks and self.den == other.den and self.grid == other.grid
+        if isinstance(other, (int, Fraction)):
+            n, d = other.numerator, other.denominator
+            return self.ks == (((0, n),) if n else ()) and self.den == d
+        return NotImplemented
 
     def __hash__(self) -> int:
-        return _value_hash(self.degree(), self.leading_coeff())
+        # constants hash like numbers: an int hashes like the equal Fraction
+        if not self.ks:
+            return 0
+        k, c = self.ks[0]
+        lead = c if self.den == 1 else Fraction(c, self.den)
+        if k == 0:
+            return hash(lead)
+        return hash((k if self.grid == 1 else Fraction(k, self.grid), lead))
 
     def __str__(self) -> str:
         return render_poly(self)
@@ -185,27 +236,69 @@ class RhoPoly:
         return f"RhoPoly({render_poly(self)})"
 
 
-ZERO_POLY = RhoPoly()
+def _make(grid: int, den: int, ks: tuple[tuple[int, int], ...]) -> RhoPoly:
+    """A RhoPoly from fields already in canonical form."""
+    p = object.__new__(RhoPoly)
+    p.grid, p.den, p.ks = grid, den, ks
+    return p
+
+
+def _poly(grid: int, den: int, ks: list[tuple[int, int]]) -> RhoPoly:
+    """The canonical RhoPoly of ``sum (c/den) * rho^(k/grid)``, for ``ks`` with
+    strictly decreasing ``k`` and no zero ``c`` and ``den > 0``: divides the
+    content out of ``den`` and the coefficients, and the grid out of the
+    exponents."""
+    if not ks:
+        return ZERO_POLY
+    if den != 1:
+        h = gcd(den, *[c for _, c in ks])
+        if h != 1:
+            den //= h
+            ks = [(k, c // h) for k, c in ks]
+    if grid != 1:
+        h = gcd(grid, *[k for k, _ in ks])
+        if h != 1:
+            grid //= h
+            ks = [(k // h, c) for k, c in ks]
+    return _make(grid, den, tuple(ks))
+
+
+def _regrid(ks, m: int):
+    return ks if m == 1 else [(k * m, c) for k, c in ks]
+
+
+def _rescale(ks, m: int):
+    return ks if m == 1 else [(k, c * m) for k, c in ks]
+
+
+def _merge(a, b) -> tuple[list[tuple[int, int]], bool]:
+    """The sum of two pair sequences sorted by decreasing ``k``, in one pass, and
+    whether any two terms were combined."""
+    out: list[tuple[int, int]] = []
+    i = j = 0
+    combined = False
+    while i < len(a) and j < len(b):
+        ka, kb = a[i][0], b[j][0]
+        if ka > kb:
+            out.append(a[i])
+            i += 1
+        elif ka < kb:
+            out.append(b[j])
+            j += 1
+        else:
+            c = a[i][1] + b[j][1]
+            if c:
+                out.append((ka, c))
+            i += 1
+            j += 1
+            combined = True
+    out += a[i:] or b[j:]
+    return out, combined
+
+
+ZERO_POLY = _make(1, 1, ())
 ONE_POLY = RhoPoly.constant(1)
 RHO = RhoPoly.rho_power(1)
-
-
-def _exponent_step(exponents: Iterable[Fraction]) -> Fraction:
-    """Generator of the cyclic subgroup of Q spanned by the given exponents.
-
-    Any finitely generated subgroup of the rationals is cyclic; the generator
-    is gcd(numerators)/lcm(denominators).  Consecutive quotient exponents in a
-    long division differ by a positive multiple of this step, which is what
-    guarantees termination.
-    """
-    num_gcd = 0
-    den_lcm = 1
-    for q in exponents:
-        num_gcd = math.gcd(num_gcd, abs(q.numerator))
-        den_lcm = den_lcm * q.denominator // math.gcd(den_lcm, q.denominator)
-    if num_gcd == 0:
-        return Fraction(1)
-    return Fraction(num_gcd, den_lcm)
 
 
 @functools.total_ordering
@@ -224,17 +317,16 @@ class PreciseNum:
 
     def __post_init__(self):
         num, den = self.num, self.den
-        if den.is_zero():
+        if not den.ks:
             raise ZeroDivisionError("zero denominator in precise element")
-        if num.is_zero():
+        if not num.ks:
             den = ONE_POLY
         elif den != ONE_POLY:
             # Multiply num and den by rho^(-deg den)/lead(den): value unchanged,
             # denominator becomes 1 + lower-order terms (exactly 1 for monomials).
-            shift = -den.degree()
-            factor = 1 / den.leading_coeff()
-            num = num.shift(shift).scale(factor)
-            den = den.shift(shift).scale(factor)
+            k, c = den.ks[0]
+            num = num._times_term(-k, den.grid, den.den, c)
+            den = den._times_term(-k, den.grid, den.den, c)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -249,7 +341,7 @@ class PreciseNum:
         raise TypeError(f"cannot interpret {type(value).__name__} as a precise element")
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num.ks
 
     def is_polynomial(self) -> bool:
         return self.den == ONE_POLY
@@ -314,7 +406,7 @@ class PreciseNum:
 
     def __hash__(self) -> int:
         # den is monic of degree zero, so num's leading term is the value's
-        return _value_hash(self.num.degree(), self.num.leading_coeff())
+        return hash(self.num)
 
     def __lt__(self, other: "PreciseLike") -> bool:
         # total_ordering derives <=, > and >= from this and __eq__, passing NotImplemented on
@@ -349,7 +441,7 @@ def compare_precise(a: PreciseLike, b: PreciseLike) -> Ordering:
 
 
 def _long_division(
-    num: RhoPoly, den: RhoPoly, floor: Fraction, strict: bool
+    num: RhoPoly, den: RhoPoly, floor: RationalLike, strict: bool
 ) -> tuple[RhoPoly, RhoPoly]:
     """Long division with descending quotient exponents, stopped at ``floor``.
 
@@ -357,27 +449,40 @@ def _long_division(
     where the quotient holds the expansion terms with exponent > floor
     (``strict``) or >= floor (not ``strict``).  ``den`` must be a ``PreciseNum``
     denominator, monic of degree zero, so each quotient term is the
-    remainder's leading term.  This terminates because all
-    exponents live in the cyclic subgroup delta*Z of the rationals spanned by
-    the exponents of num, den and the floor, so every division step lowers the
-    remainder's degree by at least delta.  The step-count guard failing means
-    a bug, not bad input.
+    remainder's leading term.  num, den and the floor are put on one grid
+    ``(1/g)*Z`` and the remainder is kept over one int denominator, reduced by
+    gcd after each step.  This terminates because every division step lowers
+    the remainder's exponent, an integer on that grid, by at least 1.  The
+    step-count guard failing means a bug, not bad input.
     """
-    step = _exponent_step([e for e, _ in num.terms] + [e for e, _ in den.terms] + [floor])
-    span = num.degree() - floor
-    max_steps = int(span / step) + len(num.terms) + len(den.terms) + 8
+    fn, fd = _ratio(floor)
+    g = lcm(num.grid, den.grid, fd)
+    stop = fn * (g // fd)
+    rem, r = _regrid(num.ks, g // num.grid), num.den
+    # den = (dd + tail)/dd with dd*rho^0 its leading term; the tail is negated for subtraction
+    dd = den.den
+    tail = [(k, -c) for k, c in _regrid(den.ks[1:], g // den.grid)]
+    max_steps = (rem[0][0] - stop if rem else 0) + len(num.ks) + len(den.ks) + 8
 
-    out: list[tuple[Fraction, Fraction]] = []
-    rem = num
-    while not rem.is_zero():
-        e, c = rem.terms[0]
-        if e < floor or (strict and e == floor):
+    out: list[tuple[int, int, int]] = []  # quotient terms (k, c, d): (c/d)*rho^(k/g)
+    while rem:
+        k, c = rem[0]
+        if k < stop or (strict and k == stop):
             break
-        out.append((e, c))
-        rem = rem - den.shift(e).scale(c)
+        out.append((k, c, r))
+        # rem/r - (c/r)*rho^(k/g)*den = (dd*rem - c*rho^(k/g)*(dd + tail))/(r*dd): the leads cancel
+        rem = _merge(_rescale(rem[1:], dd), [(k + e, c * ce) for e, ce in tail])[0]
+        r *= dd
+        if r != 1 and rem:
+            h = gcd(r, *[c for _, c in rem])
+            if h != 1:
+                r //= h
+                rem = [(e, c // h) for e, c in rem]
         if len(out) > max_steps:
             raise InternalError("long division exceeded its termination bound")
-    return RhoPoly(tuple(out)), rem
+    q_den = lcm(1, *[d for _, _, d in out])
+    quotient = _poly(g, q_den, [(k, c * (q_den // d)) for k, c, d in out])
+    return quotient, _poly(g, r, rem)
 
 
 def series_expand(x: PreciseLike, cutoff: RationalLike, strict: bool) -> RhoPoly:
@@ -388,10 +493,13 @@ def series_expand(x: PreciseLike, cutoff: RationalLike, strict: bool) -> RhoPoly
     degree(x - p) falls below that threshold.
     """
     x = PreciseNum.of(x)
-    cutoff = _as_fraction(cutoff)
     if x.den == ONE_POLY:
-        keep = (lambda e: e > cutoff) if strict else (lambda e: e >= cutoff)
-        return RhoPoly(tuple((e, c) for e, c in x.num.terms if keep(e)))
+        # k/grid > n/d  <=>  k*d > n*grid, all on ints
+        n, d = _ratio(cutoff)
+        p = x.num
+        bound = n * p.grid
+        keep = [kc for kc in p.ks if (kc[0] * d > bound if strict else kc[0] * d >= bound)]
+        return p if len(keep) == len(p.ks) else _poly(p.grid, p.den, keep)
     return _long_division(x.num, x.den, cutoff, strict)[0]
 
 

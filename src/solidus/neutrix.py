@@ -119,8 +119,12 @@ def nx_scale(p: PreciseLike, a: Neutrix) -> Neutrix:
 
 def nx_contains(a: Neutrix, p: PreciseLike) -> bool:
     """Membership of a precise element, decided by the degree valuation."""
-    d = PreciseNum.of(p).degree()
-    return d <= a.q if a.closed else d < a.q
+    num = PreciseNum.of(p).num
+    if isinstance(a.q, float):
+        # FULL holds everything, NX_ZERO only zero
+        return a.q > 0 or num.is_zero()
+    c = num.compare_degree(a.q)
+    return c <= 0 if a.closed else c < 0
 
 
 def is_idempotent(a: Neutrix) -> bool:
