@@ -10,20 +10,25 @@ neutrix cannot absorb:
 With NX_ZERO the representative is kept verbatim (any ratio); with FULL the
 representative collapses to 0.  Two canonical forms denote the same set
 exactly when their neutrices are equal and their representatives are equal.
+
+``ExternalNum`` is an immutable ``__slots__`` pair.  ``canonicalize`` stores a
+truncated expansion, a polynomial, without normalizing it again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
 from .errors import NotLimitedError, NotZerolessError
 from .field import (
+    ONE_POLY,
     Ordering,
     PreciseLike,
     PreciseNum,
     PRECISE_ZERO,
+    _Immutable,
+    _precise,
     render_precise,
     series_expand,
 )
@@ -48,12 +53,18 @@ class Classification(Enum):
     ZEROLESS_NONPRECISE = "ZerolessNonPrecise"
 
 
-@dataclass(frozen=True, eq=False)
-class ExternalNum:
-    """Canonical external number.  Build through :func:`canonicalize`."""
+class ExternalNum(_Immutable):
+    """Canonical external number ``rep + nx``, immutable and hashable.  Build
+    through :func:`canonicalize`."""
 
-    rep: PreciseNum
-    nx: Neutrix
+    __slots__ = ("rep", "nx")
+
+    def __init__(self, rep: PreciseNum, nx: Neutrix):
+        _set_rep(self, rep)
+        _set_nx(self, nx)
+
+    def __reduce__(self):
+        return ExternalNum, (self.rep, self.nx)
 
     def __add__(self, other: "ExternalLike") -> "ExternalNum":
         return ext_add(self, as_external(other))
@@ -112,17 +123,21 @@ class ExternalNum:
         return f"ExternalNum({render_external(self)})"
 
 
+_set_rep = ExternalNum.rep.__set__
+_set_nx = ExternalNum.nx.__set__
+
 ExternalLike = Union[ExternalNum, PreciseLike]
 
 
 def canonicalize(rep: PreciseLike, nx: Neutrix = NX_ZERO) -> ExternalNum:
     """Canonical form of rep + nx; the result denotes the same set."""
-    rep = PreciseNum.of(rep)
+    if not isinstance(rep, PreciseNum):
+        rep = PreciseNum.of(rep)
     if nx == NX_ZERO:
         return ExternalNum(rep, nx)
     if nx == FULL:
         return ExternalNum(PRECISE_ZERO, nx)
-    return ExternalNum(PreciseNum(series_expand(rep, nx.q, strict=nx.closed)), nx)
+    return ExternalNum(_precise(series_expand(rep, nx.q, strict=nx.closed), ONE_POLY), nx)
 
 
 def as_external(value: ExternalLike) -> ExternalNum:

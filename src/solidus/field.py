@@ -22,12 +22,16 @@ gcd.  ``Fraction`` appears only at the boundary: construction from
 ``(exponent, coefficient)`` pairs (``RhoPoly(terms)``, ``from_terms``,
 ``constant``, ``rho_power``), the ``terms`` property, ``degree()``,
 ``min_exponent()``, ``leading_coeff()``, hashing and rendering.
+
+``RhoPoly`` and ``PreciseNum`` are ``__slots__`` classes.  ``PreciseNum(num,
+den)`` normalizes the denominator; results already in normal form are built by
+the private maker ``_precise``, which only stores the fields, as ``_make``
+does for ``RhoPoly``.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
@@ -301,50 +305,73 @@ ONE_POLY = RhoPoly.constant(1)
 RHO = RhoPoly.rho_power(1)
 
 
+class _Immutable:
+    """Base of the immutable value classes: assigning or deleting an attribute
+    raises ``AttributeError``, so a subclass sets its slots through their
+    descriptors and is copied and pickled through ``__reduce__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+
 @functools.total_ordering
-@dataclass(frozen=True, eq=False)
-class PreciseNum:
+class PreciseNum(_Immutable):
     """Element of the precise ordered field: a ratio of two RhoPolys.
 
-    Construction normalizes the denominator to be monic of degree zero (shift
-    exponents, scale coefficients), which keeps monomial denominators away
-    entirely.  Equality is by value, decided through cross-multiplication, so
-    full reduction of the fraction is not required for correctness.
+    ``PreciseNum(num, den)`` normalizes the denominator to ``1 + lower terms``
+    (shift exponents, scale coefficients), and to 1 for zero, so the value is a
+    polynomial exactly when the denominator has one term.  The ratio is not
+    reduced: ``==`` compares numerators over one denominator and otherwise
+    tests the difference for zero.  ``of``, negation, sums, differences and
+    products are already in normal form (a product of normal denominators is
+    normal) and skip the normalization through the maker ``_precise``.
+    Immutable and hashable.
     """
 
-    num: RhoPoly = ZERO_POLY
-    den: RhoPoly = ONE_POLY
+    __slots__ = ("num", "den")
 
-    def __post_init__(self):
-        num, den = self.num, self.den
+    def __init__(self, num: RhoPoly = ZERO_POLY, den: RhoPoly = ONE_POLY):
+        if not isinstance(num, RhoPoly) or not isinstance(den, RhoPoly):
+            bad = den if isinstance(num, RhoPoly) else num
+            raise TypeError(f"a precise element is a ratio of RhoPolys, got {type(bad).__name__}")
         if not den.ks:
             raise ZeroDivisionError("zero denominator in precise element")
         if not num.ks:
             den = ONE_POLY
-        elif den != ONE_POLY:
+        elif den.ks[0][0] or den.ks[0][1] != den.den:  # the leading term is not 1
             # Multiply num and den by rho^(-deg den)/lead(den): value unchanged,
             # denominator becomes 1 + lower-order terms (exactly 1 for monomials).
             k, c = den.ks[0]
             num = num._times_term(-k, den.grid, den.den, c)
             den = den._times_term(-k, den.grid, den.den, c)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _set_num(self, num)
+        _set_den(self, den)
+
+    def __reduce__(self):
+        # the fields are in normal form, which the constructor leaves unchanged
+        return PreciseNum, (self.num, self.den)
 
     @staticmethod
     def of(value: "PreciseLike") -> "PreciseNum":
         if isinstance(value, PreciseNum):
             return value
         if isinstance(value, RhoPoly):
-            return PreciseNum(value)
+            return _precise(value, ONE_POLY)
         if isinstance(value, (int, Fraction)):
-            return PreciseNum(RhoPoly.constant(value))
+            return _precise(RhoPoly.constant(value), ONE_POLY)
         raise TypeError(f"cannot interpret {type(value).__name__} as a precise element")
 
     def is_zero(self) -> bool:
         return not self.num.ks
 
     def is_polynomial(self) -> bool:
-        return self.den == ONE_POLY
+        # a normal denominator is 1 plus lower terms: it is 1 when it has one term
+        return len(self.den.ks) == 1
 
     def sign(self) -> int:
         # den is normalized monic, hence positive.
@@ -357,14 +384,18 @@ class PreciseNum:
     def __add__(self, other: "PreciseLike") -> "PreciseNum":
         if not isinstance(other, PreciseNum) and (other := _operand(other)) is NotImplemented:
             return NotImplemented
-        if self.den == other.den:
-            return PreciseNum(self.num + other.num, self.den)
-        return PreciseNum(self.num * other.den + other.num * self.den, self.den * other.den)
+        a, b = self.den, other.den
+        if a == b:
+            num, den = self.num + other.num, a
+        else:
+            # a product of two denominators 1 + lower terms is one as well
+            num, den = self.num * b + other.num * a, a * b
+        return _precise(num, den) if num.ks else PRECISE_ZERO
 
     __radd__ = __add__
 
     def __neg__(self) -> "PreciseNum":
-        return PreciseNum(-self.num, self.den)
+        return _precise(-self.num, self.den)
 
     def __sub__(self, other: "PreciseLike") -> "PreciseNum":
         if not isinstance(other, PreciseNum) and (other := _operand(other)) is NotImplemented:
@@ -378,7 +409,11 @@ class PreciseNum:
     def __mul__(self, other: "PreciseLike") -> "PreciseNum":
         if not isinstance(other, PreciseNum) and (other := _operand(other)) is NotImplemented:
             return NotImplemented
-        return PreciseNum(self.num * other.num, self.den * other.den)
+        num = self.num * other.num
+        if not num.ks:
+            return PRECISE_ZERO
+        a, b = self.den, other.den
+        return _precise(num, b if len(a.ks) == 1 else a if len(b.ks) == 1 else a * b)
 
     __rmul__ = __mul__
 
@@ -412,13 +447,26 @@ class PreciseNum:
         # total_ordering derives <=, > and >= from this and __eq__, passing NotImplemented on
         if not isinstance(other, PreciseNum) and (other := _operand(other)) is NotImplemented:
             return NotImplemented
-        return compare_precise(self, other) is Ordering.LT
+        return (self - other).sign() < 0
 
     def __str__(self) -> str:
         return render_precise(self)
 
     def __repr__(self) -> str:
         return f"PreciseNum({render_precise(self)})"
+
+
+_set_num = PreciseNum.num.__set__
+_set_den = PreciseNum.den.__set__
+
+
+def _precise(num: RhoPoly, den: RhoPoly) -> PreciseNum:
+    """A PreciseNum from fields already in normal form, without normalizing:
+    ``den`` is 1 plus lower terms, and exactly 1 when ``num`` is zero."""
+    x = object.__new__(PreciseNum)
+    _set_num(x, num)
+    _set_den(x, den)
+    return x
 
 
 #: The operand types ``PreciseNum.of`` accepts.
@@ -493,7 +541,7 @@ def series_expand(x: PreciseLike, cutoff: RationalLike, strict: bool) -> RhoPoly
     degree(x - p) falls below that threshold.
     """
     x = PreciseNum.of(x)
-    if x.den == ONE_POLY:
+    if x.is_polynomial():
         # k/grid > n/d  <=>  k*d > n*grid, all on ints
         n, d = _ratio(cutoff)
         p = x.num
@@ -510,7 +558,7 @@ def as_polynomial(x: PreciseNum) -> RhoPoly | None:
     min-exponent(den) (lowest terms multiply without cancellation), which
     bounds how far the long division may descend before giving up.
     """
-    if x.den == ONE_POLY:
+    if x.is_polynomial():
         return x.num
     floor = x.num.min_exponent() - x.den.min_exponent()
     quotient, rem = _long_division(x.num, x.den, floor, strict=False)
@@ -545,6 +593,6 @@ def render_poly(p: RhoPoly) -> str:
 
 
 def render_precise(x: PreciseNum) -> str:
-    if x.den == ONE_POLY:
+    if x.is_polynomial():
         return render_poly(x.num)
     return f"({render_poly(x.num)})/({render_poly(x.den)})"

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from .external import Classification, ExternalNum, canonicalize, classify
-from .field import ONE_POLY, PreciseNum, RhoPoly
+from .field import PreciseNum, RhoPoly
 from .neutrix import (
     FULL,
     Neutrix,
@@ -207,7 +207,7 @@ def _poly_candidates(p: RhoPoly) -> Iterator[RhoPoly]:
 
 
 def _precise_candidates(x: PreciseNum) -> Iterator[PreciseNum]:
-    if x.den != ONE_POLY:
+    if not x.is_polynomial():
         yield PreciseNum(x.num)
     for num2 in _poly_candidates(x.num):
         yield PreciseNum(num2, x.den)

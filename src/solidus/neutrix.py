@@ -16,13 +16,17 @@ This family is closed under addition (= maximum), multiplication and scaling,
 contains every idempotent the axioms force, and supplies witnesses for all the
 existential axioms.  Families with thresholds not of this shape are out of
 scope.
+
+``Neutrix`` is an immutable ``__slots__`` class whose comparisons read an int
+key computed at construction; ``nx_mul``, ``nx_scale`` and ``nx_contains``
+read the key's rank of the threshold (-inf, finite or +inf), so none of them
+compares a ``Fraction`` with a float infinity.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import NotAboveUnityError, NotIdempotentError, ZeroScalarError
 from .field import (
@@ -32,35 +36,70 @@ from .field import (
     PreciseNum,
     RationalLike,
     RhoPoly,
+    _Immutable,
     _as_fraction,
     _render_exponent,
 )
 
 
-@dataclass(frozen=True, order=True)
-class Neutrix:
+@functools.total_ordering
+class Neutrix(_Immutable):
     """A magnitude: the degree cut below ``q``, including ``q`` when ``closed``.
 
     ``q`` is an exact rational, or -inf for ``NX_ZERO`` and +inf for ``FULL``.
-    The ordering compares (q, closed), which is set inclusion.  Immutable and
-    hashable.
+    The order is set inclusion, the order of ``(q, closed)``.  Construction
+    computes an int key, ``(rank, numerator, denominator, closed)`` with rank
+    -1, 0 or +1 for -inf, a finite ``q`` or +inf: ``==`` compares keys, ``<``
+    compares ranks, then ``q`` by cross-multiplication, then ``closed``.
+    Immutable and hashable, with the hash of ``(q, closed)``.
     """
 
-    q: Fraction | float
-    closed: bool
+    __slots__ = ("q", "closed", "_rank", "_key")
 
-    def __post_init__(self):
-        if isinstance(self.q, float) and math.isinf(self.q):
-            if self.closed != (self.q < 0):
+    def __init__(self, q: RationalLike | float, closed: bool):
+        if isinstance(q, float) and math.isinf(q):
+            if closed != (q < 0):
                 raise ValueError("the cuts at infinity are NX_ZERO (-inf, closed) and FULL (+inf, open)")
+            rank, n, d = (-1 if q < 0 else 1), 0, 1
         else:
-            object.__setattr__(self, "q", _as_fraction(self.q))
+            q = _as_fraction(q)
+            rank, n, d = 0, q.numerator, q.denominator
+        _set_q(self, q)
+        _set_closed(self, closed)
+        _set_rank(self, rank)
+        _set_key(self, (rank, n, d, closed))
+
+    def __reduce__(self):
+        return Neutrix, (self.q, self.closed)
+
+    def __eq__(self, other: object) -> bool:
+        return self._key == other._key if other.__class__ is Neutrix else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.q, self.closed))
+
+    def __lt__(self, other: "Neutrix") -> bool:
+        # total_ordering derives <=, > and >= from this and __eq__, passing NotImplemented on
+        if other.__class__ is not Neutrix:
+            return NotImplemented
+        r, n, d, c = self._key
+        r2, n2, d2, c2 = other._key
+        if r != r2:
+            return r < r2
+        x, y = n * d2, n2 * d  # 0 * 1 at both infinities
+        return x < y or (x == y and c < c2)
 
     def __str__(self) -> str:
         return render_neutrix(self)
 
     def __repr__(self) -> str:
         return f"Neutrix({render_neutrix(self)})"
+
+
+_set_q = Neutrix.q.__set__
+_set_closed = Neutrix.closed.__set__
+_set_rank = Neutrix._rank.__set__
+_set_key = Neutrix._key.__set__
 
 
 def open_cut(q: RationalLike) -> Neutrix:
@@ -101,8 +140,10 @@ def nx_mul(a: Neutrix, b: Neutrix) -> Neutrix:
     product of something below rho^q and something at or below rho^r stays
     below rho^(q+r)).
     """
-    if a == NX_ZERO or b == NX_ZERO:
+    if a._rank < 0 or b._rank < 0:
         return NX_ZERO
+    if a._rank or b._rank:
+        return FULL
     return Neutrix(a.q + b.q, a.closed and b.closed)
 
 
@@ -114,15 +155,16 @@ def nx_scale(p: PreciseLike, a: Neutrix) -> Neutrix:
     p = PreciseNum.of(p)
     if p.is_zero():
         raise ZeroScalarError("cannot scale a neutrix by zero")
-    return Neutrix(a.q + p.degree(), a.closed)
+    # the cuts at infinity are fixed by every nonzero scalar
+    return a if a._rank else Neutrix(a.q + p.degree(), a.closed)
 
 
 def nx_contains(a: Neutrix, p: PreciseLike) -> bool:
     """Membership of a precise element, decided by the degree valuation."""
     num = PreciseNum.of(p).num
-    if isinstance(a.q, float):
+    if a._rank:
         # FULL holds everything, NX_ZERO only zero
-        return a.q > 0 or num.is_zero()
+        return a._rank > 0 or num.is_zero()
     c = num.compare_degree(a.q)
     return c <= 0 if a.closed else c < 0
 

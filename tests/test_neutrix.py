@@ -7,6 +7,7 @@ claims reduce to sampled membership.
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction as F
@@ -388,6 +389,23 @@ class TestAgainstFourShapeReference:
             if na == nb:
                 assert hash(na) == hash(nb)
             assert nx_add(na, nb) == (b if ka < kb else a).new()
+
+    def test_six_comparisons_follow_the_tuple_order(self):
+        for a, b in itertools.product(GRID, repeat=2):
+            na, nb = a.new(), b.new()
+            ta, tb = (na.q, na.closed), (nb.q, nb.closed)
+            got = (na == nb, na != nb, na < nb, na <= nb, na > nb, na >= nb)
+            assert got == (ta == tb, ta != tb, ta < tb, ta <= tb, ta > tb, ta >= tb), (a, b)
+
+    def test_comparison_with_other_types(self):
+        for a in GRID:
+            na = a.new()
+            assert not (na == 0) and na != 0 and na != (na.q, na.closed)
+            for op in (operator.lt, operator.le, operator.gt, operator.ge):
+                with pytest.raises(TypeError):
+                    op(na, 0)
+                with pytest.raises(TypeError):
+                    op(0, na)
 
     def test_mul(self):
         for a, b in itertools.product(GRID, repeat=2):
