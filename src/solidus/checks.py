@@ -174,11 +174,10 @@ def law(
 
 
 def resolve_check_id(check_id: str) -> str:
-    if check_id in REGISTRY:
-        return check_id
-    if check_id in ALIASES:
-        return ALIASES[check_id]
-    raise UnknownCheckError(check_id)
+    resolved = ALIASES.get(check_id, check_id)
+    if resolved not in REGISTRY:
+        raise UnknownCheckError(check_id)
+    return resolved
 
 
 def run_check(check_id: str, cfg: GeneratorConfig | None = None, n: int = 1000) -> CheckReport:
@@ -228,8 +227,8 @@ def run_catalog(
     only: str | None = None,
 ) -> list[CheckReport]:
     if only is not None:
-        resolved = resolve_check_id(only) if (only in REGISTRY or only in ALIASES) else None
-        ids = [resolved] if resolved else [cid for cid in REGISTRY if cid.startswith(only)]
+        resolved = ALIASES.get(only, only)
+        ids = [resolved] if resolved in REGISTRY else [cid for cid in REGISTRY if cid.startswith(only)]
         if not ids:
             raise UnknownCheckError(only)
     else:
@@ -404,7 +403,7 @@ def _degree_zero_positive(s: Sampler) -> PreciseNum:
 def _d_naturals(s: Sampler) -> tuple:
     def nat_poly() -> RhoPoly:
         n = s.rng.randint(0, 2)
-        p = RhoPoly.from_terms(
+        p = RhoPoly(
             (s.rng.randint(0, 2), s.rng.randint(-COEFF_BOUND, COEFF_BOUND))
             for _ in range(n)
         )

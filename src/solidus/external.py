@@ -12,11 +12,14 @@ representative collapses to 0.  Two canonical forms denote the same set
 exactly when their neutrices are equal and their representatives are equal.
 
 ``ExternalNum`` is an immutable ``__slots__`` pair.  ``canonicalize`` stores a
-truncated expansion, a polynomial, without normalizing it again.
+truncated expansion, a polynomial, without normalizing it again.  Operands are
+external numbers and the ``PreciseNum.of`` types; a neutrix enters as
+``pure(nx)``: a bare ``Neutrix`` operand raises ``TypeError``, ``==`` False.
 """
 
 from __future__ import annotations
 
+import functools
 from enum import Enum
 from typing import Union
 
@@ -28,6 +31,7 @@ from .field import (
     PreciseNum,
     PRECISE_ZERO,
     _Immutable,
+    _PRECISE_TYPES,
     _precise,
     render_precise,
     series_expand,
@@ -53,6 +57,7 @@ class Classification(Enum):
     ZEROLESS_NONPRECISE = "ZerolessNonPrecise"
 
 
+@functools.total_ordering
 class ExternalNum(_Immutable):
     """Canonical external number ``rep + nx``, immutable and hashable.  Build
     through :func:`canonicalize`."""
@@ -98,23 +103,15 @@ class ExternalNum(_Immutable):
         if isinstance(other, ExternalNum):
             return self.nx == other.nx and self.rep == other.rep
         # a number equals its precise value; a Neutrix never equals its pure(...): 0 != NX_ZERO
-        return self == canonicalize(other) if isinstance(other, PreciseLike) else NotImplemented
+        return self == canonicalize(other) if isinstance(other, _PRECISE_TYPES) else NotImplemented
 
     def __hash__(self) -> int:
         # precise values hash like the numbers they equal
         return hash(self.rep) if self.nx == NX_ZERO else hash((self.rep, self.nx))
 
     def __lt__(self, other: "ExternalLike") -> bool:
+        # total_ordering derives <=, > and >= from this and __eq__
         return ext_compare(self, as_external(other)) is Ordering.LT
-
-    def __le__(self, other: "ExternalLike") -> bool:
-        return ext_compare(self, as_external(other)) is not Ordering.GT
-
-    def __gt__(self, other: "ExternalLike") -> bool:
-        return ext_compare(self, as_external(other)) is Ordering.GT
-
-    def __ge__(self, other: "ExternalLike") -> bool:
-        return ext_compare(self, as_external(other)) is not Ordering.LT
 
     def __str__(self) -> str:
         return render_external(self)
@@ -143,8 +140,6 @@ def canonicalize(rep: PreciseLike, nx: Neutrix = NX_ZERO) -> ExternalNum:
 def as_external(value: ExternalLike) -> ExternalNum:
     if isinstance(value, ExternalNum):
         return value
-    if isinstance(value, Neutrix):
-        return canonicalize(0, value)
     return canonicalize(value)
 
 

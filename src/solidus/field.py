@@ -19,9 +19,9 @@ polynomial arithmetic", SIGSAM 1974) with the content split off as in von zur
 Gathen & Gerhard, *Modern Computer Algebra*, ch. 6.  Sums and products put
 both operands on a common grid and denominator, work on ints, and reduce by
 gcd.  ``Fraction`` appears only at the boundary: construction from
-``(exponent, coefficient)`` pairs (``RhoPoly(terms)``, ``from_terms``,
-``constant``, ``rho_power``), the ``terms`` property, ``degree()``,
-``min_exponent()``, ``leading_coeff()``, hashing and rendering.
+``(exponent, coefficient)`` pairs (``RhoPoly(terms)``, ``constant``,
+``rho_power``), the ``terms`` property, ``degree()``, ``leading_coeff()``,
+hashing and rendering; other readers use the int fields.
 
 ``RhoPoly`` and ``PreciseNum`` are ``__slots__`` classes.  ``PreciseNum(num,
 den)`` normalizes the denominator; results already in normal form are built by
@@ -97,10 +97,9 @@ class RhoPoly:
         p = _poly(grid, den, sorted(((k, c) for k, c in acc.items() if c), reverse=True))
         self.grid, self.den, self.ks = p.grid, p.den, p.ks
 
-    @staticmethod
-    def from_terms(pairs: Iterable[tuple[RationalLike, RationalLike]]) -> "RhoPoly":
-        """Build a polynomial from (exponent, coefficient) pairs, merging duplicates."""
-        return RhoPoly(pairs)
+    def __reduce__(self):
+        # the fields are canonical; protocols 0 and 1 pickle __slots__ only this way
+        return _make, (self.grid, self.den, self.ks)
 
     @staticmethod
     def constant(c: RationalLike) -> "RhoPoly":
@@ -126,9 +125,6 @@ class RhoPoly:
         """Largest exponent; NEG_INFINITY for the zero polynomial."""
         return Fraction(self.ks[0][0], self.grid) if self.ks else NEG_INFINITY
 
-    def min_exponent(self) -> Fraction | float:
-        return Fraction(self.ks[-1][0], self.grid) if self.ks else NEG_INFINITY
-
     def leading_coeff(self) -> Fraction:
         return Fraction(self.ks[0][1], self.den) if self.ks else Fraction(0)
 
@@ -153,18 +149,6 @@ class RhoPoly:
         g = self.grid if grid == self.grid else lcm(self.grid, grid)
         m, s = g // self.grid, k * (g // grid)
         return _poly(g, self.den * d, [(e * m + s, c * n) for e, c in self.ks])
-
-    def shift(self, dq: RationalLike) -> "RhoPoly":
-        """Multiply by rho^(dq): add dq to every exponent."""
-        k, grid = _ratio(dq)
-        return self._times_term(k, grid, 1, 1) if k and self.ks else self
-
-    def scale(self, factor: RationalLike) -> "RhoPoly":
-        """Multiply every coefficient by a rational factor."""
-        n, d = _ratio(factor)
-        if n == 0:
-            return ZERO_POLY
-        return self._times_term(0, 1, n, d) if n != d and self.ks else self
 
     def __add__(self, other: "RhoPoly") -> "RhoPoly":
         if not isinstance(other, RhoPoly):
@@ -560,8 +544,9 @@ def as_polynomial(x: PreciseNum) -> RhoPoly | None:
     """
     if x.is_polynomial():
         return x.num
-    floor = x.num.min_exponent() - x.den.min_exponent()
-    quotient, rem = _long_division(x.num, x.den, floor, strict=False)
+    num, den = x.num, x.den
+    floor = Fraction(num.ks[-1][0], num.grid) - Fraction(den.ks[-1][0], den.grid)  # last k: lowest
+    quotient, rem = _long_division(num, den, floor, strict=False)
     return quotient if rem.is_zero() else None
 
 

@@ -29,8 +29,8 @@ from .neutrix import (
 MAX_TERMS = 3
 COEFF_BOUND = 9
 EXPONENT_DENOMINATOR_BOUND = 2
-EXPONENT_RANGE = (Fraction(-2), Fraction(2))
-NEUTRIX_Q_RANGE = (Fraction(-2), Fraction(2))
+EXPONENT_RANGE = (-2, 2)
+NEUTRIX_Q_RANGE = (-2, 2)
 SHRINK_MAX_ROUNDS = 200
 
 
@@ -60,13 +60,10 @@ class Sampler:
             return Fraction(c, self.rng.randint(2, 4))
         return Fraction(c)
 
-    def _grid(self, lo: Fraction, hi: Fraction) -> Fraction:
+    def _grid(self, lo: int, hi: int) -> Fraction:
+        """A multiple of 1/den in [lo, hi], den drawn up to the denominator bound."""
         den = self.rng.randint(1, EXPONENT_DENOMINATOR_BOUND)
-        lo_n = -(-lo.numerator * den // lo.denominator)  # ceil(lo*den)
-        hi_n = hi.numerator * den // hi.denominator      # floor(hi*den)
-        if lo_n > hi_n:
-            return lo
-        return Fraction(self.rng.randint(lo_n, hi_n), den)
+        return Fraction(self.rng.randint(lo * den, hi * den), den)
 
     def exponent(self) -> Fraction:
         return self._grid(*EXPONENT_RANGE)
@@ -84,7 +81,7 @@ class Sampler:
         while len(exponents) < n and attempts < 32:
             exponents.add(self.exponent())
             attempts += 1
-        p = RhoPoly.from_terms((e, self.coefficient()) for e in exponents)
+        p = RhoPoly((e, self.coefficient()) for e in exponents)
         if not allow_zero and p.is_zero():
             return RhoPoly.constant(self.coefficient())
         return p
@@ -92,17 +89,14 @@ class Sampler:
     def nonzero_rhopoly(self, max_terms: int = MAX_TERMS) -> RhoPoly:
         return self.rhopoly(max_terms, allow_zero=False)
 
-    def precise(self, ratio_probability: float = 0.2) -> PreciseNum:
-        num = self.rhopoly()
+    def precise(self, ratio_probability: float = 0.2, allow_zero: bool = True) -> PreciseNum:
+        num = self.rhopoly(allow_zero=allow_zero)
         if self.rng.random() < ratio_probability:
             return PreciseNum(num, self.nonzero_rhopoly(max_terms=2))
         return PreciseNum(num)
 
     def nonzero_precise(self, ratio_probability: float = 0.2) -> PreciseNum:
-        num = self.nonzero_rhopoly()
-        if self.rng.random() < ratio_probability:
-            return PreciseNum(num, self.nonzero_rhopoly(max_terms=2))
-        return PreciseNum(num)
+        return self.precise(ratio_probability, allow_zero=False)
 
     def positive_precise(self) -> PreciseNum:
         return abs(self.nonzero_precise())
@@ -115,8 +109,7 @@ class Sampler:
             return NX_ZERO
         if roll < 0.25:
             return FULL
-        maker = open_cut if self.rng.random() < 0.5 else closed_cut
-        return maker(self.threshold())
+        return self.scaled_neutrix()
 
     def scaled_neutrix(self) -> Neutrix:
         maker = open_cut if self.rng.random() < 0.5 else closed_cut
@@ -199,11 +192,11 @@ def _poly_candidates(p: RhoPoly) -> Iterator[RhoPoly]:
     # simpler exponents, then simpler coefficients
     for i, (e, c) in enumerate(terms):
         for e2 in _fraction_candidates(e):
-            yield RhoPoly.from_terms(terms[:i] + [(e2, c)] + terms[i + 1 :])
+            yield RhoPoly(terms[:i] + [(e2, c)] + terms[i + 1 :])
     for i, (e, c) in enumerate(terms):
         for c2 in _fraction_candidates(c):
             if c2 != 0:
-                yield RhoPoly.from_terms(terms[:i] + [(e, c2)] + terms[i + 1 :])
+                yield RhoPoly(terms[:i] + [(e, c2)] + terms[i + 1 :])
 
 
 def _precise_candidates(x: PreciseNum) -> Iterator[PreciseNum]:

@@ -82,8 +82,7 @@ def _below_every_representative(x: ExternalNum, b: ExternalNum) -> bool:
 def hl_member(h: Halfline, x: ExternalNum) -> bool:
     if h.side is Side.UPPER:
         # an upper halfline is the exact complement of its lower counterpart
-        side, kind = _COMPLEMENT[(h.side, h.kind)]
-        return not hl_member(Halfline(side, kind, h.bound), x)
+        return not hl_member(lower(_DUAL[h.kind], h.bound), x)
     b = h.bound
     if h.kind is HalflineKind.CLOSED:
         return ext_compare(x, b) is not Ordering.GT
@@ -92,31 +91,22 @@ def hl_member(h: Halfline, x: ExternalNum) -> bool:
     return _below_every_representative(x, b)
 
 
-def is_full_domain(h: Halfline) -> bool:
-    if h.bound.nx != FULL:
-        return False
-    return (h.side, h.kind) in (
-        (Side.LOWER, HalflineKind.CLOSED),
-        (Side.UPPER, HalflineKind.STRONGLY_OPEN),
-    )
-
-
-_COMPLEMENT = {
-    (Side.LOWER, HalflineKind.CLOSED): (Side.UPPER, HalflineKind.OPEN),
-    (Side.LOWER, HalflineKind.OPEN): (Side.UPPER, HalflineKind.CLOSED),
-    (Side.LOWER, HalflineKind.STRONGLY_OPEN): (Side.UPPER, HalflineKind.STRONGLY_OPEN),
-    (Side.UPPER, HalflineKind.CLOSED): (Side.LOWER, HalflineKind.OPEN),
-    (Side.UPPER, HalflineKind.OPEN): (Side.LOWER, HalflineKind.CLOSED),
-    (Side.UPPER, HalflineKind.STRONGLY_OPEN): (Side.LOWER, HalflineKind.STRONGLY_OPEN),
+#: The kind of the complement, whose side flips: strongly open is self-dual.
+_DUAL = {
+    HalflineKind.CLOSED: HalflineKind.OPEN,
+    HalflineKind.OPEN: HalflineKind.CLOSED,
+    HalflineKind.STRONGLY_OPEN: HalflineKind.STRONGLY_OPEN,
 }
 
 
 def hl_complement(h: Halfline) -> Halfline:
     """The complementary halfline; membership partitions the domain exactly."""
-    if is_full_domain(h):
+    # every x has x <= M and none has x + M < M: (-inf, M] and ]]M, +inf) are the domain
+    full_kind = HalflineKind.CLOSED if h.side is Side.LOWER else HalflineKind.STRONGLY_OPEN
+    if h.bound.nx == FULL and h.kind is full_kind:
         raise DegenerateDomainError("the full-domain halfline has an empty complement")
-    side, kind = _COMPLEMENT[(h.side, h.kind)]
-    return Halfline(side, kind, h.bound)
+    side = Side.UPPER if h.side is Side.LOWER else Side.LOWER
+    return Halfline(side, _DUAL[h.kind], h.bound)
 
 
 def zup(h: Halfline) -> ExternalNum:

@@ -29,17 +29,13 @@ def is_natural(p: PreciseLike) -> bool:
     """Membership in the natural-number family.
 
     The value must be a polynomial (the denominator divides out exactly) with
-    integer exponents >= 0, integer coefficients, and nonnegative sign.
+    integer exponents >= 0 (grid 1, least ``k`` >= 0), integer coefficients
+    (den 1), and nonnegative sign.
     """
     poly = as_polynomial(PreciseNum.of(p))
-    if poly is None:
+    if poly is None or poly.sign() < 0 or poly.grid != 1 or poly.den != 1:
         return False
-    if poly.sign() < 0:
-        return False
-    for e, c in poly.terms:
-        if e.denominator != 1 or e < 0 or c.denominator != 1:
-            return False
-    return True
+    return not poly.ks or poly.ks[-1][0] >= 0
 
 
 def _upper_degree(alpha: ExternalNum):
@@ -171,7 +167,7 @@ INDUCTION_CATALOG = _catalog()
 
 #: Nonstandard naturals used for step and conclusion spot checks.
 NONSTANDARD_SAMPLES = tuple(
-    RhoPoly.from_terms(t)
+    RhoPoly(t)
     for t in (
         [(1, 1)],                      # rho
         [(1, 1), (0, 1)],              # rho + 1

@@ -298,10 +298,10 @@ def _as_rho_power(value: ExternalNum, pos: int) -> Fraction:
     rep = value.rep
     if value.nx != NX_ZERO or not rep.is_polynomial():
         raise EvalError("power base must be a pure power of rho", pos)
-    terms = rep.num.terms
-    if len(terms) != 1 or terms[0][1] != 1:
+    p = rep.num
+    if len(p.ks) != 1 or p.ks[0][1] != p.den:  # one term, coefficient c/den = 1
         raise EvalError("power base must be a pure power of rho", pos)
-    return terms[0][0]
+    return Fraction(p.ks[0][0], p.grid)
 
 
 def _integer_power(value: ExternalNum, n: int, pos: int) -> ExternalNum:

@@ -95,7 +95,7 @@ class TestGenerators:
 class TestShrink:
     def test_minimizes_term_count(self):
         start = PreciseNum.of(
-            RhoPoly.from_terms([(2, 3), (1, -7), (0, 5)])
+            RhoPoly([(2, 3), (1, -7), (0, 5)])
         )
 
         def fails(values):
@@ -108,7 +108,7 @@ class TestShrink:
         assert small.num.leading_coeff() == 1
 
     def test_respects_predicate(self):
-        start = canonicalize(RhoPoly.from_terms([(1, 4), (0, 2)]), LIMITED)
+        start = canonicalize(RhoPoly([(1, 4), (0, 2)]), LIMITED)
 
         def fails(values):
             (x,) = values
@@ -118,7 +118,7 @@ class TestShrink:
         assert ext_member(RhoPoly.rho_power(1), small)
 
     def test_skips_candidates_the_predicate_raises_on(self):
-        start = PreciseNum.of(RhoPoly.from_terms([(2, 3), (1, -7), (0, 5)]))
+        start = PreciseNum.of(RhoPoly([(2, 3), (1, -7), (0, 5)]))
         raised = []
 
         def fails(values):

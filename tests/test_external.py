@@ -15,6 +15,7 @@ from solidus.external import (
     Classification,
     EXT_ONE,
     EXT_ZERO,
+    ExternalNum,
     as_external,
     canonicalize,
     classify,
@@ -45,7 +46,6 @@ from solidus.neutrix import (
     INFINITESIMALS,
     LIMITED,
     NX_ZERO,
-    Neutrix,
     closed_cut,
     nx_add,
     nx_scale,
@@ -82,7 +82,7 @@ class TestCanonicalize:
         assert ext_member(rp(1) + RhoPoly.constant(3) + rp(-1), x)
 
     def test_zero_neutrix_keeps_ratio(self):
-        ratio = PreciseNum(ONE_POLY, RhoPoly.from_terms([(1, 1), (0, 1)]))
+        ratio = PreciseNum(ONE_POLY, RhoPoly([(1, 1), (0, 1)]))
         assert canonicalize(ratio, NX_ZERO).rep == ratio
 
     def test_series_absorption(self):
@@ -107,7 +107,7 @@ class TestCanonicalize:
 class TestHashing:
     def test_equal_values_hash_equal(self):
         s = Sampler(GeneratorConfig(seed=5), "hash")
-        r = PreciseNum.of(RhoPoly.from_terms([(1, 1), (0, 1)]))
+        r = PreciseNum.of(RhoPoly([(1, 1), (0, 1)]))
         for _ in range(200):
             y = s.precise()
             pairs = [((y * r) / r, y), (PreciseNum.of(y.num), y.num)]
@@ -136,7 +136,9 @@ class TestHashing:
         assert len(set(values)) == 1 and len(set(reversed(values))) == 1
         # a nonzero neutrix equals no number, and a magnitude is not its Neutrix
         assert canonicalize(2, INFINITESIMALS) != 2 and 2 != canonicalize(2, INFINITESIMALS)
-        assert pure(LIMITED) != LIMITED and LIMITED != pure(LIMITED) and pure(LIMITED) <= LIMITED
+        assert pure(LIMITED) != LIMITED and LIMITED != pure(LIMITED)
+        with pytest.raises(TypeError):
+            pure(LIMITED) <= LIMITED  # a Neutrix is no operand: it enters as pure(LIMITED)
 
     def test_values_and_halflines_are_hashable(self):
         one = canonicalize(1)
@@ -220,7 +222,7 @@ class TestInverse:
             ext_div(EXT_ONE, EXT_ZERO)
 
     def test_inverse_contract_on_ratio_rep(self):
-        b = canonicalize(PreciseNum(ONE_POLY, RhoPoly.from_terms([(1, 1), (0, -1)])))
+        b = canonicalize(PreciseNum(ONE_POLY, RhoPoly([(1, 1), (0, -1)])))
         assert ext_mul(b, ext_inv(b)) == EXT_ONE
 
 
@@ -251,26 +253,77 @@ class TestCompare:
         assert ext_compare(m, m) is Ordering.EQ
 
     def test_six_operators_agree_with_ext_compare(self):
-        # all four neutrix kinds, equal values rebuilt from another member, and
-        # number, PreciseNum and Neutrix operands on either side
-        s = Sampler(GeneratorConfig(seed=19), "six-operators")
-        pairs = []
-        for _ in range(100):
-            x, y, c = s.external(), s.external(), s.coefficient()
-            rebuilt = canonicalize(s.representative_of(x), x.nx)
-            pairs += [(x, y), (rebuilt, x), (x, c), (c, x), (canonicalize(c), c),
-                      (c.numerator, canonicalize(c.numerator)), (x, y.nx), (y.nx, x), (pure(x.nx), x.nx),
-                      (x.rep, y), (x.rep, x), (PreciseNum.of(c), canonicalize(c))]
-        assert {str(a.nx)[-1] for a, _ in pairs[::12]} == set("0oLM")
+        pairs, nx_pairs = SIX_OPERATOR_PAIRS
+        assert {str(a.nx)[-1] for a, _ in pairs[::9]} == set("0oLM")
         assert {ext_compare(as_external(a), as_external(b)) for a, b in pairs} == set(Ordering)
         for a, b in pairs:
             cmp = ext_compare(as_external(a), as_external(b))
-            # the order reads a Neutrix as its pure(...), equality does not
-            equal = cmp is Ordering.EQ and not isinstance(a, Neutrix) and not isinstance(b, Neutrix)
+            equal = cmp is Ordering.EQ
             got = (a < b, a <= b, a > b, a >= b, a == b, a != b)
             want = (cmp is Ordering.LT, cmp is not Ordering.GT, cmp is Ordering.GT,
                     cmp is not Ordering.LT, equal, not equal)
             assert got == want, (str(a), str(b))
+        # a Neutrix operand has no order, and equals no external number
+        for a, b in nx_pairs:
+            for op in ORDER_OPERATORS:
+                with pytest.raises(TypeError):
+                    op(a, b)
+            assert (a == b, a != b) == (False, True), (str(a), str(b))
+
+
+def _six_operator_pairs():
+    """Seeded operand pairs: all four neutrix kinds, equal values rebuilt from
+    another member, and number and PreciseNum operands on either side; beside
+    them, from the same draws, bare Neutrix operands on either side."""
+    s = Sampler(GeneratorConfig(seed=19), "six-operators")
+    pairs, nx_pairs = [], []
+    for _ in range(100):
+        x, y, c = s.external(), s.external(), s.coefficient()
+        rebuilt = canonicalize(s.representative_of(x), x.nx)
+        pairs += [(x, y), (rebuilt, x), (x, c), (c, x), (canonicalize(c), c),
+                  (c.numerator, canonicalize(c.numerator)),
+                  (x.rep, y), (x.rep, x), (PreciseNum.of(c), canonicalize(c))]
+        nx_pairs += [(x, y.nx), (y.nx, x), (pure(x.nx), x.nx)]
+    return pairs, nx_pairs
+
+
+SIX_OPERATOR_PAIRS = _six_operator_pairs()
+ORDER_OPERATORS = (operator.lt, operator.le, operator.gt, operator.ge)
+ARITHMETIC_OPERATORS = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+class TestOperandContract:
+    """``RhoPoly``, ``PreciseNum`` and ``ExternalNum`` share one operand set: a
+    neutrix enters arithmetic and order only as ``pure(nx)``, never bare."""
+
+    VALUES = [RhoPoly.rho_power(1, 3), RhoPoly(), PreciseNum.of(RHO) / 2, PreciseNum(ONE_POLY, RHO + ONE_POLY),
+              EXT_ZERO, canonicalize(RHO), canonicalize(RHO, LIMITED), pure(INFINITESIMALS), pure(FULL)]
+
+    @pytest.mark.parametrize("value", VALUES, ids=repr)
+    @pytest.mark.parametrize("nx", [NX_ZERO, INFINITESIMALS, LIMITED, FULL], ids=str)
+    def test_a_neutrix_operand_raises_type_error_and_is_unequal(self, value, nx):
+        for op in ARITHMETIC_OPERATORS + ORDER_OPERATORS:
+            with pytest.raises(TypeError):
+                op(value, nx)
+            with pytest.raises(TypeError):
+                op(nx, value)
+        assert not value == nx and not nx == value
+        assert value != nx and nx != value
+
+    def test_the_order_is_total_on_the_seeded_pairs(self):
+        pairs, _ = SIX_OPERATOR_PAIRS
+        # and the PreciseNum order, on the representatives of the drawn and rebuilt pairs
+        pairs = pairs + [(a.rep, b.rep) for a, b in pairs[::9] + pairs[1::9]]
+        for a, b in pairs:
+            assert (a <= b) == (a < b or a == b), (str(a), str(b))
+            assert (a >= b) == (a > b or a == b), (str(a), str(b))
+            assert (a < b) + (a == b) + (a > b) == 1, (str(a), str(b))
+
+    def test_external_num_derives_le_gt_ge(self):
+        own = vars(ExternalNum)
+        assert "__lt__" in own and "__eq__" in own
+        for name in ("__le__", "__gt__", "__ge__"):
+            assert getattr(ExternalNum, name).__module__ == "functools", name
 
 
 class TestOperators:
@@ -385,7 +438,8 @@ class TestAbsAndRender:
 
     def test_as_external_coercions(self):
         assert as_external(3) == canonicalize(3)
-        assert as_external(LIMITED) == pure(LIMITED)
+        with pytest.raises(TypeError):
+            as_external(LIMITED)  # a neutrix enters only as pure(LIMITED)
         assert as_external(RHO) == canonicalize(rp(1))
 
 

@@ -2,11 +2,11 @@
 ``Fraction``-pair reference in ``fraction_kernel``.
 
 A ``RhoPoly`` is stored as ``(grid, den, ks)``, the value
-``sum (c/den) * rho^(k/grid)``.  Every result of ``+ - *``, ``shift``,
-``scale``, the polynomial branch of ``series_expand`` and ``_long_division``
-must be canonical and must have the reference's terms.  Operands are seeded
-``Sampler`` draws and polynomials on mixed grids with exponent denominators up
-to 400.
+``sum (c/den) * rho^(k/grid)``.  Every result of ``+ - *`` (products with
+``rho_power(dq)`` and ``constant(f)`` shift and scale), the polynomial branch
+of ``series_expand`` and ``_long_division`` must be canonical and must have
+the reference's terms.  Operands are seeded ``Sampler`` draws and polynomials
+on mixed grids with exponent denominators up to 400.
 """
 
 import random
@@ -53,7 +53,7 @@ def _mixed_grid_poly(rng: random.Random) -> RhoPoly:
     for _ in range(rng.randint(0, 4)):
         d = rng.randint(1, 400)
         pairs.append((F(rng.randint(-2 * d, 2 * d), d), F(rng.randint(-9, 9), rng.randint(1, 6))))
-    return RhoPoly.from_terms(pairs)
+    return RhoPoly(pairs)
 
 
 def _pairs():
@@ -102,11 +102,11 @@ def test_sum_difference_product_match_the_reference():
 def test_shift_and_scale_match_the_reference():
     for a, _ in PAIRS:
         for dq in SHIFTS:
-            got = a.shift(dq)
+            got = a * RhoPoly.rho_power(dq)
             assert_canonical(got)
             assert got.terms == ref.shift(a.terms, dq), (repr(a), dq)
         for f in SCALES:
-            got = a.scale(f)
+            got = a * RhoPoly.constant(f)
             assert_canonical(got)
             assert got.terms == ref.scale(a.terms, f), (repr(a), f)
 
@@ -161,8 +161,9 @@ def test_equal_values_have_equal_fields_and_hashes():
         rng.shuffle(shuffled)
         # every coefficient split in two parts, in another order
         split = [(e, c / 3) for e, c in shuffled] + [(e, 2 * c / 3) for e, c in reversed(shuffled)]
-        for x, y in ((a * b, b * a), ((a + b) - b, a), (RhoPoly.from_terms(split), a),
-                     (a.shift(F(1, 3)).shift(F(-1, 3)), a), (a.scale(F(2, 7)).scale(F(7, 2)), a)):
+        for x, y in ((a * b, b * a), ((a + b) - b, a), (RhoPoly(split), a),
+                     (a * RhoPoly.rho_power(F(1, 3)) * RhoPoly.rho_power(F(-1, 3)), a),
+                     (a * RhoPoly.constant(F(2, 7)) * RhoPoly.constant(F(7, 2)), a)):
             assert (x.grid, x.den, x.ks) == (y.grid, y.den, y.ks), (repr(x), repr(y))
             assert x == y and hash(x) == hash(y)
 
@@ -179,16 +180,17 @@ def test_special_cases():
     # exponent denominators up to 400, and products that collapse the grid
     assert RhoPoly.rho_power(F(1, 400)) * RhoPoly.rho_power(F(399, 400)) == RHO
     assert (half * half).grid == 1 and half * half == RHO
-    assert (RhoPoly.from_terms([(F(1, 400), 1), (F(1, 2), 1)]) * half).grid == 400
+    assert (RhoPoly([(F(1, 400), 1), (F(1, 2), 1)]) * half).grid == 400
     # content cancellation: 1/2 + 1/2 is the integer 1
     one = RhoPoly.constant(F(1, 2)) + RhoPoly.constant(F(1, 2))
     assert (one.grid, one.den, one.ks) == (1, 1, ((0, 1),)) and one == ONE_POLY
     # full cancellation to zero, on any grid
-    p = RhoPoly.from_terms([(F(3, 400), F(1, 3)), (F(-1, 2), 5)])
-    for z in (p - p, p + (-p), p.scale(0), p * ZERO_POLY):
+    p = RhoPoly([(F(3, 400), F(1, 3)), (F(-1, 2), 5)])
+    for z in (p - p, p + (-p), p * RhoPoly.constant(0), p * ZERO_POLY):
         assert (z.grid, z.den, z.ks) == (1, 1, ()) and z == ZERO_POLY and z.is_zero()
-    # shifts by 0 and by a negative dq
-    assert p.shift(0) == p and p.shift(F(-3, 400)).terms == ((F(0), F(1, 3)), (F(-1, 2) - F(3, 400), F(5)))
+    # shifts (products with rho^dq) by 0 and by a negative dq
+    assert p * RhoPoly.rho_power(0) == p
+    assert (p * RhoPoly.rho_power(F(-3, 400))).terms == ((F(0), F(1, 3)), (F(-1, 2) - F(3, 400), F(5)))
 
 
 def test_constants_hash_like_numbers():
@@ -197,7 +199,7 @@ def test_constants_hash_like_numbers():
     assert RhoPoly.constant(-3) == F(-3) and hash(RhoPoly.constant(-3)) == hash(-3)
     assert RhoPoly() == 0 and hash(RhoPoly()) == hash(0) == hash(PreciseNum.of(0))
     # a nonconstant value hashes its leading term
-    p = RhoPoly.from_terms([(F(1, 2), F(1, 3)), (0, 1)])
+    p = RhoPoly([(F(1, 2), F(1, 3)), (0, 1)])
     assert hash(p) == hash((F(1, 2), F(1, 3))) == hash(PreciseNum(p))
 
 
@@ -205,7 +207,7 @@ def test_construction_from_term_pairs_is_canonical():
     # unsorted pairs: the old constructor stored them as given
     p = RhoPoly(((F(0), F(-1)), (F(1), F(1))))
     assert str(p) == "rho - 1" and p.sign() == 1 and p.degree() == 1
-    assert p == RhoPoly.from_terms([(1, 1), (0, -1)])
+    assert p == RhoPoly([(1, 1), (0, -1)])
     assert compare_precise(PreciseNum(p), 0) is Ordering.GT
     # a zero coefficient: the old constructor kept a term 0*rho
     z = RhoPoly(((F(1), F(0)),))

@@ -26,25 +26,25 @@ class TestIsNatural:
         assert is_natural(PreciseNum.of(7) + 1)
 
     def test_polynomial_naturals(self):
-        assert is_natural(RhoPoly.from_terms([(2, 1), (1, 3), (0, 1)]))
-        assert is_natural(RhoPoly.from_terms([(1, 1), (0, -1)]))  # rho - 1 is positive
+        assert is_natural(RhoPoly([(2, 1), (1, 3), (0, 1)]))
+        assert is_natural(RhoPoly([(1, 1), (0, -1)]))  # rho - 1 is positive
 
     def test_rejections(self):
         assert not is_natural(rp(F(1, 2)))
-        assert not is_natural(RhoPoly.from_terms([(1, 1), (0, F(1, 2))]))
+        assert not is_natural(RhoPoly([(1, 1), (0, F(1, 2))]))
         assert not is_natural(-1)
         assert not is_natural(PreciseNum.of(1) / PreciseNum.of(rp(1)))
-        assert not is_natural(RhoPoly.from_terms([(1, -1), (0, 5)]))  # negative value
+        assert not is_natural(RhoPoly([(1, -1), (0, 5)]))  # negative value
 
     def test_value_level_membership(self):
         # (rho^2 - 1)/(rho - 1) = rho + 1
         x = PreciseNum(
-            RhoPoly.from_terms([(2, 1), (0, -1)]), RhoPoly.from_terms([(1, 1), (0, -1)])
+            RhoPoly([(2, 1), (0, -1)]), RhoPoly([(1, 1), (0, -1)])
         )
         assert is_natural(x)
 
     def test_closure(self):
-        xs = [PreciseNum.of(v) for v in (0, 3, rp(1), RhoPoly.from_terms([(2, 2), (0, 1)]))]
+        xs = [PreciseNum.of(v) for v in (0, 3, rp(1), RhoPoly([(2, 2), (0, 1)]))]
         for a in xs:
             for b in xs:
                 assert is_natural(a + b)

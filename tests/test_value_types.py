@@ -20,16 +20,16 @@ from solidus.generate import GeneratorConfig, Sampler
 from solidus.neutrix import FULL, LIMITED, NX_ZERO, closed_cut
 
 RATIO = (PreciseNum.of(RHO) + 1) / (PreciseNum.of(RHO) - 3)
-POLY = PreciseNum.of(RhoPoly.from_terms([(2, F(-3, 4)), (F(-1, 2), 5)]))
+POLY = PreciseNum.of(RhoPoly([(2, F(-3, 4)), (F(-1, 2), 5)]))
 EXTERNAL = canonicalize(RATIO, closed_cut(F(-1, 2)))
-VALUES = [RhoPoly.from_terms([(F(1, 3), 2), (0, F(-1, 7))]), RATIO, POLY, NX_ZERO, LIMITED, FULL, EXTERNAL]
+VALUES = [RhoPoly([(F(1, 3), 2), (0, F(-1, 7))]), RATIO, POLY, NX_ZERO, LIMITED, FULL, EXTERNAL]
 
 
 def _roundtrips(value):
     yield copy.copy(value)
     yield copy.deepcopy(value)
-    # protocols 0 and 1 cannot pickle a __slots__ class such as RhoPoly
-    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+    # every protocol: protocols 0 and 1 pickle a __slots__ class only through __reduce__
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         yield pickle.loads(pickle.dumps(value, protocol))
 
 
