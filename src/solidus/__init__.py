@@ -53,7 +53,6 @@ from .neutrix import (
     is_idempotent,
     maximal_ideal,
     nx_add,
-    nx_compare,
     nx_contains,
     nx_mul,
     nx_scale,

@@ -25,7 +25,6 @@ from typing import Callable, Optional
 from .errors import UnknownCheckError
 from .external import (
     ExternalNum,
-    canonicalize,
     ext_abs,
     ext_add,
     ext_compare,
@@ -72,7 +71,6 @@ from .neutrix import (
     is_ideal_of,
     is_idempotent,
     maximal_ideal,
-    nx_compare,
     nx_contains,
     nx_mul,
     nx_scale,
@@ -312,9 +310,9 @@ def _d_absorbable(s: Sampler) -> tuple:
     x = s.external()
     if s.rng.random() < 0.6:
         sub = s.neutrix()
-        if nx_compare(sub, x.nx) is GT:
+        if sub > x.nx:
             sub = x.nx
-        y = canonicalize(s.member_of(x.nx), sub)
+        y = ExternalNum(s.member_of(x.nx), sub)
     else:
         y = s.external()
     return (x, y)
@@ -325,7 +323,7 @@ def _d_often_equal_pair(s: Sampler) -> tuple:
     # rebuilt from different representatives a third of the time
     x = s.external()
     if s.rng.random() < 0.35:
-        y = canonicalize(s.representative_of(x), x.nx)
+        y = ExternalNum(s.representative_of(x), x.nx)
     else:
         y = s.external()
     return (x, y)
@@ -337,9 +335,9 @@ def _d_unity_minimality(s: Sampler) -> tuple:
         # candidates v with x*v = x: unity blurred below its own neutrix
         u = unity(x)
         sub = s.neutrix()
-        if nx_compare(sub, u.nx) is GT:
+        if sub > u.nx:
             sub = u.nx
-        v = canonicalize(1, sub)
+        v = ExternalNum(1, sub)
     else:
         v = s.zeroless()
     return (x, v)
@@ -348,7 +346,7 @@ def _d_unity_minimality(s: Sampler) -> tuple:
 def _d_positive_mul(s: Sampler) -> tuple:
     x = s.positive_zeroless() if s.rng.random() < 0.8 else s.external()
     y, z = s.external(), s.external()
-    if ext_compare(y, z) is GT:
+    if y > z:
         y, z = z, y
     return (x, y, z)
 
@@ -364,12 +362,12 @@ def _d_archimedean(s: Sampler) -> tuple:
     for _ in range(64):
         x = ext_abs(s.zeroless()) if s.rng.random() < 0.7 else pure(s.scaled_neutrix())
         step = ext_abs(s.external())
-        y = ext_add(ext_add(x, step), canonicalize(1))
+        y = ext_add(ext_add(x, step), ExternalNum(1))
         if y.nx == FULL:
             continue
-        if canonicalize(0) < x and ext_compare(x, y) is LT:
+        if ExternalNum(0) < x < y:
             return (x, y)
-    return (canonicalize(1), canonicalize(RhoPoly.rho_power(1)))
+    return (ExternalNum(1), ExternalNum(RhoPoly.rho_power(1)))
 
 
 def _d_halfline(s: Sampler) -> tuple:
@@ -382,7 +380,7 @@ def _nonprecise(s: Sampler) -> ExternalNum:
         alpha = s.external()
         if alpha.nx != NX_ZERO:
             return alpha
-    return canonicalize(0, LIMITED)
+    return ExternalNum(0, LIMITED)
 
 
 def _d_square_root_pair(s: Sampler) -> tuple:
@@ -432,10 +430,10 @@ def _d_sup_consistency(s: Sampler) -> tuple:
     p = abs(s.member_of(INFINITESIMALS, allow_zero=False))
     q = _degree_zero_positive(s)
     below = s.scaled_neutrix()
-    while nx_compare(below, INFINITESIMALS) is not LT:
+    while below >= INFINITESIMALS:
         below = s.scaled_neutrix()
     above = FULL if s.rng.random() < 0.2 else s.scaled_neutrix()
-    while above != FULL and nx_compare(above, LIMITED) is not GT:
+    while above != FULL and above <= LIMITED:
         above = s.scaled_neutrix()
     return (p, q, below, above)
 
@@ -536,15 +534,15 @@ def _v_order_reflexive(x):
 
 @law("axiom.order.antisymmetric", "order", "x<=y and y<=x imply x=y", "antisymmetry", _d_often_equal_pair)
 def _v_order_antisymmetric(x, y):
-    if ext_compare(x, y) is not GT and ext_compare(y, x) is not GT and x != y:
+    if x <= y and y <= x and x != y:
         return "x <= y and y <= x but x != y"
     return None
 
 
 @law("axiom.order.transitive", "order", "x<=y<=z implies x<=z", "transitivity", _d(Sampler.external, 3))
 def _v_order_transitive(x, y, z):
-    if ext_compare(x, y) is not GT and ext_compare(y, z) is not GT:
-        if ext_compare(x, z) is GT:
+    if x <= y and y <= z:
+        if x > z:
             return "x <= y <= z but x > z"
     return None
 
@@ -559,7 +557,7 @@ def _v_order_total(x, y):
 
 @law("axiom.order.add_compatible", "order", "x<=y implies x+z<=y+z", "compatibility with addition", _d(Sampler.external, 3))
 def _v_order_add_compatible(x, y, z):
-    if ext_compare(x, y) is not GT and ext_compare(ext_add(x, z), ext_add(y, z)) is GT:
+    if x <= y and ext_add(x, z) > ext_add(y, z):
         return f"x + z = {ext_add(x, z)} > y + z = {ext_add(y, z)}"
     return None
 
@@ -568,17 +566,17 @@ def _v_order_add_compatible(x, y, z):
 def _v_order_absorbed_below(x, y):
     e = magnitude(x)
     if ext_add(y, e) == e:
-        if ext_compare(y, e) is GT:
+        if y > e:
             return "y + e(x) = e(x) but y > e(x)"
-        if ext_compare(ext_neg(y), e) is GT:
+        if ext_neg(y) > e:
             return "y + e(x) = e(x) but -y > e(x)"
     return None
 
 
 @law("axiom.order.mul_compatible", "order", "e(x)<x and y<=z imply xy<=xz", "compatibility with positive multiplication", _d_positive_mul)
 def _v_order_mul_compatible(x, y, z):
-    if ext_compare(magnitude(x), x) is LT and ext_compare(y, z) is not GT:
-        if ext_compare(ext_mul(x, y), ext_mul(x, z)) is GT:
+    if magnitude(x) < x and y <= z:
+        if ext_mul(x, y) > ext_mul(x, z):
             return f"x*y = {ext_mul(x, y)} > x*z = {ext_mul(x, z)}"
     return None
 
@@ -586,8 +584,8 @@ def _v_order_mul_compatible(x, y, z):
 @law("axiom.order.amplification", "order", "e(y)<=y<=z implies e(x)y<=e(x)z", "amplification by magnitudes", _d_amplification)
 def _v_order_amplification(x, y, z):
     e = magnitude(x)
-    if ext_compare(magnitude(y), y) is not GT and ext_compare(y, z) is not GT:
-        if ext_compare(ext_mul(e, y), ext_mul(e, z)) is GT:
+    if magnitude(y) <= y and y <= z:
+        if ext_mul(e, y) > ext_mul(e, z):
             return f"e(x)*y = {ext_mul(e, y)} > e(x)*z = {ext_mul(e, z)}"
     return None
 
@@ -637,12 +635,12 @@ def _v_mixed_negation(x, y):
 
 @law("axiom.exist.zero_min", "existence", "0 + x = x", "minimal magnitude", _d(Sampler.external))
 def _v_exist_zero_min(x):
-    return _neq(x, ext_add(canonicalize(0), x))
+    return _neq(x, ext_add(ExternalNum(0), x))
 
 
 @law("axiom.exist.one_unity", "existence", "1 * x = x", "minimal unity", _d(Sampler.external))
 def _v_exist_one_unity(x):
-    return _neq(x, ext_mul(canonicalize(1), x))
+    return _neq(x, ext_mul(ExternalNum(1), x))
 
 
 @law("axiom.exist.max_absorbs", "existence", "e(x) + M = M", "maximal magnitude", _d(Sampler.external))
@@ -653,27 +651,26 @@ def _v_exist_max_absorbs(x):
 @law("axiom.exist.intermediate_magnitude", "existence", "a magnitude strictly between 0 and M exists", "intermediate magnitudes")
 def _v_exist_intermediate():
     o = pure(INFINITESIMALS)
-    if not (canonicalize(0) < o < pure(FULL)):
+    if not (ExternalNum(0) < o < pure(FULL)):
         return "infinitesimals not strictly between 0 and M"
     return None
 
 
 @law("axiom.exist.decomposition", "existence", "x = a + e(x) with a precise", "representative decomposition", _d(Sampler.external))
 def _v_exist_decomposition(x):
-    a = canonicalize(x.rep)
-    if magnitude(a) != canonicalize(0):
+    a = ExternalNum(x.rep)
+    if magnitude(a) != ExternalNum(0):
         return f"representative has magnitude {magnitude(a)}"
     return _neq(x, ext_add(a, magnitude(x)))
 
 
 @law("axiom.exist.separation", "existence", "distinct magnitudes are separated by a zeroless element", "separation of magnitudes", _d(Sampler.neutrix, 2))
 def _v_exist_separation(A, B):
-    order = nx_compare(A, B)
-    if order is EQ:
+    if A == B:
         return None
-    lo, hi = (A, B) if order is LT else (B, A)
+    lo, hi = (A, B) if A < B else (B, A)
     z = separate_precise(pure(lo), pure(hi))
-    zx = canonicalize(z)
+    zx = ExternalNum(z)
     if z.is_zero():
         return "witness is not zeroless"
     if not (pure(lo) < zx < pure(hi)):
@@ -693,7 +690,7 @@ def _v_magprod_maximal_ideal():
             problems.append(f"I*J = {nx_mul(i, j)} for J = {j}")
         if not is_ideal_of(i, j):
             problems.append(f"I = {i} is not an ideal of {j}")
-        if nx_compare(i, j) is not LT:
+        if not i < j:
             problems.append(f"I = {i} not strictly below {j}")
     if maximal_ideal(LIMITED) != INFINITESIMALS or maximal_ideal(FULL) != NX_ZERO:
         problems.append("maximal ideal table wrong")
@@ -718,12 +715,12 @@ def _v_magprod_scale_to_idempotent(A):
 
 
 def _probe_points(b: ExternalNum) -> list[ExternalNum]:
-    points = [b, canonicalize(b.rep), canonicalize(0), pure(FULL)]
-    points += [canonicalize(b.rep + g) for g in _member_menu(b.nx)[:4]]
+    points = [b, ExternalNum(b.rep), ExternalNum(0), pure(FULL)]
+    points += [ExternalNum(b.rep + g) for g in _member_menu(b.nx)[:4]]
     one = PreciseNum.of(1)
-    points += [canonicalize(b.rep + one), canonicalize(b.rep - one)]
+    points += [ExternalNum(b.rep + one), ExternalNum(b.rep - one)]
     big = PreciseNum.of(RhoPoly.rho_power(5))
-    points += [canonicalize(b.rep + big), canonicalize(b.rep - big)]
+    points += [ExternalNum(b.rep + big), ExternalNum(b.rep - big)]
     return points
 
 
@@ -739,7 +736,7 @@ def _v_scheme_dedekind(h: Halfline):
     members = [x for x in points if hl_member(h, x)]
     for x in members:
         for y in points:
-            if ext_compare(y, x) is LT and not hl_member(h, y):
+            if y < x and not hl_member(h, y):
                 return f"not downward closed: {y} < member {x}"
     try:
         comp = hl_complement(h)
@@ -787,8 +784,8 @@ def _v_arith_archimedean(x, y):
     z = PreciseNum.of(archimedean_witness(x, y))
     if not is_natural(z):
         return f"witness {z} is not natural"
-    if ext_compare(ext_mul(canonicalize(z), x), y) is not GT:
-        return f"z*x = {ext_mul(canonicalize(z), x)} does not exceed y"
+    if ext_mul(ExternalNum(z), x) <= y:
+        return f"z*x = {ext_mul(ExternalNum(z), x)} does not exceed y"
     return None
 
 
@@ -797,24 +794,24 @@ def _v_arith_archimedean(x, y):
 
 @law("thm.chain", "theorem", "0 < o < 1 < L < M", "the canonical chain")
 def _v_thm_chain():
-    chain = [canonicalize(0), pure(INFINITESIMALS), canonicalize(1), pure(LIMITED), pure(FULL)]
+    chain = [ExternalNum(0), pure(INFINITESIMALS), ExternalNum(1), pure(LIMITED), pure(FULL)]
     for a, b in zip(chain, chain[1:]):
-        if ext_compare(a, b) is not LT:
+        if not a < b:
             return f"{a} not strictly below {b}"
     return None
 
 
 @law("thm.no_magnitude_between", "theorem", "no magnitude strictly between o and L", "extremality of o and L", _d(Sampler.neutrix))
 def _v_thm_no_magnitude_between(A):
-    if nx_compare(INFINITESIMALS, A) is LT and nx_compare(A, LIMITED) is LT:
+    if INFINITESIMALS < A < LIMITED:
         return f"{A} lies strictly between the two canonical magnitudes"
     return None
 
 
 @law("thm.reciprocal_pound", "theorem", "L < p iff 1/p < o", "reciprocal across L", _d(Sampler.positive_precise))
 def _v_thm_reciprocal_pound(p):
-    lhs = ext_compare(pure(LIMITED), canonicalize(p)) is LT
-    rhs = ext_compare(canonicalize(1 / p), pure(INFINITESIMALS)) is LT
+    lhs = pure(LIMITED) < ExternalNum(p)
+    rhs = ExternalNum(1 / p) < pure(INFINITESIMALS)
     if lhs != rhs:
         return f"L < p is {lhs} but 1/p < o is {rhs}"
     return None
@@ -822,8 +819,8 @@ def _v_thm_reciprocal_pound(p):
 
 @law("thm.reciprocal_oslash", "theorem", "o < p iff 1/p < L", "reciprocal across o", _d(Sampler.positive_precise))
 def _v_thm_reciprocal_oslash(p):
-    lhs = ext_compare(pure(INFINITESIMALS), canonicalize(p)) is LT
-    rhs = ext_compare(canonicalize(1 / p), pure(LIMITED)) is LT
+    lhs = pure(INFINITESIMALS) < ExternalNum(p)
+    rhs = ExternalNum(1 / p) < pure(LIMITED)
     if lhs != rhs:
         return f"o < p is {lhs} but 1/p < L is {rhs}"
     return None
@@ -832,8 +829,8 @@ def _v_thm_reciprocal_oslash(p):
 @law("thm.sqrt_below_oslash", "theorem", "p < o implies sqrt(p) < o (power witnesses)", "roots stay infinitesimal", _d_square_root_pair)
 def _v_thm_sqrt_below(s):
     p = s * s
-    if ext_compare(canonicalize(p), pure(INFINITESIMALS)) is LT:
-        if ext_compare(canonicalize(s), pure(INFINITESIMALS)) is not LT:
+    if ExternalNum(p) < pure(INFINITESIMALS):
+        if not ExternalNum(s) < pure(INFINITESIMALS):
             return f"p = {p} infinitesimal but sqrt(p) = {s} is not"
     return None
 
@@ -841,8 +838,8 @@ def _v_thm_sqrt_below(s):
 @law("thm.sqrt_above_pound", "theorem", "L < p implies L < sqrt(p) (power witnesses)", "roots stay large", _d_square_root_pair)
 def _v_thm_sqrt_above(s):
     p = s * s
-    if ext_compare(pure(LIMITED), canonicalize(p)) is LT:
-        if ext_compare(pure(LIMITED), canonicalize(s)) is not LT:
+    if pure(LIMITED) < ExternalNum(p):
+        if not pure(LIMITED) < ExternalNum(s):
             return f"p = {p} above L but sqrt(p) = {s} is not"
     return None
 
@@ -850,8 +847,8 @@ def _v_thm_sqrt_above(s):
 @law("thm.square_between", "theorem", "o < p < L implies o < p^2 < L", "squares stay appreciable", _d(_degree_zero_positive))
 def _v_thm_square_between(p):
     o, limited = pure(INFINITESIMALS), pure(LIMITED)
-    if o < canonicalize(p) < limited:
-        sq = canonicalize(p * p)
+    if o < ExternalNum(p) < limited:
+        sq = ExternalNum(p * p)
         if not (o < sq < limited):
             return f"p^2 = {p * p} escapes (o, L)"
     return None
@@ -862,22 +859,22 @@ def _v_thm_sup_inf_characterization(below, above):
     # below < o: exhibit p with below < p < o and L < 1/p
     s = below.q if below != NX_ZERO else Fraction(-2)
     w = PreciseNum.of(RhoPoly.rho_power(s / 2))
-    if not (pure(below) < canonicalize(w)):
+    if not (pure(below) < ExternalNum(w)):
         return f"cofinal witness {w} not above {below}"
-    if not (canonicalize(w) < pure(INFINITESIMALS)):
+    if not (ExternalNum(w) < pure(INFINITESIMALS)):
         return f"cofinal witness {w} not below o"
-    if not (pure(LIMITED) < canonicalize(1 / w)):
+    if not (pure(LIMITED) < ExternalNum(1 / w)):
         return f"1/w = {1 / w} not above L"
     # above > L: exhibit 1/p with p < o and 1/p < above
     if above == FULL:
         inv = PreciseNum.of(RhoPoly.rho_power(1))
     else:
         inv = PreciseNum.of(RhoPoly.rho_power(above.q / 2))
-    if not (canonicalize(inv) < pure(above)):
+    if not (ExternalNum(inv) < pure(above)):
         return f"co-initial witness {inv} not below {above}"
-    if not (canonicalize(1 / inv) < pure(INFINITESIMALS)):
+    if not (ExternalNum(1 / inv) < pure(INFINITESIMALS)):
         return f"1/witness = {1 / inv} not below o"
-    if not (pure(LIMITED) < canonicalize(inv)):
+    if not (pure(LIMITED) < ExternalNum(inv)):
         return f"co-initial witness {inv} not above L"
     return None
 
@@ -907,10 +904,10 @@ def _v_thm_max_ideal_sup(omega):
     w = abs(omega)
     if w.is_zero():
         return None
-    if ext_compare(pure(LIMITED), canonicalize(w)) is LT:
-        if ext_compare(canonicalize(1 / w), pure(INFINITESIMALS)) is not LT:
+    if pure(LIMITED) < ExternalNum(w):
+        if not ExternalNum(1 / w) < pure(INFINITESIMALS):
             return f"1/|omega| = {1 / w} not below o"
-    if ext_compare(pure(FULL), canonicalize(w)) is LT:
+    if pure(FULL) < ExternalNum(w):
         return "a precise element exceeds the whole-field magnitude"
     return None
 
@@ -921,10 +918,10 @@ def _v_thm_product_idempotents():
     for e in IDEMPOTENTS:
         for f in IDEMPOTENTS:
             got = nx_mul(e, f)
-            lo, hi = (e, f) if nx_compare(e, f) is not GT else (f, e)
-            if ext_compare(pure(hi), canonicalize(1)) is LT:
+            lo, hi = (e, f) if e <= f else (f, e)
+            if pure(hi) < ExternalNum(1):
                 expected = lo
-            elif nx_compare(lo, maximal_ideal(hi)) is not GT:
+            elif lo <= maximal_ideal(hi):
                 expected = lo
             else:
                 expected = hi
@@ -979,18 +976,18 @@ def _v_thm_order_consistency(p, q):
     ij = nx_mul(i, j)
     if nx_contains(i, p):
         pj = nx_scale(p, j)
-        if nx_compare(pj, ij) is not LT:
+        if not pj < ij:
             return f"p*J = {pj} not below I*J"
         pi = nx_scale(p, i)
-        if nx_compare(pi, ij) is GT:
+        if pi > ij:
             return f"p*I = {pi} above I*J"
-    if ext_compare(pure(i), canonicalize(q)) is LT:
+    if pure(i) < ExternalNum(q):
         qj = nx_scale(q, j)
-        if ext_compare(pure(j), canonicalize(q)) is LT:
+        if pure(j) < ExternalNum(q):
             qi = nx_scale(q, i)
-            if nx_compare(ij, qi) is not LT:
+            if not ij < qi:
                 return f"I*J not below q*I = {qi} for q above J"
-        if nx_compare(ij, qj) is not LT:
+        if not ij < qj:
             return f"I*J = {ij} not below q*J = {qj}"
     return None
 
@@ -1003,25 +1000,25 @@ def _v_thm_sup_consistency(p, q, below, above):
         return f"I*J = {ij}"
     # approximation from below: p*J < I, and the family passes any magnitude below I
     pj = nx_scale(p, j)
-    if nx_compare(pj, i) is not LT:
+    if not pj < i:
         return f"p*J = {pj} not strictly below I"
     s = below.q
     w = PreciseNum.of(RhoPoly.rho_power(s / 2))
-    if not (nx_compare(below, nx_scale(w, j)) is LT and nx_compare(nx_scale(w, j), i) is LT):
+    if not below < nx_scale(w, j) < i:
         return f"w*J = {nx_scale(w, j)} does not pass {below} from below"
     # the maximum over scalars strictly inside J is attained: q has degree 0
     if nx_scale(q, i) != i:
         return f"q*I = {nx_scale(q, i)} for I < q < J"
     # approximation from above: r*I > J for J < r, never equal, and co-initial
     r = PreciseNum.of(RhoPoly.rho_power(1))
-    if nx_compare(j, nx_scale(r, i)) is not LT:
+    if not j < nx_scale(r, i):
         return f"r*I = {nx_scale(r, i)} not above J"
     if above == FULL:
         r2 = PreciseNum.of(RhoPoly.rho_power(1))
     else:
         r2 = PreciseNum.of(RhoPoly.rho_power(above.q / 2))
     scaled = nx_scale(r2, i)
-    if not (nx_compare(j, scaled) is LT and nx_compare(scaled, above) is LT):
+    if not j < scaled < above:
         return f"r*I = {scaled} does not pass {above} from above"
     return None
 
@@ -1069,18 +1066,17 @@ def _v_thm_three_cases(b1: ExternalNum, b2: ExternalNum):
         return "bound fails to separate closed from open"
     if hl_member(closed, b1) == hl_member(so, b1):
         return "bound fails to separate closed from strongly open"
-    rep_point = canonicalize(b1.rep)
+    rep_point = ExternalNum(b1.rep)
     if hl_member(open_, rep_point) == hl_member(so, rep_point):
         return "representative fails to separate open from strongly open"
     # uniqueness of bounds for a fixed kind
     if b1 != b2:
-        order = ext_compare(b1, b2)
-        lo, hi = (b1, b2) if order is LT else (b2, b1)
+        lo, hi = (b1, b2) if b1 < b2 else (b2, b1)
         if hl_member(lower(HalflineKind.CLOSED, lo), hi):
             return f"closed({lo}) contains the larger bound {hi}"
         s = separate_precise(lo, hi)
-        if hl_member(lower(HalflineKind.OPEN, lo), canonicalize(s)) or not hl_member(
-            lower(HalflineKind.OPEN, hi), canonicalize(s)
+        if hl_member(lower(HalflineKind.OPEN, lo), ExternalNum(s)) or not hl_member(
+            lower(HalflineKind.OPEN, hi), ExternalNum(s)
         ):
             return f"separator {s} fails to distinguish the open halflines"
         if _so_distinguisher(lo, hi) is None:
@@ -1094,11 +1090,11 @@ def _so_distinguisher(lo: ExternalNum, hi: ExternalNum) -> ExternalNum | None:
     hi_so = lower(HalflineKind.STRONGLY_OPEN, hi)
     candidates = []
     if hl_member(hi_so, lo):
-        candidates.append(canonicalize(separate_from_hole(lo, hi)))
-    if nx_compare(lo.nx, hi.nx) is LT:
+        candidates.append(ExternalNum(separate_from_hole(lo, hi)))
+    if lo.nx < hi.nx:
         u = magnitude_gap_witness(lo.nx, hi.nx)
-        candidates.append(canonicalize(lo.rep - u))
-    candidates.append(canonicalize(lo.rep))
+        candidates.append(ExternalNum(lo.rep - u))
+    candidates.append(ExternalNum(lo.rep))
     for x in candidates:
         if hl_member(lo_so, x) != hl_member(hi_so, x):
             return x
@@ -1107,9 +1103,9 @@ def _so_distinguisher(lo: ExternalNum, hi: ExternalNum) -> ExternalNum | None:
 
 @law("thm.dedekind_precise", "theorem", "open and strongly open coincide at precise bounds", "precise collapse", _d(Sampler.precise))
 def _v_thm_dedekind_precise_collapse(p: PreciseNum):
-    b = canonicalize(p)
-    points = [canonicalize(p + d) for d in (PreciseNum.of(-1), PreciseNum.of(0), PreciseNum.of(1), PreciseNum.of(RhoPoly.rho_power(-1)))]
-    points.append(canonicalize(p, INFINITESIMALS))
+    b = ExternalNum(p)
+    points = [ExternalNum(p + d) for d in (PreciseNum.of(-1), PreciseNum.of(0), PreciseNum.of(1), PreciseNum.of(RhoPoly.rho_power(-1)))]
+    points.append(ExternalNum(p, INFINITESIMALS))
     for x in points:
         if hl_member(lower(HalflineKind.OPEN, b), x) != hl_member(
             lower(HalflineKind.STRONGLY_OPEN, b), x
@@ -1122,19 +1118,19 @@ def _v_thm_dedekind_precise_collapse(p: PreciseNum):
 def _v_thm_rational_form(x: ExternalNum):
     if not x.rep.is_polynomial():
         return f"canonical representative {x.rep} is not polynomial"
-    if canonicalize(x.rep, x.nx) != x:
+    if ExternalNum(x.rep, x.nx) != x:
         return "canonical form does not reconstruct"
     for y in _representative_menu(x, 4):
-        if canonicalize(y, x.nx) != x:
-            return f"representative {y} reconstructs to {canonicalize(y, x.nx)}"
+        if ExternalNum(y, x.nx) != x:
+            return f"representative {y} reconstructs to {ExternalNum(y, x.nx)}"
     return None
 
 
 @law("thm.shadow_field", "theorem", "shadows of limited precise elements form a field", "shadow field laws", _d(Sampler.limited_precise, 3))
 def _v_thm_shadow_field(a, b, c):
-    sh = lambda v: shadow(canonicalize(v))
+    sh = lambda v: shadow(ExternalNum(v))
     x, y, z = sh(a), sh(b), sh(c)
-    zero, one = pure(INFINITESIMALS), shadow(canonicalize(1))
+    zero, one = pure(INFINITESIMALS), shadow(ExternalNum(1))
     if ext_add(x, y) != sh(a + b) or ext_mul(x, y) != sh(a * b):
         return "shadow operations disagree with shadows of results"
     for g in (PreciseNum.of(RhoPoly.rho_power(-1, 2)), PreciseNum.of(RhoPoly.rho_power(Fraction(-1, 2)))):
@@ -1195,19 +1191,19 @@ def _v_oracle_order(x, y):
     cmp = ext_compare(x, y)
     if cmp is not GT:
         for rep in _representative_menu(x, 20):
-            if ext_compare(canonicalize(rep), y) is GT:
+            if ExternalNum(rep) > y:
                 return f"x <= y but member {rep} exceeds y"
     if cmp is not LT:
         for rep in _representative_menu(y, 20):
-            if ext_compare(canonicalize(rep), x) is GT:
+            if ExternalNum(rep) > x:
                 return f"y <= x but member {rep} exceeds x"
     if cmp is LT:
         w = _witness_above(y, x)
-        if not ext_member(w, y) or ext_compare(canonicalize(w), x) is not GT:
+        if not ext_member(w, y) or ExternalNum(w) <= x:
             return f"x < y but no member of y exceeds x (tried {w})"
     if cmp is GT:
         w = _witness_above(x, y)
-        if not ext_member(w, x) or ext_compare(canonicalize(w), y) is not GT:
+        if not ext_member(w, x) or ExternalNum(w) <= y:
             return f"y < x but no member of x exceeds y (tried {w})"
     return None
 

@@ -11,10 +11,12 @@ With NX_ZERO the representative is kept verbatim (any ratio); with FULL the
 representative collapses to 0.  Two canonical forms denote the same set
 exactly when their neutrices are equal and their representatives are equal.
 
-``ExternalNum`` is an immutable ``__slots__`` pair.  ``canonicalize`` stores a
-truncated expansion, a polynomial, without normalizing it again.  Operands are
-external numbers and the ``PreciseNum.of`` types; a neutrix enters as
-``pure(nx)``: a bare ``Neutrix`` operand raises ``TypeError``, ``==`` False.
+``ExternalNum(rep, nx)`` is an immutable ``__slots__`` pair whose constructor
+builds the canonical form (``canonicalize`` is the same constructor), so
+equality is structural and agrees with the order; it stores a truncated
+expansion, a polynomial, without normalizing it again.  Operands are external
+numbers and the ``PreciseNum.of`` types; a neutrix enters as ``pure(nx)``: a
+bare ``Neutrix`` operand raises ``TypeError``, ``==`` False.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .neutrix import (
     Neutrix,
     NX_ZERO,
     nx_add,
-    nx_compare,
     nx_contains,
     nx_mul,
     nx_scale,
@@ -59,12 +60,20 @@ class Classification(Enum):
 
 @functools.total_ordering
 class ExternalNum(_Immutable):
-    """Canonical external number ``rep + nx``, immutable and hashable.  Build
-    through :func:`canonicalize`."""
+    """The canonical form of ``rep + nx``, immutable and hashable; it denotes
+    the same set as ``rep + nx``."""
 
     __slots__ = ("rep", "nx")
 
-    def __init__(self, rep: PreciseNum, nx: Neutrix):
+    def __init__(self, rep: PreciseLike, nx: Neutrix = NX_ZERO):
+        if nx.__class__ is not Neutrix:
+            raise TypeError(f"cannot interpret {type(nx).__name__} as a neutrix")
+        if not isinstance(rep, PreciseNum):
+            rep = PreciseNum.of(rep)
+        if nx == FULL:
+            rep = PRECISE_ZERO
+        elif nx != NX_ZERO:
+            rep = _precise(series_expand(rep, nx.q, strict=nx.closed), ONE_POLY)
         _set_rep(self, rep)
         _set_nx(self, nx)
 
@@ -103,7 +112,7 @@ class ExternalNum(_Immutable):
         if isinstance(other, ExternalNum):
             return self.nx == other.nx and self.rep == other.rep
         # a number equals its precise value; a Neutrix never equals its pure(...): 0 != NX_ZERO
-        return self == canonicalize(other) if isinstance(other, _PRECISE_TYPES) else NotImplemented
+        return self == ExternalNum(other) if isinstance(other, _PRECISE_TYPES) else NotImplemented
 
     def __hash__(self) -> int:
         # precise values hash like the numbers they equal
@@ -125,31 +134,29 @@ _set_nx = ExternalNum.nx.__set__
 
 ExternalLike = Union[ExternalNum, PreciseLike]
 
+#: The constructor under the name of the operation it performs.
+canonicalize = ExternalNum
 
-def canonicalize(rep: PreciseLike, nx: Neutrix = NX_ZERO) -> ExternalNum:
-    """Canonical form of rep + nx; the result denotes the same set."""
-    if not isinstance(rep, PreciseNum):
-        rep = PreciseNum.of(rep)
-    if nx == NX_ZERO:
-        return ExternalNum(rep, nx)
-    if nx == FULL:
-        return ExternalNum(PRECISE_ZERO, nx)
-    return ExternalNum(_precise(series_expand(rep, nx.q, strict=nx.closed), ONE_POLY), nx)
+
+def _external(rep: PreciseNum, nx: Neutrix) -> ExternalNum:
+    """An ExternalNum from a pair already in canonical form, without canonicalizing."""
+    x = object.__new__(ExternalNum)
+    _set_rep(x, rep)
+    _set_nx(x, nx)
+    return x
 
 
 def as_external(value: ExternalLike) -> ExternalNum:
-    if isinstance(value, ExternalNum):
-        return value
-    return canonicalize(value)
+    return value if isinstance(value, ExternalNum) else ExternalNum(value)
 
 
-EXT_ZERO = canonicalize(0)
-EXT_ONE = canonicalize(1)
+EXT_ZERO = ExternalNum(0)
+EXT_ONE = ExternalNum(1)
 
 
 def pure(nx: Neutrix) -> ExternalNum:
     """The magnitude nx as an external number (representative 0)."""
-    return canonicalize(0, nx)
+    return ExternalNum(0, nx)
 
 
 def magnitude(alpha: ExternalNum) -> ExternalNum:
@@ -158,12 +165,12 @@ def magnitude(alpha: ExternalNum) -> ExternalNum:
 
 
 def ext_add(a: ExternalNum, b: ExternalNum) -> ExternalNum:
-    return canonicalize(a.rep + b.rep, nx_add(a.nx, b.nx))
+    return ExternalNum(a.rep + b.rep, nx_add(a.nx, b.nx))
 
 
 def ext_neg(a: ExternalNum) -> ExternalNum:
     # Negating flips the representative and fixes the (symmetric) neutrix.
-    return ExternalNum(-a.rep, a.nx)
+    return _external(-a.rep, a.nx)
 
 
 def ext_sub(a: ExternalNum, b: ExternalNum) -> ExternalNum:
@@ -180,7 +187,7 @@ def ext_mul(a: ExternalNum, b: ExternalNum) -> ExternalNum:
         nx_add(_scale_part(a.rep, b.nx), _scale_part(b.rep, a.nx)),
         nx_mul(a.nx, b.nx),
     )
-    return canonicalize(a.rep * b.rep, nx)
+    return ExternalNum(a.rep * b.rep, nx)
 
 
 def is_zeroless(alpha: ExternalNum) -> bool:
@@ -193,7 +200,7 @@ def ext_inv(b: ExternalNum) -> ExternalNum:
     if not is_zeroless(b):
         raise NotZerolessError(f"{b} contains 0 and has no inverse")
     inv_rep = 1 / b.rep
-    return canonicalize(inv_rep, _scale_part(inv_rep * inv_rep, b.nx))
+    return ExternalNum(inv_rep, _scale_part(inv_rep * inv_rep, b.nx))
 
 
 def ext_div(a: ExternalNum, b: ExternalNum) -> ExternalNum:
@@ -204,7 +211,7 @@ def unity(alpha: ExternalNum) -> ExternalNum:
     """u(alpha) = 1 + nx/rep, the individualized multiplicative neutral element."""
     if not is_zeroless(alpha):
         raise NotZerolessError(f"{alpha} contains 0 and has no unity")
-    return canonicalize(1, _scale_part(1 / alpha.rep, alpha.nx))
+    return ExternalNum(1, _scale_part(1 / alpha.rep, alpha.nx))
 
 
 def ext_compare(a: ExternalNum, b: ExternalNum) -> Ordering:
@@ -217,7 +224,7 @@ def ext_compare(a: ExternalNum, b: ExternalNum) -> Ordering:
     delta = a.rep - b.rep
     combined = nx_add(a.nx, b.nx)
     if nx_contains(combined, delta):
-        return nx_compare(a.nx, b.nx)
+        return Ordering.EQ if a.nx == b.nx else Ordering.LT if a.nx < b.nx else Ordering.GT
     return Ordering(delta.sign())
 
 
@@ -241,16 +248,14 @@ def ext_abs(alpha: ExternalNum) -> ExternalNum:
 
 def is_limited(alpha: ExternalNum) -> bool:
     """Bounded by a limited element: representative degree <= 0 and nx <= LIMITED."""
-    if nx_compare(alpha.nx, LIMITED) is Ordering.GT:
-        return False
-    return alpha.rep.degree() <= 0
+    return alpha.nx <= LIMITED and alpha.rep.degree() <= 0
 
 
 def shadow(alpha: ExternalNum) -> ExternalNum:
     """Blur a limited number by the infinitesimals: rep + (nx + o)."""
     if not is_limited(alpha):
         raise NotLimitedError(f"{alpha} is not limited")
-    return canonicalize(alpha.rep, nx_add(alpha.nx, INFINITESIMALS))
+    return ExternalNum(alpha.rep, nx_add(alpha.nx, INFINITESIMALS))
 
 
 def ext_disjoint(a: ExternalNum, b: ExternalNum) -> bool:
@@ -260,10 +265,7 @@ def ext_disjoint(a: ExternalNum, b: ExternalNum) -> bool:
 
 def ext_subset(a: ExternalNum, b: ExternalNum) -> bool:
     """Whether a (as a set) is contained in b."""
-    return (
-        nx_compare(a.nx, b.nx) is not Ordering.GT
-        and nx_contains(b.nx, a.rep - b.rep)
-    )
+    return a.nx <= b.nx and nx_contains(b.nx, a.rep - b.rep)
 
 
 def render_external(alpha: ExternalNum) -> str:

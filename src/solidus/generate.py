@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .external import Classification, ExternalNum, canonicalize, classify
+from .external import Classification, ExternalNum, classify
 from .field import PreciseNum, RhoPoly
 from .neutrix import (
     FULL,
@@ -134,17 +134,17 @@ class Sampler:
     # -- externals -----------------------------------------------------------
 
     def external(self) -> ExternalNum:
-        return canonicalize(self.precise(), self.neutrix())
+        return ExternalNum(self.precise(), self.neutrix())
 
     def zeroless(self) -> ExternalNum:
         """Rejection sampling for zeroless values: never a pure neutrix."""
         for _ in range(64):
-            alpha = canonicalize(self.nonzero_precise(), self.neutrix())
+            alpha = ExternalNum(self.nonzero_precise(), self.neutrix())
             if classify(alpha) is not Classification.PURE_NEUTRIX:
                 return alpha
         # Ensure a representative with degree above any threshold we can draw.
         hi = NEUTRIX_Q_RANGE[1] + 1
-        return canonicalize(RhoPoly.rho_power(hi), self.neutrix())
+        return ExternalNum(RhoPoly.rho_power(hi), self.neutrix())
 
     def positive_zeroless(self) -> ExternalNum:
         return abs(self.zeroless())
@@ -215,9 +215,9 @@ def _neutrix_candidates(nx: Neutrix) -> Iterator[Neutrix]:
 def _candidates(value) -> Iterator:
     if isinstance(value, ExternalNum):
         for rep2 in _precise_candidates(value.rep):
-            yield canonicalize(rep2, value.nx)
+            yield ExternalNum(rep2, value.nx)
         for nx2 in _neutrix_candidates(value.nx):
-            yield canonicalize(value.rep, nx2)
+            yield ExternalNum(value.rep, nx2)
     elif isinstance(value, PreciseNum):
         yield from _precise_candidates(value)
     elif isinstance(value, Neutrix):

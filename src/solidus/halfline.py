@@ -32,15 +32,13 @@ from .errors import (
     NotStrictlyOrderedError,
     PreconditionFailedError,
 )
-from .field import Ordering, PreciseNum, RhoPoly
+from .field import PreciseNum, RhoPoly
 from .neutrix import FULL, NX_ZERO, Neutrix
 from .external import (
     ExternalNum,
-    canonicalize,
     classify,
     Classification,
     ext_add,
-    ext_compare,
     ext_sub,
     magnitude,
 )
@@ -76,7 +74,7 @@ def upper(kind: HalflineKind, bound: ExternalNum) -> Halfline:
 
 
 def _below_every_representative(x: ExternalNum, b: ExternalNum) -> bool:
-    return ext_compare(ext_add(x, magnitude(b)), b) is Ordering.LT
+    return ext_add(x, magnitude(b)) < b
 
 
 def hl_member(h: Halfline, x: ExternalNum) -> bool:
@@ -85,9 +83,9 @@ def hl_member(h: Halfline, x: ExternalNum) -> bool:
         return not hl_member(lower(_DUAL[h.kind], h.bound), x)
     b = h.bound
     if h.kind is HalflineKind.CLOSED:
-        return ext_compare(x, b) is not Ordering.GT
+        return x <= b
     if h.kind is HalflineKind.OPEN:
-        return ext_compare(x, b) is Ordering.LT
+        return x < b
     return _below_every_representative(x, b)
 
 
@@ -123,26 +121,21 @@ def winf(h: Halfline) -> ExternalNum:
     return h.bound
 
 
-def _first_extremum(items: Iterable[ExternalNum], beats: Ordering, name: str) -> ExternalNum:
-    """The first item that no later item beats in the order ``beats``."""
-    items = list(items)
-    if not items:
-        raise EmptySetError(f"{name} of an empty set")
-    best = items[0]
-    for x in items[1:]:
-        if ext_compare(x, best) is beats:
-            best = x
+def zup_finite(items: Iterable[ExternalNum]) -> ExternalNum:
+    """Maximum of a nonempty finite set, the first maximal item; a magnitude
+    when all items are magnitudes."""
+    best = max(items, default=None)
+    if best is None:
+        raise EmptySetError("zup of an empty set")
     return best
 
 
-def zup_finite(items: Iterable[ExternalNum]) -> ExternalNum:
-    """Maximum of a nonempty finite set; a magnitude when all items are magnitudes."""
-    return _first_extremum(items, Ordering.GT, "zup")
-
-
 def winf_finite(items: Iterable[ExternalNum]) -> ExternalNum:
-    """Minimum of a nonempty finite set."""
-    return _first_extremum(items, Ordering.LT, "winf")
+    """Minimum of a nonempty finite set, the first minimal item."""
+    best = min(items, default=None)
+    if best is None:
+        raise EmptySetError("winf of an empty set")
+    return best
 
 
 def magnitude_gap_witness(a: Neutrix, b: Neutrix) -> PreciseNum:
@@ -174,15 +167,15 @@ def separate_precise(x: ExternalNum, y: ExternalNum) -> PreciseNum:
     works, because half of an element outside a divisible convex group stays
     outside.
     """
-    if ext_compare(x, y) is not Ordering.LT:
+    if not x < y:
         raise NotStrictlyOrderedError(f"{x} is not strictly below {y}")
     a = x.rep
-    shifted = ext_sub(y, canonicalize(a))
+    shifted = ext_sub(y, ExternalNum(a))
     if classify(shifted) is Classification.PURE_NEUTRIX:
         p = a + magnitude_gap_witness(x.nx, shifted.nx)
     else:
         p = a + shifted.rep / 2
-    witness = canonicalize(p)
+    witness = ExternalNum(p)
     if not (x < witness < y):
         raise InternalError("separation witness failed its postcondition")
     return p
@@ -198,7 +191,7 @@ def separate_from_hole(x: ExternalNum, tau: ExternalNum) -> PreciseNum:
     if not _below_every_representative(x, tau):
         raise PreconditionFailedError(f"{x} is not below every representative of {tau}")
     p = separate_precise(x, tau)
-    if not _below_every_representative(canonicalize(p), tau):
+    if not _below_every_representative(ExternalNum(p), tau):
         raise InternalError("hole-separation witness failed its postcondition")
     return p
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import InternalError, PreconditionFailedError, UnknownFormulaError
-from .external import ExternalNum, as_external, canonicalize, ext_compare, ext_mul
-from .field import Ordering, PreciseLike, PreciseNum, RhoPoly, as_polynomial
+from .external import EXT_ZERO, ExternalNum, ext_mul
+from .field import PreciseLike, PreciseNum, RhoPoly, as_polynomial
 from .neutrix import FULL
 
 
@@ -51,8 +51,7 @@ def archimedean_witness(x: ExternalNum, y: ExternalNum) -> RhoPoly:
     precise element: the whole-field magnitude has no precise majorant, so no
     multiple of x can exceed it.
     """
-    zero = canonicalize(0)
-    if not (zero < x and ext_compare(x, y) is Ordering.LT):
+    if not EXT_ZERO < x < y:
         raise PreconditionFailedError("requires 0 < x < y")
     if y.nx == FULL:
         raise PreconditionFailedError("no natural multiple exceeds the whole-field magnitude")
@@ -66,7 +65,7 @@ def archimedean_witness(x: ExternalNum, y: ExternalNum) -> RhoPoly:
 
     for k in range(k0, k0 + 64):
         z = RhoPoly.rho_power(k, c)
-        if ext_compare(ext_mul(as_external(z), x), y) is Ordering.GT:
+        if ext_mul(ExternalNum(z), x) > y:
             return z
         c *= 2
     raise InternalError("archimedean witness escalation failed to terminate")

@@ -31,7 +31,6 @@ import math
 from .errors import NotAboveUnityError, NotIdempotentError, ZeroScalarError
 from .field import (
     NEG_INFINITY,
-    Ordering,
     PreciseLike,
     PreciseNum,
     RationalLike,
@@ -118,13 +117,6 @@ LIMITED = closed_cut(0)
 FULL = Neutrix(math.inf, False)
 
 IDEMPOTENTS = (NX_ZERO, INFINITESIMALS, LIMITED, FULL)
-
-
-def nx_compare(a: Neutrix, b: Neutrix) -> Ordering:
-    """Total order by set inclusion; EQ only for identical threshold and closure."""
-    if a == b:
-        return Ordering.EQ
-    return Ordering.LT if a < b else Ordering.GT
 
 
 def nx_add(a: Neutrix, b: Neutrix) -> Neutrix:

@@ -20,6 +20,7 @@ integer.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,10 +29,8 @@ from typing import Callable, Union
 from .errors import ParseError, SolidusError
 from .external import (
     ExternalNum,
-    canonicalize,
     ext_abs,
     ext_add,
-    ext_compare,
     ext_div,
     ext_inv,
     ext_mul,
@@ -42,7 +41,7 @@ from .external import (
     shadow,
     unity,
 )
-from .field import Ordering, RhoPoly
+from .field import RhoPoly
 from .neutrix import FULL, INFINITESIMALS, LIMITED, NX_ZERO
 
 
@@ -126,7 +125,7 @@ def tokenize(source: str) -> list[Token]:
 
 
 _SYMBOLS = {
-    "rho": canonicalize(RhoPoly.rho_power(1)),
+    "rho": ExternalNum(RhoPoly.rho_power(1)),
     "o": pure(INFINITESIMALS),
     "L": pure(LIMITED),
     "M": pure(FULL),
@@ -141,7 +140,7 @@ _FUNCTIONS = {
     "shadow": shadow,
 }
 _BINARY = {"+": ext_add, "-": ext_sub, "*": ext_mul, "/": ext_div}
-_COMPARISONS = {"=": {Ordering.EQ}, "<": {Ordering.LT}, "<=": {Ordering.LT, Ordering.EQ}}
+_COMPARISONS = {"=": operator.eq, "<": operator.lt, "<=": operator.le}
 
 
 # --- parser ---------------------------------------------------------------------
@@ -313,7 +312,7 @@ def _integer_power(value: ExternalNum, n: int, pos: int) -> ExternalNum:
         n = -n
     # binary exponentiation: the product is associative and canonical forms are
     # unique, so O(log n) products give the same form as n of them
-    result = canonicalize(1)
+    result = ExternalNum(1)
     while n:
         if n & 1:
             result = ext_mul(result, value)
@@ -333,7 +332,7 @@ def evaluate(expr: Expr) -> ExternalNum | bool:
 
 def _evaluate(expr: Expr) -> ExternalNum | bool:
     if isinstance(expr, Lit):
-        return canonicalize(expr.value)
+        return ExternalNum(expr.value)
     if isinstance(expr, Sym):
         return _SYMBOLS[expr.name]
     if isinstance(expr, Pow):
@@ -341,9 +340,9 @@ def _evaluate(expr: Expr) -> ExternalNum | bool:
         if expr.exponent.denominator == 1:
             return _integer_power(base, expr.exponent.numerator, expr.pos)
         q = _as_rho_power(base, expr.pos)
-        return canonicalize(RhoPoly.rho_power(q * expr.exponent))
+        return ExternalNum(RhoPoly.rho_power(q * expr.exponent))
     if isinstance(expr, Cmp):
-        return ext_compare(_value(expr.left), _value(expr.right)) in _COMPARISONS[expr.op]
+        return _COMPARISONS[expr.op](_value(expr.left), _value(expr.right))
     if isinstance(expr, Unary):
         op, args = _FUNCTIONS[expr.op], (_value(expr.arg),)
     elif isinstance(expr, BinOp):

@@ -42,7 +42,6 @@ from solidus.generate import (
 from solidus.neutrix import (
     INFINITESIMALS,
     LIMITED,
-    nx_compare,
     nx_contains,
 )
 
@@ -237,7 +236,9 @@ def _overlap_is_equal(a, b):
 
 
 def _inclusion_swapped(a, b):
-    return nx_compare(b.nx, a.nx) if not ext_disjoint(a, b) else ext_compare(a, b)
+    if ext_disjoint(a, b):
+        return ext_compare(a, b)
+    return Ordering.EQ if a.nx == b.nx else Ordering.LT if b.nx < a.nx else Ordering.GT
 
 
 class TestOrderOracle:

@@ -103,6 +103,24 @@ class TestCanonicalize:
         assert canonicalize(3 + 0, LIMITED) == canonicalize(5, LIMITED)
         assert canonicalize(rp(1), LIMITED) != canonicalize(rp(1), INFINITESIMALS)
 
+    def test_the_constructor_is_canonical(self):
+        assert canonicalize is ExternalNum
+        a = ExternalNum(PreciseNum.of(1), LIMITED)
+        assert (a.rep, a.nx) == (PreciseNum.of(0), LIMITED) and str(a) == "L"
+        assert a == pure(LIMITED) and hash(a) == hash(pure(LIMITED)) and len({a, pure(LIMITED)}) == 1
+        assert a <= pure(LIMITED) <= a and not a < pure(LIMITED) and not a > pure(LIMITED)
+        assert ExternalNum(rp(2, 5), FULL).rep.is_zero() and ExternalNum(3) == 3
+        # negation keeps the canonical form without rebuilding it
+        x = ExternalNum(rp(1) + RhoPoly.constant(3) + rp(-1), LIMITED)
+        assert (-x).rep == -PreciseNum.of(rp(1)) and (-x).nx == LIMITED
+
+    @pytest.mark.parametrize("rep, nx, name", [(1, 2, "int"), (1, F(0), "Fraction"), (1, None, "NoneType"),
+                                               ("1", LIMITED, "str"), (1.5, NX_ZERO, "float"), (1.5, LIMITED, "float")])
+    def test_the_constructor_rejects_what_is_not_a_number_or_neutrix(self, rep, nx, name):
+        for make in (ExternalNum, canonicalize):
+            with pytest.raises(TypeError, match=name):
+                make(rep, nx)
+
 
 class TestHashing:
     def test_equal_values_hash_equal(self):
@@ -263,6 +281,8 @@ class TestCompare:
             want = (cmp is Ordering.LT, cmp is not Ordering.GT, cmp is Ordering.GT,
                     cmp is not Ordering.LT, equal, not equal)
             assert got == want, (str(a), str(b))
+            if equal:
+                assert hash(a) == hash(b) and len({a, b}) == 1, (str(a), str(b))
         # a Neutrix operand has no order, and equals no external number
         for a, b in nx_pairs:
             for op in ORDER_OPERATORS:
@@ -274,9 +294,12 @@ class TestCompare:
 def _six_operator_pairs():
     """Seeded operand pairs: all four neutrix kinds, equal values rebuilt from
     another member, and number and PreciseNum operands on either side; beside
-    them, from the same draws, bare Neutrix operands on either side."""
+    them, from the same draws, bare Neutrix operands on either side.  After
+    them come values built as ``ExternalNum(rep, nx)`` from members other than
+    the representative, against the drawn values."""
     s = Sampler(GeneratorConfig(seed=19), "six-operators")
     pairs, nx_pairs = [], []
+    built = [(ExternalNum(PreciseNum.of(1), LIMITED), pure(LIMITED))]
     for _ in range(100):
         x, y, c = s.external(), s.external(), s.coefficient()
         rebuilt = canonicalize(s.representative_of(x), x.nx)
@@ -284,7 +307,9 @@ def _six_operator_pairs():
                   (c.numerator, canonicalize(c.numerator)),
                   (x.rep, y), (x.rep, x), (PreciseNum.of(c), canonicalize(c))]
         nx_pairs += [(x, y.nx), (y.nx, x), (pure(x.nx), x.nx)]
-    return pairs, nx_pairs
+        for member in members(x)[1:3]:
+            built += [(ExternalNum(member, x.nx), x), (y, ExternalNum(member, x.nx))]
+    return pairs + built, nx_pairs
 
 
 SIX_OPERATOR_PAIRS = _six_operator_pairs()
@@ -368,6 +393,14 @@ class TestSetPredicates:
         assert ext_subset(a, b) and not ext_subset(b, a)
         assert ext_disjoint(a, c)
         assert not ext_disjoint(a, b)
+
+    def test_subset_is_reflexive_on_seeded_values(self):
+        s = Sampler(GeneratorConfig(seed=31), "subset")
+        for _ in range(200):
+            x = s.external()
+            for y in (x, canonicalize(s.representative_of(x), x.nx)):
+                assert ext_subset(x, y) and ext_subset(y, x), (str(x), str(y))
+                assert not ext_disjoint(x, y) and not ext_disjoint(y, x), (str(x), str(y))
 
     def test_trichotomy_samples(self):
         pairs = [

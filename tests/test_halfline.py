@@ -160,10 +160,17 @@ class TestZupWinf:
         assert zup_finite([a, b]) == b
         assert zup_finite([a]) == a
         assert zup_finite([pure(open_cut(-2)), pure(closed_cut(-1))]) == pure(closed_cut(-1))
-        with pytest.raises(EmptySetError):
+        with pytest.raises(EmptySetError, match="zup of an empty set"):
             zup_finite([])
-        with pytest.raises(EmptySetError):
-            winf_finite([])
+        with pytest.raises(EmptySetError, match="winf of an empty set"):
+            winf_finite(iter([]))
+
+    def test_finite_extrema_keep_the_first_extremal_item(self):
+        a, b = canonicalize(1, LIMITED), canonicalize(2, LIMITED)
+        assert a == b and a is not b
+        below = canonicalize(-5)
+        assert zup_finite([below, a, b]) is a and zup_finite(iter([b, below, a])) is b
+        assert winf_finite([canonicalize(rp(1)), a, b]) is a and winf_finite([b, a]) is b
 
     def test_zup_of_magnitudes_is_magnitude(self):
         family = [pure(open_cut(-1)), pure(closed_cut(-2)), pure(INFINITESIMALS)]

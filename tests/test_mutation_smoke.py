@@ -29,6 +29,9 @@ MUTANTS = [
         "axiom.scheme.dedekind",
     ),
     ("naturals.py", "poly.ks[-1][0] >= 0", "poly.ks[-1][0] > 0", "axiom.arith.naturals"),
+    # the neutrix order ignoring closure, and the overlap case of the external order reversed
+    ("neutrix.py", "return x < y or (x == y and c < c2)", "return x < y", "thm.product_idempotents"),
+    ("external.py", "Ordering.LT if a.nx < b.nx", "Ordering.LT if a.nx > b.nx", "thm.chain"),
 ]
 
 

@@ -29,7 +29,6 @@ from solidus.neutrix import (
     is_idempotent,
     maximal_ideal,
     nx_add,
-    nx_compare,
     nx_contains,
     nx_mul,
     nx_scale,
@@ -54,25 +53,25 @@ def members_near(nx: Neutrix):
 
 class TestCompare:
     def test_infinitesimals_below_limited(self):
-        assert nx_compare(INFINITESIMALS, LIMITED) is Ordering.LT
+        assert INFINITESIMALS < LIMITED
 
     def test_scaled_below(self):
         # {deg <= -1} is a proper subset of {deg < 0}: check via membership.
-        assert nx_compare(closed_cut(-1), INFINITESIMALS) is Ordering.LT
+        assert closed_cut(-1) < INFINITESIMALS
         witness = rp(F(-1, 2))
         assert nx_contains(INFINITESIMALS, witness)
         assert not nx_contains(closed_cut(-1), witness)
 
     def test_reflexive(self):
         for a in (NX_ZERO, open_cut(2), closed_cut(-3), FULL):
-            assert nx_compare(a, a) is Ordering.EQ
+            assert a == a and not a < a
 
     def test_total_chain(self):
         chain = [NX_ZERO, closed_cut(-1), open_cut(0), closed_cut(0), open_cut(2), FULL]
         for i, a in enumerate(chain):
             for b in chain[i + 1 :]:
-                assert nx_compare(a, b) is Ordering.LT
-                assert nx_compare(b, a) is Ordering.GT
+                assert a < b
+                assert b > a
 
     def test_order_is_inclusion(self):
         pairs = [
@@ -81,7 +80,7 @@ class TestCompare:
             (open_cut(-2), closed_cut(-1)),
         ]
         for a, b in pairs:
-            assert nx_compare(a, b) is Ordering.LT
+            assert a < b
             for p, in_a in members_near(a):
                 if in_a:
                     assert nx_contains(b, p)
@@ -247,8 +246,8 @@ class TestIdeals:
         scalars_below_full = scalars_below_limited + [PreciseNum.of(rp(2, 5))]
         for e in [NX_ZERO, open_cut(-1), closed_cut(-2), INFINITESIMALS, LIMITED, closed_cut(1), FULL]:
             for j, scalars in ((LIMITED, scalars_below_limited), (FULL, scalars_below_full)):
-                definition = nx_compare(e, j) is not Ordering.GT and all(
-                    nx_compare(nx_scale(p, e), e) is not Ordering.GT
+                definition = e <= j and all(
+                    nx_scale(p, e) <= e
                     for p in scalars
                     if e not in (NX_ZERO, FULL)
                 )
@@ -383,7 +382,7 @@ class TestAgainstFourShapeReference:
             na, nb = a.new(), b.new()
             ka, kb = a.sort_key(), b.sort_key()
             expected = Ordering.EQ if ka == kb else Ordering.LT if ka < kb else Ordering.GT
-            assert nx_compare(na, nb) is expected, (a, b)
+            assert (na > nb) == (expected is Ordering.GT), (a, b)
             assert (na < nb) == (expected is Ordering.LT)
             assert (na == nb) == (expected is Ordering.EQ)
             if na == nb:
