@@ -64,15 +64,12 @@ from .external import (
     as_external,
     canonicalize,
     classify,
-    ext_abs,
     ext_add,
     ext_compare,
-    ext_div,
     ext_inv,
     ext_member,
     ext_mul,
     ext_neg,
-    ext_sub,
     ext_subset,
     ext_disjoint,
     is_limited,

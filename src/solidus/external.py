@@ -17,6 +17,11 @@ equality is structural and agrees with the order; it stores a truncated
 expansion, a polynomial, without normalizing it again.  Operands are external
 numbers and the ``PreciseNum.of`` types; a neutrix enters as ``pure(nx)``: a
 bare ``Neutrix`` operand raises ``TypeError``, ``==`` False.
+
+The operators ``+``, ``-``, ``*``, ``/`` and ``abs`` are the arithmetic, as
+the paper writes it; ``ext_add``, ``ext_neg`` and ``ext_mul`` are other names
+for three of them.  The inverse ``ext_inv``, which has no operator, and the
+three-way answer ``ext_compare`` behind ``<`` are functions.
 """
 
 from __future__ import annotations
@@ -81,32 +86,43 @@ class ExternalNum(_Immutable):
         return ExternalNum, (self.rep, self.nx)
 
     def __add__(self, other: "ExternalLike") -> "ExternalNum":
-        return ext_add(self, as_external(other))
+        if other.__class__ is not ExternalNum:
+            other = as_external(other)
+        return ExternalNum(self.rep + other.rep, nx_add(self.nx, other.nx))
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExternalNum":
-        return ext_neg(self)
+        # Negating flips the representative and fixes the (symmetric) neutrix.
+        return _external(-self.rep, self.nx)
 
     def __sub__(self, other: "ExternalLike") -> "ExternalNum":
-        return ext_sub(self, as_external(other))
+        return self + -as_external(other)
 
     def __rsub__(self, other: "ExternalLike") -> "ExternalNum":
-        return ext_sub(as_external(other), self)
+        return as_external(other) + -self
 
     def __mul__(self, other: "ExternalLike") -> "ExternalNum":
-        return ext_mul(self, as_external(other))
+        """Minkowski product: (a+A)(b+B) = ab + aB + bA + AB."""
+        if other.__class__ is not ExternalNum:
+            other = as_external(other)
+        nx = nx_add(
+            nx_add(_scale_part(self.rep, other.nx), _scale_part(other.rep, self.nx)),
+            nx_mul(self.nx, other.nx),
+        )
+        return ExternalNum(self.rep * other.rep, nx)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "ExternalLike") -> "ExternalNum":
-        return ext_div(self, as_external(other))
+        return self * ext_inv(as_external(other))
 
     def __rtruediv__(self, other: "ExternalLike") -> "ExternalNum":
-        return ext_div(as_external(other), self)
+        return as_external(other) * ext_inv(self)
 
     def __abs__(self) -> "ExternalNum":
-        return ext_abs(self)
+        """Representative-sign absolute value; the neutrix is unchanged."""
+        return -self if self.rep.sign() < 0 else self
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ExternalNum):
@@ -134,8 +150,11 @@ _set_nx = ExternalNum.nx.__set__
 
 ExternalLike = Union[ExternalNum, PreciseLike]
 
-#: The constructor under the name of the operation it performs.
+#: The constructor and three operators under the names ``bench/tracing.py`` imports.
 canonicalize = ExternalNum
+ext_add = ExternalNum.__add__
+ext_neg = ExternalNum.__neg__
+ext_mul = ExternalNum.__mul__
 
 
 def _external(rep: PreciseNum, nx: Neutrix) -> ExternalNum:
@@ -164,30 +183,8 @@ def magnitude(alpha: ExternalNum) -> ExternalNum:
     return pure(alpha.nx)
 
 
-def ext_add(a: ExternalNum, b: ExternalNum) -> ExternalNum:
-    return ExternalNum(a.rep + b.rep, nx_add(a.nx, b.nx))
-
-
-def ext_neg(a: ExternalNum) -> ExternalNum:
-    # Negating flips the representative and fixes the (symmetric) neutrix.
-    return _external(-a.rep, a.nx)
-
-
-def ext_sub(a: ExternalNum, b: ExternalNum) -> ExternalNum:
-    return ext_add(a, ext_neg(b))
-
-
 def _scale_part(coeff: PreciseNum, nx: Neutrix) -> Neutrix:
     return NX_ZERO if coeff.is_zero() else nx_scale(coeff, nx)
-
-
-def ext_mul(a: ExternalNum, b: ExternalNum) -> ExternalNum:
-    """Minkowski product: (a+A)(b+B) = ab + aB + bA + AB."""
-    nx = nx_add(
-        nx_add(_scale_part(a.rep, b.nx), _scale_part(b.rep, a.nx)),
-        nx_mul(a.nx, b.nx),
-    )
-    return ExternalNum(a.rep * b.rep, nx)
 
 
 def is_zeroless(alpha: ExternalNum) -> bool:
@@ -201,10 +198,6 @@ def ext_inv(b: ExternalNum) -> ExternalNum:
         raise NotZerolessError(f"{b} contains 0 and has no inverse")
     inv_rep = 1 / b.rep
     return ExternalNum(inv_rep, _scale_part(inv_rep * inv_rep, b.nx))
-
-
-def ext_div(a: ExternalNum, b: ExternalNum) -> ExternalNum:
-    return ext_mul(a, ext_inv(b))
 
 
 def unity(alpha: ExternalNum) -> ExternalNum:
@@ -239,11 +232,6 @@ def classify(alpha: ExternalNum) -> Classification:
     if nx_contains(alpha.nx, alpha.rep):
         return Classification.PURE_NEUTRIX
     return Classification.ZEROLESS_NONPRECISE
-
-
-def ext_abs(alpha: ExternalNum) -> ExternalNum:
-    """Representative-sign absolute value; the neutrix is unchanged."""
-    return ext_neg(alpha) if alpha.rep.sign() < 0 else alpha
 
 
 def is_limited(alpha: ExternalNum) -> bool:

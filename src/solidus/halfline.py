@@ -34,14 +34,7 @@ from .errors import (
 )
 from .field import PreciseNum, RhoPoly
 from .neutrix import FULL, NX_ZERO, Neutrix
-from .external import (
-    ExternalNum,
-    classify,
-    Classification,
-    ext_add,
-    ext_sub,
-    magnitude,
-)
+from .external import Classification, ExternalNum, classify, magnitude
 
 
 class Side(Enum):
@@ -74,7 +67,7 @@ def upper(kind: HalflineKind, bound: ExternalNum) -> Halfline:
 
 
 def _below_every_representative(x: ExternalNum, b: ExternalNum) -> bool:
-    return ext_add(x, magnitude(b)) < b
+    return x + magnitude(b) < b
 
 
 def hl_member(h: Halfline, x: ExternalNum) -> bool:
@@ -170,7 +163,7 @@ def separate_precise(x: ExternalNum, y: ExternalNum) -> PreciseNum:
     if not x < y:
         raise NotStrictlyOrderedError(f"{x} is not strictly below {y}")
     a = x.rep
-    shifted = ext_sub(y, ExternalNum(a))
+    shifted = y - a
     if classify(shifted) is Classification.PURE_NEUTRIX:
         p = a + magnitude_gap_witness(x.nx, shifted.nx)
     else:

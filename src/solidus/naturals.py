@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import InternalError, PreconditionFailedError, UnknownFormulaError
-from .external import EXT_ZERO, ExternalNum, ext_mul
+from .external import EXT_ZERO, ExternalNum
 from .field import PreciseLike, PreciseNum, RhoPoly, as_polynomial
 from .neutrix import FULL
 
@@ -65,7 +65,7 @@ def archimedean_witness(x: ExternalNum, y: ExternalNum) -> RhoPoly:
 
     for k in range(k0, k0 + 64):
         z = RhoPoly.rho_power(k, c)
-        if ext_mul(ExternalNum(z), x) > y:
+        if x * z > y:
             return z
         c *= 2
     raise InternalError("archimedean witness escalation failed to terminate")

@@ -27,20 +27,7 @@ from fractions import Fraction
 from typing import Callable, Union
 
 from .errors import ParseError, SolidusError
-from .external import (
-    ExternalNum,
-    ext_abs,
-    ext_add,
-    ext_div,
-    ext_inv,
-    ext_mul,
-    ext_neg,
-    ext_sub,
-    magnitude,
-    pure,
-    shadow,
-    unity,
-)
+from .external import ExternalNum, ext_inv, magnitude, pure, shadow, unity
 from .field import RhoPoly
 from .neutrix import FULL, INFINITESIMALS, LIMITED, NX_ZERO
 
@@ -132,14 +119,14 @@ _SYMBOLS = {
 }
 # '-' is prefix negation; every other key is also a function name in the grammar
 _FUNCTIONS = {
-    "-": ext_neg,
+    "-": operator.neg,
     "e": magnitude,
     "u": unity,
     "inv": ext_inv,
-    "abs": ext_abs,
+    "abs": abs,
     "shadow": shadow,
 }
-_BINARY = {"+": ext_add, "-": ext_sub, "*": ext_mul, "/": ext_div}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 _COMPARISONS = {"=": operator.eq, "<": operator.lt, "<=": operator.le}
 
 
@@ -315,10 +302,10 @@ def _integer_power(value: ExternalNum, n: int, pos: int) -> ExternalNum:
     result = ExternalNum(1)
     while n:
         if n & 1:
-            result = ext_mul(result, value)
+            result = result * value
         n >>= 1
         if n:
-            value = ext_mul(value, value)
+            value = value * value
     return result
 
 

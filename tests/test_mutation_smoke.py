@@ -32,6 +32,8 @@ MUTANTS = [
     # the neutrix order ignoring closure, and the overlap case of the external order reversed
     ("neutrix.py", "return x < y or (x == y and c < c2)", "return x < y", "thm.product_idempotents"),
     ("external.py", "Ordering.LT if a.nx < b.nx", "Ordering.LT if a.nx > b.nx", "thm.chain"),
+    # distinct overlapping values compared equal: neither is below the other
+    ("external.py", "Ordering.EQ if a.nx == b.nx else", "Ordering.EQ if True else", "axiom.order.antisymmetric"),
 ]
 
 
