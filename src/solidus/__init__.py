@@ -26,7 +26,6 @@ from .errors import (
     SolidusError,
     UnknownCheckError,
     UnknownFormulaError,
-    ZeroScalarError,
 )
 from .field import (
     NEG_INFINITY,
@@ -96,11 +95,9 @@ from .halfline import (
 )
 from .naturals import (
     INDUCTION_CATALOG,
-    InductionReport,
     archimedean_witness,
     induction_spotcheck,
     is_natural,
-    run_induction_battery,
 )
 from .generate import GeneratorConfig, Sampler
 from .checks import (

@@ -48,13 +48,7 @@ from .halfline import (
     separate_precise,
     zup,
 )
-from .naturals import (
-    INDUCTION_CATALOG,
-    archimedean_witness,
-    induction_spotcheck,
-    is_natural,
-    run_induction_battery,
-)
+from .naturals import INDUCTION_CATALOG, archimedean_witness, induction_spotcheck, is_natural
 from .neutrix import (
     FULL,
     IDEMPOTENTS,
@@ -757,17 +751,18 @@ def _v_arith_naturals(x, y, offset):
 
 @law("axiom.arith.induction", "arithmetical", "curated induction battery", "induction spot checks", note="full induction provably fails for computable interpretations; see even_or_odd")
 def _v_arith_induction():
-    problems = [f"{r.formula_id}: {r.status}" for r in run_induction_battery(bound=25) if not r.ok]
+    # even_or_odd is the documented expected failure of the next law; any() reads either failure list
+    formulas = [fid for fid in INDUCTION_CATALOG if fid != "even_or_odd"]
+    problems = [f"{fid}: fail" for fid in formulas if any(induction_spotcheck(fid, bound=25))]
     return "; ".join(problems) or None
 
 
-@law("axiom.arith.induction_even_odd", "arithmetical", "the even-or-odd induction instance fails at nonstandard points", "documented expected failure", expect_failures=True, note=INDUCTION_CATALOG["even_or_odd"].explanation)
+@law("axiom.arith.induction_even_odd", "arithmetical", "the even-or-odd induction instance fails at nonstandard points", "documented expected failure", expect_failures=True, note="holds on the standard naturals 0..bound but fails at the nonstandard natural rho: neither rho/2 nor (rho-1)/2 has integer coefficients, so rho is neither even nor odd in this interpretation; the induction scheme provably cannot hold in full for a computable family")
 def _v_arith_induction_even_odd():
-    report = induction_spotcheck("even_or_odd", bound=25)
-    if report.status == "expected-fail":
-        first = report.conclusion_failures[0]
-        return f"even-or-odd fails at the nonstandard natural {first}, as documented"
-    return None
+    steps, conclusions = induction_spotcheck("even_or_odd", bound=25)
+    if conclusions:
+        return f"even-or-odd fails at the nonstandard natural {conclusions[0]}, as documented"
+    return f"even-or-odd's inductive step fails at {steps[0]}" if steps else None
 
 
 @law("axiom.arith.archimedean", "arithmetical", "some natural multiple of x exceeds y", "Archimedean witness", _d_archimedean)

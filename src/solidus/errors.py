@@ -5,10 +5,6 @@ class SolidusError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
-class ZeroScalarError(SolidusError):
-    """Scaling a neutrix by the zero element is undefined; callers short-circuit."""
-
-
 class NotIdempotentError(SolidusError):
     """Operation requires an idempotent neutrix."""
 

@@ -107,7 +107,7 @@ class ExternalNum(_Immutable):
         if other.__class__ is not ExternalNum:
             other = as_external(other)
         nx = nx_add(
-            nx_add(_scale_part(self.rep, other.nx), _scale_part(other.rep, self.nx)),
+            nx_add(nx_scale(self.rep, other.nx), nx_scale(other.rep, self.nx)),
             nx_mul(self.nx, other.nx),
         )
         return ExternalNum(self.rep * other.rep, nx)
@@ -183,10 +183,6 @@ def magnitude(alpha: ExternalNum) -> ExternalNum:
     return pure(alpha.nx)
 
 
-def _scale_part(coeff: PreciseNum, nx: Neutrix) -> Neutrix:
-    return NX_ZERO if coeff.is_zero() else nx_scale(coeff, nx)
-
-
 def is_zeroless(alpha: ExternalNum) -> bool:
     """True when 0 is not a member, i.e. the neutrix does not reach the representative."""
     return not nx_contains(alpha.nx, alpha.rep)
@@ -197,14 +193,14 @@ def ext_inv(b: ExternalNum) -> ExternalNum:
     if not is_zeroless(b):
         raise NotZerolessError(f"{b} contains 0 and has no inverse")
     inv_rep = 1 / b.rep
-    return ExternalNum(inv_rep, _scale_part(inv_rep * inv_rep, b.nx))
+    return ExternalNum(inv_rep, nx_scale(inv_rep * inv_rep, b.nx))
 
 
 def unity(alpha: ExternalNum) -> ExternalNum:
     """u(alpha) = 1 + nx/rep, the individualized multiplicative neutral element."""
     if not is_zeroless(alpha):
         raise NotZerolessError(f"{alpha} contains 0 and has no unity")
-    return ExternalNum(1, _scale_part(1 / alpha.rep, alpha.nx))
+    return ExternalNum(1, nx_scale(1 / alpha.rep, alpha.nx))
 
 
 def ext_compare(a: ExternalNum, b: ExternalNum) -> Ordering:

@@ -9,14 +9,15 @@ cofinal, which is what the Archimedean axiom needs.
 The full first-order induction scheme cannot hold for any computable
 interpretation of N (a Tennenbaum-type obstruction); for instance "every
 natural is even or odd" fails here because (rho - 1)/2 is not in the family.
-Induction is therefore verified only on a curated catalog of {+,*}-formulas,
-with the even/odd instance kept as a documented expected failure.
+Induction is therefore verified only on a curated catalog of {+,*}-formulas.
+The battery only reports where a formula fails; the check catalog is the one
+place that declares the even/odd instance a documented expected failure.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .errors import InternalError, PreconditionFailedError, UnknownFormulaError
@@ -81,33 +82,6 @@ class InductionFormula:
     formula_id: str
     description: str
     holds: Predicate
-    expected_fail: bool = False
-    explanation: str = ""
-
-
-@dataclass
-class InductionReport:
-    formula_id: str
-    bound: int
-    base_ok: bool = True
-    step_failures: list[str] = field(default_factory=list)
-    conclusion_failures: list[str] = field(default_factory=list)
-    expected_fail: bool = False
-    explanation: str = ""
-
-    @property
-    def holds(self) -> bool:
-        return self.base_ok and not self.step_failures and not self.conclusion_failures
-
-    @property
-    def status(self) -> str:
-        if self.holds:
-            return "unexpected-pass" if self.expected_fail else "pass"
-        return "expected-fail" if self.expected_fail else "fail"
-
-    @property
-    def ok(self) -> bool:
-        return self.holds != self.expected_fail
 
 
 def _even_or_odd(x: PreciseNum) -> bool:
@@ -145,19 +119,7 @@ def _catalog() -> dict[str, InductionFormula]:
         ),
         InductionFormula("double", "x + x = 2 * x", lambda x: x + x == two * x),
         InductionFormula("predecessor", "x = 0 or exists y with x = y + 1", _predecessor),
-        InductionFormula(
-            "even_or_odd",
-            "exists y with x = 2*y or x = 2*y + 1",
-            _even_or_odd,
-            expected_fail=True,
-            explanation=(
-                "holds on the standard naturals 0..bound but fails at the "
-                "nonstandard natural rho: neither rho/2 nor (rho-1)/2 has "
-                "integer coefficients, so rho is neither even nor odd in this "
-                "interpretation; the induction scheme provably cannot hold in "
-                "full for a computable family"
-            ),
-        ),
+        InductionFormula("even_or_odd", "exists y with x = 2*y or x = 2*y + 1", _even_or_odd),
     ]
     return {f.formula_id: f for f in formulas}
 
@@ -178,12 +140,14 @@ NONSTANDARD_SAMPLES = tuple(
 )
 
 
-def induction_spotcheck(formula_id: str, bound: int = 50) -> InductionReport:
-    """Check base case, inductive step and conclusion for one catalog formula.
+def induction_spotcheck(formula_id: str, bound: int = 50) -> tuple[list[str], list[str]]:
+    """Check the inductive step and the conclusion for one catalog formula.
 
-    The step is verified on standard naturals 0..bound and on the nonstandard
-    samples; the conclusion on the same sets (the expected failure shows up
-    only at the nonstandard points).
+    Both are checked on the standard naturals 0..bound and on the nonstandard
+    samples; a failing base case is a conclusion failure at 0.  Returns
+    ``(step_failures, conclusion_failures)``, the rendered points where the
+    formula holds at x but not at x + 1, and where it does not hold at x.
+    Whether a failure is expected is the check catalog's decision.
     """
     if bound < 0:
         raise PreconditionFailedError("the standard range 0..bound needs bound >= 0")
@@ -191,23 +155,13 @@ def induction_spotcheck(formula_id: str, bound: int = 50) -> InductionReport:
         formula = INDUCTION_CATALOG[formula_id]
     except KeyError:
         raise UnknownFormulaError(formula_id) from None
-    report = InductionReport(
-        formula_id=formula_id,
-        bound=bound,
-        expected_fail=formula.expected_fail,
-        explanation=formula.explanation,
-    )
     samples = [PreciseNum.of(n) for n in range(bound + 1)]
     samples += [PreciseNum.of(p) for p in NONSTANDARD_SAMPLES]
     holds = [formula.holds(x) for x in samples]
-    report.base_ok = holds[0]
+    step_failures, conclusion_failures = [], []
     for x, ok in zip(samples, holds):
         if ok and not formula.holds(x + 1):
-            report.step_failures.append(str(x))
+            step_failures.append(str(x))
         if not ok:
-            report.conclusion_failures.append(str(x))
-    return report
-
-
-def run_induction_battery(bound: int = 50) -> list[InductionReport]:
-    return [induction_spotcheck(fid, bound) for fid in INDUCTION_CATALOG]
+            conclusion_failures.append(str(x))
+    return step_failures, conclusion_failures

@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .errors import NotAboveUnityError, NotIdempotentError, ZeroScalarError
+from .errors import NotAboveUnityError, NotIdempotentError
 from .field import (
     NEG_INFINITY,
     PreciseLike,
@@ -140,13 +140,15 @@ def nx_mul(a: Neutrix, b: Neutrix) -> Neutrix:
 
 
 def nx_scale(p: PreciseLike, a: Neutrix) -> Neutrix:
-    """Multiply a magnitude by a nonzero precise element.
+    """Multiply a magnitude by a precise element: ``pA = {px : x in A}``.
 
-    Only the degree of ``p`` matters: coefficients are absorbed by the group.
+    Scaling by zero gives ``NX_ZERO``, for every ``A``, ``FULL`` included.
+    Otherwise only the degree of ``p`` matters: coefficients are absorbed by
+    the group.
     """
     p = PreciseNum.of(p)
     if p.is_zero():
-        raise ZeroScalarError("cannot scale a neutrix by zero")
+        return NX_ZERO
     # the cuts at infinity are fixed by every nonzero scalar
     return a if a._rank else Neutrix(a.q + p.degree(), a.closed)
 

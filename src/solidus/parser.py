@@ -280,22 +280,19 @@ class EvalError(SolidusError):
         self.pos = pos
 
 
-def _as_rho_power(value: ExternalNum, pos: int) -> Fraction:
-    rep = value.rep
-    if value.nx != NX_ZERO or not rep.is_polynomial():
-        raise EvalError("power base must be a pure power of rho", pos)
-    p = rep.num
-    if len(p.ks) != 1 or p.ks[0][1] != p.den:  # one term, coefficient c/den = 1
-        raise EvalError("power base must be a pure power of rho", pos)
-    return Fraction(p.ks[0][0], p.grid)
+def _power(base: ExternalNum, exponent: Fraction) -> ExternalNum:
+    if exponent.denominator == 1:
+        return _integer_power(base, exponent.numerator)
+    p = base.rep.num
+    # a fractional power needs a precise base rho^q: one term, coefficient c/den = 1
+    if base.nx != NX_ZERO or not base.rep.is_polynomial() or len(p.ks) != 1 or p.ks[0][1] != p.den:
+        raise SolidusError("power base must be a pure power of rho")
+    return ExternalNum(RhoPoly.rho_power(Fraction(p.ks[0][0], p.grid) * exponent))
 
 
-def _integer_power(value: ExternalNum, n: int, pos: int) -> ExternalNum:
+def _integer_power(value: ExternalNum, n: int) -> ExternalNum:
     if n < 0:
-        try:
-            value = ext_inv(value)
-        except SolidusError as exc:
-            raise EvalError(str(exc), pos) from None
+        value = ext_inv(value)
         n = -n
     # binary exponentiation: the product is associative and canonical forms are
     # unique, so O(log n) products give the same form as n of them
@@ -322,18 +319,14 @@ def _evaluate(expr: Expr) -> ExternalNum | bool:
         return ExternalNum(expr.value)
     if isinstance(expr, Sym):
         return _SYMBOLS[expr.name]
-    if isinstance(expr, Pow):
-        base = _value(expr.base)
-        if expr.exponent.denominator == 1:
-            return _integer_power(base, expr.exponent.numerator, expr.pos)
-        q = _as_rho_power(base, expr.pos)
-        return ExternalNum(RhoPoly.rho_power(q * expr.exponent))
     if isinstance(expr, Cmp):
         return _COMPARISONS[expr.op](_value(expr.left), _value(expr.right))
     if isinstance(expr, Unary):
         op, args = _FUNCTIONS[expr.op], (_value(expr.arg),)
     elif isinstance(expr, BinOp):
         op, args = _BINARY[expr.op], (_value(expr.left), _value(expr.right))
+    elif isinstance(expr, Pow):
+        op, args = _power, (_value(expr.base), expr.exponent)
     else:
         raise EvalError("unknown expression node", getattr(expr, "pos", 1))
     try:

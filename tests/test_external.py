@@ -207,6 +207,12 @@ class TestMul:
 
     def test_zero_annihilates_even_full(self):
         assert ext_mul(EXT_ZERO, pure(FULL)) == EXT_ZERO
+        assert str(ExternalNum(0) * pure(FULL)) == "0"
+        s = Sampler(GeneratorConfig(seed=37), "zero-product")
+        for _ in range(300):
+            x = s.external()
+            assert ExternalNum(0) * x == 0, str(x)
+            assert x * 0 == 0, str(x)
 
     def test_magnitude_of_product(self):
         a = canonicalize(rp(1), LIMITED)

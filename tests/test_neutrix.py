@@ -14,7 +14,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from solidus.errors import NotAboveUnityError, NotIdempotentError, ZeroScalarError
+from solidus.errors import NotAboveUnityError, NotIdempotentError
 from solidus.field import NEG_INFINITY, Ordering, PreciseNum, RhoPoly, _render_exponent
 from solidus.neutrix import (
     FULL,
@@ -135,9 +135,10 @@ class TestScale:
         two_over_rho = PreciseNum.of(2) / PreciseNum.of(rp(1))
         assert nx_scale(two_over_rho, LIMITED) == closed_cut(-1)
 
-    def test_zero_scalar_rejected(self):
-        with pytest.raises(ZeroScalarError):
-            nx_scale(0, LIMITED)
+    def test_zero_scalar_gives_zero(self):
+        # the paper's 0A = {0x : x in A} = {0}, for every A
+        for a in (NX_ZERO, INFINITESIMALS, LIMITED, FULL, nx_scale(rp(3), INFINITESIMALS)):
+            assert nx_scale(0, a) == NX_ZERO
 
     def test_zero_and_full_fixed(self):
         assert nx_scale(rp(7), NX_ZERO) == NX_ZERO

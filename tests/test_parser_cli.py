@@ -87,8 +87,9 @@ class TestEval:
     def test_fractional_power_requires_pure_rho_power(self):
         assert eval_text("(rho^2*rho)^(1/3)") == eval_text("rho")
         assert eval_text("(1/rho)^(1/2)") == eval_text("rho^(-1/2)")
-        out = run_command("(2*rho)^(1/2)")
-        assert out.startswith("error:")
+        # the error line carries the column of the '^'
+        assert run_command("(2*rho)^(1/2)") == "error: power base must be a pure power of rho (column 8)"
+        assert run_command("(1+o)^(1/2)") == "error: power base must be a pure power of rho (column 6)"
 
     def test_integer_power_of_general_values(self):
         assert eval_text("(1 + 1/rho)^2") == eval_text("1 + 2/rho + 1/rho^2")
@@ -106,7 +107,7 @@ class TestEval:
             for base, top, sign in runs:
                 power = canonicalize(1)  # the left-to-right product, one factor per step
                 for k in range(top + 1):
-                    assert str(_integer_power(x, sign * k, 1)) == str(power), (str(x), sign * k)
+                    assert str(_integer_power(x, sign * k)) == str(power), (str(x), sign * k)
                     power = ext_mul(power, base)
 
     def test_comparisons_evaluate_to_bool(self):
@@ -117,6 +118,9 @@ class TestEval:
     def test_division_by_pure_neutrix_reported(self):
         out = run_command("1/(0*L + L)")
         assert "error" in out and "0" in out
+        # a negative power inverts its base, and the error line carries the column of the '^'
+        assert run_command("o^(-1)") == "error: o contains 0 and has no inverse (column 2)"
+        assert run_command("(0*L+L)^(-3)") == "error: L contains 0 and has no inverse (column 8)"
 
 
 class TestRoundTrip:
@@ -158,6 +162,7 @@ class TestCommands:
     def test_errors_do_not_abort(self):
         assert run_command("u(o)").startswith("error:")
         assert run_command(":cmp 1") == "error: expected 2 comma-separated expressions"
+        assert run_command(":cmp 1<2, 3") == "error: expected a value, found a comparison"
         assert run_command(":wibble 1") == "error: unknown command ':wibble'"
         assert run_command("rho^").startswith("error:")
 
