@@ -39,12 +39,11 @@ from .field import (
     PRECISE_ZERO,
     _Immutable,
     _PRECISE_TYPES,
+    _expand,
     _precise,
     render_precise,
-    series_expand,
 )
 from .neutrix import (
-    FULL,
     INFINITESIMALS,
     LIMITED,
     Neutrix,
@@ -75,10 +74,11 @@ class ExternalNum(_Immutable):
             raise TypeError(f"cannot interpret {type(nx).__name__} as a neutrix")
         if not isinstance(rep, PreciseNum):
             rep = PreciseNum.of(rep)
-        if nx == FULL:
+        rank, n, d, closed = nx._key
+        if rank > 0:  # FULL
             rep = PRECISE_ZERO
-        elif nx != NX_ZERO:
-            rep = _precise(series_expand(rep, nx.q, strict=nx.closed), ONE_POLY)
+        elif not rank:  # a finite cut at n/d: truncate on ints
+            rep = _precise(_expand(rep, n, d, closed), ONE_POLY)
         _set_rep(self, rep)
         _set_nx(self, nx)
 

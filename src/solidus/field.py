@@ -21,7 +21,10 @@ both operands on a common grid and denominator, work on ints, and reduce by
 gcd.  ``Fraction`` appears only at the boundary: construction from
 ``(exponent, coefficient)`` pairs (``RhoPoly(terms)``, ``constant``,
 ``rho_power``), the ``terms`` property, ``degree()``, ``leading_coeff()``,
-hashing and rendering; other readers use the int fields.
+the rational cutoff of ``series_expand``, hashing and rendering; other
+readers use the int fields.  The expansion itself, ``_expand``, takes its
+cutoff as an int pair ``(n, d)``, the form in which a neutrix keeps its
+threshold, so canonicalizing an external number builds no ``Fraction``.
 
 ``RhoPoly`` and ``PreciseNum`` are ``__slots__`` classes.  ``PreciseNum(num,
 den)`` normalizes the denominator; results already in normal form are built by
@@ -127,14 +130,6 @@ class RhoPoly:
 
     def leading_coeff(self) -> Fraction:
         return Fraction(self.ks[0][1], self.den) if self.ks else Fraction(0)
-
-    def compare_degree(self, q: RationalLike) -> int:
-        """Sign of ``degree() - q`` for a rational ``q``, on ints: -1 for zero."""
-        if not self.ks:
-            return -1
-        n, d = _ratio(q)
-        k, bound = self.ks[0][0] * d, n * self.grid
-        return (k > bound) - (k < bound)
 
     def sign(self) -> int:
         """Sign of the value: rho is positive infinite, so the leading term decides."""
@@ -472,10 +467,9 @@ def compare_precise(a: PreciseLike, b: PreciseLike) -> Ordering:
     return Ordering((PreciseNum.of(a) - PreciseNum.of(b)).sign())
 
 
-def _long_division(
-    num: RhoPoly, den: RhoPoly, floor: RationalLike, strict: bool
-) -> tuple[RhoPoly, RhoPoly]:
-    """Long division with descending quotient exponents, stopped at ``floor``.
+def _long_division(num: RhoPoly, den: RhoPoly, fn: int, fd: int, strict: bool) -> tuple[RhoPoly, RhoPoly]:
+    """Long division with descending quotient exponents, stopped at the floor
+    ``fn/fd`` (ints, ``fd > 0``).
 
     Returns ``(quotient, remainder)`` with num = quotient*den + remainder,
     where the quotient holds the expansion terms with exponent > floor
@@ -487,7 +481,6 @@ def _long_division(
     the remainder's exponent, an integer on that grid, by at least 1.  The
     step-count guard failing means a bug, not bad input.
     """
-    fn, fd = _ratio(floor)
     g = lcm(num.grid, den.grid, fd)
     stop = fn * (g // fd)
     rem, r = _regrid(num.ks, g // num.grid), num.den
@@ -524,15 +517,18 @@ def series_expand(x: PreciseLike, cutoff: RationalLike, strict: bool) -> RhoPoly
     with exponent > cutoff (``strict``) or >= cutoff (not ``strict``), so that
     degree(x - p) falls below that threshold.
     """
-    x = PreciseNum.of(x)
+    return _expand(PreciseNum.of(x), *_ratio(cutoff), strict)
+
+
+def _expand(x: PreciseNum, n: int, d: int, strict: bool) -> RhoPoly:
+    """``series_expand`` at the cutoff ``n/d``, given as ints with ``d > 0``."""
     if x.is_polynomial():
         # k/grid > n/d  <=>  k*d > n*grid, all on ints
-        n, d = _ratio(cutoff)
         p = x.num
         bound = n * p.grid
         keep = [kc for kc in p.ks if (kc[0] * d > bound if strict else kc[0] * d >= bound)]
         return p if len(keep) == len(p.ks) else _poly(p.grid, p.den, keep)
-    return _long_division(x.num, x.den, cutoff, strict)[0]
+    return _long_division(x.num, x.den, n, d, strict)[0]
 
 
 def as_polynomial(x: PreciseNum) -> RhoPoly | None:
@@ -545,8 +541,9 @@ def as_polynomial(x: PreciseNum) -> RhoPoly | None:
     if x.is_polynomial():
         return x.num
     num, den = x.num, x.den
-    floor = Fraction(num.ks[-1][0], num.grid) - Fraction(den.ks[-1][0], den.grid)  # last k: lowest
-    quotient, rem = _long_division(num, den, floor, strict=False)
+    g = lcm(num.grid, den.grid)
+    floor = num.ks[-1][0] * (g // num.grid) - den.ks[-1][0] * (g // den.grid)  # last k: lowest, on grid g
+    quotient, rem = _long_division(num, den, floor, g, strict=False)
     return quotient if rem.is_zero() else None
 
 

@@ -157,11 +157,15 @@ def induction_spotcheck(formula_id: str, bound: int = 50) -> tuple[list[str], li
         raise UnknownFormulaError(formula_id) from None
     samples = [PreciseNum.of(n) for n in range(bound + 1)]
     samples += [PreciseNum.of(p) for p in NONSTANDARD_SAMPLES]
-    holds = [formula.holds(x) for x in samples]
+    holds = {x: formula.holds(x) for x in samples}
     step_failures, conclusion_failures = [], []
-    for x, ok in zip(samples, holds):
-        if ok and not formula.holds(x + 1):
-            step_failures.append(str(x))
+    for x, ok in holds.items():
+        if ok:
+            # a successor that is itself a sample (x < bound, and rho - 1) is already evaluated
+            y = x + 1
+            step = holds.get(y)
+            if not (formula.holds(y) if step is None else step):
+                step_failures.append(str(x))
         if not ok:
             conclusion_failures.append(str(x))
     return step_failures, conclusion_failures

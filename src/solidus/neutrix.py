@@ -17,16 +17,21 @@ contains every idempotent the axioms force, and supplies witnesses for all the
 existential axioms.  Families with thresholds not of this shape are out of
 scope.
 
-``Neutrix`` is an immutable ``__slots__`` class whose comparisons read an int
-key computed at construction; ``nx_mul``, ``nx_scale`` and ``nx_contains``
-read the key's rank of the threshold (-inf, finite or +inf), so none of them
-compares a ``Fraction`` with a float infinity.
+``Neutrix`` is an immutable ``__slots__`` class that stores a finite
+threshold as the reduced int pair ``(n, d)`` of its key; ``q``, the threshold
+as a ``Fraction``, is filled on first read.  Comparisons read the key, and
+``nx_mul``, ``nx_scale`` and ``nx_contains`` work on the int pairs: products
+add the pairs, scaling adds the scalar's leading exponent ``k/grid``, and
+membership compares ``k*d`` with ``n*grid``.  The private maker ``_cut(n, d,
+closed)`` builds their results with one gcd, so none of them builds a
+``Fraction`` or compares one with a float infinity.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 
 from .errors import NotAboveUnityError, NotIdempotentError
 from .field import (
@@ -46,14 +51,16 @@ class Neutrix(_Immutable):
     """A magnitude: the degree cut below ``q``, including ``q`` when ``closed``.
 
     ``q`` is an exact rational, or -inf for ``NX_ZERO`` and +inf for ``FULL``.
-    The order is set inclusion, the order of ``(q, closed)``.  Construction
-    computes an int key, ``(rank, numerator, denominator, closed)`` with rank
-    -1, 0 or +1 for -inf, a finite ``q`` or +inf: ``==`` compares keys, ``<``
-    compares ranks, then ``q`` by cross-multiplication, then ``closed``.
-    Immutable and hashable, with the hash of ``(q, closed)``.
+    The order is set inclusion, the order of ``(q, closed)``.  The stored form
+    is an int key, ``(rank, n, d, closed)`` with rank -1, 0 or +1 for -inf, a
+    finite ``q = n/d`` (reduced, ``d > 0``) or +inf: ``==`` compares keys,
+    ``<`` compares ranks, then ``n/d`` by cross-multiplication, then
+    ``closed``.  ``q`` is built from the key on first read and is the same
+    object on every later read.  Immutable and hashable, with the hash of
+    ``(q, closed)``.
     """
 
-    __slots__ = ("q", "closed", "_rank", "_key")
+    __slots__ = ("_q", "closed", "_rank", "_key")
 
     def __init__(self, q: RationalLike | float, closed: bool):
         if isinstance(q, float) and math.isinf(q):
@@ -67,6 +74,14 @@ class Neutrix(_Immutable):
         _set_closed(self, closed)
         _set_rank(self, rank)
         _set_key(self, (rank, n, d, closed))
+
+    @property
+    def q(self) -> Fraction | float:
+        q = self._q
+        if q is None:
+            q = Fraction(self._key[1], self._key[2])
+            _set_q(self, q)
+        return q
 
     def __reduce__(self):
         return Neutrix, (self.q, self.closed)
@@ -95,10 +110,21 @@ class Neutrix(_Immutable):
         return f"Neutrix({render_neutrix(self)})"
 
 
-_set_q = Neutrix.q.__set__
+_set_q = Neutrix._q.__set__
 _set_closed = Neutrix.closed.__set__
 _set_rank = Neutrix._rank.__set__
 _set_key = Neutrix._key.__set__
+
+
+def _cut(n: int, d: int, closed: bool) -> Neutrix:
+    """The finite cut at ``n/d`` (ints, ``d > 0``), reduced by one gcd, its ``q`` unfilled."""
+    g = math.gcd(n, d)
+    a = object.__new__(Neutrix)
+    _set_q(a, None)
+    _set_closed(a, closed)
+    _set_rank(a, 0)
+    _set_key(a, (0, n // g, d // g, closed))
+    return a
 
 
 def open_cut(q: RationalLike) -> Neutrix:
@@ -136,7 +162,9 @@ def nx_mul(a: Neutrix, b: Neutrix) -> Neutrix:
         return NX_ZERO
     if a._rank or b._rank:
         return FULL
-    return Neutrix(a.q + b.q, a.closed and b.closed)
+    _, n, d, c = a._key
+    _, n2, d2, c2 = b._key
+    return _cut(n * d2 + n2 * d, d * d2, c and c2)
 
 
 def nx_scale(p: PreciseLike, a: Neutrix) -> Neutrix:
@@ -149,18 +177,24 @@ def nx_scale(p: PreciseLike, a: Neutrix) -> Neutrix:
     p = PreciseNum.of(p)
     if p.is_zero():
         return NX_ZERO
-    # the cuts at infinity are fixed by every nonzero scalar
-    return a if a._rank else Neutrix(a.q + p.degree(), a.closed)
+    if a._rank:  # the cuts at infinity are fixed by every nonzero scalar
+        return a
+    # the degree of p is its numerator's leading exponent k/grid (den has degree 0)
+    num = p.num
+    _, n, d, closed = a._key
+    return _cut(n * num.grid + num.ks[0][0] * d, d * num.grid, closed)
 
 
 def nx_contains(a: Neutrix, p: PreciseLike) -> bool:
     """Membership of a precise element, decided by the degree valuation."""
     num = PreciseNum.of(p).num
-    if a._rank:
-        # FULL holds everything, NX_ZERO only zero
-        return a._rank > 0 or num.is_zero()
-    c = num.compare_degree(a.q)
-    return c <= 0 if a.closed else c < 0
+    if a._rank or not num.ks:
+        # FULL holds everything, NX_ZERO only zero, and every cut holds zero
+        return a._rank > 0 or not num.ks
+    # degree k/grid against the threshold n/d, on ints
+    _, n, d, closed = a._key
+    k, bound = num.ks[0][0] * d, n * num.grid
+    return k <= bound if closed else k < bound
 
 
 def is_idempotent(a: Neutrix) -> bool:

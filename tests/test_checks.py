@@ -217,6 +217,15 @@ class TestHarness:
         digest = hashlib.sha256(format_reports(reports).encode()).hexdigest()
         assert digest == "ee3822fe41ec38d62bff2d98b4093afc4d5d7c4b050445f9185960d19e4d938c"
 
+    def test_shrunk_counterexamples_pinned(self):
+        # the expected failures at n=1000, one check per call: hundreds of
+        # failing samples shrunk, as `solidus --check` prints them
+        cfg = GeneratorConfig(seed=7)
+        reports = [run_catalog(cfg, n=1000, only=cid)[0] for cid, c in REGISTRY.items() if c.expect_failures]
+        assert [r.ok for r in reports] == [True] * 3
+        digest = hashlib.sha256((format_reports(reports) + "\n").encode()).hexdigest()
+        assert digest == "83231aec180bcfe763b9387dcbecc30e399b1c0b3ce019c2f43231564aa5cfd2"
+
     def test_registry_declarations_pinned(self):
         # covers what the catalog output never shows: the input names of
         # passing checks, the single flags, the notes and the aliases

@@ -138,7 +138,7 @@ def test_normalisation_and_long_division_match_the_reference(strict):
         want_num, want_den = ref.normalize(a.terms, b.terms)
         assert (x.num.terms, x.den.terms) == (want_num, want_den), (repr(a), repr(b))
         for floor in _floors(x):
-            q, r = _long_division(x.num, x.den, floor, strict)
+            q, r = _long_division(x.num, x.den, floor.numerator, floor.denominator, strict)
             assert_canonical(q)
             assert_canonical(r)
             assert (q.terms, r.terms) == ref.long_division(want_num, want_den, floor, strict), (repr(x), floor)

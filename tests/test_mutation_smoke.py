@@ -36,6 +36,11 @@ MUTANTS = [
     ("external.py", "Ordering.EQ if a.nx == b.nx else", "Ordering.EQ if True else", "axiom.order.antisymmetric"),
     # scaling by zero leaves the magnitude instead of giving {0}; nx_mul also returns NX_ZERO
     ("neutrix.py", "if p.is_zero():\n        return NX_ZERO", "if p.is_zero():\n        return a", "axiom.mul.assoc"),
+    # the int thresholds: membership with the closed and open bounds swapped, a
+    # cut left unreduced (unequal to the same cut reduced), truncation strictness flipped
+    ("neutrix.py", "k <= bound if closed else k < bound", "k < bound if closed else k <= bound", "oracle.order"),
+    ("neutrix.py", "g = math.gcd(n, d)", "g = 1", "axiom.mul.assoc"),
+    ("external.py", "_expand(rep, n, d, closed)", "_expand(rep, n, d, not closed)", "oracle.minkowski"),
     # the induction battery checks the documented expected failure as well
     ("checks.py", 'fid != "even_or_odd"', 'fid != "odd_or_even"', "axiom.arith.induction"),
 ]

@@ -10,6 +10,7 @@ from solidus.external import canonicalize, ext_compare, ext_mul, pure
 from solidus.field import Ordering, PreciseNum, RhoPoly
 from solidus.naturals import (
     INDUCTION_CATALOG,
+    InductionFormula,
     archimedean_witness,
     induction_spotcheck,
     is_natural,
@@ -133,6 +134,25 @@ class TestInduction:
             induction_spotcheck("even_or_odd", bound=-3)
         # the base case holds: 0 is not a conclusion failure
         assert "0" not in induction_spotcheck("even_or_odd", bound=0)[1]
+
+    # 26 standard and 6 nonstandard samples, then the successors of the points
+    # where the formula holds that are not samples: 26, and for add_zero rho + 2,
+    # 2*rho + 1, rho^2 + 1, rho^2 + 3*rho + 2; even_or_odd holds at 2*rho only
+    @pytest.mark.parametrize("fid, calls", [("add_zero", 37), ("even_or_odd", 34)])
+    def test_each_point_is_evaluated_once(self, monkeypatch, fid, calls):
+        formula = INDUCTION_CATALOG[fid]
+        points = []
+
+        def counted(x):
+            points.append(x)
+            return formula.holds(x)
+
+        monkeypatch.setitem(INDUCTION_CATALOG, fid, InductionFormula(fid, formula.description, counted))
+        got = induction_spotcheck(fid, bound=25)
+        monkeypatch.undo()
+        assert got == induction_spotcheck(fid, bound=25)
+        assert len(points) == calls
+        assert len(set(points)) == len(points)
 
     def test_full_battery(self):
         failing = [fid for fid in INDUCTION_CATALOG if any(induction_spotcheck(fid, bound=20))]

@@ -5,9 +5,12 @@ the set of precise elements its degree test admits, so order and arithmetic
 claims reduce to sampled membership.
 """
 
+import copy
 import itertools
 import math
 import operator
+import pickle
+import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction as F
@@ -15,7 +18,8 @@ from fractions import Fraction as F
 import pytest
 
 from solidus.errors import NotAboveUnityError, NotIdempotentError
-from solidus.field import NEG_INFINITY, Ordering, PreciseNum, RhoPoly, _render_exponent
+from solidus.external import ExternalNum
+from solidus.field import NEG_INFINITY, Ordering, PreciseNum, RhoPoly, _render_exponent, series_expand
 from solidus.neutrix import (
     FULL,
     IDEMPOTENTS,
@@ -433,3 +437,140 @@ class TestAgainstFourShapeReference:
             Neutrix(math.inf, True)  # a second spelling of FULL
         assert Neutrix(NEG_INFINITY, True) == NX_ZERO
         assert Neutrix(math.inf, False) == FULL
+
+
+# --- reference: the Fraction thresholds that the int pairs replaced -----------
+
+
+def frac_scale(p, a: Neutrix) -> Neutrix:
+    p = PreciseNum.of(p)
+    if p.is_zero():
+        return NX_ZERO
+    return a if a in (NX_ZERO, FULL) else Neutrix(a.q + p.degree(), a.closed)
+
+
+def frac_mul(a: Neutrix, b: Neutrix) -> Neutrix:
+    if NX_ZERO in (a, b):
+        return NX_ZERO
+    if FULL in (a, b):
+        return FULL
+    return Neutrix(a.q + b.q, a.closed and b.closed)
+
+
+def frac_contains(a: Neutrix, p) -> bool:
+    p = PreciseNum.of(p)
+    if a in (NX_ZERO, FULL):
+        return a == FULL or p.is_zero()
+    return p.degree() <= a.q if a.closed else p.degree() < a.q
+
+
+def frac_canonical_rep(rep, nx: Neutrix) -> PreciseNum:
+    if nx == NX_ZERO:
+        return PreciseNum.of(rep)
+    if nx == FULL:
+        return PreciseNum.of(0)
+    return PreciseNum.of(series_expand(rep, nx.q, strict=nx.closed))
+
+
+# exponent grids mixed within one scalar, denominators up to 400
+DENOMINATORS = (1, 2, 3, 7, 8, 399, 400)
+
+
+def _seeded_poly(rng: random.Random) -> RhoPoly:
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        d = rng.choice(DENOMINATORS)
+        coeff = F(rng.choice((-5, -1, 1, 2, 3)), rng.choice((1, 2, 7)))
+        terms.append((F(rng.randint(-3 * d, 3 * d), d), coeff))
+    return RhoPoly(terms)
+
+
+def _seeded_scalars(seed: int = 15, count: int = 60) -> list[PreciseNum]:
+    """Polynomials and ratios; a denominator's gap is at least 1/2, so the
+    expansions down to the cuts stay short."""
+    rng = random.Random(seed)
+    scalars = []
+    for _ in range(count):
+        p = PreciseNum.of(_seeded_poly(rng))
+        if rng.random() < 0.5:
+            top = F(rng.randint(-400, 400), 400)
+            gap = rng.choice((F(1, 2), F(1), F(7, 3), F(401, 400)))
+            p = p / PreciseNum.of(RhoPoly([(top, rng.choice((1, 3))), (top - gap, rng.choice((-2, 1, 5)))]))
+        scalars.append(p)
+    return scalars
+
+
+INT_SCALARS = SCALARS + [PreciseNum.of(0)] + _seeded_scalars()
+CUTS = [a.new() for a in GRID]
+SCALED_CUTS = CUTS + [nx_scale(p, a) for a, p in zip(CUTS * 3, INT_SCALARS)]
+
+
+class TestIntThresholdsAgainstFractions:
+    def test_ratios_and_fine_grids_drawn(self):
+        assert len(CUTS) == 20
+        assert sum(not p.is_polynomial() for p in INT_SCALARS) >= 20
+        assert max(p.num.grid for p in INT_SCALARS) >= 400
+        assert any(c._key[2] >= 400 for c in SCALED_CUTS)
+
+    def test_scale(self):
+        for a, p in itertools.product(SCALED_CUTS, INT_SCALARS):
+            got, want = nx_scale(p, a), frac_scale(p, a)
+            assert got == want and got._key == want._key, (a, p)
+
+    def test_mul(self):
+        for a, b in itertools.product(SCALED_CUTS, repeat=2):
+            got, want = nx_mul(a, b), frac_mul(a, b)
+            assert got == want and got._key == want._key, (a, b)
+
+    def test_contains(self):
+        probes = INT_SCALARS + [p + q for p, q in zip(INT_SCALARS, INT_SCALARS[1:])]
+        for a, p in itertools.product(SCALED_CUTS, probes):
+            assert nx_contains(a, p) == frac_contains(a, p), (a, p)
+
+    def test_canonical_representative(self):
+        for nx, rep in itertools.product(SCALED_CUTS[::3], INT_SCALARS):
+            x = ExternalNum(rep, nx)
+            want = frac_canonical_rep(rep, nx)
+            assert x.nx is nx
+            if nx != NX_ZERO:
+                assert x.rep.is_polynomial()
+            assert (x.rep.num, x.rep.den) == (want.num, want.den), (rep, nx)
+
+    def test_a_made_cut_behaves_like_a_constructed_one(self):
+        for a, p in itertools.product(CUTS, INT_SCALARS[:20]):
+            made = nx_scale(p, a)
+            built = frac_scale(p, a)
+            assert made == built and not made < built and not built < made
+            assert hash(made) == hash(built)
+            for other in CUTS:
+                assert (made < other) == (built < other) and (other < made) == (other < built)
+            for copied in (copy.copy(made), copy.deepcopy(made), pickle.loads(pickle.dumps(made))):
+                assert copied == built and hash(copied) == hash(built)
+                assert copied._key == built._key and copied.q == built.q
+            assert made.q == built.q and made.q is made.q
+
+
+class TestNoFractionInTheMagnitudeLayer:
+    def test_finite_cut_operations_build_no_fraction(self, monkeypatch):
+        cuts = [c for c in SCALED_CUTS if c not in (NX_ZERO, FULL)]
+        externals = [ExternalNum(p, c) for p, c in zip(INT_SCALARS, cuts)]
+        externals += [ExternalNum(p) for p in INT_SCALARS[:10]]
+        calls = []
+        original = F.__new__
+
+        def counting(cls, *args, **kwargs):
+            calls.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", counting)
+        for a, p in zip(cuts, INT_SCALARS):
+            nx_scale(p, a)
+            nx_contains(a, p)
+        for a, b in zip(cuts, cuts[1:]):
+            nx_mul(a, b)
+        for x, y in zip(externals, externals[1:]):
+            x + y
+            x * y
+        assert calls == []
+        assert nx_scale(rp(3), LIMITED).q == 3  # reading q is where one is built
+        assert calls == [(3, 1)]

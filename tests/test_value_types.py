@@ -17,12 +17,14 @@ import pytest
 from solidus.external import canonicalize
 from solidus.field import ONE_POLY, RHO, ZERO_POLY, PreciseNum, RhoPoly
 from solidus.generate import GeneratorConfig, Sampler
-from solidus.neutrix import FULL, LIMITED, NX_ZERO, closed_cut
+from solidus.neutrix import FULL, LIMITED, NX_ZERO, closed_cut, nx_scale
 
 RATIO = (PreciseNum.of(RHO) + 1) / (PreciseNum.of(RHO) - 3)
 POLY = PreciseNum.of(RhoPoly([(2, F(-3, 4)), (F(-1, 2), 5)]))
 EXTERNAL = canonicalize(RATIO, closed_cut(F(-1, 2)))
-VALUES = [RhoPoly([(F(1, 3), 2), (0, F(-1, 7))]), RATIO, POLY, NX_ZERO, LIMITED, FULL, EXTERNAL]
+# a neutrix made by an operation fills its Fraction threshold q on first read
+SCALED = nx_scale(RHO, LIMITED)
+VALUES = [RhoPoly([(F(1, 3), 2), (0, F(-1, 7))]), RATIO, POLY, NX_ZERO, LIMITED, FULL, SCALED, EXTERNAL]
 
 
 def _roundtrips(value):
@@ -46,7 +48,15 @@ def test_copy_and_pickle_give_an_equal_value(value):
 
 @pytest.mark.parametrize(
     "value, name",
-    [(RATIO, "num"), (POLY, "den"), (LIMITED, "q"), (FULL, "closed"), (EXTERNAL, "rep"), (EXTERNAL, "nx")],
+    [
+        (RATIO, "num"),
+        (POLY, "den"),
+        (LIMITED, "q"),
+        (nx_scale(RHO, LIMITED), "q"),
+        (FULL, "closed"),
+        (EXTERNAL, "rep"),
+        (EXTERNAL, "nx"),
+    ],
 )
 def test_attributes_are_read_only(value, name):
     before = getattr(value, name)
