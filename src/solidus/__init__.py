@@ -23,6 +23,7 @@ from .errors import (
     NotZerolessError,
     ParseError,
     PreconditionFailedError,
+    ResourceLimitError,
     SolidusError,
     UnknownCheckError,
     UnknownFormulaError,
@@ -88,8 +89,6 @@ from .halfline import (
     separate_from_hole,
     separate_precise,
     upper,
-    winf,
-    winf_finite,
     zup,
     zup_finite,
 )

@@ -5,11 +5,15 @@ verdict returns None when the law holds and a message when it does not, and
 its parameter names label the drawn inputs in reports.  A law with a draw is
 evaluated on randomly generated instances; a law without one is an exact
 identity, evaluated once.  The catalog order is the declaration order.
-Failures are shrunk toward fewer terms, simpler exponents and smaller
-coefficients, and rendered in the canonical expression syntax.  Two
-deliberately wrong entries (naive distributivity and a corrupted magnitude
-product table) are declared as expected failures to demonstrate that the
-harness discriminates.
+``run_check`` alone decides what a failure is: the verdict's message, or a
+crash of the verdict.  A failure is shrunk toward fewer terms, simpler
+exponents and smaller coefficients, but only to inputs that fail the same
+way: a message stays a message and a crash stays a crash of the same
+exception type, so shrinking cannot slip from a wrong answer to a crash on
+an input outside the law's domain.  Inputs are rendered in the canonical
+expression syntax.  Two deliberately wrong entries (naive distributivity and
+a corrupted magnitude product table) are declared as expected failures to
+demonstrate that the harness discriminates.
 
 Evaluation is sequential; reports are keyed by sample index, so the output is
 deterministic for a given (check id, config, count).
@@ -178,22 +182,31 @@ def run_check(check_id: str, cfg: GeneratorConfig | None = None, n: int = 1000) 
     if chk.note:
         report.notes.append(chk.note)
 
-    def evaluate(values: tuple) -> Optional[str]:
+    def evaluate(values: tuple) -> Optional[tuple[Optional[type], str]]:
+        """None when the law holds, else (kind, message): kind None for a message, the exception type for a crash."""
         try:
-            return chk.verdict(*values)
+            message = chk.verdict(*values)
         except Exception as exc:  # a crashing law counts as a failing law
-            return f"raised {type(exc).__name__}: {exc}"
-
-    def still_fails(values: tuple) -> bool:
-        return evaluate(values) is not None
+            return type(exc), f"raised {type(exc).__name__}: {exc}"
+        return None if message is None else (None, message)
 
     for _ in range(count):
         values = chk.draw(sampler)
-        observed = evaluate(values)
-        if observed is None:
+        failure = evaluate(values)
+        if failure is None:
             continue
-        shrunk = shrink(values, still_fails)
-        observed = evaluate(shrunk) or observed
+        kind, observed = failure
+
+        def same_kind(trial: tuple) -> bool:
+            # any other failure would let shrinking slip from the bug to a crash outside the law's domain
+            nonlocal observed
+            again = evaluate(trial)
+            if again is None or again[0] is not kind:
+                return False
+            observed = again[1]
+            return True
+
+        shrunk = shrink(values, same_kind)
         report.failures.append(
             CheckFailure(
                 inputs=tuple(zip(chk.names, (str(v) for v in shrunk))),

@@ -54,5 +54,9 @@ class ParseError(SolidusError):
         self.column = column
 
 
+class ResourceLimitError(SolidusError):
+    """Input or result beyond an explicit size limit: a refusal, not a bug."""
+
+
 class InternalError(SolidusError):
     """Invariant violated inside the library; indicates a bug, not bad input."""

@@ -35,15 +35,19 @@ does for ``RhoPoly``.
 from __future__ import annotations
 
 import functools
+import sys
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Union
 
-from .errors import InternalError
+from .errors import InternalError, ResourceLimitError
 
 #: Degree of the zero polynomial.
 NEG_INFINITY = float("-inf")
+
+#: Most quotient terms a long division makes; past it the expansion is refused, not run on.
+MAX_SERIES_TERMS = 100_000
 
 RationalLike = Union[Fraction, int]
 
@@ -479,7 +483,8 @@ def _long_division(num: RhoPoly, den: RhoPoly, fn: int, fd: int, strict: bool) -
     ``(1/g)*Z`` and the remainder is kept over one int denominator, reduced by
     gcd after each step.  This terminates because every division step lowers
     the remainder's exponent, an integer on that grid, by at least 1.  The
-    step-count guard failing means a bug, not bad input.
+    step-count guard failing means a bug, not bad input; a quotient of more
+    than ``MAX_SERIES_TERMS`` terms raises ResourceLimitError.
     """
     g = lcm(num.grid, den.grid, fd)
     stop = fn * (g // fd)
@@ -505,6 +510,8 @@ def _long_division(num: RhoPoly, den: RhoPoly, fn: int, fd: int, strict: bool) -
                 rem = [(e, c // h) for e, c in rem]
         if len(out) > max_steps:
             raise InternalError("long division exceeded its termination bound")
+        if len(out) > MAX_SERIES_TERMS:
+            raise ResourceLimitError(f"series expansion longer than {MAX_SERIES_TERMS} terms")
     q_den = lcm(1, *[d for _, _, d in out])
     quotient = _poly(g, q_den, [(k, c * (q_den // d)) for k, c, d in out])
     return quotient, _poly(g, r, rem)
@@ -547,10 +554,25 @@ def as_polynomial(x: PreciseNum) -> RhoPoly | None:
     return quotient if rem.is_zero() else None
 
 
+def digit_limit() -> int:
+    """The int/str conversion limit in digits, 0 for none (``sys.get_int_max_str_digits``, from 3.10.7)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _render_rational(q: Fraction) -> str:
+    """``str(q)``, or ResourceLimitError where str would exceed the digit limit."""
+    limit = digit_limit()
+    # n < 2**(3*limit) <= 10**limit decides most ints without the power
+    if limit and any(n.bit_length() > 3 * limit and n >= 10**limit for n in (abs(q.numerator), q.denominator)):
+        raise ResourceLimitError(f"a number of more than {limit} digits is too long to print")
+    return str(q)
+
+
 def _render_exponent(q: Fraction) -> str:
+    text = _render_rational(q)
     if q.denominator == 1 and q > 0:
-        return f"rho^{q.numerator}" if q != 1 else "rho"
-    return f"rho^({q})"
+        return f"rho^{text}" if q != 1 else "rho"
+    return f"rho^({text})"
 
 
 def render_poly(p: RhoPoly) -> str:
@@ -562,11 +584,11 @@ def render_poly(p: RhoPoly) -> str:
         sign = "-" if c < 0 else "+"
         mag = abs(c)
         if e == 0:
-            body = str(mag)
+            body = _render_rational(mag)
         elif mag == 1:
             body = _render_exponent(e)
         else:
-            body = f"{mag}*{_render_exponent(e)}"
+            body = f"{_render_rational(mag)}*{_render_exponent(e)}"
         if i == 0:
             pieces.append(f"-{body}" if c < 0 else body)
         else:

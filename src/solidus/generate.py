@@ -5,6 +5,10 @@ distributions are not dictated by anything except usefulness: exponents are
 drawn on a coarse grid and group members are clustered near the neutrix
 threshold, where absorption bugs live.  The bounds are module constants;
 GeneratorConfig carries only the seed.
+
+``shrink`` simplifies a failing input greedily, one component at a time.  Its
+predicate alone decides what still failing means, and it must not raise:
+``run_check`` passes one that accepts only failures of the drawn kind.
 """
 
 from __future__ import annotations
@@ -233,16 +237,13 @@ def _trials(current: tuple) -> Iterator[tuple]:
 
 
 def shrink(values: tuple, still_fails: Callable[[tuple], bool]) -> tuple:
-    """Greedy minimization: keep any single-component simplification that still fails."""
+    """Greedy minimization: move to the first single-component simplification
+    that ``still_fails`` accepts, until it accepts none.  An exception the
+    predicate raises propagates."""
     current = tuple(values)
     for _ in range(SHRINK_MAX_ROUNDS):
-        for trial in _trials(current):
-            try:
-                if still_fails(trial):
-                    current = trial
-                    break
-            except Exception:
-                continue
-        else:
-            return current
+        trial = next(filter(still_fails, _trials(current)), None)
+        if trial is None:
+            break
+        current = trial
     return current

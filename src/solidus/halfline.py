@@ -1,4 +1,4 @@
-"""Halflines, weak suprema/infima and precise-separation constructions.
+"""Halflines, weak suprema and precise-separation constructions.
 
 A represented halfline is a side (lower/upper), a kind and an external bound.
 Lower membership:
@@ -103,14 +103,7 @@ def hl_complement(h: Halfline) -> Halfline:
 def zup(h: Halfline) -> ExternalNum:
     """Weak least upper bound of a represented lower halfline."""
     if h.side is not Side.LOWER:
-        raise ValueError("zup applies to lower halflines; use winf for upper ones")
-    return h.bound
-
-
-def winf(h: Halfline) -> ExternalNum:
-    """Weak greatest lower bound of a represented upper halfline."""
-    if h.side is not Side.UPPER:
-        raise ValueError("winf applies to upper halflines; use zup for lower ones")
+        raise ValueError("zup applies to lower halflines")
     return h.bound
 
 
@@ -120,14 +113,6 @@ def zup_finite(items: Iterable[ExternalNum]) -> ExternalNum:
     best = max(items, default=None)
     if best is None:
         raise EmptySetError("zup of an empty set")
-    return best
-
-
-def winf_finite(items: Iterable[ExternalNum]) -> ExternalNum:
-    """Minimum of a nonempty finite set, the first minimal item."""
-    best = min(items, default=None)
-    if best is None:
-        raise EmptySetError("winf of an empty set")
     return best
 
 

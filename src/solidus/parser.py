@@ -28,7 +28,7 @@ from typing import Callable, Union
 
 from .errors import ParseError, SolidusError
 from .external import ExternalNum, ext_inv, magnitude, pure, shadow, unity
-from .field import RhoPoly
+from .field import RhoPoly, digit_limit
 from .neutrix import FULL, INFINITESIMALS, LIMITED, NX_ZERO
 
 
@@ -96,11 +96,15 @@ _TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op><=
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
+    limit = digit_limit()
     i = 0
     while i < len(source):
         match = _TOKEN.match(source, i)
         if match is None:
             raise ParseError(f"unexpected character {source[i]!r}", i + 1)
+        if match.lastgroup == "int" and limit and match.end() - i > limit:
+            # int() refuses it with a ValueError; say where, as for any syntax error
+            raise ParseError(f"integer literal longer than {limit} digits", i + 1)
         if match.lastgroup:
             tokens.append(Token(match.lastgroup, match.group(), i + 1))
         i = match.end()

@@ -10,6 +10,7 @@ from solidus.checks import (
     ALIASES,
     AXIOM_GROUPS,
     MINKOWSKI_OPS,
+    Check,
     REGISTRY,
     catalog_ids,
     exit_code,
@@ -44,6 +45,7 @@ from solidus.neutrix import (
     LIMITED,
     nx_contains,
 )
+from solidus.parser import eval_text
 
 CFG = GeneratorConfig(seed=42)
 
@@ -116,26 +118,52 @@ class TestShrink:
         (small,) = shrink((start,), fails)
         assert ext_member(RhoPoly.rho_power(1), small)
 
-    def test_skips_candidates_the_predicate_raises_on(self):
-        start = PreciseNum.of(RhoPoly([(2, 3), (1, -7), (0, 5)]))
-        raised = []
+    def test_a_raising_predicate_propagates(self):
+        # the predicate decides what failing means; shrink does not guess
+        def raises(values):
+            raise ValueError("predicate crashed")
 
-        def fails(values):
-            (x,) = values
-            return x.degree() == 2
+        with pytest.raises(ValueError, match="predicate crashed"):
+            shrink((PreciseNum.of(RhoPoly([(2, 3), (1, -7)])),), raises)
 
-        def fails_or_raises(values):
-            # crashes instead of answering False on candidates that lost degree 2
-            (x,) = values
-            if x.degree() < 2:
-                raised.append(x)
-                raise ValueError("predicate crashed")
-            return fails(values)
 
-        small = shrink((start,), fails_or_raises)
-        assert raised
-        assert small == shrink((start,), fails)
-        assert small[0] == PreciseNum.of(RhoPoly.rho_power(2))
+class TestShrinkKeepsTheFailure:
+    """run_check shrinks a failure only to inputs that fail the same way: a law's
+    message stays a message, and a crash stays a crash of the same type."""
+
+    START = PreciseNum.of(RhoPoly([(2, 3), (1, -7), (0, 5)]))
+
+    def _run(self, monkeypatch, verdict):
+        check = Check("test.shrink_kind", "theorems", "a test law", ("x",), lambda s: (self.START,), verdict, "holds")
+        monkeypatch.setitem(REGISTRY, check.check_id, check)
+        (failure,) = run_check(check.check_id, CFG, 1).failures
+        ((_, text),) = failure.inputs
+        return eval_text(text).rep, failure.observed
+
+    def test_a_message_does_not_slip_to_a_crash(self, monkeypatch):
+        def verdict(x):
+            # out of this law's domain, single terms crash the verdict
+            if len(x.num.terms) < 2:
+                raise ValueError("one term")
+            return f"{len(x.num.terms)} terms"
+
+        shrunk, observed = self._run(monkeypatch, verdict)
+        # the message is the one of the shrunk input, and the input is as small as the kind allows
+        assert observed == "2 terms"
+        assert len(shrunk.num.terms) == 2
+
+    def test_a_crash_keeps_its_exception_type(self, monkeypatch):
+        def verdict(x):
+            n = len(x.num.terms)
+            if n == 3:
+                raise TypeError("three terms")
+            if n == 2:
+                return "two terms"
+            raise KeyError("one term")
+
+        shrunk, observed = self._run(monkeypatch, verdict)
+        assert observed == "raised TypeError: three terms"
+        assert len(shrunk.num.terms) == 3
 
 
 class TestHarness:

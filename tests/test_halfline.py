@@ -26,8 +26,6 @@ from solidus.halfline import (
     separate_from_hole,
     separate_precise,
     upper,
-    winf,
-    winf_finite,
     zup,
     zup_finite,
 )
@@ -132,7 +130,7 @@ class TestComplement:
             hl_complement(upper(SO, pure(FULL)))
 
 
-class TestZupWinf:
+class TestZup:
     def test_zup_closed_is_maximum(self):
         b = canonicalize(rp(1), LIMITED)
         h = lower(CLOSED, b)
@@ -147,12 +145,6 @@ class TestZupWinf:
     def test_sides_enforced(self):
         with pytest.raises(ValueError):
             zup(upper(CLOSED, canonicalize(1)))
-        with pytest.raises(ValueError):
-            winf(lower(CLOSED, canonicalize(1)))
-
-    def test_winf_of_magnitudes_above_one(self):
-        family = [pure(LIMITED), pure(closed_cut(1)), pure(open_cut(2)), pure(FULL)]
-        assert winf_finite(family) == pure(LIMITED)
 
     def test_zup_finite(self):
         a = canonicalize(0, INFINITESIMALS)
@@ -162,15 +154,12 @@ class TestZupWinf:
         assert zup_finite([pure(open_cut(-2)), pure(closed_cut(-1))]) == pure(closed_cut(-1))
         with pytest.raises(EmptySetError, match="zup of an empty set"):
             zup_finite([])
-        with pytest.raises(EmptySetError, match="winf of an empty set"):
-            winf_finite(iter([]))
 
-    def test_finite_extrema_keep_the_first_extremal_item(self):
+    def test_finite_maximum_keeps_the_first_maximal_item(self):
         a, b = canonicalize(1, LIMITED), canonicalize(2, LIMITED)
         assert a == b and a is not b
         below = canonicalize(-5)
         assert zup_finite([below, a, b]) is a and zup_finite(iter([b, below, a])) is b
-        assert winf_finite([canonicalize(rp(1)), a, b]) is a and winf_finite([b, a]) is b
 
     def test_zup_of_magnitudes_is_magnitude(self):
         family = [pure(open_cut(-1)), pure(closed_cut(-2)), pure(INFINITESIMALS)]

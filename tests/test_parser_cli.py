@@ -6,10 +6,11 @@ from fractions import Fraction as F
 
 import pytest
 
+import solidus.field
 from solidus.cli import main, run_command
-from solidus.errors import ParseError, SolidusError
-from solidus.external import canonicalize, ext_compare, ext_inv, ext_mul, is_zeroless, pure
-from solidus.field import Ordering, RhoPoly
+from solidus.errors import ParseError, ResourceLimitError, SolidusError
+from solidus.external import canonicalize, ext_compare, ext_inv, ext_mul, is_zeroless, pure, render_external
+from solidus.field import Ordering, RhoPoly, digit_limit
 from solidus.generate import GeneratorConfig, Sampler
 from solidus.neutrix import INFINITESIMALS, closed_cut
 from solidus.parser import BinOp, Cmp, Lit, Pow, Sym, Unary, _integer_power, eval_text, evaluate, parse
@@ -194,6 +195,63 @@ class TestCommands:
         assert run_command(':check --only "thm').splitlines() == ["error: No closing quotation", usage]
         assert run_command(":check --wibble").splitlines() == ["error: unrecognized arguments: --wibble", usage]
         assert capsys.readouterr().err == ""
+
+
+@pytest.mark.skipif(not digit_limit(), reason="this interpreter has no int/str digit limit")
+class TestResourceLimits:
+    """Input past a size limit gives one typed error line, and the REPL goes on."""
+
+    LIMIT = digit_limit()
+    # a long division stepping down by about 1e-12 toward the cutoff rho^(-1)
+    SLOW = "1/(rho^(1/999983) + rho^(1/999979)) + rho^(-1)*o"
+
+    def test_past_the_digit_limit_is_an_error_line(self):
+        assert run_command("2^100000") == f"error: a number of more than {self.LIMIT} digits is too long to print"
+        too_long = f"error: integer literal longer than {self.LIMIT} digits"
+        assert run_command("1" * 5000) == f"{too_long} (column 1)"
+        assert run_command("rho^(1/" + "7" * 5000 + ")") == f"{too_long} (column 8)"
+        with pytest.raises(ParseError) as exc:
+            parse("1 + " + "0" * (self.LIMIT + 1))
+        assert exc.value.column == 5
+
+    def test_the_renderer_refuses_exactly_what_str_refuses(self):
+        limit = self.LIMIT
+        assert run_command("1" * limit) == "1" * limit
+        assert run_command(f"10^{limit} - 1") == "9" * limit
+        assert run_command(f"-1/(10^{limit} - 1)") == "-1/" + "9" * limit
+        with pytest.raises(ValueError):
+            str(10**limit)
+        nines = "9" * limit
+        for text in (f"10^{limit}", f"1/10^{limit}", f"10^{limit}*rho + o", f"(rho^(1/{nines}))^(1/{nines})"):
+            with pytest.raises(ResourceLimitError):
+                render_external(eval_text(text))
+
+    def test_a_zero_limit_checks_nothing(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert run_command("1" * 5000) == "1" * 5000
+            assert run_command("2^20000") == str(2**20000)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_a_long_expansion_is_refused(self, monkeypatch):
+        monkeypatch.setattr(solidus.field, "MAX_SERIES_TERMS", 1000)
+        # rho^(-1)*L keeps the 1000 terms above rho^(-1); rho^(-1)*o keeps rho^(-1) as well
+        assert run_command("1/(1+rho^(-1/1000)) + rho^(-1)*L").endswith(" - rho^(-999/1000) + rho^(-1)*L")
+        assert run_command("1/(1+rho^(-1/1000)) + rho^(-1)*o") == (
+            "error: series expansion longer than 1000 terms (column 21)"
+        )
+        assert run_command(self.SLOW) == "error: series expansion longer than 1000 terms (column 37)"
+
+    def test_batch_goes_on_after_a_refused_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(solidus.field, "MAX_SERIES_TERMS", 1000)
+        script = tmp_path / "limits.txt"
+        script.write_text("\n".join(["2^100000", "1" * 5000, self.SLOW, "1+1"]) + "\n")
+        assert main(["--batch", str(script)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line.startswith("error:") for line in out] == [True, True, True, False]
+        assert out[-1] == "2"
 
 
 class TestMainEntry:
