@@ -21,6 +21,7 @@ deterministic for a given (check id, config, count).
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -39,8 +40,8 @@ from .external import (
     shadow,
     unity,
 )
-from .field import Ordering, PreciseNum, RhoPoly
-from .generate import COEFF_BOUND, GeneratorConfig, Sampler, shrink
+from .field import ZERO_POLY, Ordering, PreciseNum, RhoPoly, _poly
+from .generate import COEFF_BOUND, GeneratorConfig, Sampler, below_threshold, shrink
 from .halfline import (
     Halfline,
     HalflineKind,
@@ -273,18 +274,11 @@ def _member_menu(nx: Neutrix) -> list[PreciseNum]:
         return [PreciseNum.of(0)]
     if nx == FULL:
         return [PreciseNum.of(v) for v in (0, 1, -1, RhoPoly.rho_power(2), RhoPoly.rho_power(-2, -3))]
-    q = nx.q
-    rp = RhoPoly.rho_power
-    menu = [
-        PreciseNum.of(0),
-        PreciseNum.of(rp(q - Fraction(1, 2))),
-        PreciseNum.of(rp(q - Fraction(1, 2), -2)),
-        PreciseNum.of(rp(q - 1, 3)),
-        PreciseNum.of(rp(q - 1, -1) + rp(q - 2, 1)),
-    ]
+    m = functools.partial(below_threshold, nx)  # c * rho^(q - j/2)
+    menu = [ZERO_POLY, m(1), m(1, -2), m(2, 3), m(2, -1) + m(4)]
     if nx.closed:
-        menu += [PreciseNum.of(rp(q)), PreciseNum.of(rp(q, -3)), PreciseNum.of(rp(q, 2) + rp(q - 1))]
-    return menu
+        menu += [m(0), m(0, -3), m(0, 2) + m(2)]
+    return [PreciseNum.of(p) for p in menu]
 
 
 def _representative_menu(alpha: ExternalNum, k: int | None = None) -> list[PreciseNum]:
@@ -402,9 +396,9 @@ def _degree_zero_positive(s: Sampler) -> PreciseNum:
 
 def _d_naturals(s: Sampler) -> tuple:
     def nat_poly() -> RhoPoly:
-        n = s.rng.randint(0, 2)
+        n = s.integer(0, 2)
         p = RhoPoly(
-            (s.rng.randint(0, 2), s.rng.randint(-COEFF_BOUND, COEFF_BOUND))
+            (s.integer(0, 2), s.integer(-COEFF_BOUND, COEFF_BOUND))
             for _ in range(n)
         )
         return -p if p.sign() < 0 else p
@@ -412,8 +406,8 @@ def _d_naturals(s: Sampler) -> tuple:
     x, y = PreciseNum.of(nat_poly()), PreciseNum.of(nat_poly())
     mid_offset = s.rng.choice(
         [
-            PreciseNum.of(Fraction(1, s.rng.randint(2, 5))),
-            PreciseNum.of(RhoPoly.rho_power(-1, s.rng.randint(1, 3))),
+            PreciseNum.of(Fraction(1, s.integer(2, 5))),
+            PreciseNum.of(RhoPoly.rho_power(-1, s.integer(1, 3))),
             PreciseNum.of(Fraction(1, 2)) + PreciseNum.of(RhoPoly.rho_power(-2)),
         ]
     )
@@ -423,7 +417,7 @@ def _d_naturals(s: Sampler) -> tuple:
 def _d_order_consistency(s: Sampler) -> tuple:
     p = abs(s.member_of(INFINITESIMALS, allow_zero=False))
     q = abs(_degree_zero_positive(s)) * PreciseNum.of(
-        RhoPoly.rho_power(Fraction(s.rng.randint(0, 4), 2))
+        _poly(2, 1, [(s.integer(0, 4), 1)])
     )
     return (p, q)
 

@@ -15,7 +15,7 @@ import sys
 from typing import NoReturn, Optional
 
 from .checks import exit_code, format_reports, run_catalog
-from .errors import SolidusError, UnknownCheckError
+from .errors import ResourceLimitError, SolidusError, UnknownCheckError
 from .external import classify, ext_compare, render_external
 from .generate import GeneratorConfig
 from .halfline import zup_finite
@@ -113,7 +113,9 @@ def run_command(line: str) -> str:
     """Execute one REPL line and return the rendered output (never raises)."""
     try:
         return _dispatch(line)
-    except SolidusError as exc:  # ParseError, EvalError and nesting too deep included
+    except ResourceLimitError as exc:  # refused outside any node (nesting, printing): the whole line
+        return f"error: {exc} (column 1)"
+    except SolidusError as exc:  # ParseError and EvalError carry their column
         return f"error: {exc}"
 
 

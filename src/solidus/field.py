@@ -24,7 +24,9 @@ gcd.  ``Fraction`` appears only at the boundary: construction from
 the rational cutoff of ``series_expand``, hashing and rendering; other
 readers use the int fields.  The expansion itself, ``_expand``, takes its
 cutoff as an int pair ``(n, d)``, the form in which a neutrix keeps its
-threshold, so canonicalizing an external number builds no ``Fraction``.
+threshold, so canonicalizing an external number builds no ``Fraction``.  The
+random generator (``generate``) builds its draws through ``_poly`` from int
+pairs, so drawing builds none either.
 
 ``RhoPoly`` and ``PreciseNum`` are ``__slots__`` classes.  ``PreciseNum(num,
 den)`` normalizes the denominator; results already in normal form are built by

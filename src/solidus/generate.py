@@ -6,6 +6,19 @@ drawn on a coarse grid and group members are clustered near the neutrix
 threshold, where absorption bugs live.  The bounds are module constants;
 GeneratorConfig carries only the seed.
 
+Draws work on the int view that ``field`` and ``neutrix`` store: a scalar is a
+pair ``(c, d)``, an exponent or threshold a pair ``(k, den)``, and results are
+built by ``field._poly`` and ``neutrix._cut``, so no draw builds a
+``Fraction``.  The stream is that of the ``Fraction`` sampler this replaced,
+so every report is unchanged.  ``integer(lo, hi)`` is ``rng.randint(lo, hi)``
+without the ``randrange`` checks: CPython's ``randint`` and ``choice`` end in
+the same rejection loop over ``getrandbits`` (``k = n.bit_length()``, redraw
+while ``r >= n``), and ``integer`` runs that loop itself.  ``rhopoly`` keeps
+its distinct exponents as the exact floats ``k/den`` in a set: a float equal
+to a ``Fraction`` hashes and compares like it, so the set iterates in the
+order a set of ``Fraction``s would, and the coefficients pair with the same
+exponents.
+
 ``shrink`` simplifies a failing input greedily, one component at a time.  Its
 predicate alone decides what still failing means, and it must not raise:
 ``run_check`` passes one that accepts only failures of the drawn kind.
@@ -17,17 +30,12 @@ import random
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterator
 
 from .external import Classification, ExternalNum, classify
-from .field import PreciseNum, RhoPoly
-from .neutrix import (
-    FULL,
-    Neutrix,
-    NX_ZERO,
-    closed_cut,
-    open_cut,
-)
+from .field import PreciseNum, RhoPoly, _poly
+from .neutrix import FULL, Neutrix, NX_ZERO, _cut
 
 
 MAX_TERMS = 3
@@ -36,6 +44,8 @@ EXPONENT_DENOMINATOR_BOUND = 2
 EXPONENT_RANGE = (-2, 2)
 NEUTRIX_Q_RANGE = (-2, 2)
 SHRINK_MAX_ROUNDS = 200
+#: member_of's drop below the threshold, in halves: four equally likely picks
+_DROP_HALVES = {True: (0, 0, 1, 2), False: (1, 1, 2, 4)}
 
 
 @dataclass(frozen=True)
@@ -48,47 +58,66 @@ def derive_seed(seed: int, label: str) -> int:
     return (seed * 0x1F1F1F1F + zlib.crc32(label.encode())) & 0xFFFFFFFFFFFFFFFF
 
 
+def below_threshold(nx: Neutrix, j: int, c: int = 1, d: int = 1) -> RhoPoly:
+    """``(c/d) * rho^(q - j/2)`` for a finite cut's threshold ``q``, built on its
+    int key: with ``q = n/e`` the exponent is ``(2n - j*e) / (2e)``."""
+    _, n, e, _ = nx._key
+    return _poly(2 * e, d, [(2 * n - j * e, c)])
+
+
 class Sampler:
     """Random source seeded from one GeneratorConfig and a label."""
 
     def __init__(self, cfg: GeneratorConfig, label: str = ""):
         self.rng = random.Random(derive_seed(cfg.seed, label))
+        self._bits = self.rng.getrandbits
 
     # -- scalars ---------------------------------------------------------
 
-    def coefficient(self) -> Fraction:
+    def integer(self, lo: int, hi: int) -> int:
+        """``rng.randint(lo, hi)``, by the same rejection loop on the same stream."""
+        n = hi - lo + 1
+        k = n.bit_length()
+        r = self._bits(k)
+        while r >= n:
+            r = self._bits(k)
+        return lo + r
+
+    def _coefficient(self) -> tuple[int, int]:
+        """A nonzero coefficient as the pair ``(c, d)``, the value c/d."""
         c = 0
         while c == 0:
-            c = self.rng.randint(-COEFF_BOUND, COEFF_BOUND)
-        if self.rng.random() < 0.25:
-            return Fraction(c, self.rng.randint(2, 4))
-        return Fraction(c)
+            c = self.integer(-COEFF_BOUND, COEFF_BOUND)
+        return (c, self.integer(2, 4)) if self.rng.random() < 0.25 else (c, 1)
 
-    def _grid(self, lo: int, hi: int) -> Fraction:
-        """A multiple of 1/den in [lo, hi], den drawn up to the denominator bound."""
-        den = self.rng.randint(1, EXPONENT_DENOMINATOR_BOUND)
-        return Fraction(self.rng.randint(lo * den, hi * den), den)
+    def _grid(self, lo: int, hi: int) -> tuple[int, int]:
+        """A multiple of 1/den in [lo, hi] as the pair ``(k, den)``, den drawn up to the bound."""
+        den = self.integer(1, EXPONENT_DENOMINATOR_BOUND)
+        return self.integer(lo * den, hi * den), den
+
+    def coefficient(self) -> Fraction:
+        return Fraction(*self._coefficient())
 
     def exponent(self) -> Fraction:
-        return self._grid(*EXPONENT_RANGE)
-
-    def threshold(self) -> Fraction:
-        return self._grid(*NEUTRIX_Q_RANGE)
+        return Fraction(*self._grid(*EXPONENT_RANGE))
 
     # -- field elements ----------------------------------------------------
 
     def rhopoly(self, max_terms: int = MAX_TERMS, allow_zero: bool = True) -> RhoPoly:
-        n = self.rng.randint(0 if allow_zero else 1, max_terms)
-        # distinct exponents, so merging never pushes coefficients past the bound
+        n = self.integer(0 if allow_zero else 1, max_terms)
+        # distinct exponents, so merging never pushes coefficients past the bound,
+        # as floats k/den, which keep a set of Fractions' order (module docstring)
         exponents: set = set()
         attempts = 0
         while len(exponents) < n and attempts < 32:
-            exponents.add(self.exponent())
+            k, den = self._grid(*EXPONENT_RANGE)
+            exponents.add(k / den)
             attempts += 1
-        p = RhoPoly((e, self.coefficient()) for e in exponents)
-        if not allow_zero and p.is_zero():
-            return RhoPoly.constant(self.coefficient())
-        return p
+        terms = [(e.as_integer_ratio(), self._coefficient()) for e in exponents]
+        grid = lcm(1, *[g for (_, g), _ in terms])
+        den = lcm(1, *[d for _, (_, d) in terms])
+        ks = sorted([(k * (grid // g), c * (den // d)) for (k, g), (c, d) in terms], reverse=True)
+        return _poly(grid, den, ks)
 
     def nonzero_rhopoly(self, max_terms: int = MAX_TERMS) -> RhoPoly:
         return self.rhopoly(max_terms, allow_zero=False)
@@ -116,8 +145,8 @@ class Sampler:
         return self.scaled_neutrix()
 
     def scaled_neutrix(self) -> Neutrix:
-        maker = open_cut if self.rng.random() < 0.5 else closed_cut
-        return maker(self.threshold())
+        closed = self.rng.random() >= 0.5
+        return _cut(*self._grid(*NEUTRIX_Q_RANGE), closed)
 
     def member_of(self, nx: Neutrix, allow_zero: bool = True) -> PreciseNum:
         """A precise element of nx, clustered near the threshold."""
@@ -127,13 +156,11 @@ class Sampler:
             return self.precise() if allow_zero else self.nonzero_precise()
         if allow_zero and self.rng.random() < 0.1:
             return PreciseNum.of(0)
-        if nx.closed:
-            drop = self.rng.choice([Fraction(0), Fraction(0), Fraction(1, 2), Fraction(1)])
-        else:
-            drop = self.rng.choice([Fraction(1, 2), Fraction(1, 2), Fraction(1), Fraction(2)])
-        lead = RhoPoly.rho_power(nx.q - drop, self.coefficient())
-        tail = RhoPoly.rho_power(nx.q - drop - 1, self.coefficient()) if self.rng.random() < 0.3 else RhoPoly()
-        return PreciseNum.of(lead + tail)
+        j = _DROP_HALVES[nx.closed][self.integer(0, 3)]
+        p = below_threshold(nx, j, *self._coefficient())
+        if self.rng.random() < 0.3:
+            p = p + below_threshold(nx, j + 2, *self._coefficient())
+        return PreciseNum.of(p)
 
     # -- externals -----------------------------------------------------------
 
@@ -159,11 +186,9 @@ class Sampler:
 
     def limited_precise(self) -> PreciseNum:
         """Nonzero precise of degree <= 0 (for shadow-field checks)."""
-        x = self.nonzero_precise(ratio_probability=0.0)
-        d = x.degree()
-        if d > 0:
-            x = x * PreciseNum.of(RhoPoly.rho_power(-d))
-        return x
+        num = self.nonzero_precise(ratio_probability=0.0).num
+        k = num.ks[0][0]
+        return PreciseNum.of(num._times_term(-k, num.grid, 1, 1) if k > 0 else num)
 
 
 # --- counterexample shrinking -------------------------------------------------

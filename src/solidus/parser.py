@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
 
-from .errors import ParseError, SolidusError
+from .errors import ParseError, ResourceLimitError, SolidusError
 from .external import ExternalNum, ext_inv, magnitude, pure, shadow, unity
 from .field import RhoPoly, digit_limit
 from .neutrix import FULL, INFINITESIMALS, LIMITED, NX_ZERO
@@ -256,7 +256,7 @@ def _parse_items(source: str, many: bool) -> list[Expr]:
             parser.advance()
             items.append(parser.parse_compare())
     except RecursionError:
-        raise SolidusError(_TOO_DEEP) from None
+        raise ResourceLimitError(_TOO_DEEP) from None
     tok = parser.current
     if tok.kind != "end":
         raise ParseError(f"unexpected {tok.text!r}", tok.pos)
@@ -315,7 +315,7 @@ def evaluate(expr: Expr) -> ExternalNum | bool:
     try:
         return _evaluate(expr)
     except RecursionError:
-        raise SolidusError(_TOO_DEEP) from None
+        raise ResourceLimitError(_TOO_DEEP) from None
 
 
 def _evaluate(expr: Expr) -> ExternalNum | bool:

@@ -551,18 +551,10 @@ class TestIntThresholdsAgainstFractions:
 
 
 class TestNoFractionInTheMagnitudeLayer:
-    def test_finite_cut_operations_build_no_fraction(self, monkeypatch):
+    def test_finite_cut_operations_build_no_fraction(self, fraction_calls):
         cuts = [c for c in SCALED_CUTS if c not in (NX_ZERO, FULL)]
         externals = [ExternalNum(p, c) for p, c in zip(INT_SCALARS, cuts)]
         externals += [ExternalNum(p) for p in INT_SCALARS[:10]]
-        calls = []
-        original = F.__new__
-
-        def counting(cls, *args, **kwargs):
-            calls.append(args)
-            return original(cls, *args, **kwargs)
-
-        monkeypatch.setattr(F, "__new__", counting)
         for a, p in zip(cuts, INT_SCALARS):
             nx_scale(p, a)
             nx_contains(a, p)
@@ -571,6 +563,6 @@ class TestNoFractionInTheMagnitudeLayer:
         for x, y in zip(externals, externals[1:]):
             x + y
             x * y
-        assert calls == []
+        assert fraction_calls == []
         assert nx_scale(rp(3), LIMITED).q == 3  # reading q is where one is built
-        assert calls == [(3, 1)]
+        assert fraction_calls == [(3, 1)]
