@@ -2,6 +2,8 @@
 
 Bare lines evaluate expressions and print canonical forms; colon commands
 expose classification, comparison, weak suprema, naturals and the check suite.
+A failing line prints one ``error: <message> (column N)`` line, N counted from
+the start of the line as typed; column 1 stands for the whole line.
 Exit codes: 0 success, 1 check failures (in --check mode), 2 usage errors,
 141 (128 + SIGPIPE) when standard output is closed early, as by ``| head``.
 """
@@ -15,7 +17,7 @@ import sys
 from typing import NoReturn, Optional
 
 from .checks import exit_code, format_reports, run_catalog
-from .errors import ResourceLimitError, SolidusError, UnknownCheckError
+from .errors import SolidusError, UnknownCheckError
 from .external import classify, ext_compare, render_external
 from .generate import GeneratorConfig
 from .halfline import zup_finite
@@ -40,17 +42,11 @@ symbols: rho (positive infinite), o (infinitesimals), L (limited), M (everything
 """
 
 
-def _values(arg_text: str, expected: Optional[int] = None):
-    exprs = parse_expr_list(arg_text)
+def _values(arg_text: str, start: int, expected: Optional[int] = None):
+    exprs = parse_expr_list(arg_text, start)
     if expected is not None and len(exprs) != expected:
         raise SolidusError(f"expected {expected} comma-separated expressions")
-    values = []
-    for expr in exprs:
-        value = evaluate(expr)
-        if isinstance(value, bool):
-            raise SolidusError("expected a value, found a comparison")
-        values.append(value)
-    return values
+    return [evaluate(expr) for expr in exprs]
 
 
 def _positive_int(text: str) -> int:
@@ -71,22 +67,16 @@ def _add_check_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _run_checks(ns: argparse.Namespace) -> tuple[str, int]:
-    """Run the selected checks; an unknown id is a usage error (exit code 2)."""
-    try:
-        reports = run_catalog(GeneratorConfig(seed=ns.seed), n=ns.count, only=ns.only)
-    except UnknownCheckError as exc:
-        return f"error: unknown check id {exc.args[0]!r}", 2
+    """Run the selected checks; raises UnknownCheckError for an unknown id."""
+    reports = run_catalog(GeneratorConfig(seed=ns.seed), n=ns.count, only=ns.only)
     return format_reports(reports), exit_code(reports)
-
-
-_CHECK_USAGE = "usage: :check [--seed S] [--count N] [--only ID]"
 
 
 class _CheckParser(argparse.ArgumentParser):
     """The `:check` options; a usage error raises instead of writing to stderr and exiting."""
 
     def error(self, message: str) -> NoReturn:
-        raise SolidusError(f"{message}\n{_CHECK_USAGE}")
+        raise SolidusError(message)
 
 
 def _check_command(rest: str) -> str:
@@ -113,24 +103,24 @@ def run_command(line: str) -> str:
     """Execute one REPL line and return the rendered output (never raises)."""
     try:
         return _dispatch(line)
-    except ResourceLimitError as exc:  # refused outside any node (nesting, printing): the whole line
-        return f"error: {exc} (column 1)"
-    except SolidusError as exc:  # ParseError and EvalError carry their column
-        return f"error: {exc}"
+    except SolidusError as exc:  # an error without a column belongs to the whole line
+        return f"error: {exc} (column {exc.column or 1})"
 
 
 def _dispatch(line: str) -> str:
-    line = line.strip()
-    if not line or line.startswith("#"):
+    line = line.rstrip()
+    text = line.lstrip()
+    if not text or text.startswith("#"):
         return ""
-    if not line.startswith(":"):
-        value = evaluate(parse(line))
+    if not text.startswith(":"):
+        value = evaluate(parse(line))  # the tokenizer skips the leading blanks
         if isinstance(value, bool):
             return "true" if value else "false"
         return render_external(value)
 
-    command, _, rest = line.partition(" ")
-    rest = rest.strip()
+    command = text.split(maxsplit=1)[0]
+    start = len(line) - len(text) + len(command)  # the arguments begin after the command word
+    rest = line[start:]
     if command in (":quit", ":q", ":exit"):
         return ":quit"
     if command == ":help":
@@ -138,7 +128,7 @@ def _dispatch(line: str) -> str:
     entry = _COMMANDS.get(command)
     if entry is not None:
         arity, render = entry
-        return render(*_values(rest, arity))
+        return render(*_values(rest, start, arity))
     if command == ":check":
         return _check_command(rest)
     raise SolidusError(f"unknown command {command!r}")
@@ -187,7 +177,10 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     try:
         if ns.check:
-            output, code = _run_checks(ns)
+            try:
+                output, code = _run_checks(ns)
+            except UnknownCheckError as exc:  # a usage error
+                output, code = f"error: {exc}", 2
             print(output, file=sys.stderr if code == 2 else sys.stdout)
         else:
             code = run_batch(ns.batch) if ns.batch else repl()

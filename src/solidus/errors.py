@@ -4,6 +4,9 @@
 class SolidusError(Exception):
     """Base class for all domain errors raised by this package."""
 
+    # the 1-based column of the source line the error belongs to; None for the whole line
+    column: int | None = None
+
 
 class NotIdempotentError(SolidusError):
     """Operation requires an idempotent neutrix."""
@@ -44,13 +47,15 @@ class UnknownFormulaError(SolidusError, KeyError):
 class UnknownCheckError(SolidusError, KeyError):
     """Check id not present in the registered catalog."""
 
+    def __str__(self) -> str:  # KeyError's text is the repr of the key alone
+        return f"unknown check id {self.args[0]!r}"
+
 
 class ParseError(SolidusError):
-    """Syntax error with a 1-based column position into the source line."""
+    """Syntax error at a 1-based column of the source line."""
 
     def __init__(self, message: str, column: int):
-        super().__init__(f"{message} (column {column})")
-        self.message = message
+        super().__init__(message)
         self.column = column
 
 

@@ -16,6 +16,8 @@ The surface is ASCII only and accepts exact rational literals exclusively; a
 quotient like 1/2 parses as division, which evaluates to the same exact value.
 Exponent bases must evaluate to a pure power of rho unless the exponent is an
 integer.
+Errors carry a 1-based ``column``: a ``ParseError`` its token's, an operator's
+typed error its node's.  ``start`` is where the source begins in its line.
 """
 
 from __future__ import annotations
@@ -94,21 +96,21 @@ class Token:
 _TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op><=|[-+*/^(),=<])|\s+")
 
 
-def tokenize(source: str) -> list[Token]:
+def tokenize(source: str, start: int = 0) -> list[Token]:
     tokens: list[Token] = []
     limit = digit_limit()
     i = 0
     while i < len(source):
         match = _TOKEN.match(source, i)
         if match is None:
-            raise ParseError(f"unexpected character {source[i]!r}", i + 1)
+            raise ParseError(f"unexpected character {source[i]!r}", start + i + 1)
         if match.lastgroup == "int" and limit and match.end() - i > limit:
             # int() refuses it with a ValueError; say where, as for any syntax error
-            raise ParseError(f"integer literal longer than {limit} digits", i + 1)
+            raise ParseError(f"integer literal longer than {limit} digits", start + i + 1)
         if match.lastgroup:
-            tokens.append(Token(match.lastgroup, match.group(), i + 1))
+            tokens.append(Token(match.lastgroup, match.group(), start + i + 1))
         i = match.end()
-    tokens.append(Token("end", "", len(source) + 1))
+    tokens.append(Token("end", "", start + len(source) + 1))
     return tokens
 
 
@@ -141,8 +143,8 @@ _TOO_DEEP = "expression nested too deeply"
 
 
 class Parser:
-    def __init__(self, source: str):
-        self.tokens = tokenize(source)
+    def __init__(self, source: str, start: int = 0):
+        self.tokens = tokenize(source, start)
         self.index = 0
 
     @property
@@ -248,13 +250,14 @@ class Parser:
         raise ParseError("expected a value", tok.pos)
 
 
-def _parse_items(source: str, many: bool) -> list[Expr]:
-    parser = Parser(source)
+def _parse_items(source: str, start: int, many: bool) -> list[Expr]:
+    parser = Parser(source, start)
+    item = parser.parse_expr if many else parser.parse_compare
     try:
-        items = [parser.parse_compare()]
+        items = [item()]
         while many and parser.at_op(","):
             parser.advance()
-            items.append(parser.parse_compare())
+            items.append(item())
     except RecursionError:
         raise ResourceLimitError(_TOO_DEEP) from None
     tok = parser.current
@@ -265,23 +268,15 @@ def _parse_items(source: str, many: bool) -> list[Expr]:
 
 def parse(source: str) -> Expr:
     """Parse one expression or comparison; raises ParseError with a column."""
-    return _parse_items(source, many=False)[0]
+    return _parse_items(source, 0, many=False)[0]
 
 
-def parse_expr_list(source: str) -> list[Expr]:
-    """Parse a comma-separated list of expressions."""
-    return _parse_items(source, many=True)
+def parse_expr_list(source: str, start: int = 0) -> list[Expr]:
+    """Parse a comma-separated list of expressions, none a comparison."""
+    return _parse_items(source, start, many=True)
 
 
 # --- evaluator --------------------------------------------------------------------
-
-
-class EvalError(SolidusError):
-    """Domain error during evaluation, annotated with a source position."""
-
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} (column {pos})")
-        self.pos = pos
 
 
 def _power(base: ExternalNum, exponent: Fraction) -> ExternalNum:
@@ -311,7 +306,10 @@ def _integer_power(value: ExternalNum, n: int) -> ExternalNum:
 
 
 def evaluate(expr: Expr) -> ExternalNum | bool:
-    """Bottom-up evaluation to a canonical external number (or a comparison bool)."""
+    """Bottom-up evaluation to a canonical external number (or a comparison bool).
+
+    An operator's typed error propagates with its node's column.
+    """
     try:
         return _evaluate(expr)
     except RecursionError:
@@ -332,17 +330,19 @@ def _evaluate(expr: Expr) -> ExternalNum | bool:
     elif isinstance(expr, Pow):
         op, args = _power, (_value(expr.base), expr.exponent)
     else:
-        raise EvalError("unknown expression node", getattr(expr, "pos", 1))
+        raise ParseError("unknown expression node", getattr(expr, "pos", 1))
     try:
         return op(*args)
-    except SolidusError as exc:
-        raise EvalError(str(exc), expr.pos) from None
+    except SolidusError as exc:  # the operator's own typed error, at this node
+        if exc.column is None:
+            exc.column = expr.pos
+        raise
 
 
 def _value(expr: Expr) -> ExternalNum:
     result = _evaluate(expr)
     if isinstance(result, bool):
-        raise EvalError("comparison used as a value", expr.pos)
+        raise ParseError("comparison used as a value", expr.pos)
     return result
 
 

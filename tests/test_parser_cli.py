@@ -8,7 +8,7 @@ import pytest
 
 import solidus.field
 from solidus.cli import main, run_command
-from solidus.errors import ParseError, ResourceLimitError, SolidusError
+from solidus.errors import NotZerolessError, ParseError, ResourceLimitError, SolidusError
 from solidus.external import canonicalize, ext_compare, ext_inv, ext_mul, is_zeroless, pure, render_external
 from solidus.field import Ordering, RhoPoly, digit_limit
 from solidus.generate import GeneratorConfig, Sampler
@@ -162,10 +162,27 @@ class TestCommands:
 
     def test_errors_do_not_abort(self):
         assert run_command("u(o)").startswith("error:")
-        assert run_command(":cmp 1") == "error: expected 2 comma-separated expressions"
-        assert run_command(":cmp 1<2, 3") == "error: expected a value, found a comparison"
-        assert run_command(":wibble 1") == "error: unknown command ':wibble'"
+        assert run_command(":cmp 1") == "error: expected 2 comma-separated expressions (column 1)"
+        # a command's arguments are expressions, so a comparison is a syntax error
+        assert run_command(":cmp 1<2, 3") == "error: unexpected '<' (column 7)"
+        assert run_command(":wibble 1") == "error: unknown command ':wibble' (column 1)"
+        assert run_command(":arch 0, 1") == "error: requires 0 < x < y (column 1)"
         assert run_command("rho^").startswith("error:")
+
+    def test_columns_count_from_the_start_of_the_line(self):
+        assert run_command(":cmp 1 , (2") == "error: expected ')' (column 12)"
+        assert run_command(":cmp 1/0, 2") == "error: 0 contains 0 and has no inverse (column 7)"
+        assert run_command("  1/0") == "error: 0 contains 0 and has no inverse (column 4)"
+        assert run_command(":zup 1,") == "error: expected a value (column 8)"
+        assert run_command("  -u(0)") == "error: 0 contains 0 and has no unity (column 4)"
+        # the line ending and trailing blanks do not move the end of the line
+        assert run_command("(1 + 2  \n") == run_command("(1 + 2") == "error: expected ')' (column 7)"
+
+    def test_evaluate_raises_the_operators_typed_error_with_its_column(self):
+        with pytest.raises(NotZerolessError) as err:
+            evaluate(parse("1/0"))
+        assert err.value.column == 2
+        assert str(err.value) == "0 contains 0 and has no inverse"
 
     def test_deep_nesting_is_an_error(self):
         for text in ("1" + "+1" * 2000, "(" * 1500 + "1" + ")" * 1500, "(" * 300 + "1" + ")" * 300, "-" * 3000 + "1"):
@@ -186,14 +203,13 @@ class TestCommands:
         assert out.splitlines()[0] == "thm.oslash_pound\tpass\t1\t0"
 
     def test_check_rejects_non_positive_count(self, capsys):
-        usage = "usage: :check [--seed S] [--count N] [--only ID]"
         for count in ("0", "-1", "-2"):
             out = run_command(f":check --count {count} --only thm.oslash_pound")
-            assert out.splitlines() == [f"error: argument --count: must be positive, got {count}", usage]
-        out = run_command(":check --count x")
-        assert out.splitlines() == ["error: argument --count: invalid int value: 'x'", usage]
-        assert run_command(':check --only "thm').splitlines() == ["error: No closing quotation", usage]
-        assert run_command(":check --wibble").splitlines() == ["error: unrecognized arguments: --wibble", usage]
+            assert out == f"error: argument --count: must be positive, got {count} (column 1)"
+        assert run_command(":check --count x") == "error: argument --count: invalid int value: 'x' (column 1)"
+        assert run_command(':check --only "thm') == "error: No closing quotation (column 1)"
+        assert run_command(":check --wibble") == "error: unrecognized arguments: --wibble (column 1)"
+        assert run_command(":check --only nope") == "error: unknown check id 'nope' (column 1)"
         assert capsys.readouterr().err == ""
 
 
@@ -284,6 +300,7 @@ class TestMainEntry:
     def test_check_mode_unknown_id(self, capsys):
         code = main(["--check", "--only", "thm.nonexistent"])
         assert code == 2
+        assert capsys.readouterr().err == "error: unknown check id 'thm.nonexistent'\n"
 
     def test_usage_error_exit_two(self):
         with pytest.raises(SystemExit) as exc:
