@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .errors import UnknownCheckError
+from .errors import DegenerateDomainError, UnknownCheckError
 from .external import (
     ExternalNum,
     ext_compare,
@@ -41,7 +41,7 @@ from .external import (
     unity,
 )
 from .field import ZERO_POLY, Ordering, PreciseNum, RhoPoly, _poly
-from .generate import COEFF_BOUND, GeneratorConfig, Sampler, below_threshold, shrink
+from .generate import COEFF_BOUND, EXPONENT_RANGE, GeneratorConfig, Sampler, below_threshold, shrink
 from .halfline import (
     Halfline,
     HalflineKind,
@@ -381,9 +381,9 @@ def _nonprecise(s: Sampler) -> ExternalNum:
 
 def _d_square_root_pair(s: Sampler) -> tuple:
     # positive monomials, so the square root exists in the model
-    q = s.exponent()
-    c = abs(s.coefficient())
-    return (PreciseNum.of(RhoPoly.rho_power(q, c)),)
+    k, grid = s._grid(*EXPONENT_RANGE)
+    c, d = s._coefficient()
+    return (PreciseNum.of(_poly(grid, d, [(k, abs(c))])),)
 
 
 def _degree_zero_positive(s: Sampler) -> PreciseNum:
@@ -732,7 +732,7 @@ def _v_scheme_dedekind(h: Halfline):
                 return f"not downward closed: {y} < member {x}"
     try:
         comp = hl_complement(h)
-    except Exception:
+    except DegenerateDomainError:  # the full domain has no complement; any other error fails
         return None
     for x in points:
         if hl_member(h, x) == hl_member(comp, x):

@@ -231,8 +231,8 @@ def classify(alpha: ExternalNum) -> Classification:
 
 
 def is_limited(alpha: ExternalNum) -> bool:
-    """Bounded by a limited element: representative degree <= 0 and nx <= LIMITED."""
-    return alpha.nx <= LIMITED and alpha.rep.degree() <= 0
+    """Bounded by a limited element: nx <= LIMITED and the representative in LIMITED."""
+    return alpha.nx <= LIMITED and nx_contains(LIMITED, alpha.rep)
 
 
 def shadow(alpha: ExternalNum) -> ExternalNum:

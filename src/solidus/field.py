@@ -18,15 +18,16 @@ and its coefficients share a denominator, so a ``RhoPoly`` is stored as
 polynomial arithmetic", SIGSAM 1974) with the content split off as in von zur
 Gathen & Gerhard, *Modern Computer Algebra*, ch. 6.  Sums and products put
 both operands on a common grid and denominator, work on ints, and reduce by
-gcd.  ``Fraction`` appears only at the boundary: construction from
-``(exponent, coefficient)`` pairs (``RhoPoly(terms)``, ``constant``,
-``rho_power``), the ``terms`` property, ``degree()``, ``leading_coeff()``,
-the rational cutoff of ``series_expand``, hashing and rendering; other
-readers use the int fields.  The expansion itself, ``_expand``, takes its
-cutoff as an int pair ``(n, d)``, the form in which a neutrix keeps its
-threshold, so canonicalizing an external number builds no ``Fraction``.  The
-random generator (``generate``) builds its draws through ``_poly`` from int
-pairs, so drawing builds none either.
+gcd.  ``Fraction`` appears only at the boundary.  The constructors
+(``RhoPoly(terms)``, ``constant``, ``rho_power``) and ``series_expand``'s
+cutoff accept one, but ``_ratio``, the one exact-rational coercion, reads an
+int or a ``Fraction`` as its int pair, so none of them builds a ``Fraction``
+from ints.  The ``terms`` property, ``degree()``, ``leading_coeff()``,
+hashing and rendering build them; other readers use the int fields.  The
+expansion itself, ``_expand``, takes its cutoff as an int pair ``(n, d)``, the
+form in which a neutrix keeps its threshold, so canonicalizing an external
+number builds no ``Fraction``.  The random generator (``generate``) builds its
+draws through ``_poly`` from int pairs, so no draw builds one either.
 
 ``RhoPoly`` and ``PreciseNum`` are ``__slots__`` classes.  ``PreciseNum(num,
 den)`` normalizes the denominator; results already in normal form are built by
@@ -62,14 +63,6 @@ class Ordering(Enum):
     GT = 1
 
 
-def _as_fraction(x: RationalLike) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
-
-
 def _ratio(x: RationalLike) -> tuple[int, int]:
     """``x`` as a reduced ``(numerator, denominator)`` pair of ints, denominator > 0."""
     if isinstance(x, (int, Fraction)):
@@ -96,13 +89,13 @@ class RhoPoly:
     __slots__ = ("grid", "den", "ks")
 
     def __init__(self, terms: Iterable[tuple[RationalLike, RationalLike]] = ()):
-        pairs = [(_as_fraction(e), _as_fraction(c)) for e, c in terms]
-        grid = lcm(1, *(e.denominator for e, _ in pairs))
-        den = lcm(1, *(c.denominator for _, c in pairs))
+        pairs = [(_ratio(e), _ratio(c)) for e, c in terms]
+        grid = lcm(1, *(g for (_, g), _ in pairs))
+        den = lcm(1, *(d for _, (_, d) in pairs))
         acc: dict[int, int] = {}
-        for e, c in pairs:
-            k = e.numerator * (grid // e.denominator)
-            acc[k] = acc.get(k, 0) + c.numerator * (den // c.denominator)
+        for (k, g), (c, d) in pairs:
+            k *= grid // g
+            acc[k] = acc.get(k, 0) + c * (den // d)
         p = _poly(grid, den, sorted(((k, c) for k, c in acc.items() if c), reverse=True))
         self.grid, self.den, self.ks = p.grid, p.den, p.ks
 

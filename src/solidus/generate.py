@@ -9,7 +9,8 @@ GeneratorConfig carries only the seed.
 Draws work on the int view that ``field`` and ``neutrix`` store: a scalar is a
 pair ``(c, d)``, an exponent or threshold a pair ``(k, den)``, and results are
 built by ``field._poly`` and ``neutrix._cut``, so no draw builds a
-``Fraction``.  The stream is that of the ``Fraction`` sampler this replaced,
+``Fraction``; the checks' own draws take the same pairs from ``_coefficient``
+and ``_grid``.  The stream is that of the ``Fraction`` sampler this replaced,
 so every report is unchanged.  ``integer(lo, hi)`` is ``rng.randint(lo, hi)``
 without the ``randrange`` checks: CPython's ``randint`` and ``choice`` end in
 the same rejection loop over ``getrandbits`` (``k = n.bit_length()``, redraw
@@ -94,12 +95,6 @@ class Sampler:
         """A multiple of 1/den in [lo, hi] as the pair ``(k, den)``, den drawn up to the bound."""
         den = self.integer(1, EXPONENT_DENOMINATOR_BOUND)
         return self.integer(lo * den, hi * den), den
-
-    def coefficient(self) -> Fraction:
-        return Fraction(*self._coefficient())
-
-    def exponent(self) -> Fraction:
-        return Fraction(*self._grid(*EXPONENT_RANGE))
 
     # -- field elements ----------------------------------------------------
 

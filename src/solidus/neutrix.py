@@ -17,14 +17,15 @@ contains every idempotent the axioms force, and supplies witnesses for all the
 existential axioms.  Families with thresholds not of this shape are out of
 scope.
 
-``Neutrix`` is an immutable ``__slots__`` class that stores a finite
-threshold as the reduced int pair ``(n, d)`` of its key; ``q``, the threshold
-as a ``Fraction``, is filled on first read.  Comparisons read the key, and
-``nx_mul``, ``nx_scale`` and ``nx_contains`` work on the int pairs: products
-add the pairs, scaling adds the scalar's leading exponent ``k/grid``, and
-membership compares ``k*d`` with ``n*grid``.  The private maker ``_cut(n, d,
-closed)`` builds their results with one gcd, so none of them builds a
-``Fraction`` or compares one with a float infinity.
+``Neutrix`` is an immutable ``__slots__`` class whose one stored form is its
+int key: a finite threshold is the reduced int pair ``(n, d)``, and ``q``, the
+threshold as a ``Fraction``, is built from the key on each read.  Comparisons
+read the key, and ``nx_mul``, ``nx_scale`` and ``nx_contains`` work on the int
+pairs: products add the pairs, scaling adds the scalar's leading exponent
+``k/grid``, and membership compares ``k*d`` with ``n*grid``.  The private
+maker ``_cut(n, d, closed)`` builds their results with one gcd, so none of
+them builds a ``Fraction`` or compares one with a float infinity; neither do
+``Neutrix(q, closed)``, ``open_cut`` and ``closed_cut`` given an int.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .field import (
     RationalLike,
     RhoPoly,
     _Immutable,
-    _as_fraction,
+    _ratio,
     _render_exponent,
 )
 
@@ -55,12 +56,11 @@ class Neutrix(_Immutable):
     is an int key, ``(rank, n, d, closed)`` with rank -1, 0 or +1 for -inf, a
     finite ``q = n/d`` (reduced, ``d > 0``) or +inf: ``==`` compares keys,
     ``<`` compares ranks, then ``n/d`` by cross-multiplication, then
-    ``closed``.  ``q`` is built from the key on first read and is the same
-    object on every later read.  Immutable and hashable, with the hash of
-    ``(q, closed)``.
+    ``closed``.  ``q`` is built from the key on each read.  Immutable and
+    hashable, with the hash of ``(q, closed)``.
     """
 
-    __slots__ = ("_q", "closed", "_rank", "_key")
+    __slots__ = ("closed", "_key")
 
     def __init__(self, q: RationalLike | float, closed: bool):
         if isinstance(q, float) and math.isinf(q):
@@ -68,20 +68,14 @@ class Neutrix(_Immutable):
                 raise ValueError("the cuts at infinity are NX_ZERO (-inf, closed) and FULL (+inf, open)")
             rank, n, d = (-1 if q < 0 else 1), 0, 1
         else:
-            q = _as_fraction(q)
-            rank, n, d = 0, q.numerator, q.denominator
-        _set_q(self, q)
+            rank, (n, d) = 0, _ratio(q)
         _set_closed(self, closed)
-        _set_rank(self, rank)
         _set_key(self, (rank, n, d, closed))
 
     @property
     def q(self) -> Fraction | float:
-        q = self._q
-        if q is None:
-            q = Fraction(self._key[1], self._key[2])
-            _set_q(self, q)
-        return q
+        rank, n, d, _ = self._key
+        return Fraction(n, d) if rank == 0 else NEG_INFINITY if rank < 0 else math.inf
 
     def __reduce__(self):
         return Neutrix, (self.q, self.closed)
@@ -110,29 +104,25 @@ class Neutrix(_Immutable):
         return f"Neutrix({render_neutrix(self)})"
 
 
-_set_q = Neutrix._q.__set__
 _set_closed = Neutrix.closed.__set__
-_set_rank = Neutrix._rank.__set__
 _set_key = Neutrix._key.__set__
 
 
 def _cut(n: int, d: int, closed: bool) -> Neutrix:
-    """The finite cut at ``n/d`` (ints, ``d > 0``), reduced by one gcd, its ``q`` unfilled."""
+    """The finite cut at ``n/d`` (ints, ``d > 0``), reduced by one gcd."""
     g = math.gcd(n, d)
     a = object.__new__(Neutrix)
-    _set_q(a, None)
     _set_closed(a, closed)
-    _set_rank(a, 0)
     _set_key(a, (0, n // g, d // g, closed))
     return a
 
 
 def open_cut(q: RationalLike) -> Neutrix:
-    return Neutrix(_as_fraction(q), False)
+    return Neutrix(q, False)
 
 
 def closed_cut(q: RationalLike) -> Neutrix:
-    return Neutrix(_as_fraction(q), True)
+    return Neutrix(q, True)
 
 
 NX_ZERO = Neutrix(NEG_INFINITY, True)
@@ -158,12 +148,12 @@ def nx_mul(a: Neutrix, b: Neutrix) -> Neutrix:
     product of something below rho^q and something at or below rho^r stays
     below rho^(q+r)).
     """
-    if a._rank < 0 or b._rank < 0:
+    r, n, d, c = a._key
+    r2, n2, d2, c2 = b._key
+    if r < 0 or r2 < 0:
         return NX_ZERO
-    if a._rank or b._rank:
+    if r or r2:
         return FULL
-    _, n, d, c = a._key
-    _, n2, d2, c2 = b._key
     return _cut(n * d2 + n2 * d, d * d2, c and c2)
 
 
@@ -177,22 +167,22 @@ def nx_scale(p: PreciseLike, a: Neutrix) -> Neutrix:
     p = PreciseNum.of(p)
     if p.is_zero():
         return NX_ZERO
-    if a._rank:  # the cuts at infinity are fixed by every nonzero scalar
+    rank, n, d, closed = a._key
+    if rank:  # the cuts at infinity are fixed by every nonzero scalar
         return a
     # the degree of p is its numerator's leading exponent k/grid (den has degree 0)
     num = p.num
-    _, n, d, closed = a._key
     return _cut(n * num.grid + num.ks[0][0] * d, d * num.grid, closed)
 
 
 def nx_contains(a: Neutrix, p: PreciseLike) -> bool:
     """Membership of a precise element, decided by the degree valuation."""
     num = PreciseNum.of(p).num
-    if a._rank or not num.ks:
+    rank, n, d, closed = a._key
+    if rank or not num.ks:
         # FULL holds everything, NX_ZERO only zero, and every cut holds zero
-        return a._rank > 0 or not num.ks
+        return rank > 0 or not num.ks
     # degree k/grid against the threshold n/d, on ints
-    _, n, d, closed = a._key
     k, bound = num.ks[0][0] * d, n * num.grid
     return k <= bound if closed else k < bound
 

@@ -304,7 +304,7 @@ def _six_operator_pairs():
     pairs, nx_pairs = [], []
     built = [(ExternalNum(PreciseNum.of(1), LIMITED), pure(LIMITED))]
     for _ in range(100):
-        x, y, c = s.external(), s.external(), s.coefficient()
+        x, y, c = s.external(), s.external(), F(*s._coefficient())
         rebuilt = canonicalize(s.representative_of(x), x.nx)
         pairs += [(x, y), (rebuilt, x), (x, c), (c, x), (canonicalize(c), c),
                   (c.numerator, canonicalize(c.numerator)),

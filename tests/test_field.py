@@ -142,7 +142,7 @@ class TestPreciseNum:
     def test_numbers_subtract_from_the_left(self):
         s = Sampler(GeneratorConfig(seed=29), "rsub")
         for _ in range(50):
-            p, c = s.precise(ratio_probability=0.5), s.coefficient()
+            p, c = s.precise(ratio_probability=0.5), F(*s._coefficient())
             assert 1 - p == PreciseNum.of(1) - p and isinstance(1 - p, PreciseNum)
             assert c - p == -(p - c)
 
@@ -202,7 +202,7 @@ class TestComparePrecise:
         r = PreciseNum.of(RHO + ONE_POLY)
         pairs = []
         for _ in range(100):
-            a, b, c = s.precise(ratio_probability=0.5), s.precise(ratio_probability=0.5), s.coefficient()
+            a, b, c = s.precise(ratio_probability=0.5), s.precise(ratio_probability=0.5), F(*s._coefficient())
             pairs += [(a, b), (a, a * r / r), (a, c), (c, a), (c, PreciseNum.of(c)),
                       (PreciseNum.of(c.numerator), c.numerator)]
         assert any(not a.is_polynomial() for a, _ in pairs[::6])

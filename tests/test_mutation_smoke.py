@@ -20,7 +20,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # (module, old, new, the check that kills it); each ``old`` occurs exactly once
 MUTANTS = [
-    ("external.py", "alpha.rep.degree() <= 0", "alpha.rep.degree() < 0", "thm.shadow_field"),
+    # a limited representative tested against the infinitesimals: degree < 0 for <= 0
+    ("external.py", "nx_contains(LIMITED, alpha.rep)", "nx_contains(INFINITESIMALS, alpha.rep)", "thm.shadow_field"),
     ("external.py", "nx_scale(inv_rep * inv_rep, b.nx)", "nx_scale(inv_rep, b.nx)", "axiom.mul.inverse"),
     (
         "halfline.py",
@@ -28,6 +29,8 @@ MUTANTS = [
         "HalflineKind.STRONGLY_OPEN: HalflineKind.OPEN,",
         "axiom.scheme.dedekind",
     ),
+    # a complement that raises on every call: only the documented DegenerateDomainError is a pass
+    ("halfline.py", "Halfline(side, _DUAL[h.kind], h.bound)", "Halfline(side, _DUAL[h.side], h.bound)", "axiom.scheme.dedekind"),
     ("naturals.py", "poly.ks[-1][0] >= 0", "poly.ks[-1][0] > 0", "axiom.arith.naturals"),
     # the neutrix order ignoring closure, and the overlap case of the external order reversed
     ("neutrix.py", "return x < y or (x == y and c < c2)", "return x < y", "thm.product_idempotents"),

@@ -27,6 +27,7 @@ from solidus.neutrix import (
     LIMITED,
     NX_ZERO,
     Neutrix,
+    _cut,
     closed_cut,
     decompose,
     is_ideal_of,
@@ -547,7 +548,7 @@ class TestIntThresholdsAgainstFractions:
             for copied in (copy.copy(made), copy.deepcopy(made), pickle.loads(pickle.dumps(made))):
                 assert copied == built and hash(copied) == hash(built)
                 assert copied._key == built._key and copied.q == built.q
-            assert made.q == built.q and made.q is made.q
+            assert made.q == built.q
 
 
 class TestNoFractionInTheMagnitudeLayer:
@@ -566,3 +567,20 @@ class TestNoFractionInTheMagnitudeLayer:
         assert fraction_calls == []
         assert nx_scale(rp(3), LIMITED).q == 3  # reading q is where one is built
         assert fraction_calls == [(3, 1)]
+
+    def test_construction_from_ints_builds_no_fraction(self, fraction_calls):
+        p = RhoPoly([(2, 3), (0, -1), (2, 1)])
+        cuts = (Neutrix(2, True), closed_cut(-1), open_cut(0))
+        assert fraction_calls == []
+        assert (p.grid, p.den, p.ks) == (1, 1, ((2, 4), (0, -1)))
+        assert [c._key for c in cuts] == [(0, 2, 1, True), (0, -1, 1, True), (0, 0, 1, False)]
+
+
+def test_the_constructor_inverts_q():
+    # cuts built by the constructor, and the finite ones made by _cut from an unreduced pair
+    made = [_cut(3 * n, 3 * d, c) for r, n, d, c in (a._key for a in CUTS) if r == 0]
+    assert made == [a for a in CUTS if a not in (NX_ZERO, FULL)]
+    for a in CUTS + made:
+        rebuilt = Neutrix(a.q, a.closed)
+        assert rebuilt == a and rebuilt._key == a._key, a
+        assert hash(rebuilt) == hash(a) == hash((a.q, a.closed)), a

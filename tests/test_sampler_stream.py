@@ -85,6 +85,13 @@ def _fields(value):
     return (_fields(value.rep), _fields(value.nx))
 
 
+def _scalars(s):
+    """A coefficient and an exponent; the int-view sampler draws them as int pairs."""
+    if isinstance(s, FractionSampler):
+        return s.coefficient(), s.exponent()
+    return F(*s._coefficient()), F(*s._grid(*EXPONENT_RANGE))
+
+
 DRAWS = {
     "rhopoly": lambda s: s.rhopoly(),
     "precise": lambda s: s.precise(),
@@ -94,7 +101,7 @@ DRAWS = {
     "external": lambda s: s.external(),
     "zeroless": lambda s: s.zeroless(),
     "limited_precise": lambda s: s.limited_precise(),
-    "scalars": lambda s: (s.coefficient(), s.exponent()),
+    "scalars": _scalars,
 }
 
 

@@ -22,7 +22,7 @@ from solidus.neutrix import FULL, LIMITED, NX_ZERO, closed_cut, nx_scale
 RATIO = (PreciseNum.of(RHO) + 1) / (PreciseNum.of(RHO) - 3)
 POLY = PreciseNum.of(RhoPoly([(2, F(-3, 4)), (F(-1, 2), 5)]))
 EXTERNAL = canonicalize(RATIO, closed_cut(F(-1, 2)))
-# a neutrix made by an operation fills its Fraction threshold q on first read
+# a neutrix made by an operation (by _cut), beside the constructed ones
 SCALED = nx_scale(RHO, LIMITED)
 VALUES = [RhoPoly([(F(1, 3), 2), (0, F(-1, 7))]), RATIO, POLY, NX_ZERO, LIMITED, FULL, SCALED, EXTERNAL]
 
@@ -66,7 +66,9 @@ def test_attributes_are_read_only(value, name):
         delattr(value, name)
     with pytest.raises(AttributeError):
         value.extra = 1
-    assert getattr(value, name) is before
+    after = getattr(value, name)
+    # q is built from the int key on each read: an equal value, not the same object
+    assert after == before if name == "q" else after is before
 
 
 def test_constructor_rejects_operands_that_are_not_polynomials():
