@@ -39,6 +39,7 @@ from .field import (
     PRECISE_ZERO,
     _Immutable,
     _PRECISE_TYPES,
+    _difference_lead,
     _expand,
     _precise,
     render_precise,
@@ -48,6 +49,7 @@ from .neutrix import (
     LIMITED,
     Neutrix,
     NX_ZERO,
+    _holds_degree,
     nx_add,
     nx_contains,
     nx_mul,
@@ -208,18 +210,24 @@ def ext_compare(a: ExternalNum, b: ExternalNum) -> Ordering:
 
     With delta = rep difference and C the combined neutrix: when C absorbs
     delta the sets overlap and inclusion of neutrices decides; otherwise the
-    sets are disjoint and the sign of delta decides.
+    sets are disjoint and the sign of delta decides.  Both read only delta's
+    leading term, the first term where the representatives differ.
     """
-    delta = a.rep - b.rep
-    combined = nx_add(a.nx, b.nx)
-    if nx_contains(combined, delta):
+    lead = _difference_lead(a.rep, b.rep)
+    if lead is None or _holds_degree(nx_add(a.nx, b.nx), lead[0], lead[1]):
         return Ordering.EQ if a.nx == b.nx else Ordering.LT if a.nx < b.nx else Ordering.GT
-    return Ordering(delta.sign())
+    return Ordering(lead[2])
+
+
+def _holds_difference(nx: Neutrix, x: PreciseNum, y: PreciseNum) -> bool:
+    """Whether ``nx`` holds ``x - y``, read from the leading term of the difference."""
+    lead = _difference_lead(x, y)
+    return lead is None or _holds_degree(nx, lead[0], lead[1])
 
 
 def ext_member(y: PreciseLike, alpha: ExternalNum) -> bool:
     """Whether the precise element y belongs to the set alpha."""
-    return nx_contains(alpha.nx, PreciseNum.of(y) - alpha.rep)
+    return _holds_difference(alpha.nx, PreciseNum.of(y), alpha.rep)
 
 
 def classify(alpha: ExternalNum) -> Classification:
@@ -244,12 +252,12 @@ def shadow(alpha: ExternalNum) -> ExternalNum:
 
 def ext_disjoint(a: ExternalNum, b: ExternalNum) -> bool:
     """Whether the two sets have empty intersection."""
-    return not nx_contains(nx_add(a.nx, b.nx), a.rep - b.rep)
+    return not _holds_difference(nx_add(a.nx, b.nx), a.rep, b.rep)
 
 
 def ext_subset(a: ExternalNum, b: ExternalNum) -> bool:
     """Whether a (as a set) is contained in b."""
-    return a.nx <= b.nx and nx_contains(b.nx, a.rep - b.rep)
+    return a.nx <= b.nx and _holds_difference(b.nx, a.rep, b.rep)
 
 
 def render_external(alpha: ExternalNum) -> str:

@@ -5,7 +5,9 @@ nonzero rational coefficients and rational exponents, where ``rho`` is a fixed
 positive infinitely large symbol.  ``PreciseNum`` is the ratio field of these
 polynomials.  Order is decided exactly from leading terms: because ``rho``
 dominates every constant, the sign of a nonzero polynomial is the sign of the
-coefficient of its largest exponent.
+coefficient of its largest exponent.  The order of two numbers is read from
+the first term where they differ (``_difference_lead``), without building
+their difference.
 
 Rational exponents (rather than integer ones) matter: the divisibility of the
 exponent group is what makes the idempotency laws of the magnitude lattice
@@ -415,7 +417,7 @@ class PreciseNum(_Immutable):
         if self.den == other.den:
             # canonical terms: over one denominator, equal values have equal numerators
             return self.num == other.num
-        return (self - other).is_zero()
+        return _difference_lead(self, other) is None
 
     def __hash__(self) -> int:
         # den is monic of degree zero, so num's leading term is the value's
@@ -425,7 +427,8 @@ class PreciseNum(_Immutable):
         # total_ordering derives <=, > and >= from this and __eq__, passing NotImplemented on
         if not isinstance(other, PreciseNum) and (other := _operand(other)) is NotImplemented:
             return NotImplemented
-        return (self - other).sign() < 0
+        lead = _difference_lead(self, other)
+        return lead is not None and lead[2] < 0
 
     def __str__(self) -> str:
         return render_precise(self)
@@ -461,9 +464,36 @@ def _operand(value: object) -> PreciseNum:
 PRECISE_ZERO = PreciseNum(ZERO_POLY)
 
 
+def _difference_lead(x: PreciseNum, y: PreciseNum) -> tuple[int, int, int] | None:
+    """The leading term of ``x - y`` as ints ``(k, grid, sign)``, of degree ``k/grid``,
+    or None when ``x == y``: the first term where the numerators differ, exponents
+    compared as ``ka*gb`` against ``kb*ga`` and coefficients as ``ca*db - cb*da``.
+    A denominator is 1 plus lower terms, so that term leads the difference over
+    one denominator, and over two when it is the first; only a tie there builds it.
+    """
+    a, b, ga, gb, da, db = x.num.ks, y.num.ks, x.num.grid, y.num.grid, x.num.den, y.num.den
+    for (ka, ca), (kb, cb) in zip(a, b):
+        e = ka * gb - kb * ga
+        if e:
+            return (ka, ga, 1 if ca > 0 else -1) if e > 0 else (kb, gb, -1 if cb > 0 else 1)
+        c = ca * db - cb * da
+        if c:
+            return ka, ga, 1 if c > 0 else -1
+        if x.den != y.den:
+            # the leading terms of two ratios tie: the rest of their expansions decides
+            num = (x - y).num
+            return (num.ks[0][0], num.grid, num.sign()) if num.ks else None
+    if len(a) == len(b):
+        return None
+    # one numerator ran out: the other's next term leads
+    (k, c), g, s = (a[len(b)], ga, 1) if len(a) > len(b) else (b[len(a)], gb, -1)
+    return k, g, s if c > 0 else -s
+
+
 def compare_precise(a: PreciseLike, b: PreciseLike) -> Ordering:
-    """Sign of a - b, computed exactly from leading terms."""
-    return Ordering((PreciseNum.of(a) - PreciseNum.of(b)).sign())
+    """Sign of a - b, read from the leading term of the difference."""
+    lead = _difference_lead(PreciseNum.of(a), PreciseNum.of(b))
+    return Ordering.EQ if lead is None else Ordering(lead[2])
 
 
 def _long_division(num: RhoPoly, den: RhoPoly, fn: int, fd: int, strict: bool) -> tuple[RhoPoly, RhoPoly]:

@@ -36,6 +36,7 @@ from typing import Callable, Iterator
 
 from .external import Classification, ExternalNum, classify
 from .field import PreciseNum, RhoPoly, _poly
+from .halfline import Halfline
 from .neutrix import FULL, Neutrix, NX_ZERO, _cut
 
 
@@ -246,6 +247,9 @@ def _candidates(value) -> Iterator:
         yield from _precise_candidates(value)
     elif isinstance(value, Neutrix):
         yield from _neutrix_candidates(value)
+    elif isinstance(value, Halfline):
+        for bound2 in _candidates(value.bound):
+            yield Halfline(value.side, value.kind, bound2)
 
 
 def _trials(current: tuple) -> Iterator[tuple]:

@@ -22,10 +22,12 @@ int key: a finite threshold is the reduced int pair ``(n, d)``, and ``q``, the
 threshold as a ``Fraction``, is built from the key on each read.  Comparisons
 read the key, and ``nx_mul``, ``nx_scale`` and ``nx_contains`` work on the int
 pairs: products add the pairs, scaling adds the scalar's leading exponent
-``k/grid``, and membership compares ``k*d`` with ``n*grid``.  The private
-maker ``_cut(n, d, closed)`` builds their results with one gcd, so none of
-them builds a ``Fraction`` or compares one with a float infinity; neither do
-``Neutrix(q, closed)``, ``open_cut`` and ``closed_cut`` given an int.
+``k/grid``, and membership compares ``k*d`` with ``n*grid`` in ``_holds_degree``,
+which the external order asks about the first term where two numbers differ,
+building no difference.  The private maker ``_cut(n, d, closed)`` builds their
+results with one gcd, so none of them builds a ``Fraction`` or compares one
+with a float infinity; neither do ``Neutrix(q, closed)``, ``open_cut`` and
+``closed_cut`` given an int.
 """
 
 from __future__ import annotations
@@ -178,12 +180,17 @@ def nx_scale(p: PreciseLike, a: Neutrix) -> Neutrix:
 def nx_contains(a: Neutrix, p: PreciseLike) -> bool:
     """Membership of a precise element, decided by the degree valuation."""
     num = PreciseNum.of(p).num
+    # every cut holds zero; the degree of p is its numerator's, k/grid
+    return _holds_degree(a, num.ks[0][0], num.grid) if num.ks else True
+
+
+def _holds_degree(a: Neutrix, k: int, grid: int) -> bool:
+    """Whether ``a`` holds the nonzero elements of degree ``k/grid`` (ints, ``grid > 0``)."""
     rank, n, d, closed = a._key
-    if rank or not num.ks:
-        # FULL holds everything, NX_ZERO only zero, and every cut holds zero
-        return rank > 0 or not num.ks
-    # degree k/grid against the threshold n/d, on ints
-    k, bound = num.ks[0][0] * d, n * num.grid
+    if rank:  # FULL holds every element, NX_ZERO none but zero
+        return rank > 0
+    # the degree against the threshold n/d, on ints
+    k, bound = k * d, n * grid
     return k <= bound if closed else k < bound
 
 

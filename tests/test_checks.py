@@ -2,6 +2,7 @@
 
 import hashlib
 import operator
+from fractions import Fraction as F
 
 import pytest
 
@@ -30,6 +31,7 @@ from solidus.external import (
     ext_disjoint,
     ext_member,
     ext_mul,
+    pure,
 )
 from solidus.field import Ordering, PreciseNum, RhoPoly
 from solidus.generate import (
@@ -40,9 +42,11 @@ from solidus.generate import (
     Sampler,
     shrink,
 )
+from solidus.halfline import _BRACKETS, Halfline, HalflineKind, Side
 from solidus.neutrix import (
     INFINITESIMALS,
     LIMITED,
+    closed_cut,
     nx_contains,
 )
 from solidus.parser import eval_text
@@ -164,6 +168,28 @@ class TestShrinkKeepsTheFailure:
         shrunk, observed = self._run(monkeypatch, verdict)
         assert observed == "raised TypeError: three terms"
         assert len(shrunk.num.terms) == 3
+
+
+class TestHalflinesShrink:
+    """A failing halfline input shrinks through its bound, like any external number."""
+
+    START = canonicalize(RhoPoly([(3, 7), (F(3, 2), -3), (0, 5)]), closed_cut(F(-3, 2)))
+
+    @pytest.mark.parametrize("side", list(Side))
+    @pytest.mark.parametrize("kind", list(HalflineKind))
+    def test_the_bound_shrinks_to_representative_zero(self, monkeypatch, side, kind):
+        def draw(s):
+            return (Halfline(side, kind, self.START),)
+
+        check = Check("test.shrink_halfline", "scheme", "a test law", ("h",), draw, lambda h: "always fails", "holds")
+        monkeypatch.setitem(REGISTRY, check.check_id, check)
+        (failure,) = run_check(check.check_id, CFG, 1).failures
+        ((_, text),) = failure.inputs
+        head, tail = _BRACKETS[(side, kind)].split("{}")
+        assert text.startswith(head) and text.endswith(tail), text
+        bound = eval_text(text[len(head) : len(text) - len(tail)])
+        # every halfline fails, so the representative goes and the threshold simplifies to 0
+        assert bound.rep.is_zero() and bound == pure(LIMITED), text
 
 
 class TestHarness:

@@ -10,6 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import full_difference as ref
 from solidus.errors import NotLimitedError, NotZerolessError
 from solidus.external import (
     Classification,
@@ -35,7 +36,7 @@ from solidus.external import (
     shadow,
     unity,
 )
-from solidus.field import ONE_POLY, Ordering, PreciseNum, RHO, RhoPoly
+from solidus.field import ONE_POLY, Ordering, PreciseNum, RHO, RhoPoly, compare_precise
 from solidus.generate import GeneratorConfig, Sampler
 from solidus.halfline import HalflineKind, lower
 from solidus.neutrix import (
@@ -426,6 +427,47 @@ class TestSetPredicates:
             assert any(relations)
             if a != b:
                 assert sum(relations) == 1
+
+
+class TestOrderFromTheLeadingTerm:
+    """The order and set predicates read the leading term of the difference; the
+    reference builds the whole difference, as these functions did before."""
+
+    def test_agrees_with_the_full_difference(self):
+        s = Sampler(GeneratorConfig(seed=29), "leading-term")
+        checked = 0
+        for _ in range(300):
+            x, y = s.precise(ratio_probability=0.4), s.precise(ratio_probability=0.4)
+            qa, qb = s.scaled_neutrix().q, s.scaled_neutrix().q
+            near = x + s.member_of(closed_cut(qa))
+            for u, v in ((x, y), (y, x), (x, near), (near, x)):
+                for na in (NX_ZERO, open_cut(qa), closed_cut(qa), FULL):
+                    for nb in (NX_ZERO, open_cut(qb), closed_cut(qb), FULL):
+                        a, b = canonicalize(u, na), canonicalize(v, nb)
+                        assert ext_compare(a, b) is ref.ext_compare(a, b), (str(a), str(b))
+                        assert ext_member(v, a) == ref.ext_member(v, a), (str(v), str(a))
+                        assert ext_disjoint(a, b) == ref.ext_disjoint(a, b), (str(a), str(b))
+                        assert ext_subset(a, b) == ref.ext_subset(a, b), (str(a), str(b))
+                        checked += 1
+        assert checked == 300 * 4 * 16
+
+    def test_polynomial_operands_build_no_difference(self, monkeypatch):
+        s = Sampler(GeneratorConfig(seed=37), "no-difference")
+        values = [canonicalize(s.precise(ratio_probability=0.0), s.neutrix()) for _ in range(300)]
+        assert all(v.rep.is_polynomial() for v in values)
+        built = []
+        for cls, name in ((PreciseNum, "__sub__"), (RhoPoly, "__add__")):
+            original = getattr(cls, name)
+            monkeypatch.setattr(cls, name, lambda x, y, f=original, name=name: built.append(name) or f(x, y))
+        for a, b in zip(values, values[1:] + values[:1]):
+            assert (a < b) == (ext_compare(a, b) is Ordering.LT)
+            assert (a.rep < b.rep) == (compare_precise(a.rep, b.rep) is Ordering.LT)
+            assert [a.rep < b.rep, a.rep == b.rep, b.rep < a.rep].count(True) == 1
+            disjoint, member, subset = ext_disjoint(a, b), ext_member(b.rep, a), ext_subset(a, b)
+            assert not (disjoint and (member or subset))
+        assert built == []
+        values[0].rep - values[1].rep  # the counters count
+        assert built[0] == "__sub__" and "__add__" in built
 
 
 class TestClassifyUnity:

@@ -18,6 +18,7 @@ from solidus.field import (
     RHO,
     RhoPoly,
     ZERO_POLY,
+    _difference_lead,
     as_polynomial,
     compare_precise,
     render_poly,
@@ -213,6 +214,48 @@ class TestComparePrecise:
             want = (cmp is Ordering.LT, cmp is not Ordering.GT, cmp is Ordering.GT,
                     cmp is not Ordering.LT, cmp is Ordering.EQ, cmp is not Ordering.EQ)
             assert got == want, (str(a), str(b))
+
+
+class TestDifferenceLead:
+    """``_difference_lead`` against the difference it does not build."""
+
+    @staticmethod
+    def _agrees(x, y):
+        d, lead = x - y, _difference_lead(x, y)
+        if d.is_zero():
+            return lead is None
+        return lead is not None and F(lead[0], lead[1]) == d.degree() and lead[2] == d.sign()
+
+    def test_seeded_pairs_in_both_orders(self):
+        s = Sampler(GeneratorConfig(seed=23), "difference-lead")
+        pairs = [(s.precise(ratio_probability=0.4), s.precise(ratio_probability=0.4)) for _ in range(3000)]
+        assert sum(not (x.is_polynomial() and y.is_polynomial()) for x, y in pairs) > 600
+        bad = [(str(x), str(y)) for x, y in pairs for x, y in ((x, y), (y, x)) if not self._agrees(x, y)]
+        assert bad == []
+
+    def test_chosen_pairs(self):
+        r1 = prec(ONE_POLY, poly((0, 1), (-1, 1)))  # 1/(1 + rho^-1)
+        r2 = prec(ONE_POLY, poly((0, 1), (-2, 1)))  # 1/(1 + rho^-2)
+        x = prec([(2, F(1, 3)), (F(1, 2), -2), (-1, 5)])
+        values = [
+            PreciseNum.of(0), x, -x, x + PreciseNum.of(RhoPoly.rho_power(-7)),
+            prec([(F(2, 3), F(1, 3)), (F(-1, 2), 7)]), prec([(F(2, 3), F(1, 3)), (F(-1, 3), 7)]),
+            r1, r2, r1 * prec([(1, 1), (0, 1)]), r1 + PreciseNum.of(RhoPoly.rho_power(-5)), r1 / x,
+            prec([(1, 2), (0, 1)], poly((0, 3), (F(-1, 2), 1))), prec([(1, 2), (0, 2)], poly((0, 3), (F(-1, 2), 1))),
+        ]
+        for x in values:
+            for y in values:
+                assert self._agrees(x, y), (str(x), str(y))
+
+    def test_tied_ratio_leads_decide_below(self):
+        # 1/(1 + rho^-1) = 1 - rho^-1 + ... and 1/(1 + rho^-2) = 1 - rho^-2 + ...: the numerators tie
+        r1 = prec(ONE_POLY, poly((0, 1), (-1, 1)))
+        r2 = prec(ONE_POLY, poly((0, 1), (-2, 1)))
+        assert _difference_lead(r1, r2) == (-1, 1, -1)
+        assert r1 < r2 and not r2 < r1 and r1 != r2
+        assert compare_precise(r1, r2) is Ordering.LT
+        assert _difference_lead(r1, r1 * r2 / r2) is None
+        assert r1 == r1 * r2 / r2
 
 
 small_polys = st.lists(

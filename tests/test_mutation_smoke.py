@@ -44,6 +44,12 @@ MUTANTS = [
     ("neutrix.py", "k <= bound if closed else k < bound", "k < bound if closed else k <= bound", "oracle.order"),
     ("neutrix.py", "g = math.gcd(n, d)", "g = 1", "axiom.mul.assoc"),
     ("external.py", "_expand(rep, n, d, closed)", "_expand(rep, n, d, not closed)", "oracle.minkowski"),
+    # the leading term of a difference: exponents compared without the cross grid,
+    # coefficients without the denominators, and two ratios' tied leading terms
+    # walked past instead of building the difference
+    ("field.py", "ka * gb", "ka", "thm.three_cases"),
+    ("field.py", "ca * db - cb * da", "ca - cb", "thm.three_cases"),
+    ("field.py", "if x.den != y.den:", "if False:", "oracle.minkowski"),
     # the induction battery checks the documented expected failure as well
     ("checks.py", 'fid != "even_or_odd"', 'fid != "odd_or_even"', "axiom.arith.induction"),
 ]
