@@ -155,9 +155,14 @@ def repl(stdin=None, stdout=None) -> int:
     return 0
 
 
+# how a batch file and standard input are read: a byte that is not UTF-8 reads
+# as U+FFFD, which its line reports as an unexpected character
+_DECODING = {"encoding": "utf-8", "errors": "replace"}
+
+
 def run_batch(path: str, stdout=None) -> int:
     try:
-        handle = open(path, "r", encoding="utf-8")
+        handle = open(path, "r", **_DECODING)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -182,8 +187,11 @@ def main(argv: Optional[list[str]] = None) -> int:
             except UnknownCheckError as exc:  # a usage error
                 output, code = f"error: {exc}", 2
             print(output, file=sys.stderr if code == 2 else sys.stdout)
+        elif ns.batch:
+            code = run_batch(ns.batch)
         else:
-            code = run_batch(ns.batch) if ns.batch else repl()
+            sys.stdin.reconfigure(**_DECODING)
+            code = repl()
         # flush here, so a closed pipe is met inside this block
         sys.stdout.flush()
     except BrokenPipeError:

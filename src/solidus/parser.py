@@ -6,12 +6,15 @@ Grammar (whitespace insensitive, left associative):
     expr    := term (('+' | '-') term)*
     term    := factor (('*' | '/') factor)*
     factor  := atom ('^' exponent)?
-    atom    := integer | 'rho' | 'o' | 'L' | 'M' | '(' expr ')' | '-' atom
+    atom    := integer | 'rho' | 'o' | 'L' | 'M' | '(' expr ')' | '-' factor
              | ident '(' expr ')'
     ident   := 'e' | 'u' | 'inv' | 'abs' | 'shadow'
     exponent:= '(' rational ')' | integer
-    rational:= integer ('/' positive-integer)?
+    rational:= '-'? integer ('/' positive-integer)?
 
+Tokens are ``(kind, text, column)`` tuples, and one table, ``_LEVELS``, sets
+the precedence of the binary operators: ``expr`` and ``term`` are its two
+levels, parsed by one left-associative loop.
 The surface is ASCII only and accepts exact rational literals exclusively; a
 quotient like 1/2 parses as division, which evaluates to the same exact value.
 Exponent bases must evaluate to a pure power of rho unless the exponent is an
@@ -26,7 +29,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Union
 
 from .errors import ParseError, ResourceLimitError, SolidusError
 from .external import ExternalNum, ext_inv, magnitude, pure, shadow, unity
@@ -39,7 +42,7 @@ from .neutrix import FULL, INFINITESIMALS, LIMITED, NX_ZERO
 
 @dataclass(frozen=True)
 class Lit:
-    value: Fraction
+    value: int
     pos: int
 
 
@@ -85,32 +88,28 @@ Expr = Union[Lit, Sym, Unary, BinOp, Pow, Cmp]
 # --- tokenizer ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # int | name | op | end
-    text: str
-    pos: int  # 1-based column
+# ASCII digits and identifiers only: str.isdigit would admit '²', which int() rejects;
+# any other non-blank character is a "bad" token
+_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op><=|[-+*/^(),=<])|(?P<bad>\S)|\s+")
 
 
-# ASCII digits and identifiers only: str.isdigit would admit '²', which int() rejects
-_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op><=|[-+*/^(),=<])|\s+")
+def tokenize(source: str, start: int = 0) -> list[tuple[str, str, int]]:
+    """``(kind, text, column)`` tuples, kind int | name | op | end, column 1-based.
 
-
-def tokenize(source: str, start: int = 0) -> list[Token]:
-    tokens: list[Token] = []
+    The whole line is read before parsing, so its first bad character is the error.
+    """
+    tokens = []
     limit = digit_limit()
-    i = 0
-    while i < len(source):
-        match = _TOKEN.match(source, i)
-        if match is None:
-            raise ParseError(f"unexpected character {source[i]!r}", start + i + 1)
-        if match.lastgroup == "int" and limit and match.end() - i > limit:
+    for match in _TOKEN.finditer(source):
+        kind, text, column = match.lastgroup, match.group(), start + match.start() + 1
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", column)
+        if kind == "int" and limit and len(text) > limit:
             # int() refuses it with a ValueError; say where, as for any syntax error
-            raise ParseError(f"integer literal longer than {limit} digits", start + i + 1)
-        if match.lastgroup:
-            tokens.append(Token(match.lastgroup, match.group(), start + i + 1))
-        i = match.end()
-    tokens.append(Token("end", "", start + len(source) + 1))
+            raise ParseError(f"integer literal longer than {limit} digits", column)
+        if kind:
+            tokens.append((kind, text, column))
+    tokens.append(("end", "", start + len(source) + 1))
     return tokens
 
 
@@ -140,6 +139,8 @@ _COMPARISONS = {"=": operator.eq, "<": operator.lt, "<=": operator.le}
 
 
 _TOO_DEEP = "expression nested too deeply"
+# the binary operators by precedence, loosest first; each level is left associative
+_LEVELS = (("+", "-"), ("*", "/"))
 
 
 class Parser:
@@ -147,122 +148,87 @@ class Parser:
         self.tokens = tokenize(source, start)
         self.index = 0
 
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.index]
+    def take(self, *ops: str) -> tuple[str, str, int] | None:
+        """Consume and return the current token if it is one of the operators ``ops``."""
+        tok = self.tokens[self.index]
+        # no int, name or end token has an operator's text
+        if tok[1] in ops:
+            self.index += 1
+            return tok
+        return None
 
-    def advance(self) -> Token:
-        tok = self.current
+    def expect(self, op: str) -> None:
+        if not self.take(op):
+            raise ParseError(f"expected {op!r}", self.tokens[self.index][2])
+
+    def integer(self, message: str, least: int = 0) -> int:
+        kind, text, column = self.tokens[self.index]
+        if kind != "int" or int(text) < least:
+            raise ParseError(message, column)
         self.index += 1
-        return tok
-
-    def expect_op(self, text: str) -> Token:
-        tok = self.current
-        if tok.kind != "op" or tok.text != text:
-            raise ParseError(f"expected {text!r}", tok.pos)
-        return self.advance()
-
-    def at_op(self, *texts: str) -> bool:
-        return self.current.kind == "op" and self.current.text in texts
+        return int(text)
 
     def parse_compare(self) -> Expr:
-        left = self.parse_expr()
-        if self.at_op(*_COMPARISONS):
-            tok = self.advance()
-            right = self.parse_expr()
-            return Cmp(tok.text, left, right, tok.pos)
-        return left
+        left = self.parse_binary()
+        tok = self.take(*_COMPARISONS)
+        return Cmp(tok[1], left, self.parse_binary(), tok[2]) if tok else left
 
-    def parse_left_assoc(self, operand: Callable[[], Expr], *ops: str) -> Expr:
-        node = operand()
-        while self.at_op(*ops):
-            tok = self.advance()
-            node = BinOp(tok.text, node, operand(), tok.pos)
+    def parse_binary(self, level: int = 0) -> Expr:
+        if level == len(_LEVELS):
+            return self.parse_factor()
+        node = self.parse_binary(level + 1)
+        while tok := self.take(*_LEVELS[level]):
+            node = BinOp(tok[1], node, self.parse_binary(level + 1), tok[2])
         return node
-
-    def parse_expr(self) -> Expr:
-        return self.parse_left_assoc(self.parse_term, "+", "-")
-
-    def parse_term(self) -> Expr:
-        return self.parse_left_assoc(self.parse_factor, "*", "/")
 
     def parse_factor(self) -> Expr:
         node = self.parse_atom()
-        if self.at_op("^"):
-            tok = self.advance()
-            exponent = self.parse_exponent()
-            node = Pow(node, exponent, tok.pos)
-        return node
+        tok = self.take("^")
+        return Pow(node, self.parse_exponent(), tok[2]) if tok else node
 
     def parse_exponent(self) -> Fraction:
-        if self.current.kind == "int":
-            return Fraction(int(self.advance().text))
-        self.expect_op("(")
-        value = self.parse_rational()
-        self.expect_op(")")
-        return value
-
-    def parse_rational(self) -> Fraction:
-        negative = False
-        if self.at_op("-"):
-            self.advance()
-            negative = True
-        tok = self.current
-        if tok.kind != "int":
-            raise ParseError("expected an integer", tok.pos)
-        self.advance()
-        numerator = int(tok.text)
-        denominator = 1
-        if self.at_op("/"):
-            self.advance()
-            den_tok = self.current
-            if den_tok.kind != "int" or int(den_tok.text) == 0:
-                raise ParseError("expected a positive integer denominator", den_tok.pos)
-            self.advance()
-            denominator = int(den_tok.text)
-        value = Fraction(numerator, denominator)
-        return -value if negative else value
+        if self.tokens[self.index][0] == "int":
+            return Fraction(self.integer("expected an integer"))
+        self.expect("(")
+        sign = -1 if self.take("-") else 1
+        numerator = sign * self.integer("expected an integer")
+        denominator = self.integer("expected a positive integer denominator", 1) if self.take("/") else 1
+        self.expect(")")
+        return Fraction(numerator, denominator)
 
     def parse_atom(self) -> Expr:
-        tok = self.current
-        if tok.kind == "int":
-            self.advance()
-            return Lit(Fraction(int(tok.text)), tok.pos)
-        if tok.kind == "op" and tok.text == "-":
+        kind, text, column = self.tokens[self.index]
+        self.index += 1
+        if kind == "int":
+            return Lit(int(text), column)
+        if text == "-":
             # binds looser than '^' so canonical text like -rho^2 means -(rho^2)
-            self.advance()
-            return Unary("-", self.parse_factor(), tok.pos)
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            inner = self.parse_expr()
-            self.expect_op(")")
-            return inner
-        if tok.kind == "name":
-            self.advance()
-            if tok.text in _SYMBOLS:
-                return Sym(tok.text, tok.pos)
-            if tok.text in _FUNCTIONS:
-                self.expect_op("(")
-                arg = self.parse_expr()
-                self.expect_op(")")
-                return Unary(tok.text, arg, tok.pos)
-            raise ParseError(f"unknown identifier {tok.text!r}", tok.pos)
-        raise ParseError("expected a value", tok.pos)
+            return Unary("-", self.parse_factor(), column)
+        if kind == "name":
+            if text in _SYMBOLS:
+                return Sym(text, column)
+            if text not in _FUNCTIONS:
+                raise ParseError(f"unknown identifier {text!r}", column)
+            self.expect("(")
+        elif text != "(":
+            raise ParseError("expected a value", column)
+        inner = self.parse_binary()
+        self.expect(")")
+        return Unary(text, inner, column) if kind == "name" else inner
 
 
 def _parse_items(source: str, start: int, many: bool) -> list[Expr]:
     parser = Parser(source, start)
-    item = parser.parse_expr if many else parser.parse_compare
+    item = parser.parse_binary if many else parser.parse_compare
     try:
         items = [item()]
-        while many and parser.at_op(","):
-            parser.advance()
+        while many and parser.take(","):
             items.append(item())
     except RecursionError:
         raise ResourceLimitError(_TOO_DEEP) from None
-    tok = parser.current
-    if tok.kind != "end":
-        raise ParseError(f"unexpected {tok.text!r}", tok.pos)
+    kind, text, column = parser.tokens[parser.index]
+    if kind != "end":
+        raise ParseError(f"unexpected {text!r}", column)
     return items
 
 

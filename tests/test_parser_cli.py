@@ -1,5 +1,8 @@
 """Tests for the surface syntax, evaluator, REPL commands and exit codes."""
 
+import hashlib
+import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -24,6 +27,7 @@ class TestParse:
         assert isinstance(tree, BinOp) and tree.op == "*"
         assert isinstance(tree.left, BinOp) and tree.left.op == "+"
         assert isinstance(tree.left.left, Lit) and tree.left.left.value == 3
+        assert type(tree.left.left.value) is int  # a literal builds no Fraction
         assert isinstance(tree.left.right, Sym) and tree.left.right.name == "o"
         assert isinstance(tree.right, Pow) and tree.right.exponent == F(1, 2)
 
@@ -66,6 +70,100 @@ class TestParse:
     def test_bare_and_parenthesized_integer_exponents(self):
         assert eval_text("rho^2") == eval_text("rho^(2)")
         assert eval_text("rho^(-2)") == eval_text("1/rho^2")
+
+
+# every error the parser and evaluator raise, with its column; a rewrite of the
+# parser must keep each text and column
+ERROR_TABLE = [
+    ("1 + $", "unexpected character '$'", 5),
+    ("rho^(1/0)", "expected a positive integer denominator", 8),
+    ("rho^(1/x)", "expected a positive integer denominator", 8),
+    ("rho^(x)", "expected an integer", 6),
+    ("rho^(-)", "expected an integer", 7),
+    ("rho^x", "expected '('", 5),
+    ("e 1", "expected '('", 3),
+    ("foo(1)", "unknown identifier 'foo'", 1),
+    ("(1 + 2", "expected ')'", 7),
+    ("1 2", "unexpected '2'", 3),
+    ("1 < 2 < 3", "unexpected '<'", 7),
+    ("1 +", "expected a value", 4),
+    ("o^(1/2)", "power base must be a pure power of rho", 2),
+]
+
+
+class TestErrorTable:
+    @pytest.mark.parametrize("text, message, column", ERROR_TABLE)
+    def test_error_text_and_column(self, text, message, column):
+        assert run_command(text) == f"error: {message} (column {column})"
+
+    def test_trees_only_a_library_caller_builds(self):
+        with pytest.raises(ParseError) as err:
+            evaluate(BinOp("+", Cmp("<", Lit(1, 1), Lit(2, 5), 3), Lit(1, 9), 7))
+        assert (str(err.value), err.value.column) == ("comparison used as a value", 3)
+        with pytest.raises(ParseError) as err:
+            evaluate(object())
+        assert (str(err.value), err.value.column) == ("unknown expression node", 1)
+
+
+_WORDS = ["rho", "o", "L", "M", "e", "u", "inv", "abs", "shadow", "(", ")", "+", "-", "*", "/", "^"]
+_WORDS += ["=", "<", "<=", ",", "0", "1", "2", "3", "12"]
+_JUNK = ["$", "é", "²", "?", "x", "foo", "\t", "."]
+_COMMAND_WORDS = ["", "", "", ":cmp", ":classify", ":zup", ":nat", ":arch", ":help", ":quit", ":wibble"]
+
+
+def _junk_expr(rng: random.Random, depth: int) -> list[str]:
+    roll = rng.random() if depth else 0
+    if roll < 0.4:
+        return [rng.choice(["rho", "o", "L", "M", "0", "1", "2", "3", "12"])]
+    if roll < 0.65:
+        return _junk_expr(rng, depth - 1) + [rng.choice("+-*/")] + _junk_expr(rng, depth - 1)
+    if roll < 0.75:
+        return [rng.choice(["e", "u", "inv", "abs", "shadow", ""]), "("] + _junk_expr(rng, depth - 1) + [")"]
+    if roll < 0.85:
+        exponent = rng.choice(
+            [
+                [str(rng.randint(0, 6))],
+                ["(", "-", str(rng.randint(1, 6)), ")"],
+                ["(", str(rng.randint(-6, 6)), "/", str(rng.randint(0, 7)), ")"],
+            ]
+        )
+        return _junk_expr(rng, 0) + ["^"] + exponent
+    if roll < 0.9:
+        return ["-"] + _junk_expr(rng, depth - 1)
+    return _junk_expr(rng, depth - 1) + [rng.choice(["=", "<", "<=", ","])] + _junk_expr(rng, depth - 1)
+
+
+def junk_lines(seed: int, count: int) -> list[str]:
+    """Seeded lines: grammar expressions with up to two words replaced, inserted
+    or deleted, some behind a command word; about half of them are errors."""
+    rng = random.Random(seed)
+    lines = []
+    for _ in range(count):
+        words = [word for word in _junk_expr(rng, 3) if word]
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            i = rng.randrange(len(words) + 1)
+            word = rng.choice(_JUNK if rng.random() < 0.3 else _WORDS)
+            kind = rng.randrange(3)
+            if kind == 0 and i < len(words):
+                words[i] = word
+            elif kind == 1:
+                words.insert(i, word)
+            elif i < len(words) and len(words) > 1:
+                del words[i]
+        line = "".join(word + rng.choice(["", "", " "]) for word in words)
+        if rng.random() < 0.4:
+            line = (rng.choice(["", "  "]) + rng.choice(_COMMAND_WORDS) + " " + line).rstrip()
+        lines.append(line)
+    return lines
+
+
+def test_junk_lines_output_pinned():
+    # the standing guard on every error text and column: a change of any
+    # output line, value or error, changes the digest
+    lines = junk_lines(8, 5000)
+    text = "\n".join(f"{line}\t{run_command(line)}" for line in lines)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "189a8be7c4a4e5a6ef4881944141ec1f450c5a7ec90e677b0722778afe89550f"
 
 
 class TestEval:
@@ -317,6 +415,26 @@ class TestMainEntry:
         )
         assert proc.returncode == 0
         assert "1/2 + o" in proc.stdout
+
+    def test_a_byte_that_is_not_utf8_is_one_error_line(self, tmp_path):
+        # a batch file and a strict-UTF-8 stdin read the same way, and the output,
+        # :check's echo of its argument included, stays encodable as strict UTF-8
+        script = tmp_path / "bad.txt"
+        script.write_bytes(b"1+1\n\xff\xfe\n:check \xff\n2+2\n")
+        expected = [
+            "2",
+            "error: unexpected character '\ufffd' (column 1)",
+            "error: unrecognized arguments: \ufffd (column 1)",
+            "4",
+        ]
+        env = {**os.environ, "PYTHONIOENCODING": "utf-8:strict"}
+        runs = [
+            subprocess.run([sys.executable, "-m", "solidus.cli", *args], capture_output=True, env=env, timeout=60, **stdin)
+            for args, stdin in ((["--batch", str(script)], {}), ([], {"input": script.read_bytes()}))
+        ]
+        for proc in runs:
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            assert proc.stdout.decode("utf-8").splitlines() == expected
 
     def test_closed_stdout_exits_141_without_traceback(self, tmp_path):
         # about 700 KB of help text, more than a pipe holds, so a later write
