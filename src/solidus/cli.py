@@ -180,6 +180,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     _add_check_options(parser)
     ns = parser.parse_args(argv)
 
+    code = 0  # also when standard input is closed (`solidus <&-`): sys.stdin is None, empty input
     try:
         if ns.check:
             try:
@@ -189,7 +190,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(output, file=sys.stderr if code == 2 else sys.stdout)
         elif ns.batch:
             code = run_batch(ns.batch)
-        else:
+        elif sys.stdin is not None:
             sys.stdin.reconfigure(**_DECODING)
             code = repl()
         # flush here, so a closed pipe is met inside this block

@@ -91,14 +91,7 @@ class RhoPoly:
     __slots__ = ("grid", "den", "ks")
 
     def __init__(self, terms: Iterable[tuple[RationalLike, RationalLike]] = ()):
-        pairs = [(_ratio(e), _ratio(c)) for e, c in terms]
-        grid = lcm(1, *(g for (_, g), _ in pairs))
-        den = lcm(1, *(d for _, (_, d) in pairs))
-        acc: dict[int, int] = {}
-        for (k, g), (c, d) in pairs:
-            k *= grid // g
-            acc[k] = acc.get(k, 0) + c * (den // d)
-        p = _poly(grid, den, sorted(((k, c) for k, c in acc.items() if c), reverse=True))
+        p = _sum_terms([(*_ratio(e), *_ratio(c)) for e, c in terms])
         self.grid, self.den, self.ks = p.grid, p.den, p.ks
 
     def __reduce__(self):
@@ -245,6 +238,17 @@ def _poly(grid: int, den: int, ks: list[tuple[int, int]]) -> RhoPoly:
             grid //= h
             ks = [(k // h, c) for k, c in ks]
     return _make(grid, den, tuple(ks))
+
+
+def _sum_terms(terms: list[tuple[int, int, int, int]]) -> RhoPoly:
+    """The canonical sum of the terms ``(n/d) * rho^(k/g)``, given as ``(k, g, n, d)`` with
+    ``g, d > 0`` in any order: a common grid and denominator, one dict and one sort."""
+    grid, den = lcm(1, *[g for _, g, _, _ in terms]), lcm(1, *[d for _, _, _, d in terms])
+    acc: dict[int, int] = {}
+    for k, g, n, d in terms:
+        k *= grid // g
+        acc[k] = acc.get(k, 0) + n * (den // d)
+    return _poly(grid, den, sorted([kc for kc in acc.items() if kc[1]], reverse=True))
 
 
 def _regrid(ks, m: int):

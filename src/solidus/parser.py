@@ -14,11 +14,11 @@ Grammar (whitespace insensitive, left associative):
 
 Tokens are ``(kind, text, column)`` tuples, and one table, ``_LEVELS``, sets
 the precedence of the binary operators: ``expr`` and ``term`` are its two
-levels, parsed by one left-associative loop.
-The surface is ASCII only and accepts exact rational literals exclusively; a
-quotient like 1/2 parses as division, which evaluates to the same exact value.
-Exponent bases must evaluate to a pure power of rho unless the exponent is an
-integer.
+levels, parsed by one left-associative loop; a chain of three or more terms is
+summed in one pass (``_sum``).  The surface is ASCII only and accepts exact
+rational literals exclusively; a quotient like 1/2 parses as division, which
+evaluates to the same exact value.  Exponent bases must evaluate to a pure
+power of rho unless the exponent is an integer.
 Errors carry a 1-based ``column``: a ``ParseError`` its token's, an operator's
 typed error its node's.  ``start`` is where the source begins in its line.
 """
@@ -33,7 +33,7 @@ from typing import Union
 
 from .errors import ParseError, ResourceLimitError, SolidusError
 from .external import ExternalNum, ext_inv, magnitude, pure, shadow, unity
-from .field import RhoPoly, digit_limit
+from .field import RhoPoly, _sum_terms, digit_limit
 from .neutrix import FULL, INFINITESIMALS, LIMITED, NX_ZERO
 
 
@@ -289,20 +289,45 @@ def _evaluate(expr: Expr) -> ExternalNum | bool:
         return _SYMBOLS[expr.name]
     if isinstance(expr, Cmp):
         return _COMPARISONS[expr.op](_value(expr.left), _value(expr.right))
+    if isinstance(expr, BinOp):
+        if expr.op in _LEVELS[0] and isinstance(expr.left, BinOp) and expr.left.op in _LEVELS[0]:
+            return _sum(expr)
+        return _apply(expr, _BINARY[expr.op], _value(expr.left), _value(expr.right))
     if isinstance(expr, Unary):
-        op, args = _FUNCTIONS[expr.op], (_value(expr.arg),)
-    elif isinstance(expr, BinOp):
-        op, args = _BINARY[expr.op], (_value(expr.left), _value(expr.right))
-    elif isinstance(expr, Pow):
-        op, args = _power, (_value(expr.base), expr.exponent)
-    else:
-        raise ParseError("unknown expression node", getattr(expr, "pos", 1))
+        return _apply(expr, _FUNCTIONS[expr.op], _value(expr.arg))
+    if isinstance(expr, Pow):
+        return _apply(expr, _power, _value(expr.base), expr.exponent)
+    raise ParseError("unknown expression node", getattr(expr, "pos", 1))
+
+
+def _apply(node: Expr, op, *args) -> ExternalNum:
     try:
         return op(*args)
     except SolidusError as exc:  # the operator's own typed error, at this node
-        if exc.column is None:
-            exc.column = expr.pos
+        exc.column = exc.column or node.pos
         raise
+
+
+def _sum(expr: BinOp) -> ExternalNum:
+    """A ``+``/``-`` chain of three or more terms, left to right: a run of precise polynomials
+    after a polynomial value is merged once (not after a ratio: a zero sum resets its denominator)."""
+    nodes = [expr]  # the chain's nodes, the last one's left operand its first term
+    while isinstance(nodes[-1].left, BinOp) and nodes[-1].left.op in _LEVELS[0]:
+        nodes.append(nodes[-1].left)
+    total, run = _value(nodes[-1].left), []
+    for node in reversed(nodes):
+        if (x := _value(node.right)).nx is NX_ZERO and x.rep.is_polynomial() and total.rep.is_polynomial():
+            run.append(-x.rep.num if node.op == "-" else x.rep.num)
+            continue
+        total, run = _apply(node, _BINARY[node.op], _plus(total, run), x), []
+    return _plus(total, run)
+
+
+def _plus(total: ExternalNum, run: list[RhoPoly]) -> ExternalNum:
+    """``total``, whose representative is a polynomial, plus ``run``: one merge, one truncation."""
+    if len(run) < 2:
+        return total + run[0] if run else total
+    return ExternalNum(_sum_terms([(k, p.grid, c, p.den) for p in run + [total.rep.num] for k, c in p.ks]), total.nx)
 
 
 def _value(expr: Expr) -> ExternalNum:

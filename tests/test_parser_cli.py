@@ -9,6 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import left_fold
 import solidus.field
 from solidus.cli import main, run_command
 from solidus.errors import NotZerolessError, ParseError, ResourceLimitError, SolidusError
@@ -222,6 +223,113 @@ class TestEval:
         assert run_command("(0*L+L)^(-3)") == "error: L contains 0 and has no inverse (column 8)"
 
 
+def _outcome(evaluator, text: str) -> str:
+    """The REPL's line for ``text`` under ``evaluator``: the canonical form, or the error with its column."""
+    try:
+        value = evaluator(parse(text))
+    except SolidusError as exc:
+        return f"error: {type(exc).__name__}: {exc} (column {exc.column})"
+    return str(value).lower() if isinstance(value, bool) else render_external(value)
+
+
+class TestOnePassSum:
+    """A '+'/'-' chain is summed in one pass; ``left_fold`` folds it node by node,
+    as the evaluator did before, and both must print the same line."""
+
+    POLYS = ("7", "1/3", "rho", "-2*rho^(1/2)", "3/4*rho^(2/3)", "rho^(-1/5)", "5/6*rho^(-3/7)", "-rho^2", "2*rho^(-1)")
+    NEUTRICES = ("o", "L", "M", "rho^(-2)*o", "rho^(1/2)*L", "rho*o", "rho^(-1/3)*L", "(3 + rho^(-1)*o)")
+    # the second has a polynomial value over a two-term denominator, and the last
+    # cancels it: a partial sum of zero resets the fold's denominator to 1
+    RATIOS = ("1/(1+rho^(-1))", "(rho^2-1)/(rho-1)", "(2*rho+1)/(rho^(1/2)-3)", "rho/(rho + 1/2)", "1/(rho^(1/3) + 2)")
+    RATIOS += ("(rho^2-1)/(rho-1) - rho - 1",)
+    ERRORS = ("1/0", "u(o)", "o^(-1)", "(1+o)^(1/2)")
+
+    def _chain(self, rng: random.Random, layout: str) -> str:
+        n = rng.randint(10, 80)
+        ratio_at = {"head": {0}, "middle": {n // 2}, "tail": {n - 1}, "none": set()}.get(layout) or {
+            rng.randrange(n) for _ in range(3)
+        }
+        error_at = rng.randrange(n) if rng.random() < 0.15 else None
+        ops, operands = [], []
+        for i in range(n):
+            roll = rng.random()
+            if i in ratio_at:
+                operand = rng.choice(self.RATIOS)
+            elif i == error_at:
+                operand = rng.choice(self.ERRORS)
+            elif roll < 0.12 and operands:  # cancel an earlier operand
+                j = rng.randrange(len(operands))
+                ops.append("+" if ops[j] == "-" else "-")
+                operands.append(operands[j])
+                continue
+            elif roll < 0.2:
+                operand = rng.choice(self.NEUTRICES)
+            else:
+                operand = rng.choice(self.POLYS)
+            ops.append(rng.choice("+-"))
+            operands.append(operand)
+        ops[0] = ""
+        return " ".join(f"{op} {x}" if op else x for op, x in zip(ops, operands))
+
+    def test_agrees_with_the_left_fold(self):
+        rng = random.Random(2201)
+        outcomes = []
+        for i in range(200):
+            text = self._chain(rng, ("head", "middle", "tail", "none", "many")[i % 5])
+            outcomes.append(_outcome(evaluate, text))
+            assert outcomes[-1] == _outcome(left_fold.evaluate, text), text
+        # every kind of result was reached: ratios, each neutrix, zero and errors
+        assert any("/(" in out for out in outcomes)
+        for piece in ("*o", "*L", "M", "error: NotZerolessError"):
+            assert any(piece in out for out in outcomes), piece
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # a partial sum of zero resets the fold's denominator to 1
+            "(rho^2-1)/(rho-1) - rho - 1 + 5",
+            "(rho^2-1)/(rho-1) - rho - 1 + 5 + rho^(1/2) - 1/3",
+            "1/(1+rho^(-1)) + 1 - 1/(1+rho^(-1))",
+            "1/(1+rho^(-1)) - 1/(1+rho^(-1)) + 1 + rho",
+            "1/2 + rho^(1/3) - 1/2 - rho^(1/3)",
+            "rho^(-2)*o + 3*rho^(-1) - rho^(-3) + 2 - 7",
+            "1 + 2*rho - M + rho^5",
+            "3 - rho^(1/2) + rho^(1/3)*L - 2*rho^(1/3) + o - rho^(1/3) = 3 - rho^(1/2) + rho^(1/3)*L",
+            "2 + rho - 1/0 + 5",
+            "1 + 1/(1+rho^(-1/60000)) + rho^(-2)*o + 3",
+        ],
+    )
+    def test_fixed_chains_agree_with_the_left_fold(self, text):
+        assert _outcome(evaluate, text) == _outcome(left_fold.evaluate, text)
+
+    def test_error_columns(self):
+        assert run_command("2 + rho - 1/0 + 5") == "error: 0 contains 0 and has no inverse (column 12)"
+        assert run_command("1 + 1/(1+rho^(-1/60000)) + rho^(-2)*o + 3") == (
+            "error: series expansion longer than 100000 terms (column 26)"
+        )
+        assert run_command("(rho^2-1)/(rho-1) - rho - 1 + 5") == "5"
+
+    def test_a_run_is_added_before_the_next_operand(self, monkeypatch):
+        # with the run -1 added first, the expansion keeps 1,000 terms, one fewer than the limit refuses
+        monkeypatch.setattr(solidus.field, "MAX_SERIES_TERMS", 1000)
+        text = "0 - 1 + 1/(1+rho^(-1/1000)) + rho^(-1)*o"
+        assert _outcome(evaluate, text) == _outcome(left_fold.evaluate, text)
+        assert run_command(text).endswith(" + rho^(-1)*o")
+        assert run_command("0 + 1/(1+rho^(-1/1000)) + rho^(-1)*o").startswith("error: series expansion")
+
+    def test_a_polynomial_chain_adds_once(self, monkeypatch):
+        text = " - ".join(f"{j + 1}/{j % 3 + 1}*rho^({j}/5)" for j in range(200))
+        expected = _outcome(left_fold.evaluate, text)
+        calls = []
+        original = RhoPoly.__add__
+        monkeypatch.setattr(RhoPoly, "__add__", lambda x, y: calls.append(1) or original(x, y))
+        assert _outcome(evaluate, text) == expected
+        assert len(calls) <= 2
+        calls.clear()
+        left_fold.evaluate(parse(text))  # the counter counts: the fold adds once per operator
+        assert len(calls) == 199
+
+
 class TestRoundTrip:
     def test_random_round_trip(self):
         sampler = Sampler(GeneratorConfig(seed=11), "round-trip")
@@ -283,14 +391,21 @@ class TestCommands:
         assert str(err.value) == "0 contains 0 and has no inverse"
 
     def test_deep_nesting_is_an_error(self):
-        for text in ("1" + "+1" * 2000, "(" * 1500 + "1" + ")" * 1500, "(" * 300 + "1" + ")" * 300, "-" * 3000 + "1"):
+        for text in ("1" + "*1" * 2000, "(" * 1500 + "1" + ")" * 1500, "(" * 300 + "1" + ")" * 300, "-" * 3000 + "1"):
             assert run_command(text) == "error: expression nested too deeply (column 1)"
             assert run_command(f":cmp {text} , 1") == "error: expression nested too deeply (column 1)"
         assert run_command("1 + 1") == "2"
         with pytest.raises(ResourceLimitError, match="nested too deeply"):
             parse("(" * 300 + "1" + ")" * 300)
         with pytest.raises(ResourceLimitError, match="nested too deeply"):
-            evaluate(parse("1" + "+1" * 2000))
+            evaluate(parse("1" + "*1" * 2000))
+
+    def test_a_flat_sum_does_not_recurse(self):
+        # a '+'/'-' chain is summed in one pass, however long; a '*' chain still folds
+        assert run_command("1" + "+1" * 2000) == "2001"
+        assert run_command(f":cmp {'1' + '+1' * 2000} , 2001") == "EQ"
+        assert run_command("2*(" + "+".join(["1"] * 1000) + ")") == "2000"
+        assert evaluate(parse("1" + "-1" * 2000)) == -1999
 
     def test_blank_and_comment_lines(self):
         assert run_command("") == ""
@@ -415,6 +530,16 @@ class TestMainEntry:
         )
         assert proc.returncode == 0
         assert "1/2 + o" in proc.stdout
+
+    def test_a_closed_stdin_is_empty_input(self):
+        # the shell closes descriptor 0 before the interpreter starts, so sys.stdin is None
+        proc = subprocess.run(
+            ["sh", "-c", 'exec "$0" -m solidus.cli <&-', sys.executable],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
 
     def test_a_byte_that_is_not_utf8_is_one_error_line(self, tmp_path):
         # a batch file and a strict-UTF-8 stdin read the same way, and the output,
