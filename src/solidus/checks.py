@@ -2,8 +2,13 @@
 
 Each law is declared once, by a ``@law`` line directly above its verdict: the
 verdict returns None when the law holds and a message when it does not, and
-its parameter names label the drawn inputs in reports.  A law with a draw is
-evaluated on randomly generated instances; a law without one is an exact
+its parameter names label the drawn inputs in reports.  Each parameter is
+annotated with its sort, as the paper states each axiom over sorts: a sort
+such as ``External`` or ``Magnitude`` is an ``Annotated`` type whose metadata
+draws one value of it, and a law's inputs are drawn one parameter at a time,
+in order.  Only inputs drawn jointly (one depending on another, or draws
+discarded to keep the random stream) need an explicit ``draw=``; their
+parameters carry the plain types.  A verdict without parameters is an exact
 identity, evaluated once.  The catalog order is the declaration order.
 ``run_check`` alone decides what a failure is: the verdict's message, or a
 crash of the verdict.  A failure is shrunk toward fewer terms, simpler
@@ -19,13 +24,11 @@ Evaluation is sequential; reports are keyed by sample index, so the output is
 deterministic for a given (check id, config, count).
 """
 
-from __future__ import annotations
-
 import functools
 import operator
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Annotated, Callable, Optional
 
 from .errors import DegenerateDomainError, UnknownCheckError
 from .external import (
@@ -120,8 +123,8 @@ class Check:
 
     @property
     def single(self) -> bool:
-        """A law without a draw is an exact identity, evaluated once."""
-        return self.draw is _d_nothing
+        """A verdict without parameters is an exact identity, evaluated once."""
+        return not self.names
 
 
 REGISTRY: dict[str, Check] = {}
@@ -137,17 +140,14 @@ AXIOM_GROUPS = (
 )
 
 
-def _d_nothing(s: Sampler) -> tuple:
-    return ()
-
-
 def law(
-    check_id: str, group: str, description: str, expected: str, draw: Callable[[Sampler], tuple] = _d_nothing,
+    check_id: str, group: str, description: str, expected: str, draw: Callable[[Sampler], tuple] | None = None,
     *, expect_failures: bool = False, note: str = "", alias: str | None = None,
 ):
     """Register the decorated verdict as a check, in declaration order.
 
-    The verdict's parameter names label the drawn inputs in reports.
+    The verdict's parameter names label the drawn inputs in reports.  Without
+    ``draw``, each parameter's sort draws its value, one call per parameter.
     """
 
     def register(verdict: Callable[..., Optional[str]]):
@@ -155,8 +155,10 @@ def law(
             raise ValueError(f"duplicate check id {check_id}")
         code = verdict.__code__
         names = code.co_varnames[: code.co_argcount]
+        sorts = [verdict.__annotations__[name].__metadata__[0] for name in names] if draw is None else []
         REGISTRY[check_id] = Check(
-            check_id, group, description, names, draw, verdict, expected, expect_failures, note
+            check_id, group, description, names, draw or (lambda s: tuple(sort(s) for sort in sorts)),
+            verdict, expected, expect_failures, note,
         )
         if alias is not None:
             ALIASES[alias] = check_id
@@ -291,15 +293,65 @@ def _witness_above(a: ExternalNum, b: ExternalNum) -> PreciseNum:
     return a.rep if ext_disjoint(a, b) else separate_precise(b, a)
 
 
-# --- draws ---------------------------------------------------------------------
+# --- sorts ---------------------------------------------------------------------
 
 
-def _d(method: Callable[[Sampler], object], k: int = 1):
-    """Draw k values by k calls of ``method(sampler)``, e.g. ``_d(Sampler.neutrix, 2)``."""
-    def draw(s: Sampler) -> tuple:
-        return tuple(method(s) for _ in range(k))
+def _nonprecise(s: Sampler) -> ExternalNum:
+    for _ in range(64):
+        alpha = s.external()
+        if alpha.nx != NX_ZERO:
+            return alpha
+    return ExternalNum(0, LIMITED)
 
-    return draw
+
+def _positive_monomial(s: Sampler) -> PreciseNum:
+    k, grid = s._grid(*EXPONENT_RANGE)
+    c, d = s._coefficient()
+    return PreciseNum.of(_poly(grid, d, [(k, abs(c))]))
+
+
+def _degree_zero_positive(s: Sampler) -> PreciseNum:
+    x = abs(s.limited_precise())
+    d = x.degree()
+    if d < 0:
+        x = x * PreciseNum.of(RhoPoly.rho_power(-d))
+    return x
+
+
+def _natural(s: Sampler) -> PreciseNum:
+    p = RhoPoly((s.integer(0, 2), s.integer(-COEFF_BOUND, COEFF_BOUND)) for _ in range(s.integer(0, 2)))
+    return PreciseNum.of(-p if p.sign() < 0 else p)
+
+
+def _unit_offset(s: Sampler) -> PreciseNum:
+    return s.rng.choice(
+        [
+            PreciseNum.of(Fraction(1, s.integer(2, 5))),
+            PreciseNum.of(RhoPoly.rho_power(-1, s.integer(1, 3))),
+            PreciseNum.of(Fraction(1, 2)) + PreciseNum.of(RhoPoly.rho_power(-2)),
+        ]
+    )
+
+
+# a sort is its type with the draw of one value of it
+External = Annotated[ExternalNum, Sampler.external]
+Zeroless = Annotated[ExternalNum, Sampler.zeroless]
+NonPrecise = Annotated[ExternalNum, _nonprecise]
+Magnitude = Annotated[Neutrix, Sampler.neutrix]
+Precise = Annotated[PreciseNum, Sampler.precise]
+NonzeroPrecise = Annotated[PreciseNum, Sampler.nonzero_precise]
+PositivePrecise = Annotated[PreciseNum, Sampler.positive_precise]
+LimitedPrecise = Annotated[PreciseNum, Sampler.limited_precise]
+Appreciable = Annotated[PreciseNum, _degree_zero_positive]
+PositiveInfinitesimal = Annotated[PreciseNum, lambda s: abs(s.member_of(INFINITESIMALS, allow_zero=False))]
+AboveInfinitesimals = Annotated[PreciseNum, lambda s: abs(_degree_zero_positive(s)) * PreciseNum.of(_poly(2, 1, [(s.integer(0, 4), 1)]))]
+PositiveMonomial = Annotated[PreciseNum, _positive_monomial]  # so the square root exists in the model
+Natural = Annotated[PreciseNum, _natural]
+UnitOffset = Annotated[PreciseNum, _unit_offset]  # strictly between 0 and 1
+LowerHalfline = Annotated[Halfline, lambda s: lower(s.rng.choice(list(HalflineKind)), s.external())]
+
+
+# --- joint draws ---------------------------------------------------------------
 
 
 def _d_absorbable(s: Sampler) -> tuple:
@@ -366,62 +418,6 @@ def _d_archimedean(s: Sampler) -> tuple:
     return (ExternalNum(1), ExternalNum(RhoPoly.rho_power(1)))
 
 
-def _d_halfline(s: Sampler) -> tuple:
-    kind = s.rng.choice(list(HalflineKind))
-    return (lower(kind, s.external()),)
-
-
-def _nonprecise(s: Sampler) -> ExternalNum:
-    for _ in range(64):
-        alpha = s.external()
-        if alpha.nx != NX_ZERO:
-            return alpha
-    return ExternalNum(0, LIMITED)
-
-
-def _d_square_root_pair(s: Sampler) -> tuple:
-    # positive monomials, so the square root exists in the model
-    k, grid = s._grid(*EXPONENT_RANGE)
-    c, d = s._coefficient()
-    return (PreciseNum.of(_poly(grid, d, [(k, abs(c))])),)
-
-
-def _degree_zero_positive(s: Sampler) -> PreciseNum:
-    x = abs(s.limited_precise())
-    d = x.degree()
-    if d < 0:
-        x = x * PreciseNum.of(RhoPoly.rho_power(-d))
-    return x
-
-
-def _d_naturals(s: Sampler) -> tuple:
-    def nat_poly() -> RhoPoly:
-        n = s.integer(0, 2)
-        p = RhoPoly(
-            (s.integer(0, 2), s.integer(-COEFF_BOUND, COEFF_BOUND))
-            for _ in range(n)
-        )
-        return -p if p.sign() < 0 else p
-
-    x, y = PreciseNum.of(nat_poly()), PreciseNum.of(nat_poly())
-    mid_offset = s.rng.choice(
-        [
-            PreciseNum.of(Fraction(1, s.integer(2, 5))),
-            PreciseNum.of(RhoPoly.rho_power(-1, s.integer(1, 3))),
-            PreciseNum.of(Fraction(1, 2)) + PreciseNum.of(RhoPoly.rho_power(-2)),
-        ]
-    )
-    return (x, y, mid_offset)
-
-
-def _d_order_consistency(s: Sampler) -> tuple:
-    p = abs(s.member_of(INFINITESIMALS, allow_zero=False))
-    q = abs(_degree_zero_positive(s)) * PreciseNum.of(
-        _poly(2, 1, [(s.integer(0, 4), 1)])
-    )
-    return (p, q)
-
-
 def _d_sup_consistency(s: Sampler) -> tuple:
     p = abs(s.member_of(INFINITESIMALS, allow_zero=False))
     q = _degree_zero_positive(s)
@@ -439,18 +435,18 @@ def _d_sup_consistency(s: Sampler) -> tuple:
 # 1. addition
 
 
-@law("axiom.add.assoc", "addition", "x+(y+z) = (x+y)+z", "associativity of addition", _d(Sampler.external, 3))
-def _v_add_assoc(x, y, z):
+@law("axiom.add.assoc", "addition", "x+(y+z) = (x+y)+z", "associativity of addition")
+def _v_add_assoc(x: External, y: External, z: External):
     return _neq(x + y + z, x + (y + z))
 
 
-@law("axiom.add.comm", "addition", "x+y = y+x", "commutativity of addition", _d(Sampler.external, 2))
-def _v_add_comm(x, y):
+@law("axiom.add.comm", "addition", "x+y = y+x", "commutativity of addition")
+def _v_add_comm(x: External, y: External):
     return _neq(x + y, y + x)
 
 
 @law("axiom.add.neutral", "addition", "x+e(x) = x, minimally", "individualized neutral element", _d_absorbable)
-def _v_add_neutral(x, f):
+def _v_add_neutral(x: ExternalNum, f: ExternalNum):
     e = magnitude(x)
     if x + e != x:
         return f"x + e(x) = {x + e}"
@@ -459,8 +455,8 @@ def _v_add_neutral(x, f):
     return None
 
 
-@law("axiom.add.symmetric", "addition", "x+(-x) = e(x) with e(-x) = e(x)", "individualized symmetric element", _d(Sampler.external))
-def _v_add_symmetric(x):
+@law("axiom.add.symmetric", "addition", "x+(-x) = e(x) with e(-x) = e(x)", "individualized symmetric element")
+def _v_add_symmetric(x: External):
     s = -x
     if x + s != magnitude(x):
         return f"x + (-x) = {x + s}"
@@ -469,8 +465,8 @@ def _v_add_symmetric(x):
     return None
 
 
-@law("axiom.add.magnitude_linear", "addition", "e(x+y) is e(x) or e(y)", "magnitude of a sum", _d(Sampler.external, 2))
-def _v_add_magnitude_linear(x, y):
+@law("axiom.add.magnitude_linear", "addition", "e(x+y) is e(x) or e(y)", "magnitude of a sum")
+def _v_add_magnitude_linear(x: External, y: External):
     e = magnitude(x + y)
     if e != magnitude(x) and e != magnitude(y):
         return f"e(x + y) = {e}"
@@ -480,18 +476,18 @@ def _v_add_magnitude_linear(x, y):
 # 2. multiplication
 
 
-@law("axiom.mul.assoc", "multiplication", "x(yz) = (xy)z", "associativity of multiplication", _d(Sampler.external, 3))
-def _v_mul_assoc(x, y, z):
+@law("axiom.mul.assoc", "multiplication", "x(yz) = (xy)z", "associativity of multiplication")
+def _v_mul_assoc(x: External, y: External, z: External):
     return _neq(x * y * z, x * (y * z))
 
 
-@law("axiom.mul.comm", "multiplication", "xy = yx", "commutativity of multiplication", _d(Sampler.external, 2))
-def _v_mul_comm(x, y):
+@law("axiom.mul.comm", "multiplication", "xy = yx", "commutativity of multiplication")
+def _v_mul_comm(x: External, y: External):
     return _neq(x * y, y * x)
 
 
 @law("axiom.mul.unity", "multiplication", "x*u(x) = x, minimally", "individualized unity", _d_unity_minimality)
-def _v_mul_unity(x, v):
+def _v_mul_unity(x: ExternalNum, v: ExternalNum):
     u = unity(x)
     if x * u != x:
         return f"x * u(x) = {x * u}"
@@ -500,8 +496,8 @@ def _v_mul_unity(x, v):
     return None
 
 
-@law("axiom.mul.inverse", "multiplication", "x*d(x) = u(x) with u(d) = u(x)", "individualized division", _d(Sampler.zeroless))
-def _v_mul_inverse(x):
+@law("axiom.mul.inverse", "multiplication", "x*d(x) = u(x) with u(d) = u(x)", "individualized division")
+def _v_mul_inverse(x: Zeroless):
     d = ext_inv(x)
     if x * d != unity(x):
         return f"x * d(x) = {x * d}"
@@ -510,8 +506,8 @@ def _v_mul_inverse(x):
     return None
 
 
-@law("axiom.mul.unity_product", "multiplication", "u(xy) is u(x) or u(y)", "unity of a product", _d(Sampler.zeroless, 2))
-def _v_mul_unity_product(x, y):
+@law("axiom.mul.unity_product", "multiplication", "u(xy) is u(x) or u(y)", "unity of a product")
+def _v_mul_unity_product(x: Zeroless, y: Zeroless):
     u = unity(x * y)
     if u != unity(x) and u != unity(y):
         return f"u(x*y) = {u}"
@@ -521,45 +517,45 @@ def _v_mul_unity_product(x, y):
 # 3. order
 
 
-@law("axiom.order.reflexive", "order", "x <= x", "reflexivity", _d(Sampler.external))
-def _v_order_reflexive(x):
+@law("axiom.order.reflexive", "order", "x <= x", "reflexivity")
+def _v_order_reflexive(x: External):
     if ext_compare(x, x) is not EQ:
         return f"compare(x, x) = {ext_compare(x, x).name}"
     return None
 
 
 @law("axiom.order.antisymmetric", "order", "x<=y and y<=x imply x=y", "antisymmetry", _d_often_equal_pair)
-def _v_order_antisymmetric(x, y):
+def _v_order_antisymmetric(x: ExternalNum, y: ExternalNum):
     if not y < x and not x < y and x != y:
         return "x <= y and y <= x but x != y"
     return None
 
 
-@law("axiom.order.transitive", "order", "x<=y<=z implies x<=z", "transitivity", _d(Sampler.external, 3))
-def _v_order_transitive(x, y, z):
+@law("axiom.order.transitive", "order", "x<=y<=z implies x<=z", "transitivity")
+def _v_order_transitive(x: External, y: External, z: External):
     if x <= y and y <= z:
         if x > z:
             return "x <= y <= z but x > z"
     return None
 
 
-@law("axiom.order.total", "order", "compare is total and antitone under swap", "totality", _d(Sampler.external, 2))
-def _v_order_total(x, y):
+@law("axiom.order.total", "order", "compare is total and antitone under swap", "totality")
+def _v_order_total(x: External, y: External):
     ab, ba = ext_compare(x, y), ext_compare(y, x)
     if ab.value != -ba.value:
         return f"compare(x, y) = {ab.name} but compare(y, x) = {ba.name}"
     return None
 
 
-@law("axiom.order.add_compatible", "order", "x<=y implies x+z<=y+z", "compatibility with addition", _d(Sampler.external, 3))
-def _v_order_add_compatible(x, y, z):
+@law("axiom.order.add_compatible", "order", "x<=y implies x+z<=y+z", "compatibility with addition")
+def _v_order_add_compatible(x: External, y: External, z: External):
     if x <= y and x + z > y + z:
         return f"x + z = {x + z} > y + z = {y + z}"
     return None
 
 
 @law("axiom.order.absorbed_below", "order", "y+e(x)=e(x) implies y<=e(x) and -y<=e(x)", "absorbed elements are small", _d_absorbable)
-def _v_order_absorbed_below(x, y):
+def _v_order_absorbed_below(x: ExternalNum, y: ExternalNum):
     e = magnitude(x)
     if y + e == e:
         if y > e:
@@ -570,7 +566,7 @@ def _v_order_absorbed_below(x, y):
 
 
 @law("axiom.order.mul_compatible", "order", "e(x)<x and y<=z imply xy<=xz", "compatibility with positive multiplication", _d_positive_mul)
-def _v_order_mul_compatible(x, y, z):
+def _v_order_mul_compatible(x: ExternalNum, y: ExternalNum, z: ExternalNum):
     if magnitude(x) < x and y <= z:
         if x * y > x * z:
             return f"x*y = {x * y} > x*z = {x * z}"
@@ -578,7 +574,7 @@ def _v_order_mul_compatible(x, y, z):
 
 
 @law("axiom.order.amplification", "order", "e(y)<=y<=z implies e(x)y<=e(x)z", "amplification by magnitudes", _d_amplification)
-def _v_order_amplification(x, y, z):
+def _v_order_amplification(x: ExternalNum, y: ExternalNum, z: ExternalNum):
     e = magnitude(x)
     if magnitude(y) <= y and y <= z:
         if e * y > e * z:
@@ -589,54 +585,54 @@ def _v_order_amplification(x, y, z):
 # 4. mixed
 
 
-@law("axiom.mixed.scale", "mixed", "e(x)*y is a magnitude", "products with magnitudes are magnitudes", _d(Sampler.external, 2))
-def _v_mixed_scale(x, y):
+@law("axiom.mixed.scale", "mixed", "e(x)*y is a magnitude", "products with magnitudes are magnitudes")
+def _v_mixed_scale(x: External, y: External):
     product = magnitude(x) * y
     if not product.rep.is_zero():
         return f"e(x)*y = {product} is not a magnitude"
     return None
 
 
-@law("axiom.mixed.product_magnitude", "mixed", "e(xy) = e(x)y + e(y)x", "magnitude of a product", _d(Sampler.external, 2))
-def _v_mixed_product_magnitude(x, y):
+@law("axiom.mixed.product_magnitude", "mixed", "e(xy) = e(x)y + e(y)x", "magnitude of a product")
+def _v_mixed_product_magnitude(x: External, y: External):
     lhs = magnitude(x * y)
     rhs = magnitude(x) * y + magnitude(y) * x
     return _neq(rhs, lhs)
 
 
-@law("axiom.mixed.unity_magnitude", "mixed", "e(u(x)) = e(x)/x", "magnitude of the unity", _d(Sampler.zeroless))
-def _v_mixed_unity_magnitude(x):
+@law("axiom.mixed.unity_magnitude", "mixed", "e(u(x)) = e(x)/x", "magnitude of the unity")
+def _v_mixed_unity_magnitude(x: Zeroless):
     lhs = magnitude(unity(x))
     rhs = magnitude(x) / x
     return _neq(rhs, lhs)
 
 
-@law("axiom.mixed.distributivity", "mixed", "xy+xz = x(y+z)+e(x)y+e(x)z", "distributivity with magnitude correction", _d(Sampler.external, 3), alias="axiom.distributivity")
-def _v_distributivity(x, y, z):
+@law("axiom.mixed.distributivity", "mixed", "xy+xz = x(y+z)+e(x)y+e(x)z", "distributivity with magnitude correction", alias="axiom.distributivity")
+def _v_distributivity(x: External, y: External, z: External):
     e = magnitude(x)
     return _neq(x * (y + z) + e * y + e * z, x * y + x * z)
 
 
-@law("axiom.mixed.negation", "mixed", "-(xy) = (-x)y", "negation of a product", _d(Sampler.external, 2))
-def _v_mixed_negation(x, y):
+@law("axiom.mixed.negation", "mixed", "-(xy) = (-x)y", "negation of a product")
+def _v_mixed_negation(x: External, y: External):
     return _neq((-x) * y, -(x * y))
 
 
 # 5. existence
 
 
-@law("axiom.exist.zero_min", "existence", "0 + x = x", "minimal magnitude", _d(Sampler.external))
-def _v_exist_zero_min(x):
+@law("axiom.exist.zero_min", "existence", "0 + x = x", "minimal magnitude")
+def _v_exist_zero_min(x: External):
     return _neq(x, ExternalNum(0) + x)
 
 
-@law("axiom.exist.one_unity", "existence", "1 * x = x", "minimal unity", _d(Sampler.external))
-def _v_exist_one_unity(x):
+@law("axiom.exist.one_unity", "existence", "1 * x = x", "minimal unity")
+def _v_exist_one_unity(x: External):
     return _neq(x, ExternalNum(1) * x)
 
 
-@law("axiom.exist.max_absorbs", "existence", "e(x) + M = M", "maximal magnitude", _d(Sampler.external))
-def _v_exist_max_absorbs(x):
+@law("axiom.exist.max_absorbs", "existence", "e(x) + M = M", "maximal magnitude")
+def _v_exist_max_absorbs(x: External):
     return _neq(pure(FULL), magnitude(x) + pure(FULL))
 
 
@@ -648,16 +644,16 @@ def _v_exist_intermediate():
     return None
 
 
-@law("axiom.exist.decomposition", "existence", "x = a + e(x) with a precise", "representative decomposition", _d(Sampler.external))
-def _v_exist_decomposition(x):
+@law("axiom.exist.decomposition", "existence", "x = a + e(x) with a precise", "representative decomposition")
+def _v_exist_decomposition(x: External):
     a = ExternalNum(x.rep)
     if magnitude(a) != ExternalNum(0):
         return f"representative has magnitude {magnitude(a)}"
     return _neq(x, a + magnitude(x))
 
 
-@law("axiom.exist.separation", "existence", "distinct magnitudes are separated by a zeroless element", "separation of magnitudes", _d(Sampler.neutrix, 2))
-def _v_exist_separation(A, B):
+@law("axiom.exist.separation", "existence", "distinct magnitudes are separated by a zeroless element", "separation of magnitudes")
+def _v_exist_separation(A: Magnitude, B: Magnitude):
     if A == B:
         return None
     lo, hi = (A, B) if A < B else (B, A)
@@ -689,8 +685,8 @@ def _v_magprod_maximal_ideal():
     return "; ".join(problems) or None
 
 
-@law("axiom.magprod.scale_to_idempotent", "magnitude-product", "every magnitude is precise * idempotent", "scaling to an idempotent", _d(Sampler.neutrix))
-def _v_magprod_scale_to_idempotent(A):
+@law("axiom.magprod.scale_to_idempotent", "magnitude-product", "every magnitude is precise * idempotent", "scaling to an idempotent")
+def _v_magprod_scale_to_idempotent(A: Magnitude):
     p, i = decompose(A)
     if not is_idempotent(i):
         return f"decomposed idempotent {i} is not idempotent"
@@ -716,8 +712,8 @@ def _probe_points(b: ExternalNum) -> list[ExternalNum]:
     return points
 
 
-@law("axiom.scheme.dedekind", "scheme", "represented halflines have weak bounds of the right kind", "generalized completeness on represented halflines", _d_halfline)
-def _v_scheme_dedekind(h: Halfline):
+@law("axiom.scheme.dedekind", "scheme", "represented halflines have weak bounds of the right kind", "generalized completeness on represented halflines", )
+def _v_scheme_dedekind(h: LowerHalfline):
     b = zup(h)
     points = _probe_points(b)
     in_bound = hl_member(h, b)
@@ -740,8 +736,8 @@ def _v_scheme_dedekind(h: Halfline):
     return None
 
 
-@law("axiom.arith.naturals", "arithmetical", "naturals are discrete, closed and nonnegative", "natural number axiom", _d_naturals)
-def _v_arith_naturals(x, y, offset):
+@law("axiom.arith.naturals", "arithmetical", "naturals are discrete, closed and nonnegative", "natural number axiom", )
+def _v_arith_naturals(x: Natural, y: Natural, offset: UnitOffset):
     if not is_natural(PreciseNum.of(0)):
         return "0 is not natural"
     if is_natural(-(x + 1)):
@@ -773,7 +769,7 @@ def _v_arith_induction_even_odd():
 
 
 @law("axiom.arith.archimedean", "arithmetical", "some natural multiple of x exceeds y", "Archimedean witness", _d_archimedean)
-def _v_arith_archimedean(x, y):
+def _v_arith_archimedean(x: ExternalNum, y: ExternalNum):
     z = PreciseNum.of(archimedean_witness(x, y))
     if not is_natural(z):
         return f"witness {z} is not natural"
@@ -795,15 +791,15 @@ def _v_thm_chain():
     return None
 
 
-@law("thm.no_magnitude_between", "theorem", "no magnitude strictly between o and L", "extremality of o and L", _d(Sampler.neutrix))
-def _v_thm_no_magnitude_between(A):
+@law("thm.no_magnitude_between", "theorem", "no magnitude strictly between o and L", "extremality of o and L")
+def _v_thm_no_magnitude_between(A: Magnitude):
     if INFINITESIMALS < A < LIMITED:
         return f"{A} lies strictly between the two canonical magnitudes"
     return None
 
 
-@law("thm.reciprocal_pound", "theorem", "L < p iff 1/p < o", "reciprocal across L", _d(Sampler.positive_precise))
-def _v_thm_reciprocal_pound(p):
+@law("thm.reciprocal_pound", "theorem", "L < p iff 1/p < o", "reciprocal across L")
+def _v_thm_reciprocal_pound(p: PositivePrecise):
     lhs = pure(LIMITED) < ExternalNum(p)
     rhs = ExternalNum(1 / p) < pure(INFINITESIMALS)
     if lhs != rhs:
@@ -811,8 +807,8 @@ def _v_thm_reciprocal_pound(p):
     return None
 
 
-@law("thm.reciprocal_oslash", "theorem", "o < p iff 1/p < L", "reciprocal across o", _d(Sampler.positive_precise))
-def _v_thm_reciprocal_oslash(p):
+@law("thm.reciprocal_oslash", "theorem", "o < p iff 1/p < L", "reciprocal across o")
+def _v_thm_reciprocal_oslash(p: PositivePrecise):
     lhs = pure(INFINITESIMALS) < ExternalNum(p)
     rhs = ExternalNum(1 / p) < pure(LIMITED)
     if lhs != rhs:
@@ -820,8 +816,8 @@ def _v_thm_reciprocal_oslash(p):
     return None
 
 
-@law("thm.sqrt_below_oslash", "theorem", "p < o implies sqrt(p) < o (power witnesses)", "roots stay infinitesimal", _d_square_root_pair)
-def _v_thm_sqrt_below(s):
+@law("thm.sqrt_below_oslash", "theorem", "p < o implies sqrt(p) < o (power witnesses)", "roots stay infinitesimal", )
+def _v_thm_sqrt_below(s: PositiveMonomial):
     p = s * s
     if ExternalNum(p) < pure(INFINITESIMALS):
         if not ExternalNum(s) < pure(INFINITESIMALS):
@@ -829,8 +825,8 @@ def _v_thm_sqrt_below(s):
     return None
 
 
-@law("thm.sqrt_above_pound", "theorem", "L < p implies L < sqrt(p) (power witnesses)", "roots stay large", _d_square_root_pair)
-def _v_thm_sqrt_above(s):
+@law("thm.sqrt_above_pound", "theorem", "L < p implies L < sqrt(p) (power witnesses)", "roots stay large", )
+def _v_thm_sqrt_above(s: PositiveMonomial):
     p = s * s
     if pure(LIMITED) < ExternalNum(p):
         if not pure(LIMITED) < ExternalNum(s):
@@ -838,8 +834,8 @@ def _v_thm_sqrt_above(s):
     return None
 
 
-@law("thm.square_between", "theorem", "o < p < L implies o < p^2 < L", "squares stay appreciable", _d(_degree_zero_positive))
-def _v_thm_square_between(p):
+@law("thm.square_between", "theorem", "o < p < L implies o < p^2 < L", "squares stay appreciable")
+def _v_thm_square_between(p: Appreciable):
     o, limited = pure(INFINITESIMALS), pure(LIMITED)
     if o < ExternalNum(p) < limited:
         sq = ExternalNum(p * p)
@@ -849,7 +845,7 @@ def _v_thm_square_between(p):
 
 
 @law("thm.sup_inf_characterization", "theorem", "o = sup of reciprocals of large elements; L = inf of their inverses", "sup/inf characterization", lambda s: _d_sup_consistency(s)[2:])
-def _v_thm_sup_inf_characterization(below, above):
+def _v_thm_sup_inf_characterization(below: Neutrix, above: Neutrix):
     # below < o: exhibit p with below < p < o and L < 1/p
     s = below.q if below != NX_ZERO else Fraction(-2)
     w = PreciseNum.of(RhoPoly.rho_power(s / 2))
@@ -891,8 +887,8 @@ def _v_thm_oslash_pound():
     return None if got == INFINITESIMALS else f"o*L = {got}"
 
 
-@law("thm.max_ideal", "theorem", "maximal ideals match their sup characterization", "sup characterization of maximal ideals", _d(Sampler.nonzero_precise))
-def _v_thm_max_ideal_sup(omega):
+@law("thm.max_ideal", "theorem", "maximal ideals match their sup characterization", "sup characterization of maximal ideals")
+def _v_thm_max_ideal_sup(omega: NonzeroPrecise):
     # J = LIMITED: every precise omega with L < |omega| has 1/omega below o,
     # and the family climbs past any magnitude below o.
     w = abs(omega)
@@ -931,8 +927,8 @@ _UNIT_SCALARS = (
 )
 
 
-@law("thm.idempotent_unique", "theorem", "the idempotent factor of a magnitude is unique", "uniqueness of the idempotent part", _d(Sampler.neutrix))
-def _v_thm_idempotent_unique(A):
+@law("thm.idempotent_unique", "theorem", "the idempotent factor of a magnitude is unique", "uniqueness of the idempotent part")
+def _v_thm_idempotent_unique(A: Magnitude):
     if A == NX_ZERO:
         return None
     _, i = decompose(A)
@@ -948,8 +944,8 @@ def _v_thm_idempotent_unique(A):
     return None
 
 
-@law("thm.linearization", "theorem", "e*f = p*e or p*f for a positive precise p", "linearization of magnitude products", _d(Sampler.neutrix, 2))
-def _v_thm_linearization(A, B):
+@law("thm.linearization", "theorem", "e*f = p*e or p*f for a positive precise p", "linearization of magnitude products")
+def _v_thm_linearization(A: Magnitude, B: Magnitude):
     product = nx_mul(A, B)
     candidates: list[tuple[PreciseNum, Neutrix]] = []
     for base in (A, B):
@@ -964,8 +960,8 @@ def _v_thm_linearization(A, B):
     return f"no positive precise p with e*f = p*e or p*f (e*f = {product})"
 
 
-@law("thm.order_consistency", "theorem", "magnitude products sit where the order demands", "consistency with the order", _d_order_consistency)
-def _v_thm_order_consistency(p, q):
+@law("thm.order_consistency", "theorem", "magnitude products sit where the order demands", "consistency with the order", )
+def _v_thm_order_consistency(p: PositiveInfinitesimal, q: AboveInfinitesimals):
     i, j = INFINITESIMALS, LIMITED
     ij = nx_mul(i, j)
     if nx_contains(i, p):
@@ -987,7 +983,7 @@ def _v_thm_order_consistency(p, q):
 
 
 @law("thm.sup_consistency", "theorem", "I*J is approachable from below but not from above", "consistency with suprema", _d_sup_consistency)
-def _v_thm_sup_consistency(p, q, below, above):
+def _v_thm_sup_consistency(p: PreciseNum, q: PreciseNum, below: Neutrix, above: Neutrix):
     i, j = INFINITESIMALS, LIMITED
     ij = nx_mul(i, j)
     if ij != i:
@@ -1017,11 +1013,11 @@ def _v_thm_sup_consistency(p, q, below, above):
     return None
 
 
-law("thm.distributivity_total", "theorem", "xy+xz = x(y+z) + e(x)y + e(x)z exactly", "total distributivity formula", _d(Sampler.external, 3))(_v_distributivity)
+law("thm.distributivity_total", "theorem", "xy+xz = x(y+z) + e(x)y + e(x)z exactly", "total distributivity formula")(_v_distributivity)
 
 
-@law("thm.subdistributivity", "theorem", "x(y+z) lands inside xy+xz for sampled members", "subdistributivity as sets", _d(Sampler.external, 3))
-def _v_thm_subdistributivity(x, y, z):
+@law("thm.subdistributivity", "theorem", "x(y+z) lands inside xy+xz for sampled members", "subdistributivity as sets")
+def _v_thm_subdistributivity(x: External, y: External, z: External):
     target = x * y + x * z
     for a in _representative_menu(x, 3):
         for b in _representative_menu(y, 3):
@@ -1031,8 +1027,8 @@ def _v_thm_subdistributivity(x, y, z):
     return None
 
 
-@law("thm.trichotomy", "theorem", "disjoint, subset or superset, consistent with compare", "set trichotomy", _d(Sampler.external, 2))
-def _v_thm_trichotomy(x, y):
+@law("thm.trichotomy", "theorem", "disjoint, subset or superset, consistent with compare", "set trichotomy")
+def _v_thm_trichotomy(x: External, y: External):
     disjoint = ext_disjoint(x, y)
     sub = ext_subset(x, y)
     sup = ext_subset(y, x)
@@ -1052,8 +1048,8 @@ def _v_thm_trichotomy(x, y):
     return None
 
 
-@law("thm.three_cases", "theorem", "the three halfline kinds are mutually exclusive", "three cases are exclusive", _d(_nonprecise, 2))
-def _v_thm_three_cases(b1: ExternalNum, b2: ExternalNum):
+@law("thm.three_cases", "theorem", "the three halfline kinds are mutually exclusive", "three cases are exclusive")
+def _v_thm_three_cases(b1: NonPrecise, b2: NonPrecise):
     # pairwise separation of the three kinds at a common non-precise bound
     closed, open_, so = (lower(k, b1) for k in HalflineKind)
     if hl_member(closed, b1) == hl_member(open_, b1):
@@ -1095,8 +1091,8 @@ def _so_distinguisher(lo: ExternalNum, hi: ExternalNum) -> ExternalNum | None:
     return None
 
 
-@law("thm.dedekind_precise", "theorem", "open and strongly open coincide at precise bounds", "precise collapse", _d(Sampler.precise))
-def _v_thm_dedekind_precise_collapse(p: PreciseNum):
+@law("thm.dedekind_precise", "theorem", "open and strongly open coincide at precise bounds", "precise collapse")
+def _v_thm_dedekind_precise_collapse(p: Precise):
     b = ExternalNum(p)
     points = [ExternalNum(p + d) for d in (PreciseNum.of(-1), PreciseNum.of(0), PreciseNum.of(1), PreciseNum.of(RhoPoly.rho_power(-1)))]
     points.append(ExternalNum(p, INFINITESIMALS))
@@ -1108,8 +1104,8 @@ def _v_thm_dedekind_precise_collapse(p: PreciseNum):
     return None
 
 
-@law("thm.rational_form", "theorem", "non-precise values canonicalize to polynomial + magnitude", "canonical rational form", _d(_nonprecise))
-def _v_thm_rational_form(x: ExternalNum):
+@law("thm.rational_form", "theorem", "non-precise values canonicalize to polynomial + magnitude", "canonical rational form")
+def _v_thm_rational_form(x: NonPrecise):
     if not x.rep.is_polynomial():
         return f"canonical representative {x.rep} is not polynomial"
     if ExternalNum(x.rep, x.nx) != x:
@@ -1120,8 +1116,8 @@ def _v_thm_rational_form(x: ExternalNum):
     return None
 
 
-@law("thm.shadow_field", "theorem", "shadows of limited precise elements form a field", "shadow field laws", _d(Sampler.limited_precise, 3))
-def _v_thm_shadow_field(a, b, c):
+@law("thm.shadow_field", "theorem", "shadows of limited precise elements form a field", "shadow field laws")
+def _v_thm_shadow_field(a: LimitedPrecise, b: LimitedPrecise, c: LimitedPrecise):
     sh = lambda v: shadow(ExternalNum(v))
     x, y, z = sh(a), sh(b), sh(c)
     zero, one = pure(INFINITESIMALS), shadow(ExternalNum(1))
@@ -1146,8 +1142,8 @@ def _v_thm_shadow_field(a, b, c):
     return None
 
 
-@law("thm.unity_multiplicative", "theorem", "u(xy) = u(x)u(y)", "multiplicativity of unities", _d(Sampler.zeroless, 2))
-def _v_thm_unity_multiplicative(x, y):
+@law("thm.unity_multiplicative", "theorem", "u(xy) = u(x)u(y)", "multiplicativity of unities")
+def _v_thm_unity_multiplicative(x: Zeroless, y: Zeroless):
     return _neq(unity(x) * unity(y), unity(x * y))
 
 
@@ -1171,8 +1167,8 @@ def minkowski_escapes(
 MINKOWSKI_OPS = (("add", operator.add, operator.add), ("mul", operator.mul, operator.mul))
 
 
-@law("oracle.minkowski", "oracle", "sampled member sums/products land in the computed value", "Minkowski soundness", _d(Sampler.external, 2))
-def _v_oracle_minkowski(x, y):
+@law("oracle.minkowski", "oracle", "sampled member sums/products land in the computed value", "Minkowski soundness")
+def _v_oracle_minkowski(x: External, y: External):
     for name, ext_op, op in MINKOWSKI_OPS:
         escapes = minkowski_escapes(x, y, ext_op, op, 20)
         if escapes:
@@ -1181,8 +1177,8 @@ def _v_oracle_minkowski(x, y):
     return None
 
 
-@law("oracle.order", "oracle", "the order decision matches the member-sampling definition", "order oracle agreement", _d(Sampler.external, 2))
-def _v_oracle_order(x, y):
+@law("oracle.order", "oracle", "the order decision matches the member-sampling definition", "order oracle agreement")
+def _v_oracle_order(x: External, y: External):
     cmp = ext_compare(x, y)
     if cmp is not GT:
         for rep in _representative_menu(x, 20):
@@ -1214,7 +1210,7 @@ def _d_distributivity_stress(s: Sampler) -> tuple:
 
 
 @law("mutant.distributivity_naive", "mutant", "the naive law xy+xz = x(y+z) must fail", "naive distributivity (deliberately wrong)", _d_distributivity_stress, expect_failures=True, note="kept failing on purpose: the harness must refute the naive law", alias="axiom.distributivity_naive")
-def _v_mutant_distributivity(x, y, z):
+def _v_mutant_distributivity(x: ExternalNum, y: ExternalNum, z: ExternalNum):
     return _neq(x * (y + z), x * y + x * z)
 
 

@@ -5,7 +5,8 @@ expose classification, comparison, weak suprema, naturals and the check suite.
 A failing line prints one ``error: <message> (column N)`` line, N counted from
 the start of the line as typed; column 1 stands for the whole line.
 Exit codes: 0 success, 1 check failures (in --check mode), 2 usage errors,
-141 (128 + SIGPIPE) when standard output is closed early, as by ``| head``.
+141 (128 + SIGPIPE) when standard output is closed early, as by ``| head``;
+standard output closed from the start discards the output.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from typing import NoReturn, Optional
 
 from .checks import exit_code, format_reports, run_catalog
-from .errors import SolidusError, UnknownCheckError
+from .errors import ParseError, SolidusError, UnknownCheckError
 from .external import classify, ext_compare, render_external
 from .generate import GeneratorConfig
 from .halfline import zup_finite
@@ -121,10 +122,10 @@ def _dispatch(line: str) -> str:
     command = text.split(maxsplit=1)[0]
     start = len(line) - len(text) + len(command)  # the arguments begin after the command word
     rest = line[start:]
-    if command in (":quit", ":q", ":exit"):
-        return ":quit"
-    if command == ":help":
-        return HELP_TEXT
+    if command in (":quit", ":q", ":exit", ":help"):
+        if rest:  # a stray argument must not end a batch silently
+            raise ParseError(f"{command} takes no arguments", len(line) - len(rest.lstrip()) + 1)
+        return HELP_TEXT if command == ":help" else ":quit"
     entry = _COMMANDS.get(command)
     if entry is not None:
         arity, render = entry
@@ -179,6 +180,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--check", action="store_true", help="run the check suite headlessly")
     _add_check_options(parser)
     ns = parser.parse_args(argv)
+    # a closed standard output (`solidus >&-`) discards the output: sys.stdout is None
+    sys.stdout = sys.stdout or open(os.open(os.devnull, os.O_WRONLY), "w", closefd=False)
 
     code = 0  # also when standard input is closed (`solidus <&-`): sys.stdin is None, empty input
     try:

@@ -17,8 +17,8 @@ the precedence of the binary operators: ``expr`` and ``term`` are its two
 levels, parsed by one left-associative loop; a chain of three or more terms is
 summed in one pass (``_sum``).  The surface is ASCII only and accepts exact
 rational literals exclusively; a quotient like 1/2 parses as division, which
-evaluates to the same exact value.  Exponent bases must evaluate to a pure
-power of rho unless the exponent is an integer.
+evaluates to the same exact value.  A pure power of rho takes any rational
+exponent in one step; any other base takes only an integer exponent.
 Errors carry a 1-based ``column``: a ``ParseError`` its token's, an operator's
 typed error its node's.  ``start`` is where the source begins in its line.
 """
@@ -246,13 +246,13 @@ def parse_expr_list(source: str, start: int = 0) -> list[Expr]:
 
 
 def _power(base: ExternalNum, exponent: Fraction) -> ExternalNum:
-    if exponent.denominator == 1:
-        return _integer_power(base, exponent.numerator)
     p = base.rep.num
-    # a fractional power needs a precise base rho^q: one term, coefficient c/den = 1
-    if base.nx != NX_ZERO or not base.rep.is_polynomial() or len(p.ks) != 1 or p.ks[0][1] != p.den:
+    # a precise base rho^q (one term, coefficient c/den = 1) to any rational power is rho^(q*exponent)
+    if base.nx == NX_ZERO and base.rep.is_polynomial() and len(p.ks) == 1 and p.ks[0][1] == p.den:
+        return ExternalNum(RhoPoly.rho_power(Fraction(p.ks[0][0], p.grid) * exponent))
+    if exponent.denominator != 1:
         raise SolidusError("power base must be a pure power of rho")
-    return ExternalNum(RhoPoly.rho_power(Fraction(p.ks[0][0], p.grid) * exponent))
+    return _integer_power(base, exponent.numerator)
 
 
 def _integer_power(value: ExternalNum, n: int) -> ExternalNum:

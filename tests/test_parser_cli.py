@@ -11,6 +11,7 @@ import pytest
 
 import left_fold
 import solidus.field
+import solidus.parser
 from solidus.cli import main, run_command
 from solidus.errors import NotZerolessError, ParseError, ResourceLimitError, SolidusError
 from solidus.external import canonicalize, ext_compare, ext_inv, ext_mul, is_zeroless, pure, render_external
@@ -164,7 +165,7 @@ def test_junk_lines_output_pinned():
     lines = junk_lines(8, 5000)
     text = "\n".join(f"{line}\t{run_command(line)}" for line in lines)
     digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == "189a8be7c4a4e5a6ef4881944141ec1f450c5a7ec90e677b0722778afe89550f"
+    assert digest == "60d4825ee89d74e2a07a9e179fa4a8f02205ae71451a3c6c8942fc067ee7dd99"
 
 
 class TestEval:
@@ -190,6 +191,14 @@ class TestEval:
         # the error line carries the column of the '^'
         assert run_command("(2*rho)^(1/2)") == "error: power base must be a pure power of rho (column 8)"
         assert run_command("(1+o)^(1/2)") == "error: power base must be a pure power of rho (column 6)"
+
+    def test_a_pure_power_of_rho_takes_any_exponent_in_one_step(self, monkeypatch):
+        # rho^(k/g)^n renders as the repeated product gives it, without computing one
+        bases = {F(k, g) for k in range(-6, 7) for g in (1, 2, 3, 7)}
+        expected = {(q, n): str(_integer_power(eval_text(f"rho^({q})"), n)) for q in bases for n in range(-12, 13)}
+        monkeypatch.setattr(solidus.parser, "_integer_power", None)
+        for (q, n), text in expected.items():
+            assert str(eval_text(f"(rho^({q}))^({n})")) == text, (q, n)
 
     def test_integer_power_of_general_values(self):
         assert eval_text("(1 + 1/rho)^2") == eval_text("1 + 2/rho + 1/rho^2")
@@ -372,6 +381,13 @@ class TestCommands:
         # a command's arguments are expressions, so a comparison is a syntax error
         assert run_command(":cmp 1<2, 3") == "error: unexpected '<' (column 7)"
         assert run_command(":wibble 1") == "error: unknown command ':wibble' (column 1)"
+        # a command word without arguments takes none: `:quit inv<` in a batch must not end it
+        assert run_command(":quit inv<") == "error: :quit takes no arguments (column 7)"
+        assert run_command("  :help me") == "error: :help takes no arguments (column 9)"
+        assert run_command(":q\t1") == "error: :q takes no arguments (column 4)"
+        assert run_command(":exit  now") == "error: :exit takes no arguments (column 8)"
+        assert [run_command(word + "  \n") for word in (":quit", ":q", ":exit")] == [":quit"] * 3
+        assert run_command(":help").startswith("commands:")
         assert run_command(":arch 0, 1") == "error: requires 0 < x < y (column 1)"
         assert run_command("rho^").startswith("error:")
 
@@ -486,14 +502,15 @@ class TestResourceLimits:
 class TestMainEntry:
     def test_batch_mode(self, tmp_path, capsys):
         script = tmp_path / "session.txt"
-        script.write_text("1 + 1\n:cmp o , L\nbad syntax here\n:quit\nnever reached\n")
+        script.write_text("1 + 1\n:cmp o , L\nbad syntax here\n:quit now\n:quit\nnever reached\n")
         code = main(["--batch", str(script)])
         out = capsys.readouterr().out.splitlines()
         assert code == 0
         assert out[0] == "2"
         assert out[1] == "LT"
         assert out[2].startswith("error:")
-        assert len(out) == 3
+        assert out[3] == "error: :quit takes no arguments (column 7)"
+        assert len(out) == 4
 
     def test_check_mode_exit_zero(self, capsys):
         code = main(["--check", "--count", "2", "--only", "thm.chain"])
@@ -540,6 +557,27 @@ class TestMainEntry:
             timeout=60,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+    @pytest.mark.parametrize(
+        "command, code",
+        [
+            (["-m", "solidus.cli"], 0),
+            (["-m", "solidus.cli", "--check", "--seed", "7", "--count", "20"], 0),
+            # a law that always fails, registered before the checks run
+            (["-c", "import sys, solidus.checks as c, solidus.cli as cli; c.law('t.fails', 't', '', '')(lambda: 'no');"
+                    " sys.exit(cli.main(['--check', '--only', 't.fails']))"], 1),
+        ],
+    )
+    def test_a_closed_stdout_discards_the_output(self, command, code):
+        # the shell closes descriptor 1 before the interpreter starts, so sys.stdout is None
+        proc = subprocess.run(
+            ["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-X", "dev", "-W", "error", *command],
+            input="1+1\n",
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (code, "")
 
     def test_a_byte_that_is_not_utf8_is_one_error_line(self, tmp_path):
         # a batch file and a strict-UTF-8 stdin read the same way, and the output,
