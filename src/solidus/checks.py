@@ -6,19 +6,22 @@ its parameter names label the drawn inputs in reports.  Each parameter is
 annotated with its sort, as the paper states each axiom over sorts: a sort
 such as ``External`` or ``Magnitude`` is an ``Annotated`` type whose metadata
 draws one value of it, and a law's inputs are drawn one parameter at a time,
-in order.  Only inputs drawn jointly (one depending on another, or draws
-discarded to keep the random stream) need an explicit ``draw=``; their
-parameters carry the plain types.  A verdict without parameters is an exact
-identity, evaluated once.  The catalog order is the declaration order.
-``run_check`` alone decides what a failure is: the verdict's message, or a
-crash of the verdict.  A failure is shrunk toward fewer terms, simpler
-exponents and smaller coefficients, but only to inputs that fail the same
-way: a message stays a message and a crash stays a crash of the same
-exception type, so shrinking cannot slip from a wrong answer to a crash on
-an input outside the law's domain.  Inputs are rendered in the canonical
-expression syntax.  Two deliberately wrong entries (naive distributivity and
-a corrupted magnitude product table) are declared as expected failures to
-demonstrate that the harness discriminates.
+in order.  A sort's draw may read earlier inputs: each parameter it takes
+after the sampler without a default names an earlier parameter of the verdict
+and receives that parameter's drawn value (``Absorbable`` draws ``y`` near
+``x``'s neutrix).  A draw that returns None rejects the tuple, and every input
+is drawn again from the first, at most ``MAX_DRAWS`` times.  A verdict without
+parameters is an exact identity, evaluated once.  The catalog order is the
+declaration order.  ``run_check`` alone decides what a failure is: the
+verdict's message, or a crash of the verdict.  A failure is shrunk toward
+fewer terms, simpler exponents and smaller coefficients, but only to inputs
+that fail the same way: a message stays a message and a crash stays a crash
+of the same exception type, so shrinking cannot slip from a wrong answer to a
+crash on an input outside the law's domain.  Inputs are rendered in the
+canonical expression syntax.  Three entries are declared as expected
+failures: two deliberately wrong ones (naive distributivity and a corrupted
+magnitude product table) demonstrate that the harness discriminates, and the
+even-or-odd induction instance fails at a nonstandard natural, as documented.
 
 Evaluation is sequential; reports are keyed by sample index, so the output is
 deterministic for a given (check id, config, count).
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Annotated, Callable, Optional
 
-from .errors import DegenerateDomainError, UnknownCheckError
+from .errors import DegenerateDomainError, InternalError, UnknownCheckError
 from .external import (
     ExternalNum,
     ext_compare,
@@ -140,14 +143,26 @@ AXIOM_GROUPS = (
 )
 
 
+#: draws of a law's whole input tuple before a rejecting sort counts as a bug
+MAX_DRAWS = 64
+
+
+def dependencies(sort_draw: Callable) -> tuple[str, ...]:
+    """The verdict parameters a sort's draw reads: its parameters after the sampler without a default."""
+    code = sort_draw.__code__
+    return code.co_varnames[1 : code.co_argcount - len(sort_draw.__defaults__ or ())]
+
+
 def law(
-    check_id: str, group: str, description: str, expected: str, draw: Callable[[Sampler], tuple] | None = None,
+    check_id: str, group: str, description: str, expected: str,
     *, expect_failures: bool = False, note: str = "", alias: str | None = None,
 ):
     """Register the decorated verdict as a check, in declaration order.
 
-    The verdict's parameter names label the drawn inputs in reports.  Without
-    ``draw``, each parameter's sort draws its value, one call per parameter.
+    The verdict's parameter names label the drawn inputs in reports, and each
+    parameter's sort draws its value, one call per parameter, in order.  A
+    sort's draw receives the drawn values of the parameters it names, and
+    returns None to have the whole tuple drawn again.
     """
 
     def register(verdict: Callable[..., Optional[str]]):
@@ -155,11 +170,22 @@ def law(
             raise ValueError(f"duplicate check id {check_id}")
         code = verdict.__code__
         names = code.co_varnames[: code.co_argcount]
-        sorts = [verdict.__annotations__[name].__metadata__[0] for name in names] if draw is None else []
-        REGISTRY[check_id] = Check(
-            check_id, group, description, names, draw or (lambda s: tuple(sort(s) for sort in sorts)),
-            verdict, expected, expect_failures, note,
-        )
+        sorts = [verdict.__annotations__[name].__metadata__[0] for name in names]
+        plan = [(name, sort, dependencies(sort)) for name, sort in zip(names, sorts)]
+
+        def draw(s: Sampler) -> tuple:
+            for _ in range(MAX_DRAWS):
+                values: dict = {}
+                for name, sort, reads in plan:
+                    value = sort(s, *[values[r] for r in reads])
+                    if value is None:
+                        break
+                    values[name] = value
+                else:
+                    return tuple(values.values())
+            raise InternalError(f"{check_id}: {MAX_DRAWS} draws in a row were rejected")
+
+        REGISTRY[check_id] = Check(check_id, group, description, names, draw, verdict, expected, expect_failures, note)
         if alias is not None:
             ALIASES[alias] = check_id
         return verdict
@@ -333,11 +359,65 @@ def _unit_offset(s: Sampler) -> PreciseNum:
     )
 
 
+def _below_infinitesimals(s: Sampler) -> Neutrix:
+    below = s.scaled_neutrix()
+    while below >= INFINITESIMALS:
+        below = s.scaled_neutrix()
+    return below
+
+
+def _above_limited(s: Sampler) -> Neutrix:
+    above = FULL if s.rng.random() < 0.2 else s.scaled_neutrix()
+    while above != FULL and above <= LIMITED:
+        above = s.scaled_neutrix()
+    return above
+
+
+# a dependent draw: each parameter after the sampler receives the verdict's input of that name
+def _absorbable(s: Sampler, x: ExternalNum) -> ExternalNum:
+    if s.rng.random() >= 0.6:
+        return s.external()
+    sub = min(s.neutrix(), x.nx)
+    return ExternalNum(s.member_of(x.nx), sub)
+
+
+def _often_equal(s: Sampler, x: ExternalNum) -> ExternalNum:
+    # antisymmetry is vacuous on strictly ordered pairs; feed it equal values
+    # rebuilt from different representatives a third of the time
+    return ExternalNum(s.representative_of(x), x.nx) if s.rng.random() < 0.35 else s.external()
+
+
+def _unity_candidate(s: Sampler, x: ExternalNum) -> ExternalNum:
+    # candidates v with x*v = x: unity blurred below its own neutrix
+    return ExternalNum(1, min(s.neutrix(), unity(x).nx)) if s.rng.random() < 0.7 else s.zeroless()
+
+
+def _beyond(s: Sampler, x: ExternalNum) -> ExternalNum | None:
+    y = x + abs(s.external()) + ExternalNum(1)
+    return y if y.nx != FULL and ExternalNum(0) < x < y else None
+
+
+def _often_negated(s: Sampler, y: ExternalNum) -> ExternalNum:
+    # violations of the naive distributive law need cancellation in y + z; draw some
+    return -y if s.rng.random() < 0.5 else s.external()
+
+
 # a sort is its type with the draw of one value of it
 External = Annotated[ExternalNum, Sampler.external]
 Zeroless = Annotated[ExternalNum, Sampler.zeroless]
 NonPrecise = Annotated[ExternalNum, _nonprecise]
+Absolute = Annotated[ExternalNum, lambda s: abs(s.external())]
+MostlyPositive = Annotated[ExternalNum, lambda s: s.positive_zeroless() if s.rng.random() < 0.8 else s.external()]
+PositiveOrMagnitude = Annotated[ExternalNum, lambda s: abs(s.zeroless()) if s.rng.random() < 0.7 else pure(s.scaled_neutrix())]
+Absorbable = Annotated[ExternalNum, _absorbable]  # often absorbed by x's neutrix
+OftenEqual = Annotated[ExternalNum, _often_equal]
+UnityCandidate = Annotated[ExternalNum, _unity_candidate]
+AtLeast = Annotated[ExternalNum, lambda s, y: y + abs(s.external())]
+Beyond = Annotated[ExternalNum, _beyond]  # strictly above x > 0, with a magnitude below M
+OftenNegated = Annotated[ExternalNum, _often_negated]
 Magnitude = Annotated[Neutrix, Sampler.neutrix]
+BelowInfinitesimals = Annotated[Neutrix, _below_infinitesimals]
+AboveLimited = Annotated[Neutrix, _above_limited]
 Precise = Annotated[PreciseNum, Sampler.precise]
 NonzeroPrecise = Annotated[PreciseNum, Sampler.nonzero_precise]
 PositivePrecise = Annotated[PreciseNum, Sampler.positive_precise]
@@ -349,85 +429,6 @@ PositiveMonomial = Annotated[PreciseNum, _positive_monomial]  # so the square ro
 Natural = Annotated[PreciseNum, _natural]
 UnitOffset = Annotated[PreciseNum, _unit_offset]  # strictly between 0 and 1
 LowerHalfline = Annotated[Halfline, lambda s: lower(s.rng.choice(list(HalflineKind)), s.external())]
-
-
-# --- joint draws ---------------------------------------------------------------
-
-
-def _d_absorbable(s: Sampler) -> tuple:
-    x = s.external()
-    if s.rng.random() < 0.6:
-        sub = s.neutrix()
-        if sub > x.nx:
-            sub = x.nx
-        y = ExternalNum(s.member_of(x.nx), sub)
-    else:
-        y = s.external()
-    return (x, y)
-
-
-def _d_often_equal_pair(s: Sampler) -> tuple:
-    # antisymmetry is vacuous on strictly ordered pairs; feed it equal values
-    # rebuilt from different representatives a third of the time
-    x = s.external()
-    if s.rng.random() < 0.35:
-        y = ExternalNum(s.representative_of(x), x.nx)
-    else:
-        y = s.external()
-    return (x, y)
-
-
-def _d_unity_minimality(s: Sampler) -> tuple:
-    x = s.zeroless()
-    if s.rng.random() < 0.7:
-        # candidates v with x*v = x: unity blurred below its own neutrix
-        u = unity(x)
-        sub = s.neutrix()
-        if sub > u.nx:
-            sub = u.nx
-        v = ExternalNum(1, sub)
-    else:
-        v = s.zeroless()
-    return (x, v)
-
-
-def _d_positive_mul(s: Sampler) -> tuple:
-    x = s.positive_zeroless() if s.rng.random() < 0.8 else s.external()
-    y, z = s.external(), s.external()
-    if y > z:
-        y, z = z, y
-    return (x, y, z)
-
-
-def _d_amplification(s: Sampler) -> tuple:
-    x = s.external()
-    y = abs(s.external())
-    z = y + abs(s.external())
-    return (x, y, z)
-
-
-def _d_archimedean(s: Sampler) -> tuple:
-    for _ in range(64):
-        x = abs(s.zeroless()) if s.rng.random() < 0.7 else pure(s.scaled_neutrix())
-        step = abs(s.external())
-        y = x + step + ExternalNum(1)
-        if y.nx == FULL:
-            continue
-        if ExternalNum(0) < x < y:
-            return (x, y)
-    return (ExternalNum(1), ExternalNum(RhoPoly.rho_power(1)))
-
-
-def _d_sup_consistency(s: Sampler) -> tuple:
-    p = abs(s.member_of(INFINITESIMALS, allow_zero=False))
-    q = _degree_zero_positive(s)
-    below = s.scaled_neutrix()
-    while below >= INFINITESIMALS:
-        below = s.scaled_neutrix()
-    above = FULL if s.rng.random() < 0.2 else s.scaled_neutrix()
-    while above != FULL and above <= LIMITED:
-        above = s.scaled_neutrix()
-    return (p, q, below, above)
 
 
 # --- axiom verdicts -------------------------------------------------------------
@@ -445,8 +446,8 @@ def _v_add_comm(x: External, y: External):
     return _neq(x + y, y + x)
 
 
-@law("axiom.add.neutral", "addition", "x+e(x) = x, minimally", "individualized neutral element", _d_absorbable)
-def _v_add_neutral(x: ExternalNum, f: ExternalNum):
+@law("axiom.add.neutral", "addition", "x+e(x) = x, minimally", "individualized neutral element")
+def _v_add_neutral(x: External, f: Absorbable):
     e = magnitude(x)
     if x + e != x:
         return f"x + e(x) = {x + e}"
@@ -486,8 +487,8 @@ def _v_mul_comm(x: External, y: External):
     return _neq(x * y, y * x)
 
 
-@law("axiom.mul.unity", "multiplication", "x*u(x) = x, minimally", "individualized unity", _d_unity_minimality)
-def _v_mul_unity(x: ExternalNum, v: ExternalNum):
+@law("axiom.mul.unity", "multiplication", "x*u(x) = x, minimally", "individualized unity")
+def _v_mul_unity(x: Zeroless, v: UnityCandidate):
     u = unity(x)
     if x * u != x:
         return f"x * u(x) = {x * u}"
@@ -524,8 +525,8 @@ def _v_order_reflexive(x: External):
     return None
 
 
-@law("axiom.order.antisymmetric", "order", "x<=y and y<=x imply x=y", "antisymmetry", _d_often_equal_pair)
-def _v_order_antisymmetric(x: ExternalNum, y: ExternalNum):
+@law("axiom.order.antisymmetric", "order", "x<=y and y<=x imply x=y", "antisymmetry")
+def _v_order_antisymmetric(x: External, y: OftenEqual):
     if not y < x and not x < y and x != y:
         return "x <= y and y <= x but x != y"
     return None
@@ -554,8 +555,8 @@ def _v_order_add_compatible(x: External, y: External, z: External):
     return None
 
 
-@law("axiom.order.absorbed_below", "order", "y+e(x)=e(x) implies y<=e(x) and -y<=e(x)", "absorbed elements are small", _d_absorbable)
-def _v_order_absorbed_below(x: ExternalNum, y: ExternalNum):
+@law("axiom.order.absorbed_below", "order", "y+e(x)=e(x) implies y<=e(x) and -y<=e(x)", "absorbed elements are small")
+def _v_order_absorbed_below(x: External, y: Absorbable):
     e = magnitude(x)
     if y + e == e:
         if y > e:
@@ -565,16 +566,18 @@ def _v_order_absorbed_below(x: ExternalNum, y: ExternalNum):
     return None
 
 
-@law("axiom.order.mul_compatible", "order", "e(x)<x and y<=z imply xy<=xz", "compatibility with positive multiplication", _d_positive_mul)
-def _v_order_mul_compatible(x: ExternalNum, y: ExternalNum, z: ExternalNum):
+@law("axiom.order.mul_compatible", "order", "e(x)<x and y<=z imply xy<=xz", "compatibility with positive multiplication")
+def _v_order_mul_compatible(x: MostlyPositive, y: External, z: External):
+    if y > z:
+        y, z = z, y
     if magnitude(x) < x and y <= z:
         if x * y > x * z:
             return f"x*y = {x * y} > x*z = {x * z}"
     return None
 
 
-@law("axiom.order.amplification", "order", "e(y)<=y<=z implies e(x)y<=e(x)z", "amplification by magnitudes", _d_amplification)
-def _v_order_amplification(x: ExternalNum, y: ExternalNum, z: ExternalNum):
+@law("axiom.order.amplification", "order", "e(y)<=y<=z implies e(x)y<=e(x)z", "amplification by magnitudes")
+def _v_order_amplification(x: External, y: Absolute, z: AtLeast):
     e = magnitude(x)
     if magnitude(y) <= y and y <= z:
         if e * y > e * z:
@@ -712,7 +715,7 @@ def _probe_points(b: ExternalNum) -> list[ExternalNum]:
     return points
 
 
-@law("axiom.scheme.dedekind", "scheme", "represented halflines have weak bounds of the right kind", "generalized completeness on represented halflines", )
+@law("axiom.scheme.dedekind", "scheme", "represented halflines have weak bounds of the right kind", "generalized completeness on represented halflines")
 def _v_scheme_dedekind(h: LowerHalfline):
     b = zup(h)
     points = _probe_points(b)
@@ -736,7 +739,7 @@ def _v_scheme_dedekind(h: LowerHalfline):
     return None
 
 
-@law("axiom.arith.naturals", "arithmetical", "naturals are discrete, closed and nonnegative", "natural number axiom", )
+@law("axiom.arith.naturals", "arithmetical", "naturals are discrete, closed and nonnegative", "natural number axiom")
 def _v_arith_naturals(x: Natural, y: Natural, offset: UnitOffset):
     if not is_natural(PreciseNum.of(0)):
         return "0 is not natural"
@@ -768,8 +771,8 @@ def _v_arith_induction_even_odd():
     return f"even-or-odd's inductive step fails at {steps[0]}" if steps else None
 
 
-@law("axiom.arith.archimedean", "arithmetical", "some natural multiple of x exceeds y", "Archimedean witness", _d_archimedean)
-def _v_arith_archimedean(x: ExternalNum, y: ExternalNum):
+@law("axiom.arith.archimedean", "arithmetical", "some natural multiple of x exceeds y", "Archimedean witness")
+def _v_arith_archimedean(x: PositiveOrMagnitude, y: Beyond):
     z = PreciseNum.of(archimedean_witness(x, y))
     if not is_natural(z):
         return f"witness {z} is not natural"
@@ -816,7 +819,7 @@ def _v_thm_reciprocal_oslash(p: PositivePrecise):
     return None
 
 
-@law("thm.sqrt_below_oslash", "theorem", "p < o implies sqrt(p) < o (power witnesses)", "roots stay infinitesimal", )
+@law("thm.sqrt_below_oslash", "theorem", "p < o implies sqrt(p) < o (power witnesses)", "roots stay infinitesimal")
 def _v_thm_sqrt_below(s: PositiveMonomial):
     p = s * s
     if ExternalNum(p) < pure(INFINITESIMALS):
@@ -825,7 +828,7 @@ def _v_thm_sqrt_below(s: PositiveMonomial):
     return None
 
 
-@law("thm.sqrt_above_pound", "theorem", "L < p implies L < sqrt(p) (power witnesses)", "roots stay large", )
+@law("thm.sqrt_above_pound", "theorem", "L < p implies L < sqrt(p) (power witnesses)", "roots stay large")
 def _v_thm_sqrt_above(s: PositiveMonomial):
     p = s * s
     if pure(LIMITED) < ExternalNum(p):
@@ -844,8 +847,8 @@ def _v_thm_square_between(p: Appreciable):
     return None
 
 
-@law("thm.sup_inf_characterization", "theorem", "o = sup of reciprocals of large elements; L = inf of their inverses", "sup/inf characterization", lambda s: _d_sup_consistency(s)[2:])
-def _v_thm_sup_inf_characterization(below: Neutrix, above: Neutrix):
+@law("thm.sup_inf_characterization", "theorem", "o = sup of reciprocals of large elements; L = inf of their inverses", "sup/inf characterization")
+def _v_thm_sup_inf_characterization(below: BelowInfinitesimals, above: AboveLimited):
     # below < o: exhibit p with below < p < o and L < 1/p
     s = below.q if below != NX_ZERO else Fraction(-2)
     w = PreciseNum.of(RhoPoly.rho_power(s / 2))
@@ -960,7 +963,7 @@ def _v_thm_linearization(A: Magnitude, B: Magnitude):
     return f"no positive precise p with e*f = p*e or p*f (e*f = {product})"
 
 
-@law("thm.order_consistency", "theorem", "magnitude products sit where the order demands", "consistency with the order", )
+@law("thm.order_consistency", "theorem", "magnitude products sit where the order demands", "consistency with the order")
 def _v_thm_order_consistency(p: PositiveInfinitesimal, q: AboveInfinitesimals):
     i, j = INFINITESIMALS, LIMITED
     ij = nx_mul(i, j)
@@ -982,8 +985,8 @@ def _v_thm_order_consistency(p: PositiveInfinitesimal, q: AboveInfinitesimals):
     return None
 
 
-@law("thm.sup_consistency", "theorem", "I*J is approachable from below but not from above", "consistency with suprema", _d_sup_consistency)
-def _v_thm_sup_consistency(p: PreciseNum, q: PreciseNum, below: Neutrix, above: Neutrix):
+@law("thm.sup_consistency", "theorem", "I*J is approachable from below but not from above", "consistency with suprema")
+def _v_thm_sup_consistency(p: PositiveInfinitesimal, q: Appreciable, below: BelowInfinitesimals, above: AboveLimited):
     i, j = INFINITESIMALS, LIMITED
     ij = nx_mul(i, j)
     if ij != i:
@@ -1202,15 +1205,8 @@ def _v_oracle_order(x: External, y: External):
 # mutants
 
 
-def _d_distributivity_stress(s: Sampler) -> tuple:
-    # Violations of the naive law need cancellation in y + z; draw some.
-    x, y = s.external(), s.external()
-    z = -y if s.rng.random() < 0.5 else s.external()
-    return (x, y, z)
-
-
-@law("mutant.distributivity_naive", "mutant", "the naive law xy+xz = x(y+z) must fail", "naive distributivity (deliberately wrong)", _d_distributivity_stress, expect_failures=True, note="kept failing on purpose: the harness must refute the naive law", alias="axiom.distributivity_naive")
-def _v_mutant_distributivity(x: ExternalNum, y: ExternalNum, z: ExternalNum):
+@law("mutant.distributivity_naive", "mutant", "the naive law xy+xz = x(y+z) must fail", "naive distributivity (deliberately wrong)", expect_failures=True, note="kept failing on purpose: the harness must refute the naive law", alias="axiom.distributivity_naive")
+def _v_mutant_distributivity(x: External, y: External, z: OftenNegated):
     return _neq(x * (y + z), x * y + x * z)
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import operator
 from fractions import Fraction as F
+from typing import Annotated
 
 import pytest
 
@@ -17,11 +18,12 @@ from solidus.checks import (
     exit_code,
     format_report,
     format_reports,
+    law,
     minkowski_escapes,
     run_catalog,
     run_check,
 )
-from solidus.errors import UnknownCheckError
+from solidus.errors import InternalError, UnknownCheckError
 from solidus.external import (
     Classification,
     canonicalize,
@@ -190,6 +192,64 @@ class TestHalflinesShrink:
         bound = eval_text(text[len(head) : len(text) - len(tail)])
         # every halfline fails, so the representative goes and the threshold simplifies to 0
         assert bound.rep.is_zero() and bound == pure(LIMITED), text
+
+
+class TestDependentSorts:
+    """Throwaway laws, registered into a copy of the registry, draw through their sorts."""
+
+    @pytest.fixture(autouse=True)
+    def registry(self, monkeypatch):
+        monkeypatch.setattr(solidus.checks, "REGISTRY", dict(REGISTRY))
+
+    def test_a_sort_reads_the_parameter_it_names(self):
+        def after_a(s, a):
+            return a + 1
+
+        @law("test.depends", "test", "c = a + 1", "c follows a")
+        def verdict(a: Annotated[int, lambda s: s.integer(0, 9)], b: Annotated[int, lambda s: s.integer(100, 109)], c: Annotated[int, after_a]):
+            return None if c == a + 1 else f"c = {c}"
+
+        sampler = Sampler(CFG, "test.depends")
+        draws = [solidus.checks.REGISTRY["test.depends"].draw(sampler) for _ in range(50)]
+        assert all(c == a + 1 and 100 <= b <= 109 for a, b, c in draws), draws
+        assert run_check("test.depends", CFG, 50).passed
+
+    def test_a_rejection_redraws_every_input_in_stream_order(self):
+        rejections = []
+
+        def reject_twice(s):
+            value = s.integer(0, 10**6)
+            if len(rejections) < 2:
+                rejections.append(value)
+                return None
+            return value
+
+        @law("test.reject_twice", "test", "any", "holds")
+        def verdict(a: Annotated[int, lambda s: s.integer(0, 10**6)], b: Annotated[int, reject_twice]):
+            return None
+
+        sampler = Sampler(CFG, "test.reject_twice")
+        got = solidus.checks.REGISTRY["test.reject_twice"].draw(sampler)
+        reference = Sampler(CFG, "test.reject_twice")
+        stream = [reference.integer(0, 10**6) for _ in range(6)]
+        assert rejections == [stream[1], stream[3]]
+        assert got == (stream[4], stream[5])
+        assert sampler.rng.getstate() == reference.rng.getstate()
+
+    def test_a_sort_that_always_rejects_raises_after_64_tries(self):
+        tries = []
+
+        def counted(s):
+            tries.append(s.integer(0, 9))
+            return 0
+
+        @law("test.reject_always", "test", "any", "holds")
+        def verdict(a: Annotated[int, counted], b: Annotated[int, lambda s: None]):
+            return None
+
+        with pytest.raises(InternalError):
+            run_check("test.reject_always", CFG, 1)
+        assert len(tries) == 64
 
 
 class TestHarness:

@@ -3,10 +3,10 @@ library example runs.
 
 An exception class in ``errors.py`` counts as used when another module of
 ``src/solidus`` raises it or subclasses it, so a change that stops raising a
-typed error must also delete it.  Every verdict parameter is annotated: with
-an ``Annotated`` sort when its law draws one value per parameter, and at least
-with its type when the law declares a joint ``draw=``; each drawn value is an
-instance of that type.  The README's "Library example" block is run as written.
+typed error must also delete it.  Every verdict parameter is annotated with an
+``Annotated`` sort, each dependency a sort's draw names is an earlier
+parameter of the same verdict, and each drawn value is an instance of its
+sort's type.  The README's "Library example" block is run as written.
 """
 
 import ast
@@ -16,7 +16,7 @@ from typing import Annotated, get_origin
 
 import pytest
 
-from solidus.checks import REGISTRY
+from solidus.checks import REGISTRY, dependencies
 from solidus.generate import GeneratorConfig, Sampler
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -60,36 +60,30 @@ def test_the_readme_library_example_runs():
     exec(compile(block.group(1), "README.md", "exec"), {})
 
 
-def laws_with_a_draw(source: str) -> set[str]:
-    """The check ids whose ``law(...)`` call passes a draw, by position or keyword."""
-    return {
-        node.args[0].value
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "law"
-        and (len(node.args) > 4 or any(keyword.arg == "draw" for keyword in node.keywords))
-    }
-
-
-def test_the_check_sees_draws_by_position_and_keyword():
-    source = "@law('a', 'g', 'd', 'e')\ndef f(x): pass\nlaw('b', 'g', 'd', 'e', g)(f)\nlaw('c', 'g', 'd', 'e', draw=g)(f)\n"
-    assert laws_with_a_draw(source) == {"b", "c"}
+def test_a_sorts_dependencies_are_its_parameters_without_a_default():
+    assert dependencies(Sampler.precise) == ()
+    assert dependencies(lambda s, y, x, k=1: None) == ("y", "x")
 
 
 def test_every_law_parameter_has_a_sort():
-    joint = laws_with_a_draw((PACKAGE / "checks.py").read_text())
-    assert "mutant.distributivity_naive" in joint
     for chk in REGISTRY.values():
         annotations = chk.verdict.__annotations__
-        assert [name for name in chk.names if name not in annotations] == [], chk.check_id
-        if chk.check_id not in joint:
-            assert all(get_origin(annotations[name]) is Annotated for name in chk.names), chk.check_id
+        assert [name for name in chk.names if get_origin(annotations.get(name)) is not Annotated] == [], chk.check_id
+
+
+def test_every_dependency_is_an_earlier_parameter():
+    for chk in REGISTRY.values():
+        for i, name in enumerate(chk.names):
+            reads = dependencies(chk.verdict.__annotations__[name].__metadata__[0])
+            assert set(reads) <= set(chk.names[:i]), (chk.check_id, name, reads)
+    mutant = REGISTRY["mutant.distributivity_naive"].verdict
+    assert dependencies(mutant.__annotations__["z"].__metadata__[0]) == ("y",)
 
 
 @pytest.mark.parametrize("seed", (1, 7, 42))
 def test_each_drawn_value_has_its_parameters_type(seed):
     for chk in REGISTRY.values():
-        annotations = [chk.verdict.__annotations__[name] for name in chk.names]
-        types = [a.__origin__ if get_origin(a) is Annotated else a for a in annotations]
+        types = [chk.verdict.__annotations__[name].__origin__ for name in chk.names]
         sampler = Sampler(GeneratorConfig(seed=seed), chk.check_id)
         for _ in range(3):
             values = chk.draw(sampler)
