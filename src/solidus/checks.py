@@ -323,11 +323,11 @@ def _witness_above(a: ExternalNum, b: ExternalNum) -> PreciseNum:
 
 
 def _nonprecise(s: Sampler) -> ExternalNum:
-    for _ in range(64):
+    for _ in range(MAX_DRAWS):
         alpha = s.external()
         if alpha.nx != NX_ZERO:
             return alpha
-    return ExternalNum(0, LIMITED)
+    raise InternalError(f"nonprecise: {MAX_DRAWS} draws in a row were precise")
 
 
 def _positive_monomial(s: Sampler) -> PreciseNum:

@@ -29,7 +29,8 @@ hashing and rendering build them; other readers use the int fields.  The
 expansion itself, ``_expand``, takes its cutoff as an int pair ``(n, d)``, the
 form in which a neutrix keeps its threshold, so canonicalizing an external
 number builds no ``Fraction``.  The random generator (``generate``) builds its
-draws through ``_poly`` from int pairs, so no draw builds one either.
+draws and its shrink candidates from int pairs through ``_poly`` and
+``_sum_terms``, so no draw or candidate builds one either.
 
 ``RhoPoly`` and ``PreciseNum`` are ``__slots__`` classes.  ``PreciseNum(num,
 den)`` normalizes the denominator; results already in normal form are built by

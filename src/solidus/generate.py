@@ -22,7 +22,11 @@ exponents.
 
 ``shrink`` simplifies a failing input greedily, one component at a time.  Its
 predicate alone decides what still failing means, and it must not raise:
-``run_check`` passes one that accepts only failures of the drawn kind.
+``run_check`` passes one that accepts only failures of the drawn kind.  It
+works on the same int pairs: ``_rational_candidates`` simplifies an exponent,
+a coefficient or a threshold as a reduced pair, and the candidates are built
+by ``field._poly``, ``field._sum_terms`` and ``neutrix._cut``, so shrinking
+builds no ``Fraction`` either.
 """
 
 from __future__ import annotations
@@ -30,12 +34,12 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterator
 
+from .errors import InternalError
 from .external import Classification, ExternalNum, classify
-from .field import PreciseNum, RhoPoly, _poly
+from .field import PreciseNum, RhoPoly, _poly, _sum_terms
 from .halfline import Halfline
 from .neutrix import FULL, Neutrix, NX_ZERO, _cut
 
@@ -169,9 +173,7 @@ class Sampler:
             alpha = ExternalNum(self.nonzero_precise(), self.neutrix())
             if classify(alpha) is not Classification.PURE_NEUTRIX:
                 return alpha
-        # Ensure a representative with degree above any threshold we can draw.
-        hi = NEUTRIX_Q_RANGE[1] + 1
-        return ExternalNum(RhoPoly.rho_power(hi), self.neutrix())
+        raise InternalError("zeroless: 64 draws in a row were pure neutrices")
 
     def positive_zeroless(self) -> ExternalNum:
         return abs(self.zeroless())
@@ -190,38 +192,35 @@ class Sampler:
 # --- counterexample shrinking -------------------------------------------------
 
 
-def _complexity(x: Fraction) -> tuple[int, int]:
-    return (x.denominator, abs(x.numerator))
-
-
-def _fraction_candidates(x: Fraction) -> Iterator[Fraction]:
-    # every candidate is strictly simpler, so greedy shrinking cannot cycle
-    seen = {x}
-    for candidate in (
-        Fraction(x.numerator // x.denominator),
-        Fraction(0),
-        Fraction(1),
-        Fraction(-1),
-        Fraction(x.numerator // 2, x.denominator),
-    ):
-        if candidate not in seen and _complexity(candidate) < _complexity(x):
-            seen.add(candidate)
-            yield candidate
+def _rational_candidates(n: int, d: int) -> Iterator[tuple[int, int]]:
+    """Strictly simpler rationals than the reduced ``n/d``, as reduced int pairs:
+    its integer part, 0, 1, -1 and half its numerator over ``d``.  Simpler means
+    a smaller ``(denominator, |numerator|)``, so greedy shrinking cannot cycle."""
+    h = n // 2
+    g = gcd(h, d)
+    seen = {(n, d)}
+    for m, e in ((n // d, 1), (0, 1), (1, 1), (-1, 1), (h // g, d // g)):
+        if (m, e) not in seen and (e, abs(m)) < (d, abs(n)):
+            seen.add((m, e))
+            yield m, e
 
 
 def _poly_candidates(p: RhoPoly) -> Iterator[RhoPoly]:
-    terms = list(p.terms)
+    grid, den, ks = p.grid, p.den, p.ks
     # fewer terms first
-    for i in range(len(terms)):
-        yield RhoPoly(tuple(terms[:i] + terms[i + 1 :]))
-    # simpler exponents, then simpler coefficients
-    for i, (e, c) in enumerate(terms):
-        for e2 in _fraction_candidates(e):
-            yield RhoPoly(terms[:i] + [(e2, c)] + terms[i + 1 :])
-    for i, (e, c) in enumerate(terms):
-        for c2 in _fraction_candidates(c):
-            if c2 != 0:
-                yield RhoPoly(terms[:i] + [(e, c2)] + terms[i + 1 :])
+    for i in range(len(ks)):
+        yield _poly(grid, den, list(ks[:i] + ks[i + 1 :]))
+    # simpler exponents, then simpler coefficients, each term as the quad (k, grid, c, den)
+    quads = [(k, grid, c, den) for k, c in ks]
+    for i, (k, c) in enumerate(ks):
+        g = gcd(k, grid)
+        for e in _rational_candidates(k // g, grid // g):
+            yield _sum_terms(quads[:i] + [(*e, c, den)] + quads[i + 1 :])
+    for i, (k, c) in enumerate(ks):
+        g = gcd(c, den)
+        for c2 in _rational_candidates(c // g, den // g):
+            if c2[0]:
+                yield _sum_terms(quads[:i] + [(k, grid, *c2)] + quads[i + 1 :])
 
 
 def _precise_candidates(x: PreciseNum) -> Iterator[PreciseNum]:
@@ -232,9 +231,10 @@ def _precise_candidates(x: PreciseNum) -> Iterator[PreciseNum]:
 
 
 def _neutrix_candidates(nx: Neutrix) -> Iterator[Neutrix]:
-    if nx not in (NX_ZERO, FULL) and nx.q != 0:
-        for q2 in _fraction_candidates(nx.q):
-            yield Neutrix(q2, nx.closed)
+    # the key stores 0/1 at both infinities, and 0 has no simpler rational
+    _, n, d, closed = nx._key
+    for q in _rational_candidates(n, d):
+        yield _cut(*q, closed)
 
 
 def _candidates(value) -> Iterator:

@@ -17,7 +17,6 @@ place that declares the even/odd instance a documented expected failure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import InternalError, PreconditionFailedError, UnknownFormulaError
@@ -77,13 +76,6 @@ def archimedean_witness(x: ExternalNum, y: ExternalNum) -> RhoPoly:
 Predicate = Callable[[PreciseNum], bool]
 
 
-@dataclass(frozen=True)
-class InductionFormula:
-    formula_id: str
-    description: str
-    holds: Predicate
-
-
 def _even_or_odd(x: PreciseNum) -> bool:
     return is_natural(x / 2) or is_natural((x - 1) / 2)
 
@@ -92,38 +84,27 @@ def _predecessor(x: PreciseNum) -> bool:
     return x == 0 or is_natural(x - 1)
 
 
-def _catalog() -> dict[str, InductionFormula]:
+def _catalog() -> dict[str, Predicate]:
     two, three, four, five, six = (PreciseNum.of(n) for n in (2, 3, 4, 5, 6))
-    formulas = [
-        InductionFormula("add_zero", "x + 0 = x", lambda x: x + 0 == x),
-        InductionFormula("add_comm", "x + 3 = 3 + x", lambda x: x + three == three + x),
-        InductionFormula(
-            "add_assoc", "(x + 2) + 5 = x + (2 + 5)", lambda x: (x + two) + five == x + (two + five)
-        ),
-        InductionFormula("mul_one", "x * 1 = x", lambda x: x * 1 == x),
-        InductionFormula("mul_zero", "x * 0 = 0", lambda x: x * 0 == PreciseNum.of(0)),
-        InductionFormula(
-            "mul_succ", "x * (4 + 1) = x * 4 + x", lambda x: x * (four + 1) == x * four + x
-        ),
-        InductionFormula("mul_comm", "x * 6 = 6 * x", lambda x: x * six == six * x),
-        InductionFormula(
-            "mul_assoc", "x * (2 * 3) = (x * 2) * 3", lambda x: x * (two * three) == (x * two) * three
-        ),
-        InductionFormula(
-            "distrib", "x * (2 + 5) = x * 2 + x * 5", lambda x: x * (two + five) == x * two + x * five
-        ),
-        InductionFormula(
-            "square_expand",
-            "(x + 1) * (x + 1) = x * x + 2 * x + 1",
-            lambda x: (x + 1) * (x + 1) == x * x + two * x + 1,
-        ),
-        InductionFormula("double", "x + x = 2 * x", lambda x: x + x == two * x),
-        InductionFormula("predecessor", "x = 0 or exists y with x = y + 1", _predecessor),
-        InductionFormula("even_or_odd", "exists y with x = 2*y or x = 2*y + 1", _even_or_odd),
-    ]
-    return {f.formula_id: f for f in formulas}
+    return {
+        "add_zero": lambda x: x + 0 == x,  # x + 0 = x
+        "add_comm": lambda x: x + three == three + x,  # x + 3 = 3 + x
+        "add_assoc": lambda x: (x + two) + five == x + (two + five),  # (x + 2) + 5 = x + (2 + 5)
+        "mul_one": lambda x: x * 1 == x,  # x * 1 = x
+        "mul_zero": lambda x: x * 0 == PreciseNum.of(0),  # x * 0 = 0
+        "mul_succ": lambda x: x * (four + 1) == x * four + x,  # x * (4 + 1) = x * 4 + x
+        "mul_comm": lambda x: x * six == six * x,  # x * 6 = 6 * x
+        "mul_assoc": lambda x: x * (two * three) == (x * two) * three,  # x * (2 * 3) = (x * 2) * 3
+        "distrib": lambda x: x * (two + five) == x * two + x * five,  # x * (2 + 5) = x * 2 + x * 5
+        # (x + 1) * (x + 1) = x * x + 2 * x + 1
+        "square_expand": lambda x: (x + 1) * (x + 1) == x * x + two * x + 1,
+        "double": lambda x: x + x == two * x,  # x + x = 2 * x
+        "predecessor": _predecessor,  # x = 0 or exists y with x = y + 1
+        "even_or_odd": _even_or_odd,  # exists y with x = 2*y or x = 2*y + 1
+    }
 
 
+#: Each formula's id and its predicate, the formula's truth at a natural x.
 INDUCTION_CATALOG = _catalog()
 
 #: Nonstandard naturals used for step and conclusion spot checks.
@@ -152,19 +133,19 @@ def induction_spotcheck(formula_id: str, bound: int = 50) -> tuple[list[str], li
     if bound < 0:
         raise PreconditionFailedError("the standard range 0..bound needs bound >= 0")
     try:
-        formula = INDUCTION_CATALOG[formula_id]
+        holds_at = INDUCTION_CATALOG[formula_id]
     except KeyError:
         raise UnknownFormulaError(formula_id) from None
     samples = [PreciseNum.of(n) for n in range(bound + 1)]
     samples += [PreciseNum.of(p) for p in NONSTANDARD_SAMPLES]
-    holds = {x: formula.holds(x) for x in samples}
+    holds = {x: holds_at(x) for x in samples}
     step_failures, conclusion_failures = [], []
     for x, ok in holds.items():
         if ok:
             # a successor that is itself a sample (x < bound, and rho - 1) is already evaluated
             y = x + 1
             step = holds.get(y)
-            if not (formula.holds(y) if step is None else step):
+            if not (holds_at(y) if step is None else step):
                 step_failures.append(str(x))
         if not ok:
             conclusion_failures.append(str(x))

@@ -26,6 +26,7 @@ from solidus.checks import (
 from solidus.errors import InternalError, UnknownCheckError
 from solidus.external import (
     Classification,
+    ExternalNum,
     canonicalize,
     classify,
     ext_add,
@@ -46,6 +47,7 @@ from solidus.generate import (
 )
 from solidus.halfline import _BRACKETS, Halfline, HalflineKind, Side
 from solidus.neutrix import (
+    FULL,
     INFINITESIMALS,
     LIMITED,
     closed_cut,
@@ -82,6 +84,19 @@ class TestGenerators:
         s = Sampler(CFG, "zeroless")
         for _ in range(300):
             assert classify(s.zeroless()) is not Classification.PURE_NEUTRIX
+
+    def test_zeroless_raises_rather_than_return_a_pure_neutrix(self):
+        # with every neutrix M, every draw is M: the sampler must not return one
+        s = Sampler(CFG, "zeroless")
+        s.neutrix = lambda: FULL
+        with pytest.raises(InternalError, match="zeroless: 64 draws"):
+            s.zeroless()
+
+    def test_nonprecise_raises_rather_than_return_a_fixed_value(self):
+        s = Sampler(CFG, "nonprecise")
+        s.external = lambda: ExternalNum(1)
+        with pytest.raises(InternalError, match="nonprecise: 64 draws"):
+            solidus.checks._nonprecise(s)
 
     def test_member_of_lands_inside(self):
         s = Sampler(CFG, "members")
