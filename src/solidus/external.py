@@ -20,7 +20,10 @@ bare ``Neutrix`` operand raises ``TypeError``, ``==`` False.
 
 The operators ``+``, ``-``, ``*``, ``/`` and ``abs`` are the arithmetic, as
 the paper writes it; ``ext_add``, ``ext_neg`` and ``ext_mul`` are other names
-for three of them.  The inverse ``ext_inv``, which has no operator, and the
+for three of them.  A precise number is an external number whose neutrix is
+the minimal one, ``NX_ZERO``, and sums and products of precise numbers are
+precise: for them ``+`` and ``*`` skip the neutrix algebra and the
+canonicalizing constructor and pair the result with ``NX_ZERO`` itself.  The inverse ``ext_inv``, which has no operator, and the
 three-way answer ``ext_compare`` behind ``<`` are functions.
 """
 
@@ -90,6 +93,8 @@ class ExternalNum(_Immutable):
     def __add__(self, other: "ExternalLike") -> "ExternalNum":
         if other.__class__ is not ExternalNum:
             other = as_external(other)
+        if self.nx._key[0] < 0 and other.nx._key[0] < 0:  # precise + precise: nothing to absorb
+            return _external(self.rep + other.rep, NX_ZERO)
         return ExternalNum(self.rep + other.rep, nx_add(self.nx, other.nx))
 
     __radd__ = __add__
@@ -108,6 +113,8 @@ class ExternalNum(_Immutable):
         """Minkowski product: (a+A)(b+B) = ab + aB + bA + AB."""
         if other.__class__ is not ExternalNum:
             other = as_external(other)
+        if self.nx._key[0] < 0 and other.nx._key[0] < 0:  # precise * precise: nothing to absorb
+            return _external(self.rep * other.rep, NX_ZERO)
         nx = nx_add(
             nx_add(nx_scale(self.rep, other.nx), nx_scale(other.rep, self.nx)),
             nx_mul(self.nx, other.nx),

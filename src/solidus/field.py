@@ -24,13 +24,15 @@ gcd.  ``Fraction`` appears only at the boundary.  The constructors
 (``RhoPoly(terms)``, ``constant``, ``rho_power``) and ``series_expand``'s
 cutoff accept one, but ``_ratio``, the one exact-rational coercion, reads an
 int or a ``Fraction`` as its int pair, so none of them builds a ``Fraction``
-from ints.  The ``terms`` property, ``degree()``, ``leading_coeff()``,
-hashing and rendering build them; other readers use the int fields.  The
-expansion itself, ``_expand``, takes its cutoff as an int pair ``(n, d)``, the
-form in which a neutrix keeps its threshold, so canonicalizing an external
-number builds no ``Fraction``.  The random generator (``generate``) builds its
-draws and its shrink candidates from int pairs through ``_poly`` and
-``_sum_terms``, so no draw or candidate builds one either.
+from ints.  The ``terms`` property, a reader for tests only, ``degree()``,
+``leading_coeff()`` and hashing build them; other readers, rendering
+included, use the int fields.  The expansion itself, ``_expand``, takes its
+cutoff as an int pair ``(n, d)``, the form in which a neutrix keeps its
+threshold, so canonicalizing an external number builds no ``Fraction``.  The
+random generator (``generate``) builds its draws and its shrink candidates
+from int pairs through ``_poly`` and ``_sum_terms``, so no draw or candidate
+builds one either.  A product of two sums is refused before it starts past
+``MAX_PRODUCT_PAIRS`` term pairs.
 
 ``RhoPoly`` and ``PreciseNum`` are ``__slots__`` classes.  ``PreciseNum(num,
 den)`` normalizes the denominator; results already in normal form are built by
@@ -54,6 +56,9 @@ NEG_INFINITY = float("-inf")
 
 #: Most quotient terms a long division makes; past it the expansion is refused, not run on.
 MAX_SERIES_TERMS = 100_000
+
+#: Most term pairs one product of two sums multiplies; past it the product is refused before it starts.
+MAX_PRODUCT_PAIRS = 500_000
 
 RationalLike = Union[Fraction, int]
 
@@ -112,7 +117,7 @@ class RhoPoly:
 
     @property
     def terms(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """``(exponent, coefficient)`` pairs as ``Fraction``s, exponents strictly decreasing."""
+        """``(exponent, coefficient)`` pairs as ``Fraction``s, exponents strictly decreasing (for tests)."""
         grid, den = self.grid, self.den
         return tuple((Fraction(k, grid), Fraction(c, den)) for k, c in self.ks)
 
@@ -177,6 +182,8 @@ class RhoPoly:
             return self._times_term(b[0][0], other.grid, b[0][1], other.den)
         if len(a) == 1:
             return other._times_term(a[0][0], self.grid, a[0][1], self.den)
+        if len(a) * len(b) > MAX_PRODUCT_PAIRS:
+            raise ResourceLimitError(f"product of more than {MAX_PRODUCT_PAIRS} term pairs")
         g = self.grid
         if other.grid != g:
             g = lcm(g, other.grid)
@@ -589,40 +596,43 @@ def digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
-def _render_rational(q: Fraction) -> str:
-    """``str(q)``, or ResourceLimitError where str would exceed the digit limit."""
-    limit = digit_limit()
-    # n < 2**(3*limit) <= 10**limit decides most ints without the power
-    if limit and any(n.bit_length() > 3 * limit and n >= 10**limit for n in (abs(q.numerator), q.denominator)):
-        raise ResourceLimitError(f"a number of more than {limit} digits is too long to print")
-    return str(q)
+def _ratio_text(n: int, d: int) -> str:
+    """The reduced ``n/d`` (``d > 0``) as ``str(Fraction(n, d))`` prints it, or
+    ResourceLimitError where str would exceed the digit limit."""
+    try:
+        return str(n) if d == 1 else f"{n}/{d}"
+    except ValueError:  # str refuses an int of more than digit_limit() digits
+        raise ResourceLimitError(f"a number of more than {digit_limit()} digits is too long to print") from None
 
 
-def _render_exponent(q: Fraction) -> str:
-    text = _render_rational(q)
-    if q.denominator == 1 and q > 0:
-        return f"rho^{text}" if q != 1 else "rho"
+def _render_exponent(k: int, grid: int) -> str:
+    """``rho^(k/grid)`` for the reduced ``k/grid``, ``grid > 0``."""
+    text = _ratio_text(k, grid)
+    if grid == 1 and k > 0:
+        return f"rho^{text}" if k != 1 else "rho"
     return f"rho^({text})"
 
 
 def render_poly(p: RhoPoly) -> str:
-    """Canonical text: strictly decreasing exponents, `c*rho^(q)` per term."""
-    if p.is_zero():
+    """Canonical text: strictly decreasing exponents, `c*rho^(q)` per term,
+    printed from the stored int pairs with one gcd per number."""
+    if not p.ks:
         return "0"
+    grid, den = p.grid, p.den
     pieces: list[str] = []
-    for i, (e, c) in enumerate(p.terms):
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        if e == 0:
-            body = _render_rational(mag)
-        elif mag == 1:
-            body = _render_exponent(e)
+    for k, c in p.ks:
+        g = gcd(c, den)
+        n, d = abs(c) // g, den // g
+        if not k:
+            body = _ratio_text(n, d)
         else:
-            body = f"{_render_rational(mag)}*{_render_exponent(e)}"
-        if i == 0:
-            pieces.append(f"-{body}" if c < 0 else body)
-        else:
-            pieces.append(f" {sign} {body}")
+            g = gcd(k, grid)
+            body = _render_exponent(k // g, grid // g)
+            if n != d:  # a reduced n/d is 1 only as 1/1
+                body = f"{_ratio_text(n, d)}*{body}"
+        pieces.append(f" - {body}" if c < 0 else f" + {body}")
+    first = pieces[0][3:]
+    pieces[0] = f"-{first}" if p.ks[0][1] < 0 else first
     return "".join(pieces)
 
 

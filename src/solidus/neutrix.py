@@ -20,7 +20,7 @@ scope.
 ``Neutrix`` is an immutable ``__slots__`` class whose one stored form is its
 int key: a finite threshold is the reduced int pair ``(n, d)``, and ``q``, the
 threshold as a ``Fraction``, is built from the key on each read.  Comparisons
-read the key, and ``nx_mul``, ``nx_scale`` and ``nx_contains`` work on the int
+and rendering read the key, and ``nx_mul``, ``nx_scale`` and ``nx_contains`` work on the int
 pairs: products add the pairs, scaling adds the scalar's leading exponent
 ``k/grid``, and membership compares ``k*d`` with ``n*grid`` in ``_holds_degree``,
 which the external order asks about the first term where two numbers differ,
@@ -238,11 +238,9 @@ def is_ideal_of(e: Neutrix, j: Neutrix) -> bool:
 
 
 def render_neutrix(a: Neutrix) -> str:
-    if a == NX_ZERO:
-        return "0"
-    if a == FULL:
-        return "M"
-    letter = "L" if a.closed else "o"
-    if a.q == 0:
-        return letter
-    return f"{_render_exponent(a.q)}*{letter}"
+    """``0``, ``M``, or the cut's letter after ``rho^(q)*``, printed from the int key."""
+    rank, n, d, closed = a._key
+    if rank:
+        return "0" if rank < 0 else "M"
+    letter = "L" if closed else "o"
+    return f"{_render_exponent(n, d)}*{letter}" if n else letter

@@ -12,13 +12,15 @@ Grammar (whitespace insensitive, left associative):
     exponent:= '(' rational ')' | integer
     rational:= '-'? integer ('/' positive-integer)?
 
-Tokens are ``(kind, text, column)`` tuples, and one table, ``_LEVELS``, sets
-the precedence of the binary operators: ``expr`` and ``term`` are its two
-levels, parsed by one left-associative loop; a chain of three or more terms is
-summed in one pass (``_sum``).  The surface is ASCII only and accepts exact
-rational literals exclusively; a quotient like 1/2 parses as division, which
-evaluates to the same exact value.  A pure power of rho takes any rational
-exponent in one step; any other base takes only an integer exponent.
+Tokens are ``(kind, text, column)`` tuples from one comprehension over the
+regex matches, and one table, ``_LEVELS``, sets the precedence of the binary
+operators: ``expr`` and ``term`` are its two levels, parsed by one
+left-associative loop; a chain of three or more terms is summed in one pass
+(``_sum``).  The surface is ASCII only and accepts exact rational literals
+exclusively; a quotient like 1/2 parses as division, which evaluates to the
+same exact value.  A pure power of rho takes any rational exponent in one
+step, on the ints of the exponent; any other base takes only an integer
+exponent.
 Errors carry a 1-based ``column``: a ``ParseError`` its token's, an operator's
 typed error its node's.  ``start`` is where the source begins in its line.
 """
@@ -29,11 +31,12 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 from .errors import ParseError, ResourceLimitError, SolidusError
-from .external import ExternalNum, ext_inv, magnitude, pure, shadow, unity
-from .field import RhoPoly, _sum_terms, digit_limit
+from .external import ExternalNum, _external, ext_inv, magnitude, pure, shadow, unity
+from .field import ONE_POLY, RhoPoly, _make, _precise, _sum_terms, digit_limit
 from .neutrix import FULL, INFINITESIMALS, LIMITED, NX_ZERO
 
 
@@ -89,26 +92,28 @@ Expr = Union[Lit, Sym, Unary, BinOp, Pow, Cmp]
 
 
 # ASCII digits and identifiers only: str.isdigit would admit '²', which int() rejects;
-# any other non-blank character is a "bad" token
+# any other non-blank character is a "bad" token, and _SUSPECT finds the first one
 _TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op><=|[-+*/^(),=<])|(?P<bad>\S)|\s+")
+_SUSPECT = re.compile(r"[^0-9A-Za-z_<=+*/^(),\-\s]")
 
 
 def tokenize(source: str, start: int = 0) -> list[tuple[str, str, int]]:
     """``(kind, text, column)`` tuples, kind int | name | op | end, column 1-based.
 
-    The whole line is read before parsing, so its first bad character is the error.
+    The whole line is read before parsing, so its first bad character or
+    over-long literal is the error; only a line with a suspect character, or
+    longer than the digit limit, is checked match by match for one.
     """
-    tokens = []
     limit = digit_limit()
-    for match in _TOKEN.finditer(source):
-        kind, text, column = match.lastgroup, match.group(), start + match.start() + 1
-        if kind == "bad":
-            raise ParseError(f"unexpected character {text!r}", column)
-        if kind == "int" and limit and len(text) > limit:
-            # int() refuses it with a ValueError; say where, as for any syntax error
-            raise ParseError(f"integer literal longer than {limit} digits", column)
-        if kind:
-            tokens.append((kind, text, column))
+    if _SUSPECT.search(source) or limit and len(source) > limit:
+        for match in _TOKEN.finditer(source):
+            kind, text, column = match.lastgroup, match.group(), start + match.start() + 1
+            if kind == "bad":
+                raise ParseError(f"unexpected character {text!r}", column)
+            if kind == "int" and limit and len(text) > limit:
+                # int() refuses it with a ValueError; say where, as for any syntax error
+                raise ParseError(f"integer literal longer than {limit} digits", column)
+    tokens = [(m.lastgroup, m.group(), start + m.start() + 1) for m in _TOKEN.finditer(source) if m.lastgroup]
     tokens.append(("end", "", start + len(source) + 1))
     return tokens
 
@@ -247,9 +252,12 @@ def parse_expr_list(source: str, start: int = 0) -> list[Expr]:
 
 def _power(base: ExternalNum, exponent: Fraction) -> ExternalNum:
     p = base.rep.num
-    # a precise base rho^q (one term, coefficient c/den = 1) to any rational power is rho^(q*exponent)
-    if base.nx == NX_ZERO and base.rep.is_polynomial() and len(p.ks) == 1 and p.ks[0][1] == p.den:
-        return ExternalNum(RhoPoly.rho_power(Fraction(p.ks[0][0], p.grid) * exponent))
+    # a precise base rho^(k/grid) (one term, coefficient c/den = 1) to the power n/d is
+    # rho^(k*n/(grid*d)), reduced by one gcd
+    if base.nx._key[0] < 0 and base.rep.is_polynomial() and len(p.ks) == 1 and p.ks[0][1] == p.den:
+        k, grid = p.ks[0][0] * exponent.numerator, p.grid * exponent.denominator
+        g = gcd(k, grid)
+        return _external(_precise(_make(grid // g, 1, ((k // g, 1),)), ONE_POLY), NX_ZERO)
     if exponent.denominator != 1:
         raise SolidusError("power base must be a pure power of rho")
     return _integer_power(base, exponent.numerator)

@@ -36,7 +36,7 @@ from solidus.external import (
     shadow,
     unity,
 )
-from solidus.field import ONE_POLY, Ordering, PreciseNum, RHO, RhoPoly, compare_precise
+from solidus.field import NEG_INFINITY, ONE_POLY, Ordering, PreciseNum, RHO, RhoPoly, compare_precise
 from solidus.generate import GeneratorConfig, Sampler
 from solidus.halfline import HalflineKind, lower
 from solidus.neutrix import (
@@ -44,8 +44,10 @@ from solidus.neutrix import (
     INFINITESIMALS,
     LIMITED,
     NX_ZERO,
+    Neutrix,
     closed_cut,
     nx_add,
+    nx_mul,
     nx_scale,
     open_cut,
 )
@@ -224,6 +226,29 @@ class TestMul:
             nx_scale(PreciseNum.of(1), INFINITESIMALS),
         )
         assert prod.nx == expected == open_cut(1)
+
+
+class TestPreciseOperands:
+    """Sums and products of precise numbers are precise, so ``+`` and ``*`` skip
+    the neutrix algebra and the canonicalizing constructor for them."""
+
+    @staticmethod
+    def _fields(x: ExternalNum) -> tuple:
+        num, den = x.rep.num, x.rep.den
+        return (num.grid, num.den, num.ks), (den.grid, den.den, den.ks), x.nx._key
+
+    @pytest.mark.parametrize("seed", (1, 7, 42))
+    def test_sums_and_products_are_the_constructors_with_nx_zero(self, seed):
+        s = Sampler(GeneratorConfig(seed=seed), "precise-operands")
+        zero = Neutrix(NEG_INFINITY, True)  # equal to NX_ZERO, but another object
+        for _ in range(200):
+            x, y = s.precise(ratio_probability=0.5), s.precise(ratio_probability=0.5)
+            for a, b in ((ExternalNum(x), ExternalNum(y)), (ExternalNum(x, zero), ExternalNum(y, zero))):
+                product_nx = nx_add(nx_add(nx_scale(x, b.nx), nx_scale(y, a.nx)), nx_mul(a.nx, b.nx))
+                for got, want in ((a + b, ExternalNum(x + y, nx_add(a.nx, b.nx))), (a * b, ExternalNum(x * y, product_nx))):
+                    assert self._fields(got) == self._fields(want), (str(x), str(y))
+                    # parser._sum tells a precise value by this identity
+                    assert got.nx is NX_ZERO
 
 
 class TestInverse:

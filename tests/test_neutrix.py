@@ -17,9 +17,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from fraction_render import render_exponent
 from solidus.errors import NotAboveUnityError, NotIdempotentError
 from solidus.external import ExternalNum
-from solidus.field import NEG_INFINITY, Ordering, PreciseNum, RhoPoly, _render_exponent, series_expand
+from solidus.field import NEG_INFINITY, Ordering, PreciseNum, RhoPoly, series_expand
 from solidus.neutrix import (
     FULL,
     IDEMPOTENTS,
@@ -365,7 +366,7 @@ def ref_render(a: RefNeutrix) -> str:
     letter = "o" if a.kind is RefKind.OPEN_CUT else "L"
     if a.q == 0:
         return letter
-    return f"{_render_exponent(a.q)}*{letter}"
+    return f"{render_exponent(a.q)}*{letter}"
 
 
 GRID = [REF_ZERO, REF_FULL] + [

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -18,9 +19,10 @@ from solidus.external import canonicalize, ext_compare, ext_inv, ext_mul, is_zer
 from solidus.field import Ordering, RhoPoly, digit_limit
 from solidus.generate import GeneratorConfig, Sampler
 from solidus.neutrix import INFINITESIMALS, closed_cut
-from solidus.parser import BinOp, Cmp, Lit, Pow, Sym, Unary, _integer_power, eval_text, evaluate, parse
+from solidus.parser import BinOp, Cmp, Lit, Pow, Sym, Unary, _integer_power, eval_text, evaluate, parse, tokenize
 
 rp = RhoPoly.rho_power
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 class TestParse:
@@ -166,6 +168,70 @@ def test_junk_lines_output_pinned():
     text = "\n".join(f"{line}\t{run_command(line)}" for line in lines)
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == "60d4825ee89d74e2a07a9e179fa4a8f02205ae71451a3c6c8942fc067ee7dd99"
+
+
+def _per_match_tokens(source: str, start: int = 0):
+    """The tokenizer as one loop over the matches, checking each: the reference
+    for ``parser.tokenize``, as tokens or as the first error's text and column."""
+    tokens, limit = [], digit_limit()
+    for match in solidus.parser._TOKEN.finditer(source):
+        kind, text, column = match.lastgroup, match.group(), start + match.start() + 1
+        if kind == "bad":
+            return (f"unexpected character {text!r}", column)
+        if kind == "int" and limit and len(text) > limit:
+            return (f"integer literal longer than {limit} digits", column)
+        if kind:
+            tokens.append((kind, text, column))
+    return tokens + [("end", "", start + len(source) + 1)]
+
+
+def _tokens(source: str, start: int = 0):
+    try:
+        return tokenize(source, start)
+    except ParseError as exc:
+        return (str(exc), exc.column)
+
+
+class TestTokenizer:
+    # a superscript digit, a fullwidth digit and a Greek letter are not ASCII tokens
+    BAD = ["²", "１", "ρ", "$", "é", "?"]
+    BLANKS = ["\xa0", "\u2003", "\u3000", "\t"]
+
+    @pytest.mark.skipif(not digit_limit(), reason="this interpreter has no int/str digit limit")
+    @pytest.mark.parametrize("bad", BAD)
+    def test_the_first_error_wins(self, bad):
+        long = "7" * (digit_limit() + 1)
+        too_long = f"integer literal longer than {digit_limit()} digits"
+        assert _tokens(f"1 + {bad} + {long}") == (f"unexpected character {bad!r}", 5)
+        assert _tokens(f"1 + {long} + {bad}") == (too_long, 5)
+        # digits after a letter belong to a name: no literal, so the bad character is the error
+        assert _tokens(f"rho{long} {bad}", 3) == (f"unexpected character {bad!r}", 3 + len(f"rho{long} ") + 1)
+        for line in (f"1 + {bad} + {long}", f"1 + {long} + {bad}", f"{long}{bad}", f"{bad}{long}"):
+            assert _tokens(line, 2) == _per_match_tokens(line, 2), line
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_a_bad_character_is_an_error_line(self, bad):
+        assert run_command(f"1 + {bad}") == f"error: unexpected character {bad!r} (column 5)"
+
+    @pytest.mark.parametrize("blank", BLANKS)
+    def test_unicode_blanks_separate_tokens(self, blank):
+        line = f"1{blank}+{blank}rho"
+        assert _tokens(line) == [("int", "1", 1), ("op", "+", 3), ("name", "rho", 5), ("end", "", 8)]
+        assert run_command(line) == "rho + 1"
+
+    def test_junk_and_bench_lines_tokenize_as_the_per_match_loop(self):
+        sys.path.insert(0, str(BENCH))
+        try:
+            import script
+        finally:
+            sys.path.remove(str(BENCH))
+        lines = junk_lines(8, 5000) + [text for seed in (1, 7) for i in range(3) for text, _ in script.block(seed, i)]
+        errors = 0
+        for i, line in enumerate(lines):
+            want = _per_match_tokens(line, i % 3)
+            assert _tokens(line, i % 3) == want, line
+            errors += isinstance(want, tuple)
+        assert errors > 100
 
 
 class TestEval:
@@ -442,6 +508,28 @@ class TestCommands:
         assert capsys.readouterr().err == ""
 
 
+class TestProductBudget:
+    """A product of two sums is refused before it starts past MAX_PRODUCT_PAIRS term pairs."""
+
+    FOUR, THREE = "rho^3 + rho^2 + rho + 1", "rho^2 + rho + 1"
+
+    def test_the_budget_is_the_count_of_term_pairs(self, monkeypatch):
+        monkeypatch.setattr(solidus.field, "MAX_PRODUCT_PAIRS", 12)
+        assert run_command(f"({self.FOUR})*({self.THREE})") == "rho^5 + 2*rho^4 + 3*rho^3 + 3*rho^2 + 2*rho + 1"
+        assert run_command(f"({self.FOUR})*({self.FOUR})") == "error: product of more than 12 term pairs (column 26)"
+        # one factor of one term is a shift and a scale, never refused
+        assert run_command(f"({self.FOUR} + rho^4 + rho^5 + rho^6 + rho^7 + rho^8 + rho^9 + rho^10)*2*rho").startswith("2*rho^11")
+        # a ratio's sum multiplies its numerators and denominators
+        assert run_command(f"1/({self.FOUR}) + 1/({self.FOUR} + rho^4)").startswith("error: product of more than 12")
+
+    def test_a_power_is_refused_at_its_first_product_past_the_budget(self, monkeypatch):
+        monkeypatch.setattr(solidus.field, "MAX_PRODUCT_PAIRS", 12)
+        # (2+rho)^5 multiplies 5 terms by 2 last; (2+rho)^8 squares 5 terms
+        assert run_command("(2+rho)^5") == "rho^5 + 10*rho^4 + 40*rho^3 + 80*rho^2 + 80*rho + 32"
+        assert run_command("(2+rho)^8") == "error: product of more than 12 term pairs (column 8)"
+        assert run_command("(2+rho)^(-8)") == "error: product of more than 12 term pairs (column 8)"
+
+
 @pytest.mark.skipif(not digit_limit(), reason="this interpreter has no int/str digit limit")
 class TestResourceLimits:
     """Input past a size limit gives one typed error line, and the REPL goes on."""
@@ -491,11 +579,12 @@ class TestResourceLimits:
 
     def test_batch_goes_on_after_a_refused_line(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(solidus.field, "MAX_SERIES_TERMS", 1000)
+        monkeypatch.setattr(solidus.field, "MAX_PRODUCT_PAIRS", 1000)
         script = tmp_path / "limits.txt"
-        script.write_text("\n".join(["2^100000", "1" * 5000, self.SLOW, "1+1"]) + "\n")
+        script.write_text("\n".join(["2^100000", "1" * 5000, self.SLOW, "(2+rho)^100", "1+1"]) + "\n")
         assert main(["--batch", str(script)]) == 0
         out = capsys.readouterr().out.splitlines()
-        assert [line.startswith("error:") for line in out] == [True, True, True, False]
+        assert [line.startswith("error:") for line in out] == [True, True, True, True, False]
         assert out[-1] == "2"
 
 
