@@ -20,11 +20,12 @@ bare ``Neutrix`` operand raises ``TypeError``, ``==`` False.
 
 The operators ``+``, ``-``, ``*``, ``/`` and ``abs`` are the arithmetic, as
 the paper writes it; ``ext_add``, ``ext_neg`` and ``ext_mul`` are other names
-for three of them.  A precise number is an external number whose neutrix is
-the minimal one, ``NX_ZERO``, and sums and products of precise numbers are
-precise: for them ``+`` and ``*`` skip the neutrix algebra and the
-canonicalizing constructor and pair the result with ``NX_ZERO`` itself.  The inverse ``ext_inv``, which has no operator, and the
-three-way answer ``ext_compare`` behind ``<`` are functions.
+for three of them.  The inverse ``ext_inv``, which has no operator, and the
+three-way answer ``ext_compare`` behind ``<`` are functions.  A precise
+number is an external number whose neutrix is the minimal one, ``NX_ZERO``,
+and sums and products of precise numbers are precise: for them ``+`` and
+``*`` skip the neutrix algebra and the canonicalizing constructor and pair
+the result with ``NX_ZERO`` itself.
 """
 
 from __future__ import annotations

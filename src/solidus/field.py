@@ -626,8 +626,8 @@ def render_poly(p: RhoPoly) -> str:
         if not k:
             body = _ratio_text(n, d)
         else:
-            g = gcd(k, grid)
-            body = _render_exponent(k // g, grid // g)
+            h = gcd(k, grid)
+            body = _render_exponent(k // h, grid // h)
             if n != d:  # a reduced n/d is 1 only as 1/1
                 body = f"{_ratio_text(n, d)}*{body}"
         pieces.append(f" - {body}" if c < 0 else f" + {body}")

@@ -20,11 +20,11 @@ scope.
 ``Neutrix`` is an immutable ``__slots__`` class whose one stored form is its
 int key: a finite threshold is the reduced int pair ``(n, d)``, and ``q``, the
 threshold as a ``Fraction``, is built from the key on each read.  Comparisons
-and rendering read the key, and ``nx_mul``, ``nx_scale`` and ``nx_contains`` work on the int
-pairs: products add the pairs, scaling adds the scalar's leading exponent
-``k/grid``, and membership compares ``k*d`` with ``n*grid`` in ``_holds_degree``,
-which the external order asks about the first term where two numbers differ,
-building no difference.  The private maker ``_cut(n, d, closed)`` builds their
+and rendering read the key, and ``nx_mul``, ``nx_scale`` and ``nx_contains``
+work on the int pairs: products add the pairs, scaling adds the scalar's
+leading exponent ``k/grid``, and membership compares ``k*d`` with ``n*grid``
+in ``_holds_degree``, which the external order asks about the first term where
+two numbers differ, building no difference.  The private maker ``_cut(n, d, closed)`` builds their
 results with one gcd, so none of them builds a ``Fraction`` or compares one
 with a float infinity; neither do ``Neutrix(q, closed)``, ``open_cut`` and
 ``closed_cut`` given an int.

@@ -244,8 +244,9 @@ class TestPreciseOperands:
         for _ in range(200):
             x, y = s.precise(ratio_probability=0.5), s.precise(ratio_probability=0.5)
             for a, b in ((ExternalNum(x), ExternalNum(y)), (ExternalNum(x, zero), ExternalNum(y, zero))):
+                sum_nx = nx_add(a.nx, b.nx)
                 product_nx = nx_add(nx_add(nx_scale(x, b.nx), nx_scale(y, a.nx)), nx_mul(a.nx, b.nx))
-                for got, want in ((a + b, ExternalNum(x + y, nx_add(a.nx, b.nx))), (a * b, ExternalNum(x * y, product_nx))):
+                for got, want in ((a + b, ExternalNum(x + y, sum_nx)), (a * b, ExternalNum(x * y, product_nx))):
                     assert self._fields(got) == self._fields(want), (str(x), str(y))
                     # parser._sum tells a precise value by this identity
                     assert got.nx is NX_ZERO

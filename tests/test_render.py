@@ -7,6 +7,8 @@ refuses, with the same error text, what the reference refuses; both are
 compared here on seeded values and on numbers on both sides of the digit limit.
 """
 
+from fractions import Fraction as F
+
 import pytest
 
 import fraction_render as ref
@@ -15,8 +17,6 @@ from solidus.external import ExternalNum, render_external
 from solidus.field import PreciseNum, RhoPoly, digit_limit, render_poly, render_precise
 from solidus.generate import GeneratorConfig, Sampler
 from solidus.neutrix import Neutrix, render_neutrix
-
-F = ref.Fraction
 
 
 def _ratio_draw(s: Sampler) -> PreciseNum:
