@@ -1,4 +1,4 @@
-"""Surface syntax: tokenizer, recursive-descent parser and evaluator.
+"""Surface syntax: tokenizer, precedence-climbing parser and evaluator.
 
 Grammar (whitespace insensitive, left associative):
 
@@ -13,14 +13,15 @@ Grammar (whitespace insensitive, left associative):
     rational:= '-'? integer ('/' positive-integer)?
 
 Tokens are ``(kind, text, column)`` tuples from one comprehension over the
-regex matches, and one table, ``_LEVELS``, sets the precedence of the binary
-operators: ``expr`` and ``term`` are its two levels, parsed by one
-left-associative loop; a chain of three or more terms is summed in one pass
-(``_sum``).  The surface is ASCII only and accepts exact rational literals
-exclusively; a quotient like 1/2 parses as division, which evaluates to the
-same exact value.  A pure power of rho takes any rational exponent in one
-step, on the ints of the exponent; any other base takes only an integer
-exponent.
+regex matches, blanks skipped.  One table, ``_LEVELS``, sets the precedence of
+the binary operators (``expr`` and ``term``), parsed by one precedence-climbing
+loop; a chain of three or more terms is summed in one pass (``_sum``).  Nodes
+are ``NamedTuple``s, evaluated by one step per class (``_STEPS``); parentheses,
+calls and prefix minus signs nest at most ``MAX_NESTING`` deep.  The surface
+is ASCII only and accepts exact rational literals exclusively; a quotient like
+1/2 parses as division, which evaluates to the same exact value.  An exponent
+is a reduced int pair: a pure power of rho takes any rational one in one step,
+any other base only an integer.
 Errors carry a 1-based ``column``: a ``ParseError`` its token's, an operator's
 typed error its node's.  ``start`` is where the source begins in its line.
 """
@@ -29,10 +30,8 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import ParseError, ResourceLimitError, SolidusError
 from .external import ExternalNum, _external, ext_inv, magnitude, pure, shadow, unity
@@ -43,42 +42,36 @@ from .neutrix import FULL, INFINITESIMALS, LIMITED, NX_ZERO
 # --- syntax tree ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Lit:
+class Lit(NamedTuple):
     value: int
     pos: int
 
 
-@dataclass(frozen=True)
-class Sym:
+class Sym(NamedTuple):
     name: str  # rho | o | L | M
     pos: int
 
 
-@dataclass(frozen=True)
-class Unary:
+class Unary(NamedTuple):
     op: str  # - | e | u | inv | abs | shadow
     arg: "Expr"
     pos: int
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str  # + - * /
     left: "Expr"
     right: "Expr"
     pos: int
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(NamedTuple):
     base: "Expr"
-    exponent: Fraction
+    exponent: tuple[int, int]  # (n, d) in lowest terms, d > 0
     pos: int
 
 
-@dataclass(frozen=True)
-class Cmp:
+class Cmp(NamedTuple):
     op: str  # = | < | <=
     left: "Expr"
     right: "Expr"
@@ -92,8 +85,9 @@ Expr = Union[Lit, Sym, Unary, BinOp, Pow, Cmp]
 
 
 # ASCII digits and identifiers only: str.isdigit would admit '²', which int() rejects;
-# any other non-blank character is a "bad" token, and _SUSPECT finds the first one
-_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op><=|[-+*/^(),=<])|(?P<bad>\S)|\s+")
+# any other non-blank character is a "bad" token, and _SUSPECT finds the first one;
+# finditer skips the blanks, which no alternative matches
+_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op><=|[-+*/^(),=<])|(?P<bad>\S)")
 _SUSPECT = re.compile(r"[^0-9A-Za-z_<=+*/^(),\-\s]")
 
 
@@ -113,7 +107,7 @@ def tokenize(source: str, start: int = 0) -> list[tuple[str, str, int]]:
             if kind == "int" and limit and len(text) > limit:
                 # int() refuses it with a ValueError; say where, as for any syntax error
                 raise ParseError(f"integer literal longer than {limit} digits", column)
-    tokens = [(m.lastgroup, m.group(), start + m.start() + 1) for m in _TOKEN.finditer(source) if m.lastgroup]
+    tokens = [(m.lastgroup, m.group(), start + m.start() + 1) for m in _TOKEN.finditer(source)]
     tokens.append(("end", "", start + len(source) + 1))
     return tokens
 
@@ -144,20 +138,24 @@ _COMPARISONS = {"=": operator.eq, "<": operator.lt, "<=": operator.le}
 
 
 _TOO_DEEP = "expression nested too deeply"
+# the deepest nesting of parentheses, calls and prefix '-', together; at three frames a level it stays under the recursion limit
+MAX_NESTING = 200
 # the binary operators by precedence, loosest first; each level is left associative
 _LEVELS = (("+", "-"), ("*", "/"))
+_BINDING = {op: level for level, ops in enumerate(_LEVELS, 1) for op in ops}
 
 
 class Parser:
     def __init__(self, source: str, start: int = 0):
         self.tokens = tokenize(source, start)
         self.index = 0
+        self.depth = 0
 
-    def take(self, *ops: str) -> tuple[str, str, int] | None:
-        """Consume and return the current token if it is one of the operators ``ops``."""
+    def take(self, op: str) -> tuple[str, str, int] | None:
+        """Consume and return the current token if it is the operator ``op``."""
         tok = self.tokens[self.index]
         # no int, name or end token has an operator's text
-        if tok[1] in ops:
+        if tok[1] == op:
             self.index += 1
             return tok
         return None
@@ -175,14 +173,16 @@ class Parser:
 
     def parse_compare(self) -> Expr:
         left = self.parse_binary()
-        tok = self.take(*_COMPARISONS)
-        return Cmp(tok[1], left, self.parse_binary(), tok[2]) if tok else left
+        if (tok := self.tokens[self.index])[1] not in _COMPARISONS:
+            return left
+        self.index += 1
+        return Cmp(tok[1], left, self.parse_binary(), tok[2])
 
-    def parse_binary(self, level: int = 0) -> Expr:
-        if level == len(_LEVELS):
-            return self.parse_factor()
-        node = self.parse_binary(level + 1)
-        while tok := self.take(*_LEVELS[level]):
+    def parse_binary(self, floor: int = 1) -> Expr:
+        """Operands and the operators of level ``floor`` or tighter; a tighter right operand recurses."""
+        node = self.parse_factor()
+        while (level := _BINDING.get((tok := self.tokens[self.index])[1], 0)) >= floor:
+            self.index += 1
             node = BinOp(tok[1], node, self.parse_binary(level + 1), tok[2])
         return node
 
@@ -191,35 +191,41 @@ class Parser:
         tok = self.take("^")
         return Pow(node, self.parse_exponent(), tok[2]) if tok else node
 
-    def parse_exponent(self) -> Fraction:
+    def parse_exponent(self) -> tuple[int, int]:
         if self.tokens[self.index][0] == "int":
-            return Fraction(self.integer("expected an integer"))
+            return self.integer("expected an integer"), 1
         self.expect("(")
         sign = -1 if self.take("-") else 1
         numerator = sign * self.integer("expected an integer")
         denominator = self.integer("expected a positive integer denominator", 1) if self.take("/") else 1
         self.expect(")")
-        return Fraction(numerator, denominator)
+        g = gcd(numerator, denominator)
+        return numerator // g, denominator // g
 
     def parse_atom(self) -> Expr:
         kind, text, column = self.tokens[self.index]
         self.index += 1
         if kind == "int":
             return Lit(int(text), column)
-        if text == "-":
-            # binds looser than '^' so canonical text like -rho^2 means -(rho^2)
-            return Unary("-", self.parse_factor(), column)
         if kind == "name":
             if text in _SYMBOLS:
                 return Sym(text, column)
             if text not in _FUNCTIONS:
                 raise ParseError(f"unknown identifier {text!r}", column)
             self.expect("(")
-        elif text != "(":
+        elif text != "(" and text != "-":
             raise ParseError("expected a value", column)
-        inner = self.parse_binary()
-        self.expect(")")
-        return Unary(text, inner, column) if kind == "name" else inner
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ResourceLimitError(_TOO_DEEP)
+        if text == "-":
+            # binds looser than '^' so canonical text like -rho^2 means -(rho^2)
+            inner = self.parse_factor()
+        else:
+            inner = self.parse_binary()
+            self.expect(")")
+        self.depth -= 1
+        return inner if text == "(" else Unary(text, inner, column)
 
 
 def _parse_items(source: str, start: int, many: bool) -> list[Expr]:
@@ -250,17 +256,17 @@ def parse_expr_list(source: str, start: int = 0) -> list[Expr]:
 # --- evaluator --------------------------------------------------------------------
 
 
-def _power(base: ExternalNum, exponent: Fraction) -> ExternalNum:
-    p = base.rep.num
+def _power(base: ExternalNum, exponent: tuple[int, int]) -> ExternalNum:
+    (n, d), p = exponent, base.rep.num
     # a precise base rho^(k/grid) (one term, coefficient c/den = 1) to the power n/d is
     # rho^(k*n/(grid*d)), reduced by one gcd
     if base.nx._key[0] < 0 and base.rep.is_polynomial() and len(p.ks) == 1 and p.ks[0][1] == p.den:
-        k, grid = p.ks[0][0] * exponent.numerator, p.grid * exponent.denominator
+        k, grid = p.ks[0][0] * n, p.grid * d
         g = gcd(k, grid)
         return _external(_precise(_make(grid // g, 1, ((k // g, 1),)), ONE_POLY), NX_ZERO)
-    if exponent.denominator != 1:
+    if d != 1:
         raise SolidusError("power base must be a pure power of rho")
-    return _integer_power(base, exponent.numerator)
+    return _integer_power(base, n)
 
 
 def _integer_power(value: ExternalNum, n: int) -> ExternalNum:
@@ -285,27 +291,30 @@ def evaluate(expr: Expr) -> ExternalNum | bool:
     An operator's typed error propagates with its node's column.
     """
     try:
-        return _evaluate(expr)
+        return _STEPS.get(type(expr), _unknown)(expr)
     except RecursionError:
         raise ResourceLimitError(_TOO_DEEP) from None
 
 
-def _evaluate(expr: Expr) -> ExternalNum | bool:
-    if isinstance(expr, Lit):
-        return ExternalNum(expr.value)
-    if isinstance(expr, Sym):
-        return _SYMBOLS[expr.name]
-    if isinstance(expr, Cmp):
-        return _COMPARISONS[expr.op](_value(expr.left), _value(expr.right))
-    if isinstance(expr, BinOp):
-        if expr.op in _LEVELS[0] and isinstance(expr.left, BinOp) and expr.left.op in _LEVELS[0]:
-            return _sum(expr)
-        return _apply(expr, _BINARY[expr.op], _value(expr.left), _value(expr.right))
-    if isinstance(expr, Unary):
-        return _apply(expr, _FUNCTIONS[expr.op], _value(expr.arg))
-    if isinstance(expr, Pow):
-        return _apply(expr, _power, _value(expr.base), expr.exponent)
+def _unknown(expr) -> None:
     raise ParseError("unknown expression node", getattr(expr, "pos", 1))
+
+
+def _binary(expr: BinOp) -> ExternalNum:
+    if expr.op in _LEVELS[0] and isinstance(expr.left, BinOp) and expr.left.op in _LEVELS[0]:
+        return _sum(expr)
+    return _apply(expr, _BINARY[expr.op], _value(expr.left), _value(expr.right))
+
+
+# one evaluation step per node class, looked up by evaluate and _value
+_STEPS = {
+    Lit: lambda expr: ExternalNum(expr.value),
+    Sym: lambda expr: _SYMBOLS[expr.name],
+    Cmp: lambda expr: _COMPARISONS[expr.op](_value(expr.left), _value(expr.right)),
+    BinOp: _binary,
+    Unary: lambda expr: _apply(expr, _FUNCTIONS[expr.op], _value(expr.arg)),
+    Pow: lambda expr: _apply(expr, _power, _value(expr.base), expr.exponent),
+}
 
 
 def _apply(node: Expr, op, *args) -> ExternalNum:
@@ -339,7 +348,8 @@ def _plus(total: ExternalNum, run: list[RhoPoly]) -> ExternalNum:
 
 
 def _value(expr: Expr) -> ExternalNum:
-    result = _evaluate(expr)
+    # the lookup inline, not through a function: two frames per level of the tree
+    result = _STEPS.get(type(expr), _unknown)(expr)
     if isinstance(result, bool):
         raise ParseError("comparison used as a value", expr.pos)
     return result

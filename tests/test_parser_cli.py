@@ -1,15 +1,19 @@
 """Tests for the surface syntax, evaluator, REPL commands and exit codes."""
 
+import ast
 import hashlib
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
+from math import gcd
 from pathlib import Path
 
 import pytest
 
+import descent_parser
 import left_fold
 import solidus.field
 import solidus.parser
@@ -19,7 +23,20 @@ from solidus.external import canonicalize, ext_compare, ext_inv, ext_mul, is_zer
 from solidus.field import Ordering, RhoPoly, digit_limit
 from solidus.generate import GeneratorConfig, Sampler
 from solidus.neutrix import INFINITESIMALS, closed_cut
-from solidus.parser import BinOp, Cmp, Lit, Pow, Sym, Unary, _integer_power, eval_text, evaluate, parse, tokenize
+from solidus.parser import (
+    BinOp,
+    Cmp,
+    Lit,
+    Pow,
+    Sym,
+    Unary,
+    _integer_power,
+    eval_text,
+    evaluate,
+    parse,
+    parse_expr_list,
+    tokenize,
+)
 
 rp = RhoPoly.rho_power
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -33,7 +50,7 @@ class TestParse:
         assert isinstance(tree.left.left, Lit) and tree.left.left.value == 3
         assert type(tree.left.left.value) is int  # a literal builds no Fraction
         assert isinstance(tree.left.right, Sym) and tree.left.right.name == "o"
-        assert isinstance(tree.right, Pow) and tree.right.exponent == F(1, 2)
+        assert isinstance(tree.right, Pow) and tree.right.exponent == (1, 2)  # the reduced int pair
 
     def test_function_application(self):
         tree = parse("e(rho + L)")
@@ -195,6 +212,16 @@ def _tokens(source: str, start: int = 0):
         return (str(exc), exc.column)
 
 
+def bench_lines() -> list[str]:
+    """The lines of bench/script.py blocks 0-2 at seeds 1 and 7."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import script
+    finally:
+        sys.path.remove(str(BENCH))
+    return [text for seed in (1, 7) for i in range(3) for text, _ in script.block(seed, i)]
+
+
 class TestTokenizer:
     # a superscript digit, a fullwidth digit and a Greek letter are not ASCII tokens
     BAD = ["²", "１", "ρ", "$", "é", "?"]
@@ -219,18 +246,48 @@ class TestTokenizer:
         assert run_command(line) == "rho + 1"
 
     def test_junk_and_bench_lines_tokenize_as_the_per_match_loop(self):
-        sys.path.insert(0, str(BENCH))
-        try:
-            import script
-        finally:
-            sys.path.remove(str(BENCH))
-        lines = junk_lines(8, 5000) + [text for seed in (1, 7) for i in range(3) for text, _ in script.block(seed, i)]
+        lines = junk_lines(8, 5000) + bench_lines()
         errors = 0
         for i, line in enumerate(lines):
             want = _per_match_tokens(line, i % 3)
             assert _tokens(line, i % 3) == want, line
             errors += isinstance(want, tuple)
         assert errors > 100
+
+
+class TestDescentReference:
+    """The precedence-climbing parser builds the recursive-descent parser's trees
+    (``descent_parser``): each node's class, fields and position, an exponent's
+    reduced pair against its ``Fraction``, and each error's text and column."""
+
+    def test_the_nodes_keep_their_fields(self):
+        for cls in (Lit, Sym, Unary, BinOp, Pow, Cmp):
+            assert cls._fields == descent_parser.FIELDS[cls.__name__]
+
+    def test_junk_and_bench_lines_parse_as_the_descent_parser(self):
+        junk = junk_lines(8, 5000)
+        outcomes = [descent_parser.compare(line, i % 3) for i, line in enumerate(junk + bench_lines())]
+        errors = sum(old[0] == "ParseError" for old in outcomes)
+        assert errors > 1000 and len(outcomes) - errors > 2000
+        # some exponents are written unreduced, as (2/4) or (-6/3)
+        exponents = [(int(n), int(d)) for line in junk for n, d in re.findall(r"\^\(-?(\d+)/(\d+)\)", line)]
+        assert any(gcd(n, d) > 1 for n, d in exponents)
+
+    def test_parsing_the_bench_lines_builds_no_fraction(self, fraction_calls):
+        lines = bench_lines()
+        fraction_calls.clear()
+        for line in lines:
+            if line.startswith(":"):
+                parse_expr_list(line.partition(" ")[2])
+            else:
+                parse(line)
+        assert fraction_calls == []
+
+    def test_the_parser_imports_nothing_from_fractions_or_dataclasses(self):
+        tree = ast.parse(Path(solidus.parser.__file__).read_text())
+        modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+        modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert not modules & {"fractions", "dataclasses"}
 
 
 class TestEval:
@@ -480,6 +537,23 @@ class TestCommands:
             parse("(" * 300 + "1" + ")" * 300)
         with pytest.raises(ResourceLimitError, match="nested too deeply"):
             evaluate(parse("1" + "*1" * 2000))
+
+    @pytest.mark.parametrize("opening, closing", [("(", ")"), ("abs(", ")"), ("-", "")])
+    def test_the_nesting_limit_is_explicit(self, opening, closing):
+        # parentheses, calls and prefix minus signs are refused past MAX_NESTING levels,
+        # before Python's recursion limit is reached
+        assert solidus.parser.MAX_NESTING == 200
+        for depth, out in ((200, "1"), (201, "error: expression nested too deeply (column 1)")):
+            text = opening * depth + "1" + closing * depth
+            assert run_command(text) == out
+            assert run_command(f":cmp {text} , 1") == ("EQ" if depth == 200 else out)
+        with pytest.raises(ResourceLimitError, match="nested too deeply"):
+            parse(opening * 201 + "1" + closing * 201)
+
+    def test_the_three_kinds_of_nesting_count_together(self):
+        mixed = "-abs((" * 67 + "1" + "))" * 67  # 3 * 67 = 201 levels, 67 of each kind
+        assert run_command(mixed[1:]) == "1"
+        assert run_command(mixed) == "error: expression nested too deeply (column 1)"
 
     def test_a_flat_sum_does_not_recurse(self):
         # a '+'/'-' chain is summed in one pass, however long; a '*' chain still folds

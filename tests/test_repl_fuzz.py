@@ -10,6 +10,8 @@ in.  Two properties are checked:
     outputs for the same lines.
 (b) Blanks or a command word in front of an expression whose error has a
     column N > 1 shift N by exactly their length.
+(c) The parser builds the trees, error texts and columns of the recursive-descent
+    reference (``descent_parser``).
 
 Integer exponents stay at 6 or less and series expansions at 200 terms: the
 limits on integer powers and product sizes are not set yet.
@@ -22,6 +24,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import descent_parser
 import solidus.field
 from solidus.cli import _COMMANDS, repl, run_batch, run_command
 from solidus.parser import _BINARY, _COMPARISONS, _FUNCTIONS, _SYMBOLS
@@ -137,3 +140,9 @@ def test_a_prefix_shifts_the_error_column_by_its_length(expr):
     for prefix in ("  ", ":classify "):
         moved = out.replace(f"(column {column})", f"(column {column + len(prefix)})")
         assert run_command(prefix + expr) == moved, (prefix, expr)
+
+
+@FUZZ
+@given(line=LINES, start=st.integers(0, 3))
+def test_the_descent_parser_builds_the_same_trees(line, start):
+    descent_parser.compare(line, start)
