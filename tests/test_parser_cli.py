@@ -23,20 +23,7 @@ from solidus.external import canonicalize, ext_compare, ext_inv, ext_mul, is_zer
 from solidus.field import Ordering, RhoPoly, digit_limit
 from solidus.generate import GeneratorConfig, Sampler
 from solidus.neutrix import INFINITESIMALS, closed_cut
-from solidus.parser import (
-    BinOp,
-    Cmp,
-    Lit,
-    Pow,
-    Sym,
-    Unary,
-    _integer_power,
-    eval_text,
-    evaluate,
-    parse,
-    parse_expr_list,
-    tokenize,
-)
+from solidus.parser import BinOp, Cmp, Lit, Pow, Sym, Unary, _integer_power, eval_text, evaluate, parse, parse_expr_list, tokenize
 
 rp = RhoPoly.rho_power
 BENCH = Path(__file__).resolve().parent.parent / "bench"

@@ -2,7 +2,7 @@
 
 Lines are built from the parser's own tables (symbols, functions, binary
 operators, comparisons) and the value commands' names, with junk text spliced
-in.  Two properties are checked:
+in.  Three properties are checked:
 
 (a) ``run_command`` never raises, and each output is a value or exactly one
     ``error: ... (column N)`` line with N inside the line or just past its
