@@ -138,7 +138,7 @@ _COMPARISONS = {"=": operator.eq, "<": operator.lt, "<=": operator.le}
 
 
 _TOO_DEEP = "expression nested too deeply"
-# the deepest nesting of parentheses, calls and prefix '-', together; at three frames a level it stays under the recursion limit
+# the deepest nesting of '(', calls and prefix '-' together; at 3 frames a level, inside the recursion limit
 MAX_NESTING = 200
 # the binary operators by precedence, loosest first; each level is left associative
 _LEVELS = (("+", "-"), ("*", "/"))
