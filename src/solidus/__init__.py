@@ -55,6 +55,7 @@ from .neutrix import (
     nx_add,
     nx_contains,
     nx_mul,
+    nx_product,
     nx_scale,
     open_cut,
 )

@@ -14,18 +14,21 @@ exactly when their neutrices are equal and their representatives are equal.
 ``ExternalNum(rep, nx)`` is an immutable ``__slots__`` pair whose constructor
 builds the canonical form (``canonicalize`` is the same constructor), so
 equality is structural and agrees with the order; it stores a truncated
-expansion, a polynomial, without normalizing it again.  Operands are external
-numbers and the ``PreciseNum.of`` types; a neutrix enters as ``pure(nx)``: a
-bare ``Neutrix`` operand raises ``TypeError``, ``==`` False.
+expansion, a polynomial, without normalizing it again, and keeps a polynomial
+that loses no term as it is.  Operands are external numbers and the
+``PreciseNum.of`` types; a neutrix enters as ``pure(nx)``: a bare ``Neutrix``
+operand raises ``TypeError``, ``==`` False.
 
 The operators ``+``, ``-``, ``*``, ``/`` and ``abs`` are the arithmetic, as
 the paper writes it; ``ext_add``, ``ext_neg`` and ``ext_mul`` are other names
 for three of them.  The inverse ``ext_inv``, which has no operator, and the
-three-way answer ``ext_compare`` behind ``<`` are functions.  A precise
-number is an external number whose neutrix is the minimal one, ``NX_ZERO``,
-and sums and products of precise numbers are precise: for them ``+`` and
-``*`` skip the neutrix algebra and the canonicalizing constructor and pair
-the result with ``NX_ZERO`` itself.
+three-way answer ``ext_compare`` behind ``<`` are functions.  ``*`` takes its
+magnitude from one ``nx_product``, ``ext_inv`` and ``unity`` scale by the
+degree of ``1/rep^2`` or ``1/rep`` read from rep's leading exponent, and they
+and ``+`` canonicalize once through the constructor's helper ``_canonical``,
+without its type checks.  A precise number is an external number whose
+neutrix is ``NX_ZERO``, and sums and products of precise numbers are precise:
+for them ``+`` and ``*`` pair the result with ``NX_ZERO`` itself.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .field import (
     _PRECISE_TYPES,
     _difference_lead,
     _expand,
+    _poly,
     _precise,
     render_precise,
 )
@@ -56,7 +60,7 @@ from .neutrix import (
     _holds_degree,
     nx_add,
     nx_contains,
-    nx_mul,
+    nx_product,
     nx_scale,
     render_neutrix,
 )
@@ -75,18 +79,10 @@ class ExternalNum(_Immutable):
 
     __slots__ = ("rep", "nx")
 
-    def __init__(self, rep: PreciseLike, nx: Neutrix = NX_ZERO):
+    def __new__(cls, rep: PreciseLike, nx: Neutrix = NX_ZERO):
         if nx.__class__ is not Neutrix:
             raise TypeError(f"cannot interpret {type(nx).__name__} as a neutrix")
-        if not isinstance(rep, PreciseNum):
-            rep = PreciseNum.of(rep)
-        rank, n, d, closed = nx._key
-        if rank > 0:  # FULL
-            rep = PRECISE_ZERO
-        elif not rank:  # a finite cut at n/d: truncate on ints
-            rep = _precise(_expand(rep, n, d, closed), ONE_POLY)
-        _set_rep(self, rep)
-        _set_nx(self, nx)
+        return _canonical(rep if isinstance(rep, PreciseNum) else PreciseNum.of(rep), nx)
 
     def __reduce__(self):
         return ExternalNum, (self.rep, self.nx)
@@ -96,7 +92,7 @@ class ExternalNum(_Immutable):
             other = as_external(other)
         if self.nx._key[0] < 0 and other.nx._key[0] < 0:  # precise + precise: nothing to absorb
             return _external(self.rep + other.rep, NX_ZERO)
-        return ExternalNum(self.rep + other.rep, nx_add(self.nx, other.nx))
+        return _canonical(self.rep + other.rep, nx_add(self.nx, other.nx))
 
     __radd__ = __add__
 
@@ -114,13 +110,10 @@ class ExternalNum(_Immutable):
         """Minkowski product: (a+A)(b+B) = ab + aB + bA + AB."""
         if other.__class__ is not ExternalNum:
             other = as_external(other)
+        a, b = self.rep, other.rep
         if self.nx._key[0] < 0 and other.nx._key[0] < 0:  # precise * precise: nothing to absorb
-            return _external(self.rep * other.rep, NX_ZERO)
-        nx = nx_add(
-            nx_add(nx_scale(self.rep, other.nx), nx_scale(other.rep, self.nx)),
-            nx_mul(self.nx, other.nx),
-        )
-        return ExternalNum(self.rep * other.rep, nx)
+            return _external(a * b, NX_ZERO)
+        return _canonical(a * b, nx_product(a, self.nx, b, other.nx))
 
     __rmul__ = __mul__
 
@@ -135,8 +128,8 @@ class ExternalNum(_Immutable):
         return -self if self.rep.sign() < 0 else self
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, ExternalNum):
-            return self.nx == other.nx and self.rep == other.rep
+        if other.__class__ is ExternalNum:
+            return self.nx._key == other.nx._key and self.rep == other.rep
         # a number equals its precise value; a Neutrix never equals its pure(...): 0 != NX_ZERO
         return self == ExternalNum(other) if isinstance(other, _PRECISE_TYPES) else NotImplemented
 
@@ -165,6 +158,16 @@ canonicalize = ExternalNum
 ext_add = ExternalNum.__add__
 ext_neg = ExternalNum.__neg__
 ext_mul = ExternalNum.__mul__
+
+
+def _canonical(rep: PreciseNum, nx: Neutrix) -> ExternalNum:
+    """The canonical form of ``rep + nx``, for a PreciseNum and a Neutrix."""
+    rank, n, d, closed = nx._key
+    if rank > 0:  # FULL
+        rep = PRECISE_ZERO
+    elif not rank and (p := _expand(rep, n, d, closed)) is not rep.num:  # truncate at n/d on ints
+        rep = _precise(p, ONE_POLY)
+    return _external(rep, nx)
 
 
 def _external(rep: PreciseNum, nx: Neutrix) -> ExternalNum:
@@ -202,15 +205,20 @@ def ext_inv(b: ExternalNum) -> ExternalNum:
     """Inverse of a zeroless number: 1/rep + nx/rep^2 in canonical form."""
     if not is_zeroless(b):
         raise NotZerolessError(f"{b} contains 0 and has no inverse")
-    inv_rep = 1 / b.rep
-    return ExternalNum(inv_rep, nx_scale(inv_rep * inv_rep, b.nx))
+    return _canonical(1 / b.rep, _over_rep(b.nx, b.rep, 2))
 
 
 def unity(alpha: ExternalNum) -> ExternalNum:
     """u(alpha) = 1 + nx/rep, the individualized multiplicative neutral element."""
     if not is_zeroless(alpha):
         raise NotZerolessError(f"{alpha} contains 0 and has no unity")
-    return ExternalNum(1, nx_scale(1 / alpha.rep, alpha.nx))
+    return _canonical(EXT_ONE.rep, _over_rep(alpha.nx, alpha.rep, 1))
+
+
+def _over_rep(nx: Neutrix, rep: PreciseNum, power: int) -> Neutrix:
+    """``nx`` scaled by ``1/rep^power``: by rho to its degree, ``-power*deg(rep)``."""
+    num = rep.num
+    return nx_scale(_poly(num.grid, 1, [(-power * num.ks[0][0], 1)]), nx)
 
 
 def ext_compare(a: ExternalNum, b: ExternalNum) -> Ordering:

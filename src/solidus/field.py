@@ -567,11 +567,13 @@ def series_expand(x: PreciseLike, cutoff: RationalLike, strict: bool) -> RhoPoly
 def _expand(x: PreciseNum, n: int, d: int, strict: bool) -> RhoPoly:
     """``series_expand`` at the cutoff ``n/d``, given as ints with ``d > 0``."""
     if x.is_polynomial():
-        # k/grid > n/d  <=>  k*d > n*grid, all on ints
+        # k/grid > n/d  <=>  k*d > n*grid, all on ints; the exponents decrease, so the
+        # terms below the cut end the list, and a polynomial that keeps its last keeps all
         p = x.num
-        bound = n * p.grid
-        keep = [kc for kc in p.ks if (kc[0] * d > bound if strict else kc[0] * d >= bound)]
-        return p if len(keep) == len(p.ks) else _poly(p.grid, p.den, keep)
+        ks, bound, i = p.ks, n * p.grid, len(p.ks)
+        while i and (ks[i - 1][0] * d <= bound if strict else ks[i - 1][0] * d < bound):
+            i -= 1
+        return p if i == len(ks) else _poly(p.grid, p.den, ks[:i])
     return _long_division(x.num, x.den, n, d, strict)[0]
 
 

@@ -20,12 +20,13 @@ scope.
 ``Neutrix`` is an immutable ``__slots__`` class whose one stored form is its
 int key: a finite threshold is the reduced int pair ``(n, d)``, and ``q``, the
 threshold as a ``Fraction``, is built from the key on each read.  Comparisons
-and rendering read the key, and ``nx_mul``, ``nx_scale`` and ``nx_contains``
-work on the int pairs: products add the pairs, scaling adds the scalar's
-leading exponent ``k/grid``, and membership compares ``k*d`` with ``n*grid``
-in ``_holds_degree``, which the external order asks about the first term where
-two numbers differ, building no difference.  The private maker ``_cut(n, d, closed)`` builds their
-results with one gcd, so none of them builds a ``Fraction`` or compares one
+and rendering read the key.  Every magnitude product is ``nx_product``, the
+magnitude of ``(a + A)(b + B)``, with ``nx_mul`` and ``nx_scale`` its special
+cases: it adds the int pairs, a scalar's its leading exponent ``k/grid``, and
+builds its one result with the private maker ``_cut(n, d, closed)`` and one
+gcd.  Membership compares ``k*d`` with ``n*grid`` in ``_holds_degree``, which
+the external order asks about the first term where two numbers differ,
+building no difference.  None of them builds a ``Fraction`` or compares one
 with a float infinity; neither do ``Neutrix(q, closed)``, ``open_cut`` and
 ``closed_cut`` given an int.
 """
@@ -40,6 +41,7 @@ from .errors import NotAboveUnityError, NotIdempotentError
 from .field import (
     NEG_INFINITY,
     PreciseLike,
+    PRECISE_ZERO,
     PreciseNum,
     RationalLike,
     RhoPoly,
@@ -135,6 +137,7 @@ LIMITED = closed_cut(0)
 FULL = Neutrix(math.inf, False)
 
 IDEMPOTENTS = (NX_ZERO, INFINITESIMALS, LIMITED, FULL)
+_ZERO_KEY = NX_ZERO._key
 
 
 def nx_add(a: Neutrix, b: Neutrix) -> Neutrix:
@@ -142,21 +145,33 @@ def nx_add(a: Neutrix, b: Neutrix) -> Neutrix:
     return b if a < b else a
 
 
-def nx_mul(a: Neutrix, b: Neutrix) -> Neutrix:
-    """Product of magnitudes.
+def nx_product(a: PreciseNum, A: Neutrix, b: PreciseNum, B: Neutrix) -> Neutrix:
+    """The magnitude of ``(a + A)(b + B) = ab + aB + bA + AB``: the largest of ``aB``, ``bA`` and ``AB``.
 
-    Zero annihilates; otherwise the thresholds add (FULL's +inf absorbs every
-    finite one), and an open cut on either side forces an open cut (the
-    product of something below rho^q and something at or below rho^r stays
-    below rho^(q+r)).
+    Decided on the int keys: a scalar acts as the closed cut at its degree,
+    its numerator's leading exponent ``k/grid``, and zero as ``NX_ZERO``.  In
+    each product zero annihilates, ``FULL``'s +inf absorbs every finite
+    threshold, the thresholds add, and the cut is closed only if both are
+    (below rho^q times at or below rho^r stays below rho^(q+r)).
     """
-    r, n, d, c = a._key
-    r2, n2, d2, c2 = b._key
-    if r < 0 or r2 < 0:
-        return NX_ZERO
-    if r or r2:
-        return FULL
-    return _cut(n * d2 + n2 * d, d * d2, c and c2)
+    x, y = a.num, b.num
+    sa = (0, x.ks[0][0], x.grid, True) if x.ks else _ZERO_KEY
+    sb = (0, y.ks[0][0], y.grid, True) if y.ks else _ZERO_KEY
+    rank, n, d, closed = _ZERO_KEY  # the largest product so far
+    for (r, n1, d1, c1), (r2, n2, d2, c2) in ((sa, B._key), (A._key, sb), (A._key, B._key)):
+        if r < 0 or r2 < 0:
+            continue
+        if r or r2:
+            return FULL
+        m, e, c = n1 * d2 + n2 * d1, d1 * d2, c1 and c2
+        if rank < 0 or (u := m * d) > (v := n * e) or (u == v and c > closed):
+            rank, n, d, closed = 0, m, e, c
+    return NX_ZERO if rank < 0 else _cut(n, d, closed)
+
+
+def nx_mul(a: Neutrix, b: Neutrix) -> Neutrix:
+    """Product of magnitudes, ``nx_product`` with two zero scalars."""
+    return nx_product(PRECISE_ZERO, a, PRECISE_ZERO, b)
 
 
 def nx_scale(p: PreciseLike, a: Neutrix) -> Neutrix:
@@ -164,17 +179,9 @@ def nx_scale(p: PreciseLike, a: Neutrix) -> Neutrix:
 
     Scaling by zero gives ``NX_ZERO``, for every ``A``, ``FULL`` included.
     Otherwise only the degree of ``p`` matters: coefficients are absorbed by
-    the group.
+    the group.  This is ``nx_product`` of ``p + NX_ZERO`` and ``0 + a``.
     """
-    p = PreciseNum.of(p)
-    if p.is_zero():
-        return NX_ZERO
-    rank, n, d, closed = a._key
-    if rank:  # the cuts at infinity are fixed by every nonzero scalar
-        return a
-    # the degree of p is its numerator's leading exponent k/grid (den has degree 0)
-    num = p.num
-    return _cut(n * num.grid + num.ks[0][0] * d, d * num.grid, closed)
+    return nx_product(PreciseNum.of(p), NX_ZERO, PRECISE_ZERO, a)
 
 
 def nx_contains(a: Neutrix, p: PreciseLike) -> bool:

@@ -15,7 +15,8 @@ Grammar (whitespace insensitive, left associative):
 Tokens are ``(kind, text, column)`` tuples from one comprehension over the
 regex matches, blanks skipped.  One table, ``_LEVELS``, sets the precedence of
 the binary operators (``expr`` and ``term``), parsed by one precedence-climbing
-loop; a chain of three or more terms is summed in one pass (``_sum``).  Nodes
+loop; a chain of one level is evaluated down its left spine in a loop, and a
+``+``/``-`` chain of three or more terms is summed in one pass (``_sum``).  Nodes
 are ``NamedTuple``s, evaluated by one step per class (``_STEPS``); parentheses,
 calls and prefix minus signs nest at most ``MAX_NESTING`` deep.  The surface
 is ASCII only and accepts exact rational literals exclusively; a quotient like
@@ -301,9 +302,17 @@ def _unknown(expr) -> None:
 
 
 def _binary(expr: BinOp) -> ExternalNum:
-    if expr.op in _LEVELS[0] and isinstance(expr.left, BinOp) and expr.left.op in _LEVELS[0]:
-        return _sum(expr)
-    return _apply(expr, _BINARY[expr.op], _value(expr.left), _value(expr.right))
+    """A chain of one level's operators, walked down its left spine in a loop, not by recursion."""
+    ops = _LEVELS[_BINDING[expr.op] - 1]
+    nodes = [expr]  # the chain's nodes, the last one's left operand its first term
+    while isinstance(nodes[-1].left, BinOp) and nodes[-1].left.op in ops:
+        nodes.append(nodes[-1].left)
+    if len(nodes) > 1 and ops is _LEVELS[0]:
+        return _sum(nodes)
+    total = _value(nodes[-1].left)
+    for node in reversed(nodes):
+        total = _apply(node, _BINARY[node.op], total, _value(node.right))
+    return total
 
 
 # one evaluation step per node class, looked up by evaluate and _value
@@ -325,12 +334,9 @@ def _apply(node: Expr, op, *args) -> ExternalNum:
         raise
 
 
-def _sum(expr: BinOp) -> ExternalNum:
+def _sum(nodes: list[BinOp]) -> ExternalNum:
     """A ``+``/``-`` chain of three or more terms, left to right: a run of precise polynomials
     after a polynomial value is merged once (not after a ratio: a zero sum resets its denominator)."""
-    nodes = [expr]  # the chain's nodes, the last one's left operand its first term
-    while isinstance(nodes[-1].left, BinOp) and nodes[-1].left.op in _LEVELS[0]:
-        nodes.append(nodes[-1].left)
     total, run = _value(nodes[-1].left), []
     for node in reversed(nodes):
         if (x := _value(node.right)).nx is NX_ZERO and x.rep.is_polynomial() and total.rep.is_polynomial():

@@ -6,10 +6,12 @@ the neutrix near its threshold.
 """
 
 import operator
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+import composed_external as composed
 import full_difference as ref
 from solidus.errors import NotLimitedError, NotZerolessError
 from solidus.external import (
@@ -48,6 +50,7 @@ from solidus.neutrix import (
     closed_cut,
     nx_add,
     nx_mul,
+    nx_product,
     nx_scale,
     open_cut,
 )
@@ -250,6 +253,74 @@ class TestPreciseOperands:
                     assert self._fields(got) == self._fields(want), (str(x), str(y))
                     # parser._sum tells a precise value by this identity
                     assert got.nx is NX_ZERO
+
+
+class TestComposedReference:
+    """The operators, ``ext_inv``, ``unity``, the constructor, ``nx_mul`` and ``nx_scale``
+    against the old composition of three magnitudes (``composed_external``), field for field."""
+
+    FIXED = [
+        EXT_ZERO, EXT_ONE, pure(FULL), pure(LIMITED), pure(INFINITESIMALS), pure(closed_cut(F(-3, 2))),
+        pure(open_cut(2)), canonicalize(rp(1), LIMITED), canonicalize(-1, INFINITESIMALS),
+        canonicalize(rp(F(1, 2), 3) + rp(-1), open_cut(F(-1, 2))), canonicalize(rp(-2), closed_cut(-2)),
+        canonicalize(PreciseNum(ONE_POLY, RHO + ONE_POLY)), canonicalize(PreciseNum(RHO, RHO + RhoPoly.constant(2)), closed_cut(-3)),
+        canonicalize(PreciseNum(rp(3) + ONE_POLY, rp(F(1, 3)) - ONE_POLY), open_cut(1)),
+    ]
+    SCALARS = [0, 3, F(-2, 5), rp(F(-1, 2), 4), RHO + ONE_POLY, PreciseNum(ONE_POLY, RHO + ONE_POLY)]
+
+    @staticmethod
+    def _fields(x) -> tuple:
+        if isinstance(x, Neutrix):
+            return x._key
+        num, den = x.rep.num, x.rep.den
+        return (num.grid, num.den, num.ks), (den.grid, den.den, den.ks), x.nx._key
+
+    def _outcome(self, f, *args):
+        try:
+            return self._fields(f(*args))
+        except NotZerolessError as exc:
+            return f"NotZerolessError: {exc}"
+
+    def _agree(self, new, old, *args):
+        assert self._outcome(new, *args) == self._outcome(old, *args), tuple(map(str, args))
+
+    @pytest.mark.parametrize("seed", (1, 7, 42))
+    def test_the_operators_agree_with_the_composition(self, seed):
+        s = Sampler(GeneratorConfig(seed=seed), "composed")
+        drawn = [s.external() for _ in range(120)] + [s.zeroless() for _ in range(40)]
+        pairs = [(x, y) for x in self.FIXED for y in self.FIXED] + list(zip(drawn, drawn[1:] + self.FIXED))
+        seen = Counter()
+        for x, y in pairs:
+            for v in (x, y):
+                rank, closed = v.nx._key[0], v.nx.closed
+                seen["zero" if rank < 0 else "full" if rank else "closed" if closed else "open"] += 1
+                seen["ratio"] += not v.rep.is_polynomial()
+                seen["pure" if v.rep.is_zero() and rank >= 0 else "zero rep" if v.rep.is_zero() else "rep"] += 1
+            for new, old in ((operator.mul, composed.mul), (operator.add, composed.add), (operator.sub, composed.sub)):
+                self._agree(new, old, x, y)
+            for c in self.SCALARS + [y.rep]:
+                for new, old in ((operator.mul, composed.mul), (operator.add, composed.add), (operator.sub, composed.sub)):
+                    self._agree(new, old, x, c)
+                    self._agree(new, old, c, x)
+            self._agree(ext_inv, composed.ext_inv, x)
+            self._agree(unity, composed.unity, x)
+            seen["zeroless"] += is_zeroless(x)
+        for kind in ("zero", "full", "closed", "open", "ratio", "pure", "zero rep", "rep", "zeroless"):
+            assert seen[kind] > 20, (kind, seen)
+
+    @pytest.mark.parametrize("seed", (1, 7, 42))
+    def test_the_constructor_and_magnitude_products_agree_with_the_composition(self, seed):
+        s = Sampler(GeneratorConfig(seed=seed), "composed-parts")
+        for _ in range(300):
+            rep, nx, other = s.precise(ratio_probability=0.5), s.neutrix(), s.neutrix()
+            self._agree(ExternalNum, composed.canonicalize, rep, nx)
+            self._agree(nx_mul, composed.nx_mul, nx, other)
+            for p in self.SCALARS + [rep]:
+                self._agree(nx_scale, composed.nx_scale, p, nx)
+            # and on scalars and magnitudes drawn apart, not only on canonical pairs
+            b = s.precise(ratio_probability=0.5)
+            want = nx_add(nx_add(composed.nx_scale(rep, other), composed.nx_scale(b, nx)), composed.nx_mul(nx, other))
+            assert nx_product(rep, nx, b, other)._key == want._key, (str(rep), str(nx), str(b), str(other))
 
 
 class TestInverse:

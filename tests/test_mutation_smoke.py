@@ -22,7 +22,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 MUTANTS = [
     # a limited representative tested against the infinitesimals: degree < 0 for <= 0
     ("external.py", "nx_contains(LIMITED, alpha.rep)", "nx_contains(INFINITESIMALS, alpha.rep)", "thm.shadow_field"),
-    ("external.py", "nx_scale(inv_rep * inv_rep, b.nx)", "nx_scale(inv_rep, b.nx)", "axiom.mul.inverse"),
+    ("external.py", "_over_rep(b.nx, b.rep, 2)", "_over_rep(b.nx, b.rep, 1)", "axiom.mul.inverse"),
     (
         "halfline.py",
         "HalflineKind.STRONGLY_OPEN: HalflineKind.STRONGLY_OPEN,",
@@ -37,8 +37,8 @@ MUTANTS = [
     ("external.py", "Ordering.LT if a.nx < b.nx", "Ordering.LT if a.nx > b.nx", "thm.chain"),
     # distinct overlapping values compared equal: neither is below the other
     ("external.py", "Ordering.EQ if a.nx == b.nx else", "Ordering.EQ if True else", "axiom.order.antisymmetric"),
-    # scaling by zero leaves the magnitude instead of giving {0}; nx_mul also returns NX_ZERO
-    ("neutrix.py", "if p.is_zero():\n        return NX_ZERO", "if p.is_zero():\n        return a", "axiom.mul.assoc"),
+    # a zero scalar scales like 1, leaving the magnitude instead of giving {0}
+    ("neutrix.py", "sa = (0, x.ks[0][0], x.grid, True) if x.ks else _ZERO_KEY", "sa = (0, x.ks[0][0], x.grid, True) if x.ks else LIMITED._key", "axiom.mul.assoc"),
     # the int thresholds: membership with the closed and open bounds swapped, a
     # cut left unreduced (unequal to the same cut reduced), truncation strictness flipped
     ("neutrix.py", "k <= bound if closed else k < bound", "k < bound if closed else k <= bound", "oracle.order"),

@@ -516,14 +516,12 @@ class TestCommands:
         assert str(err.value) == "0 contains 0 and has no inverse"
 
     def test_deep_nesting_is_an_error(self):
-        for text in ("1" + "*1" * 2000, "(" * 1500 + "1" + ")" * 1500, "(" * 300 + "1" + ")" * 300, "-" * 3000 + "1"):
+        for text in ("(" * 1500 + "1" + ")" * 1500, "(" * 300 + "1" + ")" * 300, "-" * 3000 + "1"):
             assert run_command(text) == "error: expression nested too deeply (column 1)"
             assert run_command(f":cmp {text} , 1") == "error: expression nested too deeply (column 1)"
         assert run_command("1 + 1") == "2"
         with pytest.raises(ResourceLimitError, match="nested too deeply"):
             parse("(" * 300 + "1" + ")" * 300)
-        with pytest.raises(ResourceLimitError, match="nested too deeply"):
-            evaluate(parse("1" + "*1" * 2000))
 
     @pytest.mark.parametrize("opening, closing", [("(", ")"), ("abs(", ")"), ("-", "")])
     def test_the_nesting_limit_is_explicit(self, opening, closing):
@@ -542,8 +540,16 @@ class TestCommands:
         assert run_command(mixed[1:]) == "1"
         assert run_command(mixed) == "error: expression nested too deeply (column 1)"
 
+    def test_a_flat_product_does_not_recurse(self):
+        # a '*'/'/' chain is evaluated down its left spine in a loop, however long
+        assert run_command("1" + "*1" * 2000) == "1"
+        assert run_command(f":cmp {'1' + '*1' * 2000} , 1") == "EQ"
+        assert evaluate(parse("1" + "*1" * 2000)) == 1
+        assert evaluate(parse("1" + "*2*rho/rho" * 500)) == 2**500
+        assert run_command("2" + "*rho" * 999 + "/0" + "*1" * 999) == "error: 0 contains 0 and has no inverse (column 3998)"
+
     def test_a_flat_sum_does_not_recurse(self):
-        # a '+'/'-' chain is summed in one pass, however long; a '*' chain still folds
+        # a '+'/'-' chain is summed in one pass, however long
         assert run_command("1" + "+1" * 2000) == "2001"
         assert run_command(f":cmp {'1' + '+1' * 2000} , 2001") == "EQ"
         assert run_command("2*(" + "+".join(["1"] * 1000) + ")") == "2000"
