@@ -310,8 +310,7 @@ def _member_menu(nx: Neutrix) -> list[PreciseNum]:
 
 
 def _representative_menu(alpha: ExternalNum, k: int | None = None) -> list[PreciseNum]:
-    menu = [alpha.rep + g for g in _member_menu(alpha.nx)]
-    return menu if k is None else menu[:k]
+    return [alpha.rep + g for g in _member_menu(alpha.nx)[:k]]
 
 
 def _witness_above(a: ExternalNum, b: ExternalNum) -> PreciseNum:
@@ -719,22 +718,22 @@ def _probe_points(b: ExternalNum) -> list[ExternalNum]:
 def _v_scheme_dedekind(h: LowerHalfline):
     b = zup(h)
     points = _probe_points(b)
-    in_bound = hl_member(h, b)
-    if h.kind is HalflineKind.CLOSED and not in_bound:
+    inside = [hl_member(h, p) for p in points]  # points[0] is b
+    if h.kind is HalflineKind.CLOSED and not inside[0]:
         return "closed halfline misses its maximum"
-    if h.kind is not HalflineKind.CLOSED and in_bound:
+    if h.kind is not HalflineKind.CLOSED and inside[0]:
         return f"{h.kind.value} halfline contains its weak bound"
-    members = [x for x in points if hl_member(h, x)]
-    for x in members:
-        for y in points:
-            if y < x and not hl_member(h, y):
+    outside = [y for y, i in zip(points, inside) if not i]
+    for x in (x for x, i in zip(points, inside) if i):
+        for y in outside:
+            if y < x:
                 return f"not downward closed: {y} < member {x}"
     try:
         comp = hl_complement(h)
     except DegenerateDomainError:  # the full domain has no complement; any other error fails
         return None
-    for x in points:
-        if hl_member(h, x) == hl_member(comp, x):
+    for x, i in zip(points, inside):
+        if i == hl_member(comp, x):
             return f"complement fails to partition at {x}"
     return None
 
@@ -1022,9 +1021,10 @@ law("thm.distributivity_total", "theorem", "xy+xz = x(y+z) + e(x)y + e(x)z exact
 @law("thm.subdistributivity", "theorem", "x(y+z) lands inside xy+xz for sampled members", "subdistributivity as sets")
 def _v_thm_subdistributivity(x: External, y: External, z: External):
     target = x * y + x * z
-    for a in _representative_menu(x, 3):
-        for b in _representative_menu(y, 3):
-            for c in _representative_menu(z, 3):
+    xs, ys, zs = (_representative_menu(v, 3) for v in (x, y, z))
+    for a in xs:
+        for b in ys:
+            for c in zs:
                 if not ext_member(a * (b + c), target):
                     return f"{a}*({b} + {c}) escapes x*y + x*z = {target}"
     return None
@@ -1157,11 +1157,14 @@ def minkowski_escapes(
     alpha: ExternalNum, beta: ExternalNum, ext_op: Callable, op: Callable, k: int
 ) -> list[tuple[PreciseNum, PreciseNum, PreciseNum]]:
     """The sampled ``(x, y, op(x, y))``, over up to ``k`` member pairs, that
-    escape ``ext_op(alpha, beta)``; empty when the operation is sound."""
+    escape ``ext_op(alpha, beta)``; empty when the operation is sound.  It
+    builds ``beta``'s menu once, and only the representatives of ``alpha``
+    that the first ``k`` pairs use."""
     if k < 1:
         raise ValueError("need at least one representative")
     result = ext_op(alpha, beta)
-    pairs = [(x, y) for x in _representative_menu(alpha) for y in _representative_menu(beta)][:k]
+    ys = _representative_menu(beta)
+    pairs = [(x, y) for x in _representative_menu(alpha, -(-k // len(ys))) for y in ys][:k]
     values = [(x, y, op(x, y)) for x, y in pairs]
     return [(x, y, v) for x, y, v in values if not ext_member(v, result)]
 

@@ -157,8 +157,10 @@ def nx_product(a: PreciseNum, A: Neutrix, b: PreciseNum, B: Neutrix) -> Neutrix:
     x, y = a.num, b.num
     sa = (0, x.ks[0][0], x.grid, True) if x.ks else _ZERO_KEY
     sb = (0, y.ks[0][0], y.grid, True) if y.ks else _ZERO_KEY
+    # two zero scalars (nx_mul) leave only AB: aB and bA are not tried
+    products = ((A._key, B._key),) if sa is _ZERO_KEY and sb is _ZERO_KEY else ((sa, B._key), (A._key, sb), (A._key, B._key))
     rank, n, d, closed = _ZERO_KEY  # the largest product so far
-    for (r, n1, d1, c1), (r2, n2, d2, c2) in ((sa, B._key), (A._key, sb), (A._key, B._key)):
+    for (r, n1, d1, c1), (r2, n2, d2, c2) in products:
         if r < 0 or r2 < 0:
             continue
         if r or r2:

@@ -2,11 +2,13 @@
 
 import hashlib
 import operator
+import zlib
 from fractions import Fraction as F
 from typing import Annotated
 
 import pytest
 
+import rebuilt_menus as rebuilt
 import solidus.checks
 from solidus.checks import (
     ALIASES,
@@ -411,3 +413,127 @@ class TestMinkowskiOracle:
         assert escapes
         for x, y, value in escapes:
             assert value == x * y and not ext_member(value, canonicalize(1))
+
+
+def _crc(value) -> int:
+    """A pure, seed-free function of a value's printed form, for patched predicates."""
+    return zlib.crc32(str(value).encode())
+
+
+class TestRebuiltMenusReference:
+    """The hoisted subdistributivity, Minkowski and Dedekind verdicts against the
+    code that rebuilt their menus and memberships in the loop (``rebuilt_menus``):
+    the same message, or None, on seeded draws and on forced failures."""
+
+    VERDICTS = {
+        "thm.subdistributivity": rebuilt._v_thm_subdistributivity,
+        "axiom.scheme.dedekind": rebuilt._v_scheme_dedekind,
+    }
+    # menus hold 1, 5 or 8 members: k below, at and past a multiple of each, the verdict's 20, and all pairs
+    KS = (1, 3, 5, 8, 9, 20, 64)
+
+    @staticmethod
+    def _draws(check_id, seed, n):
+        s = Sampler(GeneratorConfig(seed=seed), check_id)
+        return [REGISTRY[check_id].draw(s) for _ in range(n)]
+
+    @staticmethod
+    def _patch(monkeypatch, name, f):
+        # the reference imported the function into its own namespace: patch both
+        monkeypatch.setattr(solidus.checks, name, f)
+        monkeypatch.setattr(rebuilt, name, f)
+
+    def _messages(self, check_id, draws):
+        new, old = REGISTRY[check_id].verdict, self.VERDICTS[check_id]
+        messages = []
+        for values in draws:
+            got = new(*values)
+            assert got == old(*values), tuple(map(str, values))
+            messages.append(got)
+        return messages
+
+    def _escapes(self, draws, ops=MINKOWSKI_OPS):
+        seen = 0
+        for x, y in draws:
+            for _name, ext_op, op in ops:
+                for k in self.KS:
+                    got = minkowski_escapes(x, y, ext_op, op, k)
+                    assert got == rebuilt.minkowski_escapes(x, y, ext_op, op, k), (str(x), str(y), k)
+                    seen += bool(got)
+        return seen
+
+    @pytest.mark.parametrize("seed", (1, 7, 42))
+    @pytest.mark.parametrize("check_id", sorted(VERDICTS))
+    def test_the_verdicts_agree_on_seeded_draws(self, check_id, seed):
+        assert set(self._messages(check_id, self._draws(check_id, seed, 200))) == {None}
+
+    @pytest.mark.parametrize("seed", (1, 7, 42))
+    def test_the_escapes_agree_on_seeded_draws(self, seed):
+        assert self._escapes(self._draws("oracle.minkowski", seed, 200)) == 0
+
+    def test_an_escaping_member_sum_is_the_same_triple(self, monkeypatch):
+        self._patch(monkeypatch, "ext_member", lambda v, t: _crc(v) % 7 != 0)
+        messages = self._messages("thm.subdistributivity", self._draws("thm.subdistributivity", 1, 100))
+        escaped = [m for m in messages if m is not None]
+        assert escaped and None in messages
+        # not only the first triple: the reported members differ from the menus' heads
+        assert len(set(escaped)) == len(escaped)
+
+    def test_escapes_from_a_narrowed_operation_are_the_same_pairs(self, monkeypatch):
+        narrowed = (
+            ("add", lambda u, v: canonicalize(u.rep + v.rep), operator.add),
+            ("mul", lambda u, v: canonicalize(u.rep * v.rep), operator.mul),
+        )
+        draws = self._draws("oracle.minkowski", 7, 60)
+        assert self._escapes(draws, narrowed) > 100
+        self._patch(monkeypatch, "ext_member", lambda v, t: _crc(v) % 5 != 0)
+        assert self._escapes(draws) > 100
+        # and the verdict reports the same first escape over either oracle
+        verdict = REGISTRY["oracle.minkowski"].verdict
+        messages = [verdict(*values) for values in draws]
+        monkeypatch.setattr(solidus.checks, "minkowski_escapes", rebuilt.minkowski_escapes)
+        assert messages == [verdict(*values) for values in draws]
+        assert any(m and m.startswith("add: ") for m in messages)
+
+    @pytest.mark.parametrize(
+        "member, branches",
+        [
+            (lambda h, x: False, {"closed halfline misses", "complement fails"}),
+            (lambda h, x: True, {"halfline contains its weak bound", "complement fails"}),
+            (lambda h, x: solidus.halfline.hl_member(h, x) != (_crc(x) % 3 == 0), {"not downward closed"}),
+            # right on the law's lower halfline, wrong on its complement
+            (lambda h, x: solidus.halfline.hl_member(h, x) != (h.side is Side.UPPER and _crc(x) % 3 == 0), {"complement fails"}),
+        ],
+        ids=["never", "always", "flipped", "flipped-complement"],
+    )
+    def test_a_wrong_membership_fails_at_the_same_point(self, monkeypatch, member, branches):
+        self._patch(monkeypatch, "hl_member", member)
+        draws = self._draws("axiom.scheme.dedekind", 42, 100)
+        messages = self._messages("axiom.scheme.dedekind", draws)
+        reached = {branch for branch in branches for m in messages if m and branch in m}
+        assert reached == branches, set(messages)
+
+    def test_each_menu_and_membership_is_built_once(self, monkeypatch):
+        calls = []
+
+        def counted(f):
+            def wrapper(*args):
+                calls.append(args[0])
+                return f(*args)
+            return wrapper
+
+        monkeypatch.setattr(solidus.checks, "_representative_menu", counted(solidus.checks._representative_menu))
+        for x, y, z in self._draws("thm.subdistributivity", 7, 20):
+            calls.clear()
+            assert REGISTRY["thm.subdistributivity"].verdict(x, y, z) is None
+            assert calls == [x, y, z]
+        for x, y in self._draws("oracle.minkowski", 7, 20):
+            calls.clear()
+            minkowski_escapes(x, y, ext_add, operator.add, 20)
+            assert calls == [y, x]
+        monkeypatch.setattr(solidus.checks, "hl_member", counted(solidus.halfline.hl_member))
+        for (h,) in self._draws("axiom.scheme.dedekind", 7, 20):
+            calls.clear()
+            assert REGISTRY["axiom.scheme.dedekind"].verdict(h) is None
+            points = len(solidus.checks._probe_points(solidus.halfline.zup(h)))
+            assert calls.count(h) == points

@@ -38,7 +38,7 @@ from solidus.external import (
     shadow,
     unity,
 )
-from solidus.field import NEG_INFINITY, ONE_POLY, Ordering, PreciseNum, RHO, RhoPoly, compare_precise
+from solidus.field import NEG_INFINITY, ONE_POLY, PRECISE_ZERO, Ordering, PreciseNum, RHO, RhoPoly, compare_precise
 from solidus.generate import GeneratorConfig, Sampler
 from solidus.halfline import HalflineKind, lower
 from solidus.neutrix import (
@@ -321,6 +321,15 @@ class TestComposedReference:
             b = s.precise(ratio_probability=0.5)
             want = nx_add(nx_add(composed.nx_scale(rep, other), composed.nx_scale(b, nx)), composed.nx_mul(nx, other))
             assert nx_product(rep, nx, b, other)._key == want._key, (str(rep), str(nx), str(b), str(other))
+
+    def test_nx_mul_is_the_product_with_two_zero_scalars(self):
+        # 38 cuts: NX_ZERO, FULL, and open and closed cuts at q = -9/4, ..., 2 (some unreduced)
+        cuts = [NX_ZERO, FULL] + [Neutrix(F(k, 4), closed) for k in range(-9, 9) for closed in (False, True)]
+        assert len(set(cuts)) == 38
+        for a in cuts:
+            for b in cuts:
+                got = nx_mul(a, b)._key
+                assert got == nx_product(PRECISE_ZERO, a, PRECISE_ZERO, b)._key == composed.nx_mul(a, b)._key, (str(a), str(b))
 
 
 class TestInverse:
