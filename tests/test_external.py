@@ -323,7 +323,7 @@ class TestComposedReference:
             assert nx_product(rep, nx, b, other)._key == want._key, (str(rep), str(nx), str(b), str(other))
 
     def test_nx_mul_is_the_product_with_two_zero_scalars(self):
-        # 38 cuts: NX_ZERO, FULL, and open and closed cuts at q = -9/4, ..., 2 (some unreduced)
+        # 38 cuts: NX_ZERO, FULL, and open and closed cuts at q = -9/4, -2, ..., 2
         cuts = [NX_ZERO, FULL] + [Neutrix(F(k, 4), closed) for k in range(-9, 9) for closed in (False, True)]
         assert len(set(cuts)) == 38
         for a in cuts:
