@@ -5,20 +5,21 @@ verdict returns None when the law holds and a message when it does not, and
 its parameter names label the drawn inputs in reports.  Each parameter is
 annotated with its sort, as the paper states each axiom over sorts: a sort
 such as ``External`` or ``Magnitude`` is an ``Annotated`` type whose metadata
-draws one value of it, and a law's inputs are drawn one parameter at a time,
-in order.  A sort's draw may read earlier inputs: each parameter it takes
-after the sampler without a default names an earlier parameter of the verdict
-and receives that parameter's drawn value (``Absorbable`` draws ``y`` near
-``x``'s neutrix).  A draw that returns None rejects the tuple, and every input
-is drawn again from the first, at most ``MAX_DRAWS`` times.  A verdict without
-parameters is an exact identity, evaluated once.  The catalog order is the
-declaration order.  ``run_check`` alone decides what a failure is: the
-verdict's message, or a crash of the verdict.  A failure is shrunk toward
-fewer terms, simpler exponents and smaller coefficients, but only to inputs
-that fail the same way: a message stays a message and a crash stays a crash
-of the same exception type, so shrinking cannot slip from a wrong answer to a
-crash on an input outside the law's domain.  Inputs are rendered in the
-canonical expression syntax.  Three entries are declared as expected
+draws one value of it; a sort whose name restricts its type (``Zeroless``)
+adds its domain, the test of the values it admits.  Inputs are drawn one
+parameter at a time, in order.  A draw or domain may read earlier inputs:
+each parameter it takes after the first without a default names an earlier
+parameter of the verdict and receives its drawn value (``Absorbable`` draws
+``y`` near ``x``'s neutrix).  A value outside its domain is drawn again with
+the first input its domain reads, or alone; a tuple is rejected at most
+``MAX_DRAWS`` times.  A verdict without parameters is an exact identity,
+evaluated once.  The catalog order is the declaration order.  ``run_check``
+alone decides what a failure is: the verdict's message, or a crash of the
+verdict.  A failure is shrunk toward fewer terms, simpler exponents and
+smaller coefficients, but only to inputs in every domain that fail the same
+way: a message stays a message and a crash a crash of the same exception
+type, so shrinking cannot slip from a wrong answer to an input the law does
+not take.  Inputs are rendered in the canonical expression syntax.  Three entries are declared as expected
 failures: two deliberately wrong ones (naive distributivity and a corrupted
 magnitude product table) demonstrate that the harness discriminates, and the
 even-or-odd induction instance fails at a nonstandard natural, as documented.
@@ -41,6 +42,7 @@ from .external import (
     ext_inv,
     ext_member,
     ext_subset,
+    is_zeroless,
     magnitude,
     pure,
     shadow,
@@ -123,6 +125,7 @@ class Check:
     expected: str
     expect_failures: bool = False
     note: str = ""
+    admits: Optional[Callable[[tuple], bool]] = None  # every value in its sort's domain; None without domains
 
     @property
     def single(self) -> bool:
@@ -143,14 +146,14 @@ AXIOM_GROUPS = (
 )
 
 
-#: draws of a law's whole input tuple before a rejecting sort counts as a bug
+#: rejections of one input tuple before a sort's domain counts as a bug
 MAX_DRAWS = 64
 
 
-def dependencies(sort_draw: Callable) -> tuple[str, ...]:
-    """The verdict parameters a sort's draw reads: its parameters after the sampler without a default."""
-    code = sort_draw.__code__
-    return code.co_varnames[1 : code.co_argcount - len(sort_draw.__defaults__ or ())]
+def dependencies(f: Callable) -> tuple[str, ...]:
+    """The verdict parameters a sort's draw or domain reads: its parameters after the first without a default."""
+    code = f.__code__
+    return code.co_varnames[1 : code.co_argcount - len(f.__defaults__ or ())]
 
 
 def law(
@@ -161,8 +164,9 @@ def law(
 
     The verdict's parameter names label the drawn inputs in reports, and each
     parameter's sort draws its value, one call per parameter, in order.  A
-    sort's draw receives the drawn values of the parameters it names, and
-    returns None to have the whole tuple drawn again.
+    sort's draw and domain receive the drawn values of the parameters they
+    name.  A value outside its domain is drawn again with the first input its
+    domain reads, or alone, and a tuple's ``MAX_DRAWS``-th rejection raises.
     """
 
     def register(verdict: Callable[..., Optional[str]]):
@@ -170,22 +174,30 @@ def law(
             raise ValueError(f"duplicate check id {check_id}")
         code = verdict.__code__
         names = code.co_varnames[: code.co_argcount]
-        sorts = [verdict.__annotations__[name].__metadata__[0] for name in names]
-        plan = [(name, sort, dependencies(sort)) for name, sort in zip(names, sorts)]
+        # per parameter: its draw and the indices of the inputs it reads, then its domain, or None, and those it reads
+        inputs = lambda f: [names.index(r) for r in dependencies(f)] if f else []
+        sorts = [(*verdict.__annotations__[name].__metadata__, None)[:2] for name in names]
+        plan = [(sort_draw, inputs(sort_draw), domain, inputs(domain)) for sort_draw, domain in sorts]
+        domains = [(i, domain, checks) for i, (_, _, domain, checks) in enumerate(plan) if domain]
 
         def draw(s: Sampler) -> tuple:
-            for _ in range(MAX_DRAWS):
-                values: dict = {}
-                for name, sort, reads in plan:
-                    value = sort(s, *[values[r] for r in reads])
-                    if value is None:
-                        break
-                    values[name] = value
+            values: list = []
+            rejected = 0
+            while len(values) < len(plan):
+                sort_draw, reads, domain, checks = plan[len(values)]
+                value = sort_draw(s, *[values[j] for j in reads])
+                if domain is None or domain(value, *[values[j] for j in checks]):
+                    values.append(value)
+                elif (rejected := rejected + 1) == MAX_DRAWS:
+                    raise InternalError(f"{check_id}: {MAX_DRAWS} draws were rejected")
                 else:
-                    return tuple(values.values())
-            raise InternalError(f"{check_id}: {MAX_DRAWS} draws in a row were rejected")
+                    del values[min(checks, default=len(values)) :]
+            return tuple(values)
 
-        REGISTRY[check_id] = Check(check_id, group, description, names, draw, verdict, expected, expect_failures, note)
+        def admits(values: tuple) -> bool:
+            return all(domain(values[i], *[values[j] for j in checks]) for i, domain, checks in domains)
+
+        REGISTRY[check_id] = Check(check_id, group, description, names, draw, verdict, expected, expect_failures, note, admits if domains else None)
         if alias is not None:
             ALIASES[alias] = check_id
         return verdict
@@ -235,7 +247,8 @@ def run_check(check_id: str, cfg: GeneratorConfig | None = None, n: int = 1000) 
             observed = again[1]
             return True
 
-        shrunk = shrink(values, same_kind)
+        # a trial outside a sort's domain is no counterexample to the law
+        shrunk = shrink(values, same_kind if chk.admits is None else lambda t: chk.admits(t) and same_kind(t))
         report.failures.append(
             CheckFailure(
                 inputs=tuple(zip(chk.names, (str(v) for v in shrunk))),
@@ -321,14 +334,6 @@ def _witness_above(a: ExternalNum, b: ExternalNum) -> PreciseNum:
 # --- sorts ---------------------------------------------------------------------
 
 
-def _nonprecise(s: Sampler) -> ExternalNum:
-    for _ in range(MAX_DRAWS):
-        alpha = s.external()
-        if alpha.nx != NX_ZERO:
-            return alpha
-    raise InternalError(f"nonprecise: {MAX_DRAWS} draws in a row were precise")
-
-
 def _positive_monomial(s: Sampler) -> PreciseNum:
     k, grid = s._grid(*EXPONENT_RANGE)
     c, d = s._coefficient()
@@ -354,22 +359,10 @@ def _unit_offset(s: Sampler) -> PreciseNum:
             PreciseNum.of(Fraction(1, s.integer(2, 5))),
             PreciseNum.of(RhoPoly.rho_power(-1, s.integer(1, 3))),
             PreciseNum.of(Fraction(1, 2)) + PreciseNum.of(RhoPoly.rho_power(-2)),
+            # 1/(1 + rho^(-1)) does not divide out, so no natural plus it is a polynomial
+            PreciseNum(RhoPoly.constant(1), RhoPoly([(0, 1), (-1, 1)])),
         ]
     )
-
-
-def _below_infinitesimals(s: Sampler) -> Neutrix:
-    below = s.scaled_neutrix()
-    while below >= INFINITESIMALS:
-        below = s.scaled_neutrix()
-    return below
-
-
-def _above_limited(s: Sampler) -> Neutrix:
-    above = FULL if s.rng.random() < 0.2 else s.scaled_neutrix()
-    while above != FULL and above <= LIMITED:
-        above = s.scaled_neutrix()
-    return above
 
 
 # a dependent draw: each parameter after the sampler receives the verdict's input of that name
@@ -391,42 +384,39 @@ def _unity_candidate(s: Sampler, x: ExternalNum) -> ExternalNum:
     return ExternalNum(1, min(s.neutrix(), unity(x).nx)) if s.rng.random() < 0.7 else s.zeroless()
 
 
-def _beyond(s: Sampler, x: ExternalNum) -> ExternalNum | None:
-    y = x + abs(s.external()) + ExternalNum(1)
-    return y if y.nx != FULL and ExternalNum(0) < x < y else None
-
-
 def _often_negated(s: Sampler, y: ExternalNum) -> ExternalNum:
     # violations of the naive distributive law need cancellation in y + z; draw some
     return -y if s.rng.random() < 0.5 else s.external()
 
 
-# a sort is its type with the draw of one value of it
+# a sort is its type with the draw of one value of it and, when its name
+# restricts the type, its domain: the test of the values it admits
 External = Annotated[ExternalNum, Sampler.external]
-Zeroless = Annotated[ExternalNum, Sampler.zeroless]
-NonPrecise = Annotated[ExternalNum, _nonprecise]
-Absolute = Annotated[ExternalNum, lambda s: abs(s.external())]
+Zeroless = Annotated[ExternalNum, Sampler.zeroless, is_zeroless]
+NonPrecise = Annotated[ExternalNum, Sampler.external, lambda x: x.nx != NX_ZERO]
+Absolute = Annotated[ExternalNum, lambda s: abs(s.external()), lambda x: x.rep.sign() >= 0]
 MostlyPositive = Annotated[ExternalNum, lambda s: s.positive_zeroless() if s.rng.random() < 0.8 else s.external()]
-PositiveOrMagnitude = Annotated[ExternalNum, lambda s: abs(s.zeroless()) if s.rng.random() < 0.7 else pure(s.scaled_neutrix())]
+PositiveOrMagnitude = Annotated[ExternalNum, lambda s: abs(s.zeroless()) if s.rng.random() < 0.7 else pure(s.scaled_neutrix()), lambda x: x.rep.sign() >= 0]
 Absorbable = Annotated[ExternalNum, _absorbable]  # often absorbed by x's neutrix
 OftenEqual = Annotated[ExternalNum, _often_equal]
 UnityCandidate = Annotated[ExternalNum, _unity_candidate]
-AtLeast = Annotated[ExternalNum, lambda s, y: y + abs(s.external())]
-Beyond = Annotated[ExternalNum, _beyond]  # strictly above x > 0, with a magnitude below M
+AtLeast = Annotated[ExternalNum, lambda s, y: y + abs(s.external()), lambda z, y: y <= z]
+Beyond = Annotated[ExternalNum, lambda s, x: x + abs(s.external()) + ExternalNum(1), lambda y, x: y.nx != FULL and ExternalNum(0) < x < y]  # strictly above x > 0, with a magnitude below M
 OftenNegated = Annotated[ExternalNum, _often_negated]
 Magnitude = Annotated[Neutrix, Sampler.neutrix]
-BelowInfinitesimals = Annotated[Neutrix, _below_infinitesimals]
-AboveLimited = Annotated[Neutrix, _above_limited]
+BelowInfinitesimals = Annotated[Neutrix, Sampler.scaled_neutrix, lambda A: A < INFINITESIMALS]
+AboveLimited = Annotated[Neutrix, lambda s: FULL if s.rng.random() < 0.2 else s.scaled_neutrix(), lambda A: A > LIMITED]
 Precise = Annotated[PreciseNum, Sampler.precise]
-NonzeroPrecise = Annotated[PreciseNum, Sampler.nonzero_precise]
-PositivePrecise = Annotated[PreciseNum, Sampler.positive_precise]
-LimitedPrecise = Annotated[PreciseNum, Sampler.limited_precise]
-Appreciable = Annotated[PreciseNum, _degree_zero_positive]
-PositiveInfinitesimal = Annotated[PreciseNum, lambda s: abs(s.member_of(INFINITESIMALS, allow_zero=False))]
-AboveInfinitesimals = Annotated[PreciseNum, lambda s: abs(_degree_zero_positive(s)) * PreciseNum.of(_poly(2, 1, [(s.integer(0, 4), 1)]))]
-PositiveMonomial = Annotated[PreciseNum, _positive_monomial]  # so the square root exists in the model
-Natural = Annotated[PreciseNum, _natural]
-UnitOffset = Annotated[PreciseNum, _unit_offset]  # strictly between 0 and 1
+# the degree of a PreciseNum is its numerator's leading exponent, num.ks[0][0] over num.grid
+NonzeroPrecise = Annotated[PreciseNum, Sampler.nonzero_precise, lambda p: p.sign() != 0]
+PositivePrecise = Annotated[PreciseNum, Sampler.positive_precise, lambda p: p.sign() > 0]
+LimitedPrecise = Annotated[PreciseNum, Sampler.limited_precise, lambda p: p.sign() == 0 or p.num.ks[0][0] <= 0]
+Appreciable = Annotated[PreciseNum, _degree_zero_positive, lambda p: p.sign() > 0 and p.num.ks[0][0] == 0]
+PositiveInfinitesimal = Annotated[PreciseNum, lambda s: abs(s.member_of(INFINITESIMALS, allow_zero=False)), lambda p: p.sign() > 0 and p.num.ks[0][0] < 0]
+AboveInfinitesimals = Annotated[PreciseNum, lambda s: abs(_degree_zero_positive(s)) * PreciseNum.of(_poly(2, 1, [(s.integer(0, 4), 1)])), lambda p: p.sign() > 0 and p.num.ks[0][0] >= 0]
+PositiveMonomial = Annotated[PreciseNum, _positive_monomial, lambda p: p.is_polynomial() and len(p.num.ks) == 1 and p.sign() > 0]  # so the square root exists in the model
+Natural = Annotated[PreciseNum, _natural, is_natural]
+UnitOffset = Annotated[PreciseNum, _unit_offset, lambda u: 0 < u < 1]
 LowerHalfline = Annotated[Halfline, lambda s: lower(s.rng.choice(list(HalflineKind)), s.external())]
 
 
@@ -894,8 +884,6 @@ def _v_thm_max_ideal_sup(omega: NonzeroPrecise):
     # J = LIMITED: every precise omega with L < |omega| has 1/omega below o,
     # and the family climbs past any magnitude below o.
     w = abs(omega)
-    if w.is_zero():
-        return None
     if pure(LIMITED) < ExternalNum(w):
         if not ExternalNum(1 / w) < pure(INFINITESIMALS):
             return f"1/|omega| = {1 / w} not below o"
@@ -1015,7 +1003,13 @@ def _v_thm_sup_consistency(p: PositiveInfinitesimal, q: Appreciable, below: Belo
     return None
 
 
-law("thm.distributivity_total", "theorem", "xy+xz = x(y+z) + e(x)y + e(x)z exactly", "total distributivity formula")(_v_distributivity)
+@law("thm.distributivity_total", "theorem", "xy+xz = x(y+z) iff e(x)y+e(x)z is absorbed by e(x(y+z))", "the condition for distributivity")
+def _v_thm_distributivity_total(x: External, y: External, z: OftenNegated):
+    w = x * (y + z)
+    e, f = magnitude(x), magnitude(w)
+    if (x * y + x * z == w) != (e * y + e * z + f == f):
+        return f"x*y + x*z = {x * y + x * z}, x*(y+z) = {w}, but e(x)*y + e(x)*z + e(w) = {e * y + e * z + f}"
+    return None
 
 
 @law("thm.subdistributivity", "theorem", "x(y+z) lands inside xy+xz for sampled members", "subdistributivity as sets")

@@ -123,6 +123,9 @@ class Sampler:
         return self.rhopoly(max_terms, allow_zero=False)
 
     def precise(self, ratio_probability: float = 0.2, allow_zero: bool = True) -> PreciseNum:
+        """``ratio_probability`` is the chance of drawing a denominator, not a ratio: a
+        one-term denominator, or that of a zero numerator, normalises to 1, so at 0.4
+        about 15% of draws are ratios."""
         num = self.rhopoly(allow_zero=allow_zero)
         if self.rng.random() < ratio_probability:
             return PreciseNum(num, self.nonzero_rhopoly(max_terms=2))

@@ -52,6 +52,7 @@ from solidus.neutrix import (
     FULL,
     INFINITESIMALS,
     LIMITED,
+    NX_ZERO,
     closed_cut,
     nx_contains,
 )
@@ -94,11 +95,13 @@ class TestGenerators:
         with pytest.raises(InternalError, match="zeroless: 64 draws"):
             s.zeroless()
 
-    def test_nonprecise_raises_rather_than_return_a_fixed_value(self):
-        s = Sampler(CFG, "nonprecise")
-        s.external = lambda: ExternalNum(1)
-        with pytest.raises(InternalError, match="nonprecise: 64 draws"):
-            solidus.checks._nonprecise(s)
+    def test_nonprecise_keeps_to_its_domain(self):
+        # a precise value is outside NonPrecise's domain, so no draw returns one
+        domain = solidus.checks.NonPrecise.__metadata__[1]
+        assert not domain(ExternalNum(1)) and domain(ExternalNum(1, LIMITED))
+        s = Sampler(CFG, "thm.three_cases")
+        for _ in range(200):
+            assert all(b.nx != NX_ZERO for b in REGISTRY["thm.three_cases"].draw(s))
 
     def test_member_of_lands_inside(self):
         s = Sampler(CFG, "members")
@@ -231,42 +234,82 @@ class TestDependentSorts:
         assert all(c == a + 1 and 100 <= b <= 109 for a, b, c in draws), draws
         assert run_check("test.depends", CFG, 50).passed
 
-    def test_a_rejection_redraws_every_input_in_stream_order(self):
-        rejections = []
+    def test_a_rejected_value_is_redrawn_with_the_first_input_its_domain_reads(self):
+        # c's domain reads b: a rejected c redraws b, then c, and a stays as drawn
+        seen = []
 
-        def reject_twice(s):
-            value = s.integer(0, 10**6)
-            if len(rejections) < 2:
-                rejections.append(value)
-                return None
-            return value
+        def third_time(c, b):
+            seen.append((b, c))
+            return len(seen) == 3
+
+        any_int = lambda s: s.integer(0, 10**6)
 
         @law("test.reject_twice", "test", "any", "holds")
-        def verdict(a: Annotated[int, lambda s: s.integer(0, 10**6)], b: Annotated[int, reject_twice]):
+        def verdict(a: Annotated[int, any_int], b: Annotated[int, any_int], c: Annotated[int, any_int, third_time]):
             return None
 
         sampler = Sampler(CFG, "test.reject_twice")
         got = solidus.checks.REGISTRY["test.reject_twice"].draw(sampler)
         reference = Sampler(CFG, "test.reject_twice")
-        stream = [reference.integer(0, 10**6) for _ in range(6)]
-        assert rejections == [stream[1], stream[3]]
-        assert got == (stream[4], stream[5])
+        stream = [reference.integer(0, 10**6) for _ in range(7)]
+        assert seen == [(stream[1], stream[2]), (stream[3], stream[4]), (stream[5], stream[6])]
+        assert got == (stream[0], stream[5], stream[6])
         assert sampler.rng.getstate() == reference.rng.getstate()
 
-    def test_a_sort_that_always_rejects_raises_after_64_tries(self):
+    def test_a_domain_that_reads_no_input_redraws_its_value_alone(self):
+        @law("test.reject_odd", "test", "any", "holds")
+        def verdict(a: Annotated[int, lambda s: s.integer(0, 9)], b: Annotated[int, lambda s: s.integer(0, 9), lambda b: b % 2 == 0]):
+            return None
+
+        sampler = Sampler(CFG, "test.reject_odd")
+        got = [solidus.checks.REGISTRY["test.reject_odd"].draw(sampler) for _ in range(20)]
+        reference = Sampler(CFG, "test.reject_odd")
+        want = []
+        for _ in range(20):
+            a, b = reference.integer(0, 9), reference.integer(0, 9)
+            while b % 2:
+                b = reference.integer(0, 9)
+            want.append((a, b))
+        assert got == want
+        assert sampler.rng.getstate() == reference.rng.getstate()
+
+    @pytest.mark.parametrize("rejections", [63, 64])
+    def test_the_64th_rejection_of_a_tuple_raises_naming_the_check(self, rejections):
         tries = []
 
         def counted(s):
             tries.append(s.integer(0, 9))
             return 0
 
-        @law("test.reject_always", "test", "any", "holds")
-        def verdict(a: Annotated[int, counted], b: Annotated[int, lambda s: None]):
+        @law("test.reject_many", "test", "any", "holds")
+        def verdict(a: Annotated[int, counted], b: Annotated[int, lambda s: 1, lambda b, a: len(tries) > rejections]):
             return None
 
-        with pytest.raises(InternalError):
-            run_check("test.reject_always", CFG, 1)
+        if rejections == 64:
+            with pytest.raises(InternalError, match="^test.reject_many: 64 draws were rejected$"):
+                run_check("test.reject_many", CFG, 1)
+        else:
+            assert run_check("test.reject_many", CFG, 1).passed
         assert len(tries) == 64
+
+    def test_a_shrink_trial_outside_a_domain_never_reaches_the_verdict(self):
+        start = PreciseNum.of(RhoPoly([(2, 3), (1, -7), (0, 5)]))
+        seen = []
+
+        @law("test.shrink_domain", "test", "any", "holds")
+        def verdict(
+            x: Annotated[PreciseNum, lambda s: start, lambda x: len(x.num.ks) >= 2],
+            y: Annotated[ExternalNum, lambda s, x: ExternalNum(x + 1, LIMITED), lambda y, x: ExternalNum(x) < y],
+        ):
+            seen.append((x, y))
+            return "always fails"
+
+        (failure,) = run_check("test.shrink_domain", CFG, 1).failures
+        assert len(seen) > 1 and all(len(x.num.ks) >= 2 and ExternalNum(x) < y for x, y in seen)
+        # every trial fails, so shrinking stops only at the domains' edges
+        x, y = (eval_text(text) for _, text in failure.inputs)
+        assert len(x.rep.num.ks) == 2 and x < y
+        assert solidus.checks.REGISTRY["test.shrink_domain"].admits((x.rep, y))
 
 
 class TestHarness:

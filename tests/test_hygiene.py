@@ -4,9 +4,9 @@ library example runs.
 An exception class in ``errors.py`` counts as used when another module of
 ``src/solidus`` raises it or subclasses it, so a change that stops raising a
 typed error must also delete it.  Every verdict parameter is annotated with an
-``Annotated`` sort, each dependency a sort's draw names is an earlier
-parameter of the same verdict, and each drawn value is an instance of its
-sort's type.  The README's "Library example" block is run as written.
+``Annotated`` sort, each dependency a sort's draw or domain names is an
+earlier parameter of the same verdict, and each drawn value is an instance of
+its sort's type.  The README's "Library example" block is run as written.
 """
 
 import ast
@@ -74,10 +74,21 @@ def test_every_law_parameter_has_a_sort():
 def test_every_dependency_is_an_earlier_parameter():
     for chk in REGISTRY.values():
         for i, name in enumerate(chk.names):
-            reads = dependencies(chk.verdict.__annotations__[name].__metadata__[0])
-            assert set(reads) <= set(chk.names[:i]), (chk.check_id, name, reads)
+            for f in chk.verdict.__annotations__[name].__metadata__:  # the draw, then the domain if any
+                reads = dependencies(f)
+                assert set(reads) <= set(chk.names[:i]), (chk.check_id, name, reads)
     mutant = REGISTRY["mutant.distributivity_naive"].verdict
     assert dependencies(mutant.__annotations__["z"].__metadata__[0]) == ("y",)
+    beyond = REGISTRY["axiom.arith.archimedean"].verdict.__annotations__["y"].__metadata__
+    assert [dependencies(f) for f in beyond] == [("x",), ("x",)]
+
+
+def test_only_laws_with_a_domain_test_their_shrink_trials():
+    for chk in REGISTRY.values():
+        sorts = [chk.verdict.__annotations__[name].__metadata__ for name in chk.names]
+        assert (chk.admits is None) == all(len(sort) == 1 for sort in sorts), chk.check_id
+    # the expected failures draw only sorts without a domain, so their shrinking pays nothing
+    assert [chk.admits for chk in REGISTRY.values() if chk.expect_failures] == [None] * 3
 
 
 @pytest.mark.parametrize("seed", (1, 7, 42))

@@ -5,7 +5,10 @@ to a fresh copy of the package, and the catalog runs there from the command
 line at a small sample count.  A killed mutant makes the run exit with status 1
 and makes the named check read ``fail``.  The catalog otherwise only checks the
 implementation against laws evaluated by that same implementation; this gate
-shows that a wrong implementation does not pass it.
+shows that a wrong implementation does not pass it.  Every printed input of an
+``ExternalNum`` or ``PreciseNum`` sort is read back through ``eval_text`` of
+the unmutated package and must lie in its sort's domain, so a counterexample
+is never shown on an input its law does not take.
 """
 
 import os
@@ -15,6 +18,11 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from solidus.checks import REGISTRY, dependencies
+from solidus.external import ExternalNum
+from solidus.field import PreciseNum
+from solidus.parser import eval_text
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -50,6 +58,8 @@ MUTANTS = [
     ("field.py", "ka * gb", "ka", "thm.three_cases"),
     ("field.py", "ca * db - cb * da", "ca - cb", "thm.three_cases"),
     ("field.py", "if x.den != y.den:", "if False:", "oracle.minkowski"),
+    # a ratio that does not divide out read as its quotient: x + 1/(1 + rho^(-1)) would be natural
+    ("field.py", "return quotient if rem.is_zero() else None", "return quotient", "axiom.arith.naturals"),
     # the induction battery checks the documented expected failure as well
     ("checks.py", 'fid != "even_or_odd"', 'fid != "odd_or_even"', "axiom.arith.induction"),
 ]
@@ -59,6 +69,38 @@ def _statuses(stdout: str) -> dict[str, str]:
     """check id -> status, from the ``id<TAB>status<TAB>samples<TAB>failures`` lines."""
     rows = (line.split("\t") for line in stdout.splitlines() if not line.startswith("#"))
     return {row[0]: row[1] for row in rows if len(row) == 4}
+
+
+def _failures(stdout: str):
+    """(check id, {input name: printed text}) for every counterexample block."""
+    check_id, inputs = None, {}
+    for line in stdout.splitlines():
+        if not line.startswith("#"):
+            check_id = line.split("\t")[0]
+        elif line.startswith("# input "):
+            name, text = line[len("# input ") :].split(" = ", 1)
+            inputs[name] = text
+        elif line.startswith("# expected: "):
+            yield check_id, inputs
+            inputs = {}
+
+
+def _outside_domains(stdout: str) -> list[str]:
+    """The printed inputs of an ExternalNum or PreciseNum sort that, read back, lie outside its domain."""
+    outside = []
+    for check_id, inputs in _failures(stdout):
+        sorts = REGISTRY[check_id].verdict.__annotations__
+        values = {}
+        for name, text in inputs.items():
+            if sorts[name].__origin__ is ExternalNum:
+                values[name] = eval_text(text)
+            elif sorts[name].__origin__ is PreciseNum:
+                values[name] = eval_text(text).rep
+        for name, value in values.items():
+            _, *domain = sorts[name].__metadata__
+            if domain and not domain[0](value, *[values[r] for r in dependencies(domain[0])]):
+                outside.append(f"{check_id}: {name} = {inputs[name]}")
+    return outside
 
 
 @pytest.mark.parametrize("module, old, new, killer", MUTANTS, ids=[m[3] for m in MUTANTS])
@@ -77,6 +119,7 @@ def test_the_catalog_kills_the_mutant(tmp_path, module, old, new, killer):
     )
     assert run.returncode == 1, run.stderr
     assert _statuses(run.stdout)[killer] == "fail", run.stdout
+    assert _outside_domains(run.stdout) == []
     if killer == "axiom.mul.inverse":
         # shrinking keeps the kind of failure: the wrong inverse is shown on the
         # zeroless inputs the law takes, not as a crash on L or o
