@@ -49,7 +49,7 @@ from .external import (
     unity,
 )
 from .field import ZERO_POLY, Ordering, PreciseNum, RhoPoly, _poly
-from .generate import COEFF_BOUND, EXPONENT_RANGE, GeneratorConfig, Sampler, below_threshold, shrink
+from .generate import COEFF_BOUND, EXPONENT_DENOMINATOR_BOUND, EXPONENT_RANGE, NEUTRIX_Q_RANGE, GeneratorConfig, Sampler, below_threshold, shrink
 from .halfline import (
     Halfline,
     HalflineKind,
@@ -69,6 +69,7 @@ from .neutrix import (
     LIMITED,
     Neutrix,
     NX_ZERO,
+    _cut,
     decompose,
     is_ideal_of,
     is_idempotent,
@@ -125,7 +126,7 @@ class Check:
     expected: str
     expect_failures: bool = False
     note: str = ""
-    admits: Optional[Callable[[tuple], bool]] = None  # every value in its sort's domain; None without domains
+    admits: Callable[[tuple], bool] = lambda values: True  # every value lies in its sort's domain
 
     @property
     def single(self) -> bool:
@@ -174,10 +175,14 @@ def law(
             raise ValueError(f"duplicate check id {check_id}")
         code = verdict.__code__
         names = code.co_varnames[: code.co_argcount]
-        # per parameter: its draw and the indices of the inputs it reads, then its domain, or None, and those it reads
-        inputs = lambda f: [names.index(r) for r in dependencies(f)] if f else []
-        sorts = [(*verdict.__annotations__[name].__metadata__, None)[:2] for name in names]
-        plan = [(sort_draw, inputs(sort_draw), domain, inputs(domain)) for sort_draw, domain in sorts]
+        # per parameter: its draw, the indices of the inputs the draw reads, its domain or None, and those it reads
+        plan = []
+        for name in names:
+            sort_draw, *domain = verdict.__annotations__[name].__metadata__
+            domain = domain[0] if domain else None
+            reads = [names.index(r) for r in dependencies(sort_draw)]
+            checks = [names.index(r) for r in dependencies(domain)] if domain else []
+            plan.append((sort_draw, reads, domain, checks))
         domains = [(i, domain, checks) for i, (_, _, domain, checks) in enumerate(plan) if domain]
 
         def draw(s: Sampler) -> tuple:
@@ -195,9 +200,12 @@ def law(
             return tuple(values)
 
         def admits(values: tuple) -> bool:
-            return all(domain(values[i], *[values[j] for j in checks]) for i, domain, checks in domains)
+            for i, domain, checks in domains:
+                if not domain(values[i], *[values[j] for j in checks]):
+                    return False
+            return True
 
-        REGISTRY[check_id] = Check(check_id, group, description, names, draw, verdict, expected, expect_failures, note, admits if domains else None)
+        REGISTRY[check_id] = Check(check_id, group, description, names, draw, verdict, expected, expect_failures, note, admits)
         if alias is not None:
             ALIASES[alias] = check_id
         return verdict
@@ -248,7 +256,7 @@ def run_check(check_id: str, cfg: GeneratorConfig | None = None, n: int = 1000) 
             return True
 
         # a trial outside a sort's domain is no counterexample to the law
-        shrunk = shrink(values, same_kind if chk.admits is None else lambda t: chk.admits(t) and same_kind(t))
+        shrunk = shrink(values, lambda t: chk.admits(t) and same_kind(t))
         report.failures.append(
             CheckFailure(
                 inputs=tuple(zip(chk.names, (str(v) for v in shrunk))),
@@ -389,6 +397,22 @@ def _often_negated(s: Sampler, y: ExternalNum) -> ExternalNum:
     return -y if s.rng.random() < 0.5 else s.external()
 
 
+def _above_limited(s: Sampler) -> Neutrix:
+    # M one time in five, else a cut drawn as scaled_neutrix draws one, with its threshold in (0, 2]
+    if s.rng.random() < 0.2:
+        return FULL
+    closed, den = s.rng.random() >= 0.5, s.integer(1, EXPONENT_DENOMINATOR_BOUND)
+    return _cut(s.integer(1, NEUTRIX_Q_RANGE[1] * den), den, closed)
+
+
+# Domains are written on the stored fields where they can be, so that a bug in
+# the code a law tests does not also narrow or widen the inputs it is tested on.
+def _natural_domain(p: PreciseNum) -> bool:
+    # not through naturals.is_natural: a polynomial of integer exponents >= 0 and integer coefficients, not negative
+    num = p.num
+    return p.is_polynomial() and num.grid == 1 and num.den == 1 and p.sign() >= 0 and (not num.ks or num.ks[-1][0] >= 0)
+
+
 # a sort is its type with the draw of one value of it and, when its name
 # restricts the type, its domain: the test of the values it admits
 External = Annotated[ExternalNum, Sampler.external]
@@ -396,27 +420,47 @@ Zeroless = Annotated[ExternalNum, Sampler.zeroless, is_zeroless]
 NonPrecise = Annotated[ExternalNum, Sampler.external, lambda x: x.nx != NX_ZERO]
 Absolute = Annotated[ExternalNum, lambda s: abs(s.external()), lambda x: x.rep.sign() >= 0]
 MostlyPositive = Annotated[ExternalNum, lambda s: s.positive_zeroless() if s.rng.random() < 0.8 else s.external()]
-PositiveOrMagnitude = Annotated[ExternalNum, lambda s: abs(s.zeroless()) if s.rng.random() < 0.7 else pure(s.scaled_neutrix()), lambda x: x.rep.sign() >= 0]
+PositiveOrMagnitude = Annotated[
+    ExternalNum,
+    lambda s: abs(s.zeroless()) if s.rng.random() < 0.7 else pure(s.scaled_neutrix()),
+    lambda x: x.rep.sign() >= 0,
+]
 Absorbable = Annotated[ExternalNum, _absorbable]  # often absorbed by x's neutrix
 OftenEqual = Annotated[ExternalNum, _often_equal]
 UnityCandidate = Annotated[ExternalNum, _unity_candidate]
 AtLeast = Annotated[ExternalNum, lambda s, y: y + abs(s.external()), lambda z, y: y <= z]
-Beyond = Annotated[ExternalNum, lambda s, x: x + abs(s.external()) + ExternalNum(1), lambda y, x: y.nx != FULL and ExternalNum(0) < x < y]  # strictly above x > 0, with a magnitude below M
+Beyond = Annotated[  # strictly above x > 0, with a magnitude below M
+    ExternalNum,
+    lambda s, x: x + abs(s.external()) + ExternalNum(1),
+    lambda y, x: y.nx != FULL and ExternalNum(0) < x < y,
+]
 OftenNegated = Annotated[ExternalNum, _often_negated]
 Magnitude = Annotated[Neutrix, Sampler.neutrix]
-BelowInfinitesimals = Annotated[Neutrix, Sampler.scaled_neutrix, lambda A: A < INFINITESIMALS]
-AboveLimited = Annotated[Neutrix, lambda s: FULL if s.rng.random() < 0.2 else s.scaled_neutrix(), lambda A: A > LIMITED]
+# the sign of a cut's threshold, -inf and +inf included, is that of (rank, n) in its
+# stored key (rank, n, d, closed): read there, not through the neutrix order
+BelowInfinitesimals = Annotated[Neutrix, Sampler.scaled_neutrix, lambda A: A._key[:2] < (0, 0)]
+AboveLimited = Annotated[Neutrix, _above_limited, lambda A: A._key[:2] > (0, 0)]
 Precise = Annotated[PreciseNum, Sampler.precise]
 # the degree of a PreciseNum is its numerator's leading exponent, num.ks[0][0] over num.grid
 NonzeroPrecise = Annotated[PreciseNum, Sampler.nonzero_precise, lambda p: p.sign() != 0]
 PositivePrecise = Annotated[PreciseNum, Sampler.positive_precise, lambda p: p.sign() > 0]
 LimitedPrecise = Annotated[PreciseNum, Sampler.limited_precise, lambda p: p.sign() == 0 or p.num.ks[0][0] <= 0]
 Appreciable = Annotated[PreciseNum, _degree_zero_positive, lambda p: p.sign() > 0 and p.num.ks[0][0] == 0]
-PositiveInfinitesimal = Annotated[PreciseNum, lambda s: abs(s.member_of(INFINITESIMALS, allow_zero=False)), lambda p: p.sign() > 0 and p.num.ks[0][0] < 0]
-AboveInfinitesimals = Annotated[PreciseNum, lambda s: abs(_degree_zero_positive(s)) * PreciseNum.of(_poly(2, 1, [(s.integer(0, 4), 1)])), lambda p: p.sign() > 0 and p.num.ks[0][0] >= 0]
-PositiveMonomial = Annotated[PreciseNum, _positive_monomial, lambda p: p.is_polynomial() and len(p.num.ks) == 1 and p.sign() > 0]  # so the square root exists in the model
-Natural = Annotated[PreciseNum, _natural, is_natural]
-UnitOffset = Annotated[PreciseNum, _unit_offset, lambda u: 0 < u < 1]
+PositiveInfinitesimal = Annotated[
+    PreciseNum,
+    lambda s: abs(s.member_of(INFINITESIMALS, allow_zero=False)),
+    lambda p: p.sign() > 0 and p.num.ks[0][0] < 0,
+]
+AboveInfinitesimals = Annotated[
+    PreciseNum,
+    lambda s: abs(_degree_zero_positive(s)) * PreciseNum.of(_poly(2, 1, [(s.integer(0, 4), 1)])),
+    lambda p: p.sign() > 0 and p.num.ks[0][0] >= 0,
+]
+# a positive monomial, so the square root exists in the model
+PositiveMonomial = Annotated[PreciseNum, _positive_monomial, lambda p: p.is_polynomial() and len(p.num.ks) == 1 and p.sign() > 0]
+Natural = Annotated[PreciseNum, _natural, _natural_domain]
+# strictly between 0 and 1, on the stored ratio, not through PreciseNum's order: den is positive
+UnitOffset = Annotated[PreciseNum, _unit_offset, lambda u: u.sign() > 0 and (u.den - u.num).sign() > 0]
 LowerHalfline = Annotated[Halfline, lambda s: lower(s.rng.choice(list(HalflineKind)), s.external())]
 
 

@@ -48,11 +48,13 @@ from solidus.generate import (
     shrink,
 )
 from solidus.halfline import _BRACKETS, Halfline, HalflineKind, Side
+from solidus.naturals import is_natural
 from solidus.neutrix import (
     FULL,
     INFINITESIMALS,
     LIMITED,
     NX_ZERO,
+    Neutrix,
     closed_cut,
     nx_contains,
 )
@@ -310,6 +312,31 @@ class TestDependentSorts:
         x, y = (eval_text(text) for _, text in failure.inputs)
         assert len(x.rep.num.ks) == 2 and x < y
         assert solidus.checks.REGISTRY["test.shrink_domain"].admits((x.rep, y))
+
+
+class TestStoredFieldDomains:
+    """Domains read on the stored fields agree with the functions they avoid calling."""
+
+    def test_the_cut_domains_agree_with_the_neutrix_order(self):
+        below = solidus.checks.BelowInfinitesimals.__metadata__[1]
+        above = solidus.checks.AboveLimited.__metadata__[1]
+        cuts = [NX_ZERO, FULL, *(Neutrix(F(n, d), closed) for n in range(-5, 6) for d in (1, 2, 3) for closed in (False, True))]
+        assert [below(A) for A in cuts] == [A < INFINITESIMALS for A in cuts]
+        assert [above(A) for A in cuts] == [A > LIMITED for A in cuts]
+
+    @pytest.mark.parametrize("seed", (1, 7, 42))
+    def test_the_natural_and_unit_offset_domains_agree_with_is_natural_and_the_order(self, seed):
+        natural = solidus.checks.Natural.__metadata__[1]
+        unit_offset = solidus.checks.UnitOffset.__metadata__[1]
+        s = Sampler(GeneratorConfig(seed=seed), "domains")
+        polys = [PreciseNum.of(s.rhopoly()) for _ in range(300)] + [solidus.checks._natural(s) for _ in range(300)]
+        # no unit offset is natural, and 1/(1 + rho^(-1)) has a natural numerator over a denominator that does not divide it
+        offsets = [solidus.checks._unit_offset(s) for _ in range(300)]
+        assert sum(map(is_natural, polys)) > 250
+        assert [natural(p) for p in polys + offsets] == [is_natural(p) for p in polys + offsets]
+        values = [s.precise(ratio_probability=0.5) for _ in range(300)] + offsets
+        assert sum(0 < u < 1 for u in values) > 250
+        assert [unit_offset(u) for u in values] == [0 < u < 1 for u in values]
 
 
 class TestHarness:

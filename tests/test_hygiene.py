@@ -83,14 +83,6 @@ def test_every_dependency_is_an_earlier_parameter():
     assert [dependencies(f) for f in beyond] == [("x",), ("x",)]
 
 
-def test_only_laws_with_a_domain_test_their_shrink_trials():
-    for chk in REGISTRY.values():
-        sorts = [chk.verdict.__annotations__[name].__metadata__ for name in chk.names]
-        assert (chk.admits is None) == all(len(sort) == 1 for sort in sorts), chk.check_id
-    # the expected failures draw only sorts without a domain, so their shrinking pays nothing
-    assert [chk.admits for chk in REGISTRY.values() if chk.expect_failures] == [None] * 3
-
-
 @pytest.mark.parametrize("seed", (1, 7, 42))
 def test_each_drawn_value_has_its_parameters_type(seed):
     for chk in REGISTRY.values():

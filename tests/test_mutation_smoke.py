@@ -6,8 +6,8 @@ line at a small sample count.  A killed mutant makes the run exit with status 1
 and makes the named check read ``fail``.  The catalog otherwise only checks the
 implementation against laws evaluated by that same implementation; this gate
 shows that a wrong implementation does not pass it.  Every printed input of an
-``ExternalNum`` or ``PreciseNum`` sort is read back through ``eval_text`` of
-the unmutated package and must lie in its sort's domain, so a counterexample
+``ExternalNum``, ``PreciseNum`` or ``Neutrix`` sort is read back through
+``eval_text`` of the unmutated package and must lie in its sort's domain, so a counterexample
 is never shown on an input its law does not take.
 """
 
@@ -22,6 +22,8 @@ import pytest
 from solidus.checks import REGISTRY, dependencies
 from solidus.external import ExternalNum
 from solidus.field import PreciseNum
+from solidus.generate import GeneratorConfig, Sampler
+from solidus.neutrix import Neutrix
 from solidus.parser import eval_text
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -86,7 +88,7 @@ def _failures(stdout: str):
 
 
 def _outside_domains(stdout: str) -> list[str]:
-    """The printed inputs of an ExternalNum or PreciseNum sort that, read back, lie outside its domain."""
+    """The printed inputs of an ExternalNum, PreciseNum or Neutrix sort that, read back, lie outside its domain."""
     outside = []
     for check_id, inputs in _failures(stdout):
         sorts = REGISTRY[check_id].verdict.__annotations__
@@ -96,6 +98,8 @@ def _outside_domains(stdout: str) -> list[str]:
                 values[name] = eval_text(text)
             elif sorts[name].__origin__ is PreciseNum:
                 values[name] = eval_text(text).rep
+            elif sorts[name].__origin__ is Neutrix:
+                values[name] = eval_text(text).nx
         for name, value in values.items():
             _, *domain = sorts[name].__metadata__
             if domain and not domain[0](value, *[values[r] for r in dependencies(domain[0])]):
@@ -103,16 +107,20 @@ def _outside_domains(stdout: str) -> list[str]:
     return outside
 
 
-@pytest.mark.parametrize("module, old, new, killer", MUTANTS, ids=[m[3] for m in MUTANTS])
-def test_the_catalog_kills_the_mutant(tmp_path, module, old, new, killer):
+def _mutated(tmp_path: Path, module: str, old: str, new: str) -> dict:
+    """Copy the package under tmp_path with ``old`` replaced by ``new`` in module; the environment that imports it."""
     package = tmp_path / "solidus"
     shutil.copytree(SRC / "solidus", package, ignore=shutil.ignore_patterns("__pycache__"))
     path = package / module
     text = path.read_text()
     assert text.count(old) == 1, f"{old!r} must occur exactly once in {module}"
     path.write_text(text.replace(old, new))
+    return dict(os.environ, PYTHONPATH=str(tmp_path), PYTHONDONTWRITEBYTECODE="1")
 
-    env = dict(os.environ, PYTHONPATH=str(tmp_path), PYTHONDONTWRITEBYTECODE="1")
+
+@pytest.mark.parametrize("module, old, new, killer", MUTANTS, ids=[m[3] for m in MUTANTS])
+def test_the_catalog_kills_the_mutant(tmp_path, module, old, new, killer):
+    env = _mutated(tmp_path, module, old, new)
     run = subprocess.run(
         [sys.executable, "-m", "solidus.cli", "--check", "--seed", "1", "--count", "20"],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
@@ -124,3 +132,22 @@ def test_the_catalog_kills_the_mutant(tmp_path, module, old, new, killer):
         # shrinking keeps the kind of failure: the wrong inverse is shown on the
         # zeroless inputs the law takes, not as a crash on L or o
         assert "# observed: raised NotZerolessError" not in run.stdout, run.stdout
+
+
+def test_the_naturals_mutant_leaves_the_natural_draws_alone(tmp_path):
+    # Natural's domain reads the stored fields, not the is_natural that the mutant
+    # breaks, so naturals with a constant term are still drawn and tested
+    env = _mutated(tmp_path, "naturals.py", "poly.ks[-1][0] >= 0", "poly.ks[-1][0] > 0")
+    script = (
+        "from solidus.checks import REGISTRY\n"
+        "from solidus.generate import GeneratorConfig, Sampler\n"
+        "s = Sampler(GeneratorConfig(seed=42), 'axiom.arith.naturals')\n"
+        "for _ in range(200):\n"
+        "    print(*REGISTRY['axiom.arith.naturals'].draw(s), sep='\\t')\n"
+    )
+    run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    sampler = Sampler(GeneratorConfig(seed=42), "axiom.arith.naturals")
+    draws = [REGISTRY["axiom.arith.naturals"].draw(sampler) for _ in range(200)]
+    assert run.stdout.splitlines() == ["\t".join(str(v) for v in values) for values in draws]
+    assert sum(bool(x.num.ks) and x.num.ks[-1][0] == 0 for x, _, _ in draws) > 20

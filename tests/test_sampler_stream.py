@@ -139,4 +139,4 @@ def test_first_draws_of_every_check_pinned():
             lines.append("\t".join([check_id, *(str(v) for v in chk.draw(sampler))]))
     assert len(lines) == 3 * len(REGISTRY)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "9156eee0799b54d3e40bbf51df0ee5b47a11382b443fb145273830fcfac41cc7"
+    assert digest == "b4fe2ae14ef96530f9d4a5c8df345528ac08a33de9e033a0170c175ef455a94e"
