@@ -30,9 +30,8 @@ deterministic for a given (check id, config, count).
 
 import functools
 import operator
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Annotated, Callable, Optional
+from typing import Annotated, Callable, NamedTuple, Optional
 
 from .errors import DegenerateDomainError, InternalError, UnknownCheckError
 from .external import (
@@ -85,20 +84,26 @@ LT, EQ, GT = Ordering.LT, Ordering.EQ, Ordering.GT
 # --- reports -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckFailure:
+class CheckFailure(NamedTuple):
     inputs: tuple[tuple[str, str], ...]
     expected: str
     observed: str
 
 
-@dataclass
 class CheckReport:
-    check_id: str
-    samples: int
-    failures: list[CheckFailure] = dc_field(default_factory=list)
-    expect_failures: bool = False
-    notes: list[str] = dc_field(default_factory=list)
+    """The one mutable record: ``run_check`` appends to its lists, fresh for each report."""
+
+    __slots__ = ("check_id", "samples", "failures", "expect_failures", "notes")
+
+    def __init__(self, check_id: str, samples: int, failures=None, expect_failures: bool = False, notes=None):
+        self.check_id, self.samples, self.expect_failures = check_id, samples, expect_failures
+        self.failures, self.notes = [] if failures is None else failures, [] if notes is None else notes
+
+    def __eq__(self, other) -> bool:
+        return type(other) is CheckReport and all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    def __repr__(self) -> str:
+        return f"CheckReport({', '.join(f'{f}={getattr(self, f)!r}' for f in self.__slots__)})"
 
     @property
     def passed(self) -> bool:
@@ -115,8 +120,7 @@ class CheckReport:
         return bool(self.failures) == self.expect_failures
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     check_id: str
     group: str
     description: str

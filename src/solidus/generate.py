@@ -33,9 +33,8 @@ from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import InternalError
 from .external import Classification, ExternalNum, classify
@@ -54,8 +53,7 @@ SHRINK_MAX_ROUNDS = 200
 _DROP_HALVES = {True: (0, 0, 1, 2), False: (1, 1, 2, 4)}
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(NamedTuple):
     seed: int = 0
 
 

@@ -21,9 +21,8 @@ no bound in this field).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import (
     DegenerateDomainError,
@@ -48,8 +47,7 @@ class HalflineKind(Enum):
     STRONGLY_OPEN = "strongly_open"
 
 
-@dataclass(frozen=True)
-class Halfline:
+class Halfline(NamedTuple):
     side: Side
     kind: HalflineKind
     bound: ExternalNum

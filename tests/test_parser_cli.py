@@ -1,6 +1,5 @@
 """Tests for the surface syntax, evaluator, REPL commands and exit codes."""
 
-import ast
 import hashlib
 import os
 import random
@@ -24,6 +23,7 @@ from solidus.field import Ordering, RhoPoly, digit_limit
 from solidus.generate import GeneratorConfig, Sampler
 from solidus.neutrix import INFINITESIMALS, closed_cut
 from solidus.parser import BinOp, Cmp, Lit, Pow, Sym, Unary, _integer_power, eval_text, evaluate, parse, parse_expr_list, tokenize
+from test_imports import imported_modules
 
 rp = RhoPoly.rho_power
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -270,11 +270,9 @@ class TestDescentReference:
                 parse(line)
         assert fraction_calls == []
 
-    def test_the_parser_imports_nothing_from_fractions_or_dataclasses(self):
-        tree = ast.parse(Path(solidus.parser.__file__).read_text())
-        modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
-        modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-        assert not modules & {"fractions", "dataclasses"}
+    def test_the_parser_imports_nothing_from_fractions(self):
+        # no module of the package imports dataclasses (tests/test_imports.py)
+        assert "fractions" not in imported_modules(Path(solidus.parser.__file__).read_text())
 
 
 class TestEval:
