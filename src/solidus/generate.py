@@ -11,14 +11,16 @@ pair ``(c, d)``, an exponent or threshold a pair ``(k, den)``, and results are
 built by ``field._poly`` and ``neutrix._cut``, so no draw builds a
 ``Fraction``; the checks' own draws take the same pairs from ``_coefficient``
 and ``_grid``.  The stream is that of the ``Fraction`` sampler this replaced,
-so every report is unchanged.  ``integer(lo, hi)`` is ``rng.randint(lo, hi)``
-without the ``randrange`` checks: CPython's ``randint`` and ``choice`` end in
-the same rejection loop over ``getrandbits`` (``k = n.bit_length()``, redraw
-while ``r >= n``), and ``integer`` runs that loop itself.  ``rhopoly`` keeps
-its distinct exponents as the exact floats ``k/den`` in a set: a float equal
-to a ``Fraction`` hashes and compares like it, so the set iterates in the
-order a set of ``Fraction``s would, and the coefficients pair with the same
-exponents.
+so every report is unchanged.  ``integer(lo, hi)`` defines each bounded draw as
+``rng.randint(lo, hi)`` without the ``randrange`` checks: CPython's ``randint``
+and ``choice`` end in the same rejection loop over ``getrandbits``
+(``k = n.bit_length()``, redraw while ``r >= n``).  ``rhopoly``,
+``_coefficient`` and ``_grid`` run that loop in place, with no call per int,
+so they make the same ``getrandbits`` calls in the same order.  ``rhopoly``
+keeps its distinct exponents as the exact floats ``k/den`` in a set: a float
+equal to a ``Fraction`` hashes and compares like it, so the set iterates in
+the order a set of ``Fraction``s would, and the coefficients pair with the
+same exponents.
 
 ``shrink`` simplifies a failing input greedily, one component at a time.  Its
 predicate alone decides what still failing means, and it must not raise:
@@ -37,8 +39,8 @@ from math import gcd, lcm
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import InternalError
-from .external import Classification, ExternalNum, classify
-from .field import PreciseNum, RhoPoly, _poly, _sum_terms
+from .external import Classification, ExternalNum, _canonical, classify
+from .field import ONE_POLY, PreciseNum, RhoPoly, _poly, _precise, _sum_terms
 from .halfline import Halfline
 from .neutrix import FULL, Neutrix, NX_ZERO, _cut
 
@@ -51,6 +53,18 @@ NEUTRIX_Q_RANGE = (-2, 2)
 SHRINK_MAX_ROUNDS = 200
 #: member_of's drop below the threshold, in halves: four equally likely picks
 _DROP_HALVES = {True: (0, 0, 1, 2), False: (1, 1, 2, 4)}
+
+#: the spans n and widths n.bit_length() of the hot draws, which run ``integer``'s loop in
+#: place: a coefficient's numerator, its denominator from _D_LOW, an exponent's den, and
+#: per den an exponent's lowest numerator, span and width on EXPONENT_RANGE
+_D_LOW = 2
+_C_SPAN, _D_SPAN, _DEN_SPAN = 2 * COEFF_BOUND + 1, 4 - _D_LOW + 1, EXPONENT_DENOMINATOR_BOUND
+_C_BITS, _D_BITS, _DEN_BITS = (n.bit_length() for n in (_C_SPAN, _D_SPAN, _DEN_SPAN))
+_EXPONENT_SPANS = [
+    (EXPONENT_RANGE[0] * den, n, n.bit_length())
+    for den in range(1, EXPONENT_DENOMINATOR_BOUND + 1)
+    for n in [(EXPONENT_RANGE[1] - EXPONENT_RANGE[0]) * den + 1]
+]
 
 
 class GeneratorConfig(NamedTuple):
@@ -88,33 +102,73 @@ class Sampler:
         return lo + r
 
     def _coefficient(self) -> tuple[int, int]:
-        """A nonzero coefficient as the pair ``(c, d)``, the value c/d."""
-        c = 0
-        while c == 0:
-            c = self.integer(-COEFF_BOUND, COEFF_BOUND)
-        return (c, self.integer(2, 4)) if self.rng.random() < 0.25 else (c, 1)
+        """A nonzero coefficient as the pair ``(c, d)``, the value c/d, drawn as in ``rhopoly``."""
+        bits = self._bits
+        c = bits(_C_BITS)
+        while c >= _C_SPAN or c == COEFF_BOUND:  # a 0 is redrawn
+            c = bits(_C_BITS)
+        if self.rng.random() >= 0.25:
+            return c - COEFF_BOUND, 1
+        d = bits(_D_BITS)
+        while d >= _D_SPAN:
+            d = bits(_D_BITS)
+        return c - COEFF_BOUND, _D_LOW + d
 
     def _grid(self, lo: int, hi: int) -> tuple[int, int]:
         """A multiple of 1/den in [lo, hi] as the pair ``(k, den)``, den drawn up to the bound."""
-        den = self.integer(1, EXPONENT_DENOMINATOR_BOUND)
-        return self.integer(lo * den, hi * den), den
+        bits = self._bits
+        den = bits(_DEN_BITS)
+        while den >= _DEN_SPAN:
+            den = bits(_DEN_BITS)
+        den += 1
+        span = (hi - lo) * den + 1
+        k = bits(width := span.bit_length())
+        while k >= span:
+            k = bits(width)
+        return lo * den + k, den
 
     # -- field elements ----------------------------------------------------
 
     def rhopoly(self, max_terms: int = MAX_TERMS, allow_zero: bool = True) -> RhoPoly:
-        n = self.integer(0 if allow_zero else 1, max_terms)
+        """The term count, each exponent and each coefficient by ``integer``'s loop in place."""
+        bits, random = self._bits, self.rng.random
+        lo = 0 if allow_zero else 1
+        span = max_terms - lo + 1
+        n = bits(width := span.bit_length())
+        while n >= span:
+            n = bits(width)
+        n += lo
         # distinct exponents, so merging never pushes coefficients past the bound,
         # as floats k/den, which keep a set of Fractions' order (module docstring)
         exponents: set = set()
         attempts = 0
         while len(exponents) < n and attempts < 32:
-            k, den = self._grid(*EXPONENT_RANGE)
-            exponents.add(k / den)
+            r = bits(_DEN_BITS)
+            while r >= _DEN_SPAN:
+                r = bits(_DEN_BITS)
+            low, span, width = _EXPONENT_SPANS[r]
+            k = bits(width)
+            while k >= span:
+                k = bits(width)
+            exponents.add((low + k) / (r + 1))
             attempts += 1
-        terms = [(e.as_integer_ratio(), self._coefficient()) for e in exponents]
-        grid = lcm(1, *[g for (_, g), _ in terms])
-        den = lcm(1, *[d for _, (_, d) in terms])
-        ks = sorted([(k * (grid // g), c * (den // d)) for (k, g), (c, d) in terms], reverse=True)
+        terms = []
+        grid = den = 1
+        for e in exponents:
+            k, g = e.as_integer_ratio()
+            c = bits(_C_BITS)
+            while c >= _C_SPAN or c == COEFF_BOUND:
+                c = bits(_C_BITS)
+            d = 1
+            if random() < 0.25:
+                d = bits(_D_BITS)
+                while d >= _D_SPAN:
+                    d = bits(_D_BITS)
+                d += _D_LOW
+                den = lcm(den, d)
+            grid = lcm(grid, g)
+            terms.append((k, g, c - COEFF_BOUND, d))
+        ks = sorted([(k * (grid // g), c * (den // d)) for k, g, c, d in terms], reverse=True)
         return _poly(grid, den, ks)
 
     def nonzero_rhopoly(self, max_terms: int = MAX_TERMS) -> RhoPoly:
@@ -127,7 +181,7 @@ class Sampler:
         num = self.rhopoly(allow_zero=allow_zero)
         if self.rng.random() < ratio_probability:
             return PreciseNum(num, self.nonzero_rhopoly(max_terms=2))
-        return PreciseNum(num)
+        return _precise(num, ONE_POLY)
 
     def nonzero_precise(self, ratio_probability: float = 0.2) -> PreciseNum:
         return self.precise(ratio_probability, allow_zero=False)
@@ -166,12 +220,12 @@ class Sampler:
     # -- externals -----------------------------------------------------------
 
     def external(self) -> ExternalNum:
-        return ExternalNum(self.precise(), self.neutrix())
+        return _canonical(self.precise(), self.neutrix())
 
     def zeroless(self) -> ExternalNum:
         """Rejection sampling for zeroless values: never a pure neutrix."""
         for _ in range(64):
-            alpha = ExternalNum(self.nonzero_precise(), self.neutrix())
+            alpha = _canonical(self.nonzero_precise(), self.neutrix())
             if classify(alpha) is not Classification.PURE_NEUTRIX:
                 return alpha
         raise InternalError("zeroless: 64 draws in a row were pure neutrices")

@@ -23,6 +23,7 @@ from solidus.field import PreciseNum, RhoPoly
 from solidus.generate import (
     EXPONENT_DENOMINATOR_BOUND,
     EXPONENT_RANGE,
+    NEUTRIX_Q_RANGE,
     GeneratorConfig,
     Sampler,
     derive_seed,
@@ -85,46 +86,72 @@ def _fields(value):
     return (_fields(value.rep), _fields(value.nx))
 
 
-def _scalars(s):
-    """A coefficient and an exponent; the int-view sampler draws them as int pairs."""
-    if isinstance(s, FractionSampler):
-        return s.coefficient(), s.exponent()
-    return F(*s._coefficient()), F(*s._grid(*EXPONENT_RANGE))
+def _both(new, ref):
+    """A draw as the int-view sampler spells it and as the reference spells it."""
+    return lambda s: ref(s) if isinstance(s, FractionSampler) else new(s)
+
+
+def _representative(s):
+    alpha = s.external()
+    return alpha.rep + s.member_of(alpha.nx) if isinstance(s, FractionSampler) else s.representative_of(alpha)
 
 
 DRAWS = {
-    "rhopoly": lambda s: s.rhopoly(),
-    "precise": lambda s: s.precise(),
+    **{
+        f"rhopoly_{m}_{'zero' if z else 'nonzero'}": lambda s, m=m, z=z: s.rhopoly(m, allow_zero=z)
+        for m in (1, 2, 3)
+        for z in (True, False)
+    },
+    **{
+        f"precise_{p}_{'zero' if z else 'nonzero'}": lambda s, p=p, z=z: s.precise(p, allow_zero=z)
+        for p in (0.0, 0.2, 0.4)
+        for z in (True, False)
+    },
     "neutrix": lambda s: s.neutrix(),
     "member_of": lambda s: s.member_of(s.neutrix()),
     "member_of_nonzero": lambda s: s.member_of(s.scaled_neutrix(), allow_zero=False),
     "external": lambda s: s.external(),
     "zeroless": lambda s: s.zeroless(),
+    "positive_zeroless": _both(Sampler.positive_zeroless, lambda s: abs(s.zeroless())),
+    "representative_of": _representative,
     "limited_precise": lambda s: s.limited_precise(),
-    "scalars": _scalars,
+}
+#: the int-view sampler draws a scalar as an int pair; compared as the reference's Fraction
+SCALARS = {
+    "coefficient": _both(lambda s: F(*s._coefficient()), FractionSampler.coefficient),
+    "grid_exponent": _both(lambda s: F(*s._grid(*EXPONENT_RANGE)), FractionSampler.exponent),
+    "grid_threshold": _both(lambda s: F(*s._grid(*NEUTRIX_Q_RANGE)), FractionSampler.threshold),
 }
 
 
-@pytest.mark.parametrize("draw", sorted(DRAWS))
+@pytest.mark.parametrize("draw", sorted(DRAWS) + sorted(SCALARS))
 def test_draws_equal_the_fraction_sampler(draw):
+    make = DRAWS.get(draw) or SCALARS[draw]
     for seed, label in itertools.product(SEEDS[:4], LABELS):
         cfg = GeneratorConfig(seed=seed)
         s, ref = Sampler(cfg, label), FractionSampler(cfg, label)
         for _ in range(60):
-            got, want = DRAWS[draw](s), DRAWS[draw](ref)
-            if draw == "scalars":
-                assert got == want
-            else:
-                assert got == want and _fields(got) == _fields(want)
+            got, want = make(s), make(ref)
+            assert got == want
+            if draw in DRAWS:
+                assert _fields(got) == _fields(want)
         assert s.rng.getstate() == ref.rng.getstate()
 
 
-@pytest.mark.parametrize("draw", sorted(set(DRAWS) - {"scalars"}) + ["scaled_neutrix"])
+NO_FRACTION = {
+    **DRAWS,
+    "scaled_neutrix": Sampler.scaled_neutrix,
+    "_coefficient": Sampler._coefficient,
+    "_grid_exponent": lambda s: s._grid(*EXPONENT_RANGE),
+    "_grid_threshold": lambda s: s._grid(*NEUTRIX_Q_RANGE),
+}
+
+
+@pytest.mark.parametrize("draw", sorted(NO_FRACTION))
 def test_draws_build_no_fraction(draw, fraction_calls):
     s = Sampler(GeneratorConfig(seed=5), draw)
-    make = DRAWS.get(draw, Sampler.scaled_neutrix)
     for _ in range(300):
-        make(s)
+        NO_FRACTION[draw](s)
     assert fraction_calls == []
 
 
