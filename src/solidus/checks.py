@@ -6,23 +6,25 @@ its parameter names label the drawn inputs in reports.  Each parameter is
 annotated with its sort, as the paper states each axiom over sorts: a sort
 such as ``External`` or ``Magnitude`` is an ``Annotated`` type whose metadata
 draws one value of it; a sort whose name restricts its type (``Zeroless``)
-adds its domain, the test of the values it admits.  Inputs are drawn one
-parameter at a time, in order.  A draw or domain may read earlier inputs:
-each parameter it takes after the first without a default names an earlier
-parameter of the verdict and receives its drawn value (``Absorbable`` draws
-``y`` near ``x``'s neutrix).  A value outside its domain is drawn again with
-the first input its domain reads, or alone; a tuple is rejected at most
-``MAX_DRAWS`` times.  A verdict without parameters is an exact identity,
-evaluated once.  The catalog order is the declaration order.  ``run_check``
-alone decides what a failure is: the verdict's message, or a crash of the
-verdict.  A failure is shrunk toward fewer terms, simpler exponents and
-smaller coefficients, but only to inputs in every domain that fail the same
-way: a message stays a message and a crash a crash of the same exception
-type, so shrinking cannot slip from a wrong answer to an input the law does
-not take.  Inputs are rendered in the canonical expression syntax.  Three entries are declared as expected
-failures: two deliberately wrong ones (naive distributivity and a corrupted
-magnitude product table) demonstrate that the harness discriminates, and the
-even-or-odd induction instance fails at a nonstandard natural, as documented.
+adds its domain, the test of the values it admits.  A verdict takes its
+inputs' domains as given: a premise belongs in a sort, not in an ``if`` that
+the code under test decides.  Inputs are drawn one parameter at a time, in
+order.  A draw or domain may read earlier inputs: each parameter it takes
+after the first without a default names an earlier parameter of the verdict
+and receives its drawn value (``Absorbable`` draws ``y`` near ``x``'s
+neutrix).  A value outside its domain is drawn again with the first input its
+domain reads, or alone; a tuple is rejected at most ``MAX_DRAWS`` times.  A
+verdict without parameters is an exact identity, evaluated once.  The catalog
+order is the declaration order.  ``run_check`` alone decides what a failure
+is: the verdict's message, or a crash of the verdict.  A failure is shrunk
+toward fewer terms, simpler exponents and smaller coefficients, but only to
+inputs in every domain that fail the same way: a message stays a message and a
+crash a crash of the same exception type, so shrinking cannot slip from a
+wrong answer to an input the law does not take.  Inputs are rendered in the
+canonical expression syntax.  Three entries are declared as expected failures:
+two deliberately wrong ones (naive distributivity and a corrupted magnitude
+product table) demonstrate that the harness discriminates, and the even-or-odd
+induction instance fails at a nonstandard natural, as documented.
 
 Evaluation is sequential; reports are keyed by sample index, so the output is
 deterministic for a given (check id, config, count).
@@ -73,7 +75,6 @@ from .neutrix import (
     is_ideal_of,
     is_idempotent,
     maximal_ideal,
-    nx_contains,
     nx_mul,
     nx_scale,
 )
@@ -343,6 +344,15 @@ def _witness_above(a: ExternalNum, b: ExternalNum) -> PreciseNum:
     return a.rep if ext_disjoint(a, b) else separate_precise(b, a)
 
 
+# a positive monomial strictly between a sup sort's magnitude and o or L: rho^(q/2), rho^(-1) for 0, rho for M
+def _between_below_and_infinitesimals(below: Neutrix) -> PreciseNum:
+    return PreciseNum.of(RhoPoly.rho_power(below.q / 2 if below != NX_ZERO else -1))
+
+
+def _between_limited_and_above(above: Neutrix) -> PreciseNum:
+    return PreciseNum.of(RhoPoly.rho_power(above.q / 2 if above != FULL else 1))
+
+
 # --- sorts ---------------------------------------------------------------------
 
 
@@ -607,7 +617,7 @@ def _v_order_absorbed_below(x: External, y: Absorbable):
 def _v_order_mul_compatible(x: MostlyPositive, y: External, z: External):
     if y > z:
         y, z = z, y
-    if magnitude(x) < x and y <= z:
+    if magnitude(x) < x:  # the swap gives y <= z
         if x * y > x * z:
             return f"x*y = {x * y} > x*z = {x * z}"
     return None
@@ -615,10 +625,10 @@ def _v_order_mul_compatible(x: MostlyPositive, y: External, z: External):
 
 @law("axiom.order.amplification", "order", "e(y)<=y<=z implies e(x)y<=e(x)z", "amplification by magnitudes")
 def _v_order_amplification(x: External, y: Absolute, z: AtLeast):
+    # Absolute gives e(y) <= y, and AtLeast gives y <= z
     e = magnitude(x)
-    if magnitude(y) <= y and y <= z:
-        if e * y > e * z:
-            return f"e(x)*y = {e * y} > e(x)*z = {e * z}"
+    if e * y > e * z:
+        return f"e(x)*y = {e * y} > e(x)*z = {e * z}"
     return None
 
 
@@ -786,8 +796,8 @@ def _v_arith_naturals(x: Natural, y: Natural, offset: UnitOffset):
     for v in (x, y, x + y, x * y, x + one):
         if not is_natural(v):
             return f"{v} escapes the natural family"
-    mid = x + offset
-    if x < mid < x + one and is_natural(mid):
+    mid = x + offset  # UnitOffset gives x < mid < x + 1
+    if is_natural(mid):
         return f"natural strictly between {x} and its successor: {mid}"
     return None
 
@@ -876,19 +886,17 @@ def _v_thm_sqrt_above(s: PositiveMonomial):
 
 @law("thm.square_between", "theorem", "o < p < L implies o < p^2 < L", "squares stay appreciable")
 def _v_thm_square_between(p: Appreciable):
-    o, limited = pure(INFINITESIMALS), pure(LIMITED)
-    if o < ExternalNum(p) < limited:
-        sq = ExternalNum(p * p)
-        if not (o < sq < limited):
-            return f"p^2 = {p * p} escapes (o, L)"
+    # Appreciable gives o < p < L
+    sq = ExternalNum(p * p)
+    if not (pure(INFINITESIMALS) < sq < pure(LIMITED)):
+        return f"p^2 = {p * p} escapes (o, L)"
     return None
 
 
 @law("thm.sup_inf_characterization", "theorem", "o = sup of reciprocals of large elements; L = inf of their inverses", "sup/inf characterization")
 def _v_thm_sup_inf_characterization(below: BelowInfinitesimals, above: AboveLimited):
     # below < o: exhibit p with below < p < o and L < 1/p
-    s = below.q if below != NX_ZERO else Fraction(-2)
-    w = PreciseNum.of(RhoPoly.rho_power(s / 2))
+    w = _between_below_and_infinitesimals(below)
     if not (pure(below) < ExternalNum(w)):
         return f"cofinal witness {w} not above {below}"
     if not (ExternalNum(w) < pure(INFINITESIMALS)):
@@ -896,10 +904,7 @@ def _v_thm_sup_inf_characterization(below: BelowInfinitesimals, above: AboveLimi
     if not (pure(LIMITED) < ExternalNum(1 / w)):
         return f"1/w = {1 / w} not above L"
     # above > L: exhibit 1/p with p < o and 1/p < above
-    if above == FULL:
-        inv = PreciseNum.of(RhoPoly.rho_power(1))
-    else:
-        inv = PreciseNum.of(RhoPoly.rho_power(above.q / 2))
+    inv = _between_limited_and_above(above)
     if not (ExternalNum(inv) < pure(above)):
         return f"co-initial witness {inv} not below {above}"
     if not (ExternalNum(1 / inv) < pure(INFINITESIMALS)):
@@ -1000,23 +1005,22 @@ def _v_thm_linearization(A: Magnitude, B: Magnitude):
 
 @law("thm.order_consistency", "theorem", "magnitude products sit where the order demands", "consistency with the order")
 def _v_thm_order_consistency(p: PositiveInfinitesimal, q: AboveInfinitesimals):
+    # PositiveInfinitesimal gives p in I, and AboveInfinitesimals gives I < q
     i, j = INFINITESIMALS, LIMITED
     ij = nx_mul(i, j)
-    if nx_contains(i, p):
-        pj = nx_scale(p, j)
-        if not pj < ij:
-            return f"p*J = {pj} not below I*J"
-        pi = nx_scale(p, i)
-        if pi > ij:
-            return f"p*I = {pi} above I*J"
-    if pure(i) < ExternalNum(q):
-        qj = nx_scale(q, j)
-        if pure(j) < ExternalNum(q):
-            qi = nx_scale(q, i)
-            if not ij < qi:
-                return f"I*J not below q*I = {qi} for q above J"
-        if not ij < qj:
-            return f"I*J = {ij} not below q*J = {qj}"
+    pj = nx_scale(p, j)
+    if not pj < ij:
+        return f"p*J = {pj} not below I*J"
+    pi = nx_scale(p, i)
+    if pi > ij:
+        return f"p*I = {pi} above I*J"
+    qj = nx_scale(q, j)
+    if pure(j) < ExternalNum(q):
+        qi = nx_scale(q, i)
+        if not ij < qi:
+            return f"I*J not below q*I = {qi} for q above J"
+    if not ij < qj:
+        return f"I*J = {ij} not below q*J = {qj}"
     return None
 
 
@@ -1030,8 +1034,7 @@ def _v_thm_sup_consistency(p: PositiveInfinitesimal, q: Appreciable, below: Belo
     pj = nx_scale(p, j)
     if not pj < i:
         return f"p*J = {pj} not strictly below I"
-    s = below.q
-    w = PreciseNum.of(RhoPoly.rho_power(s / 2))
+    w = _between_below_and_infinitesimals(below)
     if not below < nx_scale(w, j) < i:
         return f"w*J = {nx_scale(w, j)} does not pass {below} from below"
     # the maximum over scalars strictly inside J is attained: q has degree 0
@@ -1041,11 +1044,7 @@ def _v_thm_sup_consistency(p: PositiveInfinitesimal, q: Appreciable, below: Belo
     r = PreciseNum.of(RhoPoly.rho_power(1))
     if not j < nx_scale(r, i):
         return f"r*I = {nx_scale(r, i)} not above J"
-    if above == FULL:
-        r2 = PreciseNum.of(RhoPoly.rho_power(1))
-    else:
-        r2 = PreciseNum.of(RhoPoly.rho_power(above.q / 2))
-    scaled = nx_scale(r2, i)
+    scaled = nx_scale(_between_limited_and_above(above), i)
     if not j < scaled < above:
         return f"r*I = {scaled} does not pass {above} from above"
     return None

@@ -39,7 +39,7 @@ from math import gcd, lcm
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import InternalError
-from .external import Classification, ExternalNum, _canonical, classify
+from .external import ExternalNum, _canonical, is_zeroless
 from .field import ONE_POLY, PreciseNum, RhoPoly, _poly, _precise, _sum_terms
 from .halfline import Halfline
 from .neutrix import FULL, Neutrix, NX_ZERO, _cut
@@ -223,10 +223,10 @@ class Sampler:
         return _canonical(self.precise(), self.neutrix())
 
     def zeroless(self) -> ExternalNum:
-        """Rejection sampling for zeroless values: never a pure neutrix."""
+        """Rejection sampling for zeroless values, by the test of the ``Zeroless`` domain."""
         for _ in range(64):
             alpha = _canonical(self.nonzero_precise(), self.neutrix())
-            if classify(alpha) is not Classification.PURE_NEUTRIX:
+            if is_zeroless(alpha):
                 return alpha
         raise InternalError("zeroless: 64 draws in a row were pure neutrices")
 

@@ -81,3 +81,12 @@ def test_repl_output_pinned():
     text = "\n".join(run_command(line) for line in lines)
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == "fb659e18cea9460b4c7be64e5dcecccff9d3fc8a54304752e6baeefd531239ab"
+
+
+def test_three_thousand_repl_lines_pinned():
+    # every line of the repl workload's first ten blocks at three seeds, seeds
+    # outer and blocks inner, its outputs joined with no separator
+    script = _import_bench("script")
+    text = "".join(run_command(line) for seed in (11, 12, 13) for index in range(10) for line, _ in script.block(seed, index))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "de25ab009a61b46537758a59c9d508441ae6689092790d57c61595dfc415b4a2"

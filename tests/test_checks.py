@@ -339,6 +339,18 @@ class TestStoredFieldDomains:
         assert [unit_offset(u) for u in values] == [0 < u < 1 for u in values]
 
 
+class TestSupremumWitnesses:
+    @pytest.mark.parametrize("above", [FULL, closed_cut(1)], ids=["M", "closed_cut_1"])
+    @pytest.mark.parametrize("check_id", ["thm.sup_inf_characterization", "thm.sup_consistency"])
+    def test_zero_below_the_infinitesimals_has_a_witness(self, check_id, above):
+        # BelowInfinitesimals admits 0, which no draw gives: each sup verdict takes it
+        chk = REGISTRY[check_id]
+        given = {"below": NX_ZERO, "above": above}
+        values = tuple(given.get(name, v) for name, v in zip(chk.names, chk.draw(Sampler(CFG, check_id))))
+        assert chk.admits(values)
+        assert chk.verdict(*values) is None
+
+
 class TestHarness:
     def test_unknown_check(self):
         with pytest.raises(UnknownCheckError):

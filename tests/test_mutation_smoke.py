@@ -54,6 +54,8 @@ MUTANTS = [
     ("neutrix.py", "k <= bound if closed else k < bound", "k < bound if closed else k <= bound", "oracle.order"),
     ("neutrix.py", "g = math.gcd(n, d)", "g = 1", "axiom.mul.assoc"),
     ("external.py", "_expand(rep, n, d, closed)", "_expand(rep, n, d, not closed)", "oracle.minkowski"),
+    # a closed cut that no longer holds its threshold: L loses the appreciable numbers
+    ("neutrix.py", "k <= bound if closed else k < bound", "k < bound if closed else k < bound", "thm.square_between"),
     # the leading term of a difference: exponents compared without the cross grid,
     # coefficients without the denominators, and two ratios' tied leading terms
     # walked past instead of building the difference
