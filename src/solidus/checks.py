@@ -376,15 +376,13 @@ def _natural(s: Sampler) -> PreciseNum:
 
 
 def _unit_offset(s: Sampler) -> PreciseNum:
-    return s.rng.choice(
-        [
-            PreciseNum.of(Fraction(1, s.integer(2, 5))),
-            PreciseNum.of(RhoPoly.rho_power(-1, s.integer(1, 3))),
-            PreciseNum.of(Fraction(1, 2)) + PreciseNum.of(RhoPoly.rho_power(-2)),
-            # 1/(1 + rho^(-1)) does not divide out, so no natural plus it is a polynomial
-            PreciseNum(RhoPoly.constant(1), RhoPoly([(0, 1), (-1, 1)])),
-        ]
-    )
+    return [
+        PreciseNum.of(Fraction(1, s.integer(2, 5))),
+        PreciseNum.of(RhoPoly.rho_power(-1, s.integer(1, 3))),
+        PreciseNum.of(Fraction(1, 2)) + PreciseNum.of(RhoPoly.rho_power(-2)),
+        # 1/(1 + rho^(-1)) does not divide out, so no natural plus it is a polynomial
+        PreciseNum(RhoPoly.constant(1), RhoPoly([(0, 1), (-1, 1)])),
+    ][s.integer(0, 3)]
 
 
 # a dependent draw: each parameter after the sampler receives the verdict's input of that name
@@ -452,7 +450,9 @@ OftenNegated = Annotated[ExternalNum, _often_negated]
 Magnitude = Annotated[Neutrix, Sampler.neutrix]
 # the sign of a cut's threshold, -inf and +inf included, is that of (rank, n) in its
 # stored key (rank, n, d, closed): read there, not through the neutrix order
-BelowInfinitesimals = Annotated[Neutrix, Sampler.scaled_neutrix, lambda A: A._key[:2] < (0, 0)]
+BelowInfinitesimals = Annotated[
+    Neutrix, lambda s: NX_ZERO if s.rng.random() < 0.1 else s.scaled_neutrix(), lambda A: A._key[:2] < (0, 0)
+]
 AboveLimited = Annotated[Neutrix, _above_limited, lambda A: A._key[:2] > (0, 0)]
 Precise = Annotated[PreciseNum, Sampler.precise]
 # the degree of a PreciseNum is its numerator's leading exponent, num.ks[0][0] over num.grid
@@ -475,7 +475,7 @@ PositiveMonomial = Annotated[PreciseNum, _positive_monomial, lambda p: p.is_poly
 Natural = Annotated[PreciseNum, _natural, _natural_domain]
 # strictly between 0 and 1, on the stored ratio, not through PreciseNum's order: den is positive
 UnitOffset = Annotated[PreciseNum, _unit_offset, lambda u: u.sign() > 0 and (u.den - u.num).sign() > 0]
-LowerHalfline = Annotated[Halfline, lambda s: lower(s.rng.choice(list(HalflineKind)), s.external())]
+LowerHalfline = Annotated[Halfline, lambda s: lower([*HalflineKind][s.integer(0, len(HalflineKind) - 1)], s.external())]
 
 
 # --- axiom verdicts -------------------------------------------------------------

@@ -244,7 +244,7 @@ class TestDependentSorts:
             seen.append((b, c))
             return len(seen) == 3
 
-        any_int = lambda s: s.integer(0, 10**6)
+        any_int = lambda s: s.integer(0, 2**16 - 1)
 
         @law("test.reject_twice", "test", "any", "holds")
         def verdict(a: Annotated[int, any_int], b: Annotated[int, any_int], c: Annotated[int, any_int, third_time]):
@@ -253,7 +253,7 @@ class TestDependentSorts:
         sampler = Sampler(CFG, "test.reject_twice")
         got = solidus.checks.REGISTRY["test.reject_twice"].draw(sampler)
         reference = Sampler(CFG, "test.reject_twice")
-        stream = [reference.integer(0, 10**6) for _ in range(7)]
+        stream = [reference.integer(0, 2**16 - 1) for _ in range(7)]
         assert seen == [(stream[1], stream[2]), (stream[3], stream[4]), (stream[5], stream[6])]
         assert got == (stream[0], stream[5], stream[6])
         assert sampler.rng.getstate() == reference.rng.getstate()
@@ -428,7 +428,7 @@ class TestHarness:
         assert exit_code(reports) == 0
         # golden digest: every status, sample count and shrunk counterexample
         digest = hashlib.sha256(format_reports(reports).encode()).hexdigest()
-        assert digest == "ee3822fe41ec38d62bff2d98b4093afc4d5d7c4b050445f9185960d19e4d938c"
+        assert digest == "3e6b13043693ea093bc05cf22827d2ffa32cbfaacdd0137e20f993c9f5856ffc"
 
     def test_shrunk_counterexamples_pinned(self):
         # the expected failures at n=1000, one check per call: hundreds of
@@ -437,7 +437,7 @@ class TestHarness:
         reports = [run_catalog(cfg, n=1000, only=cid)[0] for cid, c in REGISTRY.items() if c.expect_failures]
         assert [r.ok for r in reports] == [True] * 3
         digest = hashlib.sha256((format_reports(reports) + "\n").encode()).hexdigest()
-        assert digest == "83231aec180bcfe763b9387dcbecc30e399b1c0b3ce019c2f43231564aa5cfd2"
+        assert digest == "8f68d988ebec699b53d703d9e59c396d90f95383c9829bea5e404ae1002f76aa"
 
     def test_registry_declarations_pinned(self):
         # covers what the catalog output never shows: the input names of
@@ -555,11 +555,12 @@ class TestRebuiltMenusReference:
 
     def test_an_escaping_member_sum_is_the_same_triple(self, monkeypatch):
         self._patch(monkeypatch, "ext_member", lambda v, t: _crc(v) % 7 != 0)
-        messages = self._messages("thm.subdistributivity", self._draws("thm.subdistributivity", 1, 100))
-        escaped = [m for m in messages if m is not None]
+        draws = self._draws("thm.subdistributivity", 1, 100)
+        messages = self._messages("thm.subdistributivity", draws)
+        escaped = [(m, values) for m, values in zip(messages, draws) if m is not None]
         assert escaped and None in messages
-        # not only the first triple: the reported members differ from the menus' heads
-        assert len(set(escaped)) == len(escaped)
+        # not only the first triple: some reported members differ from the menus' heads, the representatives
+        assert any(not m.startswith(f"{x.rep}*({y.rep} + {z.rep}) escapes") for m, (x, y, z) in escaped)
 
     def test_escapes_from_a_narrowed_operation_are_the_same_pairs(self, monkeypatch):
         narrowed = (
