@@ -17,8 +17,8 @@ takes ``floor(2**16/n)`` or ``ceil(2**16/n)`` of the words, so its probability
 is off from ``1/n`` by less than ``n/2**16`` of itself, under 0.03% for the
 largest span the package draws, 19.  ``rhopoly`` writes that formula in place,
 with no call per int, and keeps its distinct exponents as ints on the common
-grid ``_GRID`` in a dict, whose order is the draw order, so the coefficients
-pair with the exponents alike under every hash seed.
+grid ``_GRID`` in a dict, which iterates in insertion order as a set need not,
+so the i-th coefficient drawn goes with the i-th distinct exponent.
 
 ``shrink`` simplifies a failing input greedily, one component at a time.  Its
 predicate alone decides what still failing means, and it must not raise:
