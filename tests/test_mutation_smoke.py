@@ -5,10 +5,11 @@ to a fresh copy of the package, and the catalog runs there from the command
 line at a small sample count.  A killed mutant makes the run exit with status 1
 and makes every check of its kill set read ``fail``.  The catalog otherwise
 only checks the implementation against laws evaluated by that same
-implementation; this gate shows that a wrong implementation does not pass it.  Every printed input of an
-``ExternalNum``, ``PreciseNum`` or ``Neutrix`` sort is read back through
-``eval_text`` of the unmutated package and must lie in its sort's domain, so a counterexample
-is never shown on an input its law does not take.
+implementation; this gate shows that a wrong implementation does not pass it.
+Every printed input of an ``ExternalNum``, ``PreciseNum`` or ``Neutrix`` sort
+is read back through ``eval_text`` of the unmutated package and must lie in its
+sort's domain, so a counterexample is never shown on an input its law does not
+take.
 """
 
 import os
