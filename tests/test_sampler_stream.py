@@ -5,11 +5,15 @@ Each bounded int is one ``getrandbits(16)`` word mapped by multiply-shift, so
 a draw is fixed by the words it reads.  Pinned here: the stored fields of 60
 draws of every draw method and each sampler's final rng state, and a digest of
 the first draws of every registered check, the stream the check reports are
-built from.  The draw ranges are checked against the bounds in ``generate``.
+built from.  Checked against that claim: ``integer`` reads exactly one word per
+value, and every draw method and every check's draw reads nothing from its rng
+but 16-bit words and uniform floats, so it replays from the values it read.
+The draw ranges are checked against the bounds in ``generate``.
 """
 
 import hashlib
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -25,11 +29,80 @@ from solidus.generate import (
     NEUTRIX_Q_RANGE,
     GeneratorConfig,
     Sampler,
+    derive_seed,
 )
 from solidus.neutrix import Neutrix
 
 SEEDS = (0, 1, 7, 42)
 LABELS = ("", "axiom.add.assoc", "thm.oslash_pound", "draws")
+
+
+#: singletons, the package's spans, and the widest span one word allows
+INTEGER_RANGES = [(a, a) for a in (-3, 0, 5)] + [(-9, 9), (2, 4), (0, 3), (1, 2), (0, 2**16 - 1), (-(2**15), 2**15 - 1)]
+
+
+@pytest.mark.parametrize("seed", SEEDS + (1000004, 2**70 + 3))
+def test_integer_is_one_multiply_shift_word(seed):
+    s = Sampler(GeneratorConfig(seed=seed), "stream")
+    ref = random.Random(derive_seed(seed, "stream"))
+    for i in range(3000):
+        lo, hi = INTEGER_RANGES[i % len(INTEGER_RANGES)]
+        assert s.integer(lo, hi) == lo + (ref.getrandbits(16) * (hi - lo + 1) >> 16)
+        if i % 3 == 0:  # interleaved floats keep the two streams in step
+            assert s.rng.random() == ref.random()
+    assert s.rng.getstate() == ref.getstate()
+
+
+class _Tape:
+    """An rng that records what a draw reads; it has no method but the two the sampler may call."""
+
+    def __init__(self, rng: random.Random):
+        self._rng, self.read = rng, []
+
+    def getrandbits(self, k: int) -> int:
+        w = self._rng.getrandbits(k)
+        self.read.append((k, w))
+        return w
+
+    def random(self) -> float:
+        x = self._rng.random()
+        self.read.append((None, x))
+        return x
+
+
+class _Replay:
+    """An rng that hands back a tape's values, each only to the call that read it."""
+
+    def __init__(self, read: list):
+        self._read = iter(read)
+
+    def getrandbits(self, k: int) -> int:
+        want, w = next(self._read)
+        assert want == k
+        return w
+
+    def random(self) -> float:
+        want, x = next(self._read)
+        assert want is None
+        return x
+
+    def exhausted(self) -> bool:
+        return next(self._read, None) is None
+
+
+def _on(s: Sampler, rng) -> Sampler:
+    s.rng, s._bits = rng, rng.getrandbits
+    return s
+
+
+def _replays_from_its_words(label: str, draw, view, count: int) -> None:
+    """``count`` draws read only 16-bit words and floats, and the values read rebuild them."""
+    tape = _Tape(random.Random(derive_seed(11, label)))
+    drawn = [view(draw(_on(Sampler(GeneratorConfig(seed=11), label), tape))) for _ in range(count)]
+    assert {k for k, _ in tape.read} <= {16, None}
+    replay = _Replay(tape.read)
+    assert [view(draw(_on(Sampler(GeneratorConfig(seed=11), label), replay))) for _ in range(count)] == drawn
+    assert replay.exhausted()
 
 
 def _fields(value):
@@ -105,6 +178,17 @@ def test_draw_ranges_are_the_bounds():
     assert {e.denominator for e in exponents} == set(range(1, bound + 1))
     assert {c.denominator for c in coefficients} == {1, 2, 3, 4}
     assert max(abs(c.numerator) for c in coefficients) == COEFF_BOUND and 0 not in coefficients
+
+
+@pytest.mark.parametrize("draw", sorted(DRAWS) + sorted(SCALARS))
+def test_draw_replays_from_its_words(draw):
+    _replays_from_its_words(draw, DRAWS.get(draw) or SCALARS[draw], _fields, 60)
+
+
+@pytest.mark.parametrize("check_id", sorted(REGISTRY))
+def test_check_draw_replays_from_its_words(check_id):
+    # checks.py picks from its menus through integer too, not rng.choice
+    _replays_from_its_words(check_id, REGISTRY[check_id].draw, lambda xs: [str(x) for x in xs], 20)
 
 
 NO_FRACTION = {**DRAWS, "scaled_neutrix": Sampler.scaled_neutrix, **SCALARS}
