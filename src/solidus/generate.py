@@ -14,9 +14,11 @@ and ``_grid``.  Every bounded int is one 16-bit word ``w`` of the stream,
 mapped to ``lo + (w * n >> 16)`` for the span ``n = hi - lo + 1`` by
 multiply-shift (Lemire, ACM TOMACS 2019), with no rejection loop: each value
 takes ``floor(2**16/n)`` or ``ceil(2**16/n)`` of the words, so its probability
-is off from ``1/n`` by less than ``n/2**16`` of itself, under 0.03% for the
-largest span the package draws, 19.  ``rhopoly`` writes that formula in place,
-with no call per int, and keeps its distinct exponents as ints on the common
+is off from ``1/n`` by less than ``n/2**16`` of itself: under 0.03% for the
+largest span the package draws, 19, and under 0.4% for the largest ``integer``
+accepts, 2**8.  ``rhopoly`` writes that formula in place, as a call per int
+is measurably slower, and a test holds it to what ``integer``, ``_grid`` and
+``_coefficient`` draw.  It keeps its distinct exponents as ints on the common
 grid ``_GRID`` in a dict, which iterates in insertion order as a set need not,
 so the i-th coefficient drawn goes with the i-th distinct exponent.
 
@@ -51,9 +53,11 @@ NEUTRIX_Q_RANGE = (-2, 2)
 SHRINK_MAX_ROUNDS = 200
 #: member_of's drop below the threshold, in halves: four equally likely picks
 _DROP_HALVES = {True: (0, 0, 1, 2), False: (1, 1, 2, 4)}
+#: the least and greatest denominator a coefficient may draw
+_COEFF_DENS = (2, 4)
 #: rhopoly's common exponent grid and coefficient denominator: every den it draws divides them
 _GRID = lcm(*range(1, EXPONENT_DENOMINATOR_BOUND + 1))
-_DEN = lcm(2, 3, 4)
+_DEN = lcm(*range(_COEFF_DENS[0], _COEFF_DENS[1] + 1))
 
 
 class GeneratorConfig(NamedTuple):
@@ -84,15 +88,15 @@ class Sampler:
     def integer(self, lo: int, hi: int) -> int:
         """An int in [lo, hi] from one 16-bit word, by multiply-shift (module docstring)."""
         n = hi - lo + 1
-        if not 0 < n <= 1 << 16:
-            raise ValueError(f"integer: a span of {n} values, outside 1..2**16")
+        if not 0 < n <= 1 << 8:
+            raise ValueError(f"integer: a span of {n} values, outside 1..2**8")
         return lo + (self._bits(16) * n >> 16)
 
     def _coefficient(self) -> tuple[int, int]:
         """A nonzero coefficient as the pair ``(c, d)``, the value c/d, drawn as in ``rhopoly``."""
         c = self.integer(-COEFF_BOUND, COEFF_BOUND - 1)
         c += c >= 0  # 0..COEFF_BOUND-1 move up one, so no 0 is drawn
-        return c, (self.integer(2, 4) if self.rng.random() < 0.25 else 1)
+        return c, (self.integer(*_COEFF_DENS) if self.rng.random() < 0.25 else 1)
 
     def _grid(self, lo: int, hi: int) -> tuple[int, int]:
         """A multiple of 1/den in [lo, hi] as the pair ``(k, den)``, den drawn up to the bound."""
@@ -109,6 +113,7 @@ class Sampler:
         n = lo + (bits(16) * (max_terms - lo + 1) >> 16)
         # distinct exponents, so merging never pushes coefficients past the bound
         e_lo, e_hi = EXPONENT_RANGE
+        d_lo, d_hi = _COEFF_DENS
         exponents: dict[int, None] = {}
         attempts = 0
         while len(exponents) < n and attempts < 32:
@@ -123,7 +128,7 @@ class Sampler:
             c += c >= 0
             d = 1
             if random() < 0.25:
-                d = 2 + (bits(16) * 3 >> 16)
+                d = d_lo + (bits(16) * (d_hi - d_lo + 1) >> 16)
                 den = _DEN
             terms.append((e, c, d))
         # over _DEN only when some coefficient drew a denominator; _poly reduces grid and den

@@ -8,7 +8,9 @@ the first draws of every registered check, the stream the check reports are
 built from.  Checked against that claim: ``integer`` reads exactly one word per
 value, and every draw method and every check's draw reads nothing from its rng
 but 16-bit words and uniform floats, so it replays from the values it read.
-The draw ranges are checked against the bounds in ``generate``.
+``rhopoly``, which writes the draws of ``integer``, ``_grid`` and
+``_coefficient`` out in place, is checked against their composition, and the
+draw ranges against the bounds in ``generate``.
 """
 
 import hashlib
@@ -20,7 +22,7 @@ import pytest
 
 from solidus.checks import REGISTRY
 from solidus.external import ExternalNum
-from solidus.field import PreciseNum, RhoPoly
+from solidus.field import PreciseNum, RhoPoly, _sum_terms
 from solidus.generate import (
     COEFF_BOUND,
     EXPONENT_DENOMINATOR_BOUND,
@@ -37,8 +39,8 @@ SEEDS = (0, 1, 7, 42)
 LABELS = ("", "axiom.add.assoc", "thm.oslash_pound", "draws")
 
 
-#: singletons, the package's spans, and the widest span one word allows
-INTEGER_RANGES = [(a, a) for a in (-3, 0, 5)] + [(-9, 9), (2, 4), (0, 3), (1, 2), (0, 2**16 - 1), (-(2**15), 2**15 - 1)]
+#: singletons, the package's spans, and the widest span integer allows
+INTEGER_RANGES = [(a, a) for a in (-3, 0, 5)] + [(-9, 9), (2, 4), (0, 3), (1, 2), (0, 2**8 - 1), (-(2**7), 2**7 - 1)]
 
 
 @pytest.mark.parametrize("seed", SEEDS + (1000004, 2**70 + 3))
@@ -155,6 +157,26 @@ def test_every_draw_method_pinned():
     assert h.hexdigest() == "5842d1e435e82e386db2a2e94ba73985b12c218c6ef576aed546ba036dbc0f65"
 
 
+def _rhopoly_by_parts(s: Sampler, max_terms: int, allow_zero: bool) -> RhoPoly:
+    """What ``rhopoly`` writes out in place, composed of the draws it copies."""
+    n = s.integer(0 if allow_zero else 1, max_terms)
+    exponents: dict[F, None] = {}  # distinct values, in draw order
+    for _ in range(32):
+        if len(exponents) == n:
+            break
+        exponents[F(*s._grid(*EXPONENT_RANGE))] = None
+    return _sum_terms([(e.numerator, e.denominator, *s._coefficient()) for e in exponents])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_rhopoly_draws_as_integer_grid_and_coefficient(seed):
+    s, ref = (Sampler(GeneratorConfig(seed=seed), "by_parts") for _ in range(2))
+    for max_terms, allow_zero in itertools.product(range(1, MAX_TERMS + 1), (True, False)):
+        for _ in range(300):
+            assert _fields(s.rhopoly(max_terms, allow_zero)) == _fields(_rhopoly_by_parts(ref, max_terms, allow_zero))
+    assert s.rng.getstate() == ref.rng.getstate()
+
+
 def test_draw_ranges_are_the_bounds():
     s = Sampler(GeneratorConfig(seed=3), "ranges")
     bound = EXPONENT_DENOMINATOR_BOUND
@@ -164,9 +186,11 @@ def test_draw_ranges_are_the_bounds():
     spans |= {(1, NEUTRIX_Q_RANGE[1] * den) for den in range(1, bound + 1)}
     for lo, hi in sorted(spans):
         assert {s.integer(lo, hi) for _ in range(2000)} == set(range(lo, hi + 1)), (lo, hi)
-    with pytest.raises(ValueError):
-        s.integer(0, 2**16)
-    # rhopoly's in-place draws, read back as reduced exponents and coefficients
+    # past 2**8 values a word's share of the span is off by more than 0.4%
+    for lo, hi in ((0, 2**8), (0, 2**16), (1, 0)):
+        with pytest.raises(ValueError):
+            s.integer(lo, hi)
+    # rhopoly's draws, read back as reduced exponents and coefficients
     counts, exponents, coefficients = set(), set(), set()
     for _ in range(2000):
         p = s.rhopoly()
