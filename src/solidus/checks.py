@@ -43,14 +43,13 @@ from .external import (
     ext_inv,
     ext_member,
     ext_subset,
-    is_zeroless,
     magnitude,
     pure,
     shadow,
     unity,
 )
 from .field import ZERO_POLY, Ordering, PreciseNum, RhoPoly, _poly
-from .generate import COEFF_BOUND, EXPONENT_DENOMINATOR_BOUND, EXPONENT_RANGE, NEUTRIX_Q_RANGE, GeneratorConfig, Sampler, below_threshold, shrink
+from .generate import COEFF_BOUND, EXPONENT_DENOMINATOR_BOUND, EXPONENT_RANGE, NEUTRIX_Q_RANGE, GeneratorConfig, Sampler, below_threshold, shrink, zeroless_domain
 from .halfline import (
     Halfline,
     HalflineKind,
@@ -428,7 +427,7 @@ def _natural_domain(p: PreciseNum) -> bool:
 # a sort is its type with the draw of one value of it and, when its name
 # restricts the type, its domain: the test of the values it admits
 External = Annotated[ExternalNum, Sampler.external]
-Zeroless = Annotated[ExternalNum, Sampler.zeroless, is_zeroless]
+Zeroless = Annotated[ExternalNum, Sampler.zeroless, zeroless_domain]
 NonPrecise = Annotated[ExternalNum, Sampler.external, lambda x: x.nx != NX_ZERO]
 Absolute = Annotated[ExternalNum, lambda s: abs(s.external()), lambda x: x.rep.sign() >= 0]
 MostlyPositive = Annotated[ExternalNum, lambda s: s.positive_zeroless() if s.rng.random() < 0.8 else s.external()]

@@ -1,6 +1,7 @@
 """Tests for the generator and the check harness itself."""
 
 import hashlib
+import itertools
 import operator
 import zlib
 from fractions import Fraction as F
@@ -8,7 +9,6 @@ from typing import Annotated
 
 import pytest
 
-import rebuilt_menus as rebuilt
 import solidus.checks
 from solidus.checks import (
     ALIASES,
@@ -25,7 +25,7 @@ from solidus.checks import (
     run_catalog,
     run_check,
 )
-from solidus.errors import InternalError, UnknownCheckError
+from solidus.errors import DegenerateDomainError, InternalError, UnknownCheckError
 from solidus.external import (
     Classification,
     ExternalNum,
@@ -502,15 +502,12 @@ def _crc(value) -> int:
     return zlib.crc32(str(value).encode())
 
 
-class TestRebuiltMenusReference:
-    """The hoisted subdistributivity, Minkowski and Dedekind verdicts against the
-    code that rebuilt their menus and memberships in the loop (``rebuilt_menus``):
-    the same message, or None, on seeded draws and on forced failures."""
+class TestHoistedVerdicts:
+    """The subdistributivity, Minkowski and Dedekind verdicts build each menu and
+    membership once.  They pass on seeded draws; under a forced fault every escape
+    they report is real, naming members of the operands whose value lies outside
+    the result, and every Dedekind branch is reached."""
 
-    VERDICTS = {
-        "thm.subdistributivity": rebuilt._v_thm_subdistributivity,
-        "axiom.scheme.dedekind": rebuilt._v_scheme_dedekind,
-    }
     # menus hold 1, 5 or 8 members: k below, at and past a multiple of each, the verdict's 20, and all pairs
     KS = (1, 3, 5, 8, 9, 20, 64)
 
@@ -519,64 +516,95 @@ class TestRebuiltMenusReference:
         s = Sampler(GeneratorConfig(seed=seed), check_id)
         return [REGISTRY[check_id].draw(s) for _ in range(n)]
 
-    @staticmethod
-    def _patch(monkeypatch, name, f):
-        # the reference imported the function into its own namespace: patch both
-        monkeypatch.setattr(solidus.checks, name, f)
-        monkeypatch.setattr(rebuilt, name, f)
-
-    def _messages(self, check_id, draws):
-        new, old = REGISTRY[check_id].verdict, self.VERDICTS[check_id]
-        messages = []
-        for values in draws:
-            got = new(*values)
-            assert got == old(*values), tuple(map(str, values))
-            messages.append(got)
-        return messages
-
-    def _escapes(self, draws, ops=MINKOWSKI_OPS):
+    def _escapes(self, draws, ops=MINKOWSKI_OPS, member=ext_member):
+        """How many (draw, operation, k) report an escape.  Each is real: ``v = op(x, y)``
+        for members x of alpha and y of beta, and ``member`` puts v outside
+        ``ext_op(alpha, beta)``; the escapes of the first k pairs begin those of more."""
         seen = 0
-        for x, y in draws:
+        for alpha, beta in draws:
             for _name, ext_op, op in ops:
+                result, before = ext_op(alpha, beta), []
                 for k in self.KS:
-                    got = minkowski_escapes(x, y, ext_op, op, k)
-                    assert got == rebuilt.minkowski_escapes(x, y, ext_op, op, k), (str(x), str(y), k)
+                    got = minkowski_escapes(alpha, beta, ext_op, op, k)
+                    where = (str(alpha), str(beta), k)
+                    assert len(got) <= k and got[: len(before)] == before, where
+                    for x, y, v in got:
+                        assert v == op(x, y) and ext_member(x, alpha) and ext_member(y, beta), where
+                        assert not member(v, result), where
                     seen += bool(got)
+                    before = got
         return seen
 
     @pytest.mark.parametrize("seed", (1, 7, 42))
-    @pytest.mark.parametrize("check_id", sorted(VERDICTS))
-    def test_the_verdicts_agree_on_seeded_draws(self, check_id, seed):
-        assert set(self._messages(check_id, self._draws(check_id, seed, 200))) == {None}
+    @pytest.mark.parametrize("check_id", ["axiom.scheme.dedekind", "thm.subdistributivity"])
+    def test_the_verdicts_pass_on_seeded_draws(self, check_id, seed):
+        verdict = REGISTRY[check_id].verdict
+        assert [values for values in self._draws(check_id, seed, 200) if verdict(*values) is not None] == []
 
     @pytest.mark.parametrize("seed", (1, 7, 42))
-    def test_the_escapes_agree_on_seeded_draws(self, seed):
+    def test_no_escape_on_seeded_draws(self, seed):
         assert self._escapes(self._draws("oracle.minkowski", seed, 200)) == 0
 
-    def test_an_escaping_member_sum_is_the_same_triple(self, monkeypatch):
-        self._patch(monkeypatch, "ext_member", lambda v, t: _crc(v) % 7 != 0)
+    def test_an_escaping_member_sum_is_real(self, monkeypatch):
+        member = lambda v, t: _crc(v) % 7 != 0
+        monkeypatch.setattr(solidus.checks, "ext_member", member)
         draws = self._draws("thm.subdistributivity", 1, 100)
-        messages = self._messages("thm.subdistributivity", draws)
+        messages = [REGISTRY["thm.subdistributivity"].verdict(*values) for values in draws]
         escaped = [(m, values) for m, values in zip(messages, draws) if m is not None]
         assert escaped and None in messages
+        for m, (x, y, z) in escaped:
+            target = x * y + x * z
+            menus = (solidus.checks._representative_menu(v, 3) for v in (x, y, z))
+            named = {f"{a}*({b} + {c}) escapes x*y + x*z = {target}": (a, b, c) for a, b, c in itertools.product(*menus)}
+            a, b, c = named[m]
+            assert ext_member(a, x) and ext_member(b, y) and ext_member(c, z), m
+            assert not member(a * (b + c), target), m
         # not only the first triple: some reported members differ from the menus' heads, the representatives
         assert any(not m.startswith(f"{x.rep}*({y.rep} + {z.rep}) escapes") for m, (x, y, z) in escaped)
 
-    def test_escapes_from_a_narrowed_operation_are_the_same_pairs(self, monkeypatch):
+    def test_escapes_from_a_narrowed_operation_are_real(self, monkeypatch):
         narrowed = (
             ("add", lambda u, v: canonicalize(u.rep + v.rep), operator.add),
             ("mul", lambda u, v: canonicalize(u.rep * v.rep), operator.mul),
         )
         draws = self._draws("oracle.minkowski", 7, 60)
         assert self._escapes(draws, narrowed) > 100
-        self._patch(monkeypatch, "ext_member", lambda v, t: _crc(v) % 5 != 0)
-        assert self._escapes(draws) > 100
-        # and the verdict reports the same first escape over either oracle
+        member = lambda v, t: _crc(v) % 5 != 0
+        monkeypatch.setattr(solidus.checks, "ext_member", member)
+        assert self._escapes(draws, member=member) > 100
+        # the verdict fails exactly on the draws with an escape among its 20 pairs
         verdict = REGISTRY["oracle.minkowski"].verdict
         messages = [verdict(*values) for values in draws]
-        monkeypatch.setattr(solidus.checks, "minkowski_escapes", rebuilt.minkowski_escapes)
-        assert messages == [verdict(*values) for values in draws]
+        for values, m in zip(draws, messages):
+            assert (m is None) == all(not minkowski_escapes(*values, ext_op, op, 20) for _, ext_op, op in MINKOWSKI_OPS)
         assert any(m and m.startswith("add: ") for m in messages)
+
+    def test_the_first_k_pairs_are_tried_in_order(self, monkeypatch):
+        # under a membership that holds nothing every pair escapes, so the escapes are the
+        # first k pairs of alpha's and beta's representative menus, alpha's in the outer loop
+        monkeypatch.setattr(solidus.checks, "ext_member", lambda v, t: False)
+        for alpha, beta in self._draws("oracle.minkowski", 7, 60):
+            pairs = list(itertools.product(*([v.rep + g for g in solidus.checks._member_menu(v.nx)] for v in (alpha, beta))))
+            for _name, ext_op, op in MINKOWSKI_OPS:
+                for k in self.KS:
+                    got = minkowski_escapes(alpha, beta, ext_op, op, k)
+                    assert [(x, y) for x, y, _ in got] == pairs[:k], (str(alpha), str(beta), k)
+
+    @staticmethod
+    def _true_failures(h, member):
+        """Every message of the Dedekind verdict that states a fact about ``h`` under ``member``."""
+        b = solidus.halfline.zup(h)
+        points = solidus.checks._probe_points(b)
+        closed = h.kind is HalflineKind.CLOSED
+        true = set()
+        if closed != member(h, b):
+            true.add("closed halfline misses its maximum" if closed else f"{h.kind.value} halfline contains its weak bound")
+        true |= {f"not downward closed: {y} < member {x}" for x in points for y in points if y < x and member(h, x) and not member(h, y)}
+        try:
+            comp = solidus.halfline.hl_complement(h)
+        except DegenerateDomainError:
+            return true
+        return true | {f"complement fails to partition at {x}" for x in points if member(h, x) == member(comp, x)}
 
     @pytest.mark.parametrize(
         "member, branches",
@@ -589,12 +617,16 @@ class TestRebuiltMenusReference:
         ],
         ids=["never", "always", "flipped", "flipped-complement"],
     )
-    def test_a_wrong_membership_fails_at_the_same_point(self, monkeypatch, member, branches):
-        self._patch(monkeypatch, "hl_member", member)
+    def test_a_wrong_membership_reaches_its_branches(self, monkeypatch, member, branches):
+        monkeypatch.setattr(solidus.checks, "hl_member", member)
+        verdict = REGISTRY["axiom.scheme.dedekind"].verdict
         draws = self._draws("axiom.scheme.dedekind", 42, 100)
-        messages = self._messages("axiom.scheme.dedekind", draws)
+        messages = [verdict(*values) for values in draws]
         reached = {branch for branch in branches for m in messages if m and branch in m}
         assert reached == branches, set(messages)
+        # each failure the verdict reports is true of its halfline under the wrong membership
+        for (h,), m in zip(draws, messages):
+            assert m is None or m in self._true_failures(h, member), (str(h), m)
 
     def test_each_menu_and_membership_is_built_once(self, monkeypatch):
         calls = []

@@ -1,5 +1,5 @@
-"""Every typed error is in use, every law parameter has a sort, and the README's
-library example runs.
+"""Every typed error is in use, every law parameter has a sort, the README's
+library example runs, and every helper module of ``tests/`` is in use and listed.
 
 An exception class in ``errors.py`` counts as used when another module of
 ``src/solidus`` raises it or subclasses it, so a change that stops raising a
@@ -7,6 +7,12 @@ typed error must also delete it.  Every verdict parameter is annotated with an
 ``Annotated`` sort, each dependency a sort's draw or domain names is an
 earlier parameter of the same verdict, and each drawn value is an instance of
 its sort's type.  The README's "Library example" block is run as written.
+
+A helper module of ``tests/`` (one not named ``test_*.py``, other than
+``conftest.py``) counts as used when a test module imports it.  Each is either
+an independent oracle or keeps a parent's code, and a module of the second
+kind is listed with the ROADMAP item whose oracle will retire it: a change
+that adds one must add it to ``PARENT_COPIES`` with its reason.
 """
 
 import ast
@@ -21,6 +27,15 @@ from solidus.generate import GeneratorConfig, Sampler
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "solidus"
+TESTS = ROOT / "tests"
+#: the independent oracles among the helper modules
+ORACLES = {"field_oracle"}
+#: the helper modules that keep a parent's code, with the ROADMAP item whose oracle retires each
+PARENT_COPIES = {
+    "descent_parser": "item 5: an independent evaluator for REPL answers",
+    "composed_external": "item 6: an independent set-semantics model of the external layer",
+    "full_difference": "item 6: an independent set-semantics model of the external layer",
+}
 
 
 def raised_or_subclassed(source: str) -> set[str]:
@@ -92,3 +107,23 @@ def test_each_drawn_value_has_its_parameters_type(seed):
             values = chk.draw(sampler)
             assert len(values) == len(types), chk.check_id
             assert all(isinstance(v, t) for v, t in zip(values, types)), (chk.check_id, values)
+
+
+def _imported(path: Path) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+    return names
+
+
+def test_every_helper_module_is_imported_and_listed():
+    helpers = {p.stem for p in TESTS.glob("*.py") if not p.name.startswith("test_") and p.name != "conftest.py"}
+    imported = set().union(*(_imported(p) for p in TESTS.glob("test_*.py")))
+    assert sorted(helpers - imported) == []
+    assert sorted(helpers ^ (ORACLES | set(PARENT_COPIES))) == []
+    # a parent copy says so in its docstring; an oracle does not
+    copies = {name for name in helpers if "kept as a test-only reference" in ast.get_docstring(ast.parse((TESTS / f"{name}.py").read_text()))}
+    assert copies == set(PARENT_COPIES)

@@ -246,3 +246,31 @@ def test_the_naturals_mutant_leaves_the_natural_draws_alone(tmp_path):
     draws = [REGISTRY["axiom.arith.naturals"].draw(sampler) for _ in range(200)]
     assert run.stdout.splitlines() == ["\t".join(str(v) for v in values) for values in draws]
     assert sum(bool(x.num.ks) and x.num.ks[-1][0] == 0 for x, _, _ in draws) > 20
+
+
+def test_the_threshold_mutant_leaves_the_zeroless_draws_alone(tmp_path):
+    # Zeroless's draw and domain read the stored fields, not the neutrix
+    # membership that the swapped-bound mutant breaks, so its laws get the same inputs
+    env = _mutated(tmp_path, "neutrix.py", "k <= bound if closed else k < bound", "k < bound if closed else k <= bound")
+    ids = ("axiom.mul.inverse", "axiom.mul.unity_product", "thm.unity_multiplicative")
+    script = (
+        "from solidus.checks import REGISTRY\n"
+        "from solidus.generate import GeneratorConfig, Sampler\n"
+        f"for check_id in {ids!r}:\n"
+        "    s = Sampler(GeneratorConfig(seed=42), check_id)\n"
+        "    for _ in range(200):\n"
+        "        print(*REGISTRY[check_id].draw(s), sep='\\t')\n"
+    )
+    run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    draws = []
+    for check_id in ids:
+        sampler = Sampler(GeneratorConfig(seed=42), check_id)
+        draws += [REGISTRY[check_id].draw(sampler) for _ in range(200)]
+    assert run.stdout.splitlines() == ["\t".join(str(v) for v in values) for values in draws]
+    # the draws reach the values the mutant misjudges: a degree at a finite cut's threshold
+    at_threshold = [
+        x for values in draws for x in values
+        if x.nx._key[0] == 0 and x.rep.num.ks[0][0] * x.nx._key[2] == x.nx._key[1] * x.rep.num.grid
+    ]
+    assert len(at_threshold) > 20

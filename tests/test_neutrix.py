@@ -17,7 +17,6 @@ from fractions import Fraction as F
 
 import pytest
 
-from fraction_render import render_exponent
 from solidus.errors import NotAboveUnityError, NotIdempotentError
 from solidus.external import ExternalNum
 from solidus.field import NEG_INFINITY, Ordering, PreciseNum, RhoPoly, series_expand
@@ -366,7 +365,9 @@ def ref_render(a: RefNeutrix) -> str:
     letter = "o" if a.kind is RefKind.OPEN_CUT else "L"
     if a.q == 0:
         return letter
-    return f"{render_exponent(a.q)}*{letter}"
+    # an integer exponent above 1 prints bare, any other in parentheses, and rho^1 as rho
+    power = "rho" if a.q == 1 else f"rho^{a.q}" if a.q.denominator == 1 and a.q > 0 else f"rho^({a.q})"
+    return f"{power}*{letter}"
 
 
 GRID = [REF_ZERO, REF_FULL] + [

@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 import descent_parser
-import left_fold
 import solidus.field
 import solidus.parser
 from solidus.cli import main, run_command
@@ -348,9 +347,27 @@ def _outcome(evaluator, text: str) -> str:
     return str(value).lower() if isinstance(value, bool) else render_external(value)
 
 
+def _folded(expr):
+    """The '+'/'-' chain ``expr``: each term evaluated, then folded with ExternalNum's own
+    ``+`` and ``-`` from the left, an error taking the column of its operator."""
+    nodes = []
+    while isinstance(expr, BinOp) and expr.op in "+-":
+        nodes.append(expr)
+        expr = expr.left
+    total = evaluate(expr)
+    for node in reversed(nodes):
+        term = evaluate(node.right)
+        try:
+            total = total + term if node.op == "+" else total - term
+        except SolidusError as exc:
+            exc.column = node.pos
+            raise
+    return total
+
+
 class TestOnePassSum:
-    """A '+'/'-' chain is summed in one pass; ``left_fold`` folds it node by node,
-    as the evaluator did before, and both must print the same line."""
+    """A '+'/'-' chain is summed in one pass, and must print the line of ``_folded``,
+    its terms folded with ExternalNum's own operators; fixed chains print literal lines."""
 
     POLYS = ("7", "1/3", "rho", "-2*rho^(1/2)", "3/4*rho^(2/3)", "rho^(-1/5)", "5/6*rho^(-3/7)", "-rho^2", "2*rho^(-1)")
     NEUTRICES = ("o", "L", "M", "rho^(-2)*o", "rho^(1/2)*L", "rho*o", "rho^(-1/3)*L", "(3 + rho^(-1)*o)")
@@ -387,36 +404,39 @@ class TestOnePassSum:
         ops[0] = ""
         return " ".join(f"{op} {x}" if op else x for op, x in zip(ops, operands))
 
-    def test_agrees_with_the_left_fold(self):
+    def test_agrees_with_the_fold(self):
         rng = random.Random(2201)
         outcomes = []
         for i in range(200):
             text = self._chain(rng, ("head", "middle", "tail", "none", "many")[i % 5])
             outcomes.append(_outcome(evaluate, text))
-            assert outcomes[-1] == _outcome(left_fold.evaluate, text), text
+            assert outcomes[-1] == _outcome(_folded, text), text
         # every kind of result was reached: ratios, each neutrix, zero and errors
         assert any("/(" in out for out in outcomes)
         for piece in ("*o", "*L", "M", "error: NotZerolessError"):
             assert any(piece in out for out in outcomes), piece
 
     @pytest.mark.parametrize(
-        "text",
+        "text, line",
         [
-            # a partial sum of zero resets the fold's denominator to 1
-            "(rho^2-1)/(rho-1) - rho - 1 + 5",
-            "(rho^2-1)/(rho-1) - rho - 1 + 5 + rho^(1/2) - 1/3",
-            "1/(1+rho^(-1)) + 1 - 1/(1+rho^(-1))",
-            "1/(1+rho^(-1)) - 1/(1+rho^(-1)) + 1 + rho",
-            "1/2 + rho^(1/3) - 1/2 - rho^(1/3)",
-            "rho^(-2)*o + 3*rho^(-1) - rho^(-3) + 2 - 7",
-            "1 + 2*rho - M + rho^5",
-            "3 - rho^(1/2) + rho^(1/3)*L - 2*rho^(1/3) + o - rho^(1/3) = 3 - rho^(1/2) + rho^(1/3)*L",
-            "2 + rho - 1/0 + 5",
-            "1 + 1/(1+rho^(-1/60000)) + rho^(-2)*o + 3",
+            # a partial sum of zero resets the sum's denominator to 1
+            ("(rho^2-1)/(rho-1) - rho - 1 + 5", "5"),
+            ("(rho^2-1)/(rho-1) - rho - 1 + 5 + rho^(1/2) - 1/3", "rho^(1/2) + 14/3"),
+            ("1/(1+rho^(-1)) + 1 - 1/(1+rho^(-1))", "(1 + rho^(-1))/(1 + rho^(-1))"),
+            ("1/(1+rho^(-1)) - 1/(1+rho^(-1)) + 1 + rho", "rho + 1"),
+            ("1/2 + rho^(1/3) - 1/2 - rho^(1/3)", "0"),
+            ("rho^(-2)*o + 3*rho^(-1) - rho^(-3) + 2 - 7", "-5 + 3*rho^(-1) + rho^(-2)*o"),
+            ("1 + 2*rho - M + rho^5", "M"),
+            ("3 - rho^(1/2) + rho^(1/3)*L - 2*rho^(1/3) + o - rho^(1/3) = 3 - rho^(1/2) + rho^(1/3)*L", "true"),
+            ("2 + rho - 1/0 + 5", "error: NotZerolessError: 0 contains 0 and has no inverse (column 12)"),
+            (
+                "1 + 1/(1+rho^(-1/60000)) + rho^(-2)*o + 3",
+                "error: ResourceLimitError: series expansion longer than 100000 terms (column 26)",
+            ),
         ],
     )
-    def test_fixed_chains_agree_with_the_left_fold(self, text):
-        assert _outcome(evaluate, text) == _outcome(left_fold.evaluate, text)
+    def test_fixed_chains(self, text, line):
+        assert _outcome(evaluate, text) == line
 
     def test_error_columns(self):
         assert run_command("2 + rho - 1/0 + 5") == "error: 0 contains 0 and has no inverse (column 12)"
@@ -429,20 +449,20 @@ class TestOnePassSum:
         # with the run -1 added first, the expansion keeps 1,000 terms, one fewer than the limit refuses
         monkeypatch.setattr(solidus.field, "MAX_SERIES_TERMS", 1000)
         text = "0 - 1 + 1/(1+rho^(-1/1000)) + rho^(-1)*o"
-        assert _outcome(evaluate, text) == _outcome(left_fold.evaluate, text)
+        assert _outcome(evaluate, text) == _outcome(_folded, text)
         assert run_command(text).endswith(" + rho^(-1)*o")
         assert run_command("0 + 1/(1+rho^(-1/1000)) + rho^(-1)*o").startswith("error: series expansion")
 
     def test_a_polynomial_chain_adds_once(self, monkeypatch):
         text = " - ".join(f"{j + 1}/{j % 3 + 1}*rho^({j}/5)" for j in range(200))
-        expected = _outcome(left_fold.evaluate, text)
+        expected = _outcome(_folded, text)
         calls = []
         original = RhoPoly.__add__
         monkeypatch.setattr(RhoPoly, "__add__", lambda x, y: calls.append(1) or original(x, y))
         assert _outcome(evaluate, text) == expected
         assert len(calls) <= 2
         calls.clear()
-        left_fold.evaluate(parse(text))  # the counter counts: the fold adds once per operator
+        _folded(parse(text))  # the counter counts: the fold adds once per operator
         assert len(calls) == 199
 
 

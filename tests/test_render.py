@@ -1,22 +1,25 @@
-"""The int-pair renderers print what the ``Fraction`` renderer they replaced printed.
+"""The renderers print the canonical expression syntax and refuse numbers past
+the int/str digit limit.
 
 ``field.render_poly`` and ``neutrix.render_neutrix`` print from the stored
-``(grid, den, ks)`` and the neutrix's int key.  Every REPL answer stays the
-same only if each prints the text of the reference in ``fraction_render``, and
-refuses, with the same error text, what the reference refuses; both are
-compared here on seeded values and on numbers on both sides of the digit limit.
+``(grid, den, ks)`` and the neutrix's int key.  Fixed values print literal
+expected text, every seeded value prints text that ``parser.eval_text`` reads
+back as an equal value, and on both sides of the digit limit a number of
+``digit_limit()`` digits prints while one of a digit more is refused with
+one error text.  The REPL's exact text is pinned by the digests of
+``test_bench_contract``.
 """
 
 from fractions import Fraction as F
 
 import pytest
 
-import fraction_render as ref
 from solidus.errors import ResourceLimitError
 from solidus.external import ExternalNum, render_external
 from solidus.field import PreciseNum, RhoPoly, digit_limit, render_poly, render_precise
 from solidus.generate import GeneratorConfig, Sampler
 from solidus.neutrix import Neutrix, render_neutrix
+from solidus.parser import eval_text
 
 
 def _ratio_draw(s: Sampler) -> PreciseNum:
@@ -26,12 +29,7 @@ def _ratio_draw(s: Sampler) -> PreciseNum:
     return x
 
 
-RENDERERS = {
-    RhoPoly: (render_poly, ref.render_poly),
-    PreciseNum: (render_precise, ref.render_precise),
-    Neutrix: (render_neutrix, ref.render_neutrix),
-    ExternalNum: (render_external, ref.render_external),
-}
+RENDERERS = {RhoPoly: render_poly, PreciseNum: render_precise, Neutrix: render_neutrix, ExternalNum: render_external}
 DRAWS = {
     "polynomial": lambda s: s.rhopoly(),
     "ratio": _ratio_draw,
@@ -40,17 +38,11 @@ DRAWS = {
 }
 
 
-def _outcome(render, value) -> tuple:
-    try:
-        return ("text", render(value))
-    except ResourceLimitError as exc:
-        return ("refused", str(exc))
-
-
-def _both(value) -> tuple[tuple, tuple]:
-    """The outcome of the int renderer and of the reference on ``value``."""
-    render, reference = RENDERERS[type(value)]
-    return _outcome(render, value), _outcome(reference, value)
+def _external(value) -> ExternalNum:
+    """A value as the external number it prints as: a precise one, or a pure magnitude."""
+    if isinstance(value, ExternalNum):
+        return value
+    return ExternalNum(0, value) if isinstance(value, Neutrix) else ExternalNum(value)
 
 
 def _polys(value) -> list[RhoPoly]:
@@ -63,12 +55,13 @@ def _polys(value) -> list[RhoPoly]:
 
 @pytest.mark.parametrize("seed", (1, 7, 42))
 @pytest.mark.parametrize("kind", sorted(DRAWS))
-def test_seeded_values_render_as_the_fraction_renderer(seed, kind):
+def test_seeded_values_read_back_as_equal_values(seed, kind):
     s = Sampler(GeneratorConfig(seed=seed), f"render.{kind}")
     values = [DRAWS[kind](s) for _ in range(300)]
     for value in values:
-        got, want = _both(value)
-        assert got == want == ("text", str(value)), value
+        text = RENDERERS[type(value)](value)
+        assert text == str(value)
+        assert eval_text(text) == _external(value), text
     terms = [(k, c, p.grid, p.den) for value in values for p in _polys(value) for k, c in p.ks]
     if kind != "neutrix":
         # the draws reach unit and negative coefficients, the exponent 1 and negative exponents
@@ -79,36 +72,42 @@ def test_seeded_values_render_as_the_fraction_renderer(seed, kind):
 
 
 FIXED = [
-    RhoPoly([(1, 1)]),
-    RhoPoly([(1, -1), (0, 1)]),
-    RhoPoly([(-1, F(-1, 2)), (F(-3, 2), 1)]),
+    (RhoPoly([(1, 1)]), "rho"),
+    (RhoPoly([(1, -1), (0, 1)]), "-rho + 1"),
+    (RhoPoly([(2, 3), (0, -1)]), "3*rho^2 - 1"),
+    (RhoPoly([(-1, F(-1, 2)), (F(-3, 2), 1)]), "-1/2*rho^(-1) + rho^(-3/2)"),
     # grid 6 and den 6: every exponent and coefficient reduces on its own
-    RhoPoly([(F(1, 2), F(3, 2)), (F(1, 3), F(-2, 3)), (F(1, 6), F(1, 6)), (0, F(-5, 6)), (F(-1, 2), -1)]),
-    PreciseNum(RhoPoly([(2, -1), (0, 3)]), RhoPoly([(1, 2), (F(-1, 2), F(1, 3))])),
-    Neutrix(F(-3, 2), True),
-    Neutrix(1, False),
-    Neutrix(0, True),
-    ExternalNum(RhoPoly([(1, -1)]), Neutrix(F(-1, 3), False)),
+    (
+        RhoPoly([(F(1, 2), F(3, 2)), (F(1, 3), F(-2, 3)), (F(1, 6), F(1, 6)), (0, F(-5, 6)), (F(-1, 2), -1)]),
+        "3/2*rho^(1/2) - 2/3*rho^(1/3) + 1/6*rho^(1/6) - 5/6 - rho^(-1/2)",
+    ),
+    (
+        PreciseNum(RhoPoly([(2, -1), (0, 3)]), RhoPoly([(1, 2), (F(-1, 2), F(1, 3))])),
+        "(-1/2*rho + 3/2*rho^(-1))/(1 + 1/6*rho^(-3/2))",
+    ),
+    (Neutrix(F(-3, 2), True), "rho^(-3/2)*L"),
+    (Neutrix(1, False), "rho*o"),
+    (Neutrix(2, True), "rho^2*L"),
+    (Neutrix(0, True), "L"),
+    (Neutrix(0, False), "o"),
+    (ExternalNum(RhoPoly([(1, -1)]), Neutrix(F(-1, 3), False)), "-rho + rho^(-1/3)*o"),
 ]
 
 
-@pytest.mark.parametrize("value", FIXED, ids=repr)
-def test_fixed_values_render_as_the_fraction_renderer(value):
-    got, want = _both(value)
-    assert got == want
-    if not isinstance(value, ExternalNum):
-        # a precise value and a pure magnitude print alike as external numbers
-        as_external = ExternalNum(0, value) if isinstance(value, Neutrix) else ExternalNum(value)
-        assert _both(as_external) == (got, got)
+@pytest.mark.parametrize("value, text", FIXED, ids=[text for _, text in FIXED])
+def test_fixed_values_print_their_text(value, text):
+    assert RENDERERS[type(value)](value) == text
+    # a precise value and a pure magnitude print alike as external numbers
+    assert render_external(_external(value)) == text
+    assert eval_text(text) == _external(value)
 
 
 @pytest.mark.skipif(not digit_limit(), reason="this interpreter has no int/str digit limit")
-def test_both_sides_of_the_digit_limit_match_the_fraction_renderer():
+def test_both_sides_of_the_digit_limit():
     limit = digit_limit()
-    cases = []
-    # a number of `limit` digits prints; one of limit + 1 digits is refused
-    for big in (10**limit - 1, 10**limit):
-        cases += [
+
+    def cases(big):
+        return [
             RhoPoly.constant(big),
             RhoPoly.constant(-big),
             RhoPoly.constant(F(1, big)),
@@ -124,10 +123,16 @@ def test_both_sides_of_the_digit_limit_match_the_fraction_renderer():
             ExternalNum(RhoPoly.rho_power(1, big), Neutrix(-1, True)),
             ExternalNum(RhoPoly.rho_power(1), Neutrix(F(-1, big), True)),
         ]
-    outcomes = [_both(value) for value in cases]
-    for value, (got, want) in zip(cases, outcomes):
-        assert got == want, type(value)
-    assert [got[0] for got, _ in outcomes] == ["text"] * (len(cases) // 2) + ["refused"] * (len(cases) // 2)
+
+    # a number of `limit` digits prints, and reads back
+    for value in cases(10**limit - 1):
+        text = RENDERERS[type(value)](value)
+        assert eval_text(text) == _external(value), type(value)
+    # one of limit + 1 digits is refused, with the one error text
+    for value in cases(10**limit):
+        with pytest.raises(ResourceLimitError) as err:
+            RENDERERS[type(value)](value)
+        assert str(err.value) == f"a number of more than {limit} digits is too long to print", type(value)
 
 
 def test_rendering_builds_no_fraction(fraction_calls):
@@ -135,5 +140,5 @@ def test_rendering_builds_no_fraction(fraction_calls):
     values = [draw(s) for draw in DRAWS.values() for _ in range(60)]
     fraction_calls.clear()
     for value in values:
-        RENDERERS[type(value)][0](value)
+        RENDERERS[type(value)](value)
     assert fraction_calls == []
