@@ -36,6 +36,7 @@ from solidus.external import (
     ext_disjoint,
     ext_member,
     ext_mul,
+    is_zeroless,
     pure,
 )
 from solidus.field import Ordering, PreciseNum, RhoPoly
@@ -45,6 +46,7 @@ from solidus.generate import (
     MAX_TERMS,
     GeneratorConfig,
     Sampler,
+    below_threshold,
     shrink,
 )
 from solidus.halfline import _BRACKETS, Halfline, HalflineKind, Side
@@ -337,6 +339,18 @@ class TestStoredFieldDomains:
         values = [s.precise(ratio_probability=0.5) for _ in range(300)] + offsets
         assert sum(0 < u < 1 for u in values) > 250
         assert [unit_offset(u) for u in values] == [0 < u < 1 for u in values]
+
+    @pytest.mark.parametrize("seed", (1, 7, 42))
+    def test_the_zeroless_domain_agrees_with_is_zeroless(self, seed):
+        zeroless = solidus.checks.Zeroless.__metadata__[1]
+        s = Sampler(GeneratorConfig(seed=seed), "domains")
+        # drawn values, and representatives above, at and below a drawn cut's threshold
+        values = [s.external() for _ in range(300)]
+        for _ in range(100):
+            nx = s.scaled_neutrix()
+            values += [ExternalNum(PreciseNum.of(below_threshold(nx, j)), nx) for j in (-1, 0, 1)]
+        assert 100 < sum(map(is_zeroless, values)) < len(values) - 100
+        assert [zeroless(x) for x in values] == [is_zeroless(x) for x in values]
 
 
 class TestSupremumWitnesses:
