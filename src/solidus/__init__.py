@@ -9,7 +9,7 @@ The value hierarchy:
     ExternalNum  canonical pairs representative + neutrix
 
 plus halflines with weak bounds, a natural-number interpretation, and a
-registry of randomized axiom/theorem checks.
+registry of randomized axiom/theorem checks, loaded on first use (PEP 562).
 """
 
 from .errors import (
@@ -99,19 +99,23 @@ from .naturals import (
     induction_spotcheck,
     is_natural,
 )
-from .generate import GeneratorConfig, Sampler
-from .checks import (
-    CheckFailure,
-    CheckReport,
-    exit_code,
-    format_report,
-    format_reports,
-    minkowski_escapes,
-    run_catalog,
-    run_check,
-)
 from .parser import evaluate, parse
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+#: the check harness's names, and the module each loads from on first access (PEP 562)
+_HARNESS = dict.fromkeys(["generate", "GeneratorConfig", "Sampler"], "generate")
+_HARNESS.update(dict.fromkeys(["checks", "CheckFailure", "CheckReport", "exit_code", "format_report", "format_reports",
+                               "minkowski_escapes", "run_catalog", "run_check"], "checks"))
+
+
+def __getattr__(name: str):
+    module = _HARNESS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    loaded = import_module(f".{module}", __name__)
+    return loaded if name == module else getattr(loaded, name)
+
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")] + list(_HARNESS))
 
 __version__ = "0.1.0"

@@ -1,7 +1,8 @@
 """The solidus command line: REPL, batch runner and headless check mode.
 
 Bare lines evaluate expressions and print canonical forms; colon commands
-expose classification, comparison, weak suprema, naturals and the check suite.
+expose classification, comparison, weak suprema, naturals and the check
+suite, whose harness loads with the first ``--check`` or ``:check``.
 A failing line prints one ``error: <message> (column N)`` line, N counted from
 the start of the line as typed; column 1 stands for the whole line.
 Exit codes: 0 success, 1 check failures (in --check mode), 2 usage errors,
@@ -17,10 +18,8 @@ import shlex
 import sys
 from typing import NoReturn, Optional
 
-from .checks import exit_code, format_reports, run_catalog
 from .errors import ParseError, SolidusError, UnknownCheckError
 from .external import classify, ext_compare, render_external
-from .generate import GeneratorConfig
 from .halfline import zup_finite
 from .naturals import archimedean_witness, is_natural
 from .neutrix import NX_ZERO
@@ -69,6 +68,8 @@ def _add_check_options(parser: argparse.ArgumentParser) -> None:
 
 def _run_checks(ns: argparse.Namespace) -> tuple[str, int]:
     """Run the selected checks; raises UnknownCheckError for an unknown id."""
+    from .checks import exit_code, format_reports, run_catalog
+    from .generate import GeneratorConfig
     reports = run_catalog(GeneratorConfig(seed=ns.seed), n=ns.count, only=ns.only)
     return format_reports(reports), exit_code(reports)
 

@@ -271,8 +271,13 @@ def _neutrix_candidates(nx: Neutrix) -> Iterator[Neutrix]:
 
 def _candidates(value) -> Iterator:
     if isinstance(value, ExternalNum):
+        seen = set()  # the magnitude can absorb two representatives into one candidate: yield it once
         for rep2 in _precise_candidates(value.rep):
-            yield ExternalNum(rep2, value.nx)
+            candidate = ExternalNum(rep2, value.nx)
+            num, den = candidate.rep.num, candidate.rep.den
+            if (key := (num.grid, num.den, num.ks, den.grid, den.den, den.ks)) not in seen:
+                seen.add(key)
+                yield candidate
         for nx2 in _neutrix_candidates(value.nx):
             yield ExternalNum(value.rep, nx2)
     elif isinstance(value, PreciseNum):

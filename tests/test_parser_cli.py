@@ -1,6 +1,7 @@
 """Tests for the surface syntax, evaluator, REPL commands and exit codes."""
 
 import hashlib
+import json
 import os
 import random
 import re
@@ -15,6 +16,7 @@ import pytest
 import descent_parser
 import solidus.field
 import solidus.parser
+from solidus.checks import format_reports, run_catalog
 from solidus.cli import main, run_command
 from solidus.errors import NotZerolessError, ParseError, ResourceLimitError, SolidusError
 from solidus.external import canonicalize, ext_compare, ext_inv, ext_mul, is_zeroless, pure, render_external
@@ -22,7 +24,7 @@ from solidus.field import Ordering, RhoPoly, digit_limit
 from solidus.generate import GeneratorConfig, Sampler
 from solidus.neutrix import INFINITESIMALS, closed_cut
 from solidus.parser import BinOp, Cmp, Lit, Pow, Sym, Unary, _integer_power, eval_text, evaluate, parse, parse_expr_list, tokenize
-from test_imports import imported_modules
+from test_imports import fresh, imported_modules
 
 rp = RhoPoly.rho_power
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -722,6 +724,22 @@ class TestMainEntry:
         )
         assert proc.returncode == 0
         assert "1/2 + o" in proc.stdout
+
+    def test_the_harness_loads_with_the_first_check_line(self):
+        code = (
+            "import json, sys\n"
+            "from solidus.cli import run_command\n"
+            "lines = ['1/2 + o', ':cmp o , L', ':nat 3', ':zup 1 , rho', ':classify L', ':arch 1 , 3']\n"
+            "out = [run_command(line) for line in lines]\n"
+            "calculator = sorted(m for m in sys.modules if m.startswith('solidus.'))\n"
+            "out.append(run_command(':check --count 2 --only axiom.add.comm'))\n"
+            "print(json.dumps([out, calculator, 'solidus.checks' in sys.modules]))\n"
+        )
+        out, calculator, loaded = json.loads(fresh(code))
+        assert out[:-1] == ["1/2 + o", "LT", "true", "rho", "PureNeutrix", "4"]
+        assert not {"solidus.checks", "solidus.generate"} & set(calculator)
+        assert out[-1] == format_reports(run_catalog(GeneratorConfig(seed=0), n=2, only="axiom.add.comm"))
+        assert loaded
 
     def test_a_closed_stdin_is_empty_input(self):
         # the shell closes descriptor 0 before the interpreter starts, so sys.stdin is None

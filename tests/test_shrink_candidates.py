@@ -4,9 +4,11 @@
 ``neutrix`` store.  Every candidate of a seeded value of each type that
 shrinks is canonical, differs from its value, and either has fewer terms or
 changes one rational to a strictly smaller ``(denominator, |numerator|)``, so
-greedy shrinking cannot cycle.  Literal tables fix ``_rational_candidates``
-and the candidates of one value of each type, in order; the shrink pin of
-``test_checks`` fixes the order on the catalog's counterexamples.
+greedy shrinking cannot cycle.  No value yields two candidates stored alike,
+since shrinking runs a verdict on each.  Literal tables fix
+``_rational_candidates`` and the candidates of one value of each type, in
+order; the shrink pin of ``test_checks`` fixes the order on the catalog's
+counterexamples.
 """
 
 import ast
@@ -134,6 +136,15 @@ def test_candidates_are_canonical_and_simpler(seed, kind):
     assert yielded > 150
 
 
+@pytest.mark.parametrize("kind", sorted(VALUES))
+def test_no_value_yields_a_candidate_twice(kind):
+    s = Sampler(GeneratorConfig(seed=42), f"shrink.{kind}")
+    for _ in range(150):
+        value = VALUES[kind](s)
+        fields = [_fields(candidate) for candidate in _candidates(value)]
+        assert len(set(fields)) == len(fields), str(value)
+
+
 def test_the_neutrix_draws_reach_both_infinite_cuts():
     # the cuts at -inf and +inf yield no candidate, like the threshold 0
     s = Sampler(GeneratorConfig(seed=7), "shrink.neutrix")
@@ -196,10 +207,10 @@ CANDIDATES = [
         ["1 + rho^(-1/2)*o", "3*rho + rho^(-1/2)*o", "4 + rho^(-1/2)*o", "rho + 1 + rho^(-1/2)*o",
          "-rho + 1 + rho^(-1/2)*o", "3*rho + 1 + rho^(-1)*o", "3*rho + 1 + o", "3*rho + rho*o"],
     ),
-    # -1 + L and -rho^(-1) + L are L: a candidate may repeat another
+    # -1 + L and -rho^(-1) + L are L too: a repeat is yielded once
     (
         Halfline(Side.LOWER, HalflineKind.OPEN, ExternalNum(RhoPoly([(F(1, 2), -1)]), Neutrix(0, True))),
-        ["(-inf, L)", "(-inf, L)", "(-inf, -rho + L)", "(-inf, L)"],
+        ["(-inf, L)", "(-inf, -rho + L)"],
     ),
 ]
 
